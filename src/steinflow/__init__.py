@@ -1,7 +1,6 @@
 """steinflow: momentum-accelerated kernel particle samplers, Langevin baselines,
 and the analytic Gaussian-dynamics layer that validates them."""
 
-from ._backend import BACKEND
 from .config import ExperimentConfig, parse_config
 from .diagnostics import MetricRecord, empirical_moments, kl_estimate
 from .experiment import analyze_spectrum, run_experiment, run_sweep

@@ -82,10 +82,14 @@ def gaussian_fit_kl(x, target: GaussianTarget):
 def _kde_log_density(points, queries, bandwidth2):
     """Log density of an isotropic Gaussian kernel density estimate."""
     n, d = points.shape
-    sq = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    log_kernel = -sq / (2.0 * bandwidth2) - 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
+    # one queries x points buffer, updated in place
+    log_kernel = kernels.pairwise_sq_dists(queries, points)
+    log_kernel /= -2.0 * bandwidth2
+    log_kernel -= 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
     m = log_kernel.max(axis=1)
-    return m + np.log(np.exp(log_kernel - m[:, None]).sum(axis=1)) - np.log(n)
+    log_kernel -= m[:, None]
+    np.exp(log_kernel, out=log_kernel)
+    return m + np.log(log_kernel.sum(axis=1)) - np.log(n)
 
 
 def kl_estimate(x, target, method="gaussian-fit", rng=None, n_is_draws=10000) -> float:

@@ -68,17 +68,18 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat, kde_rng):
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> Path:
+def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     """Run one configured experiment; returns the output directory.
 
     Writes metrics.csv, snapshots/particles_<iter>.csv, trajectory.svg and
-    manifest.json.  Fully deterministic for a fixed configuration (the seed
-    drives the initial draw and all sampler noise).
+    manifest.json into ``outdir``, which defaults to $STEINFLOW_OUT when set
+    and to cfg.output_dir otherwise.  Fully deterministic for a fixed
+    configuration (the seed drives the initial draw and all sampler noise).
     """
     scfg = cfg.build_sampler_config()
     dim = scfg.target.dim
     mean0, _, chol0 = cfg.initial_distribution(dim)
-    outdir = _output_dir(cfg)
+    outdir = _output_dir(cfg) if outdir is None else Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
 
@@ -208,25 +209,19 @@ def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=4):
     """Fan out independent runs over a parameter grid.
 
     Each run gets its own subdirectory and seed (base seed + index) and executes
-    on a worker thread with a private ensemble.
+    on a worker thread with a private ensemble.  The base directory is resolved
+    once, here, and each run is handed its subdirectory explicitly.
     """
     base = _output_dir(cfg)
     if param not in cfg.resolved():
         raise ConfigError(f"unknown sweep key {param!r}")
-    jobs = []
+    jobs, outdirs = [], []
     for i, value in enumerate(values):
         raw = cfg.resolved()
         raw[param] = value
         raw["seed"] = cfg.seed + i
         raw["output_dir"] = str(base / f"sweep_{i}")
         jobs.append(parse_config(json.dumps(raw)))  # re-validate the swept value
-    results = []
-    env_override = os.environ.pop("STEINFLOW_OUT", None)
-    try:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for outdir in pool.map(run_experiment, jobs):
-                results.append(outdir)
-    finally:
-        if env_override is not None:
-            os.environ["STEINFLOW_OUT"] = env_override
-    return results
+        outdirs.append(base / f"sweep_{i}")
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(run_experiment, jobs, outdirs))

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import _backend
-
 __all__ = [
     "GaussianKernel",
     "BilinearKernel",
@@ -26,6 +24,7 @@ __all__ = [
     "grad1",
     "grad2",
     "gram",
+    "pairwise_sq_dists",
     "median_bandwidth",
     "regularized_inverse_apply",
     "low_rank_pinv",
@@ -112,13 +111,34 @@ def grad2(kernel, x, y) -> np.ndarray:
     return kernel.a @ x
 
 
+def pairwise_sq_dists(a, b) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a (N x d) and b (M x d), as an N x M array.
+
+    Coordinates are accumulated one at a time into a single N x M buffer, so no
+    N x M x d difference array is formed.  Each entry sums its coordinates in
+    the same order, which makes ``pairwise_sq_dists(x, x)`` exactly symmetric
+    with an exactly zero diagonal.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
 def gram(kernel, x) -> GramMatrix:
     """Kernel matrix K with K[i, j] = k(x_i, x_j); symmetric by construction."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected an N x d point array with N >= 1, got shape {x.shape}")
     if isinstance(kernel, GaussianKernel):
-        k = _backend.gram_gaussian(x, kernel.sigma2)
+        k = pairwise_sq_dists(x, x)
+        k /= -2.0 * kernel.sigma2
+        np.exp(k, out=k)  # unit diagonal: the distance diagonal is exactly zero
     elif isinstance(kernel, BilinearKernel):
         if x.shape[1] != kernel.dim:
             raise ValueError(f"kernel expects dimension {kernel.dim}, got {x.shape[1]}")
@@ -135,7 +155,7 @@ def median_bandwidth(x) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least two points")
-    sq = _backend.pairwise_sq_dists(x)
+    sq = pairwise_sq_dists(x, x)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(sq[iu])))
     if med == 0.0:
@@ -167,7 +187,9 @@ def regularized_inverse_apply(gm: GramMatrix, eps: float, y, n: int) -> np.ndarr
                 f"kernel matrix is singular with eps = 0 (smallest singular value {smin:.3e})"
             ) from None
         return n * scipy.linalg.cho_solve((c, low), y, check_finite=False)
-    c, low = scipy.linalg.cho_factor(k + eps * np.eye(k.shape[0]), check_finite=False)
+    k_eps = k.copy()
+    k_eps.flat[:: k.shape[0] + 1] += eps
+    c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
     return n * scipy.linalg.cho_solve((c, low), y, check_finite=False)
 
 

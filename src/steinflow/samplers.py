@@ -146,20 +146,20 @@ def gradient_restart_stat(ens: ParticleEnsemble, kernel, target) -> float:
 
     Equals -dE/dt of the transported energy along the flow, estimated as the
     negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j) grad_f(X_i) -
-    grad2_k(X_j, X_i)>; the Gaussian kernel uses the equivalent matrix form.
+    grad2_k(X_j, X_i)>, evaluated in matrix form.  For the bilinear kernel,
+    grad2_k(X_j, X_i) = A X_j and K = U U^T with the rank-(d+1) factor U, so
+    the sum is tr((U^T V)^T U^T grad_f(X)) - N tr(V^T X A) and no N x N
+    matrix is formed.
     """
     g = target.grad_all(ens.x)
     if isinstance(kernel, GaussianKernel):
         k = kernels.gram(kernel, ens.x).k
         return _grad_restart_stat_gaussian(k, ens.v, ens.x, g, kernel.sigma2)
     n = ens.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            term = kernels.eval_kernel(kernel, ens.x[i], ens.x[j]) * g[i]
-            term = term - kernels.grad2(kernel, ens.x[j], ens.x[i])
-            total += float(ens.v[j] @ term)
-    return -total / n**2
+    u = kernel.low_rank_factor(ens.x)
+    drive = float(np.tensordot(u.T @ ens.v, u.T @ g))
+    confinement = float(np.tensordot(ens.v, ens.x @ kernel.a))
+    return -(drive - n * confinement) / n**2
 
 
 def _damping_vector(ens, cfg, x_new, step_norms, k=None, v_new=None, g=None):
@@ -213,14 +213,17 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
         y_new = alpha[:, None] * ens.y + energy + sqrt_tau * scale * (x_new @ cfg.kernel.a)
     elif isinstance(cfg.kernel, GaussianKernel):
         k = kernels.gram(cfg.kernel, x_new).k
+        k_eps = k.copy()
+        k_eps.flat[:: n + 1] += cfg.eps
         try:
-            c, low = scipy.linalg.cho_factor(k + cfg.eps * np.eye(n), check_finite=False)
+            c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
         except np.linalg.LinAlgError:
-            smin = np.linalg.svd(k + cfg.eps * np.eye(n), compute_uv=False).min()
+            smin = np.linalg.svd(k_eps, compute_uv=False).min()
             raise np.linalg.LinAlgError(
                 f"regularized kernel matrix singular at iteration {ens.iteration} "
                 f"(smallest singular value {smin:.3e})"
             ) from None
+        del k_eps  # an N x N copy; free it before the interaction term's N x N temporaries
         v_new = n * scipy.linalg.cho_solve((c, low), ens.y, check_finite=False)
         alpha, counts = _damping_vector(ens, cfg, x_new, step_norms, k=k, v_new=v_new, g=g)
         sigma2 = cfg.kernel.sigma2

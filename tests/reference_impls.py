@@ -20,6 +20,16 @@ def loop_gram(kernel, x):
     return k
 
 
+def loop_sq_dists(a, b):
+    """Squared Euclidean distance of every row of a to every row of b, entry by entry."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            diff = a[i] - b[j]
+            out[i, j] = float(diff @ diff)
+    return out
+
+
 def loop_double_sum_stat(kernel, x, v, target):
     """(1/N^2) sum_ij <V_j, k(X_i, X_j) grad_f(X_i) - grad2_k(X_j, X_i)>."""
     n = x.shape[0]

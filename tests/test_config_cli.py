@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from steinflow import experiment
 from steinflow.cli import main
 from steinflow.config import ConfigError, ExperimentConfig, parse_config
 from steinflow.experiment import analyze_spectrum, manifest_hash, run_experiment, run_sweep
@@ -209,6 +211,23 @@ class TestSweepAndCli:
         assert manifests[0]["config"]["tau"] == 0.05
         assert manifests[1]["config"]["tau"] == 0.1
         assert manifests[1]["config"]["seed"] == cfg.seed + 1
+
+    def test_sweep_leaves_environment_alone(self, tmp_path, monkeypatch):
+        base = tmp_path / "env_out"
+        monkeypatch.setenv("STEINFLOW_OUT", str(base))
+        seen = []
+        real_run = experiment.run_experiment
+
+        def spy(*args, **kwargs):
+            seen.append(os.environ.get("STEINFLOW_OUT"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_experiment", spy)
+        cfg = make_cfg(tmp_path, n_steps=1, n_particles=8)
+        outdirs = run_sweep(cfg, "tau", [0.05, 0.1], max_workers=2)
+        assert seen == [str(base), str(base)]
+        assert outdirs == [base / "sweep_0", base / "sweep_1"]
+        assert all((d / "metrics.csv").exists() for d in outdirs)
 
     def test_cli_run_and_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -11,9 +11,10 @@ from steinflow.kernels import (
     gram,
     low_rank_pinv,
     median_bandwidth,
+    pairwise_sq_dists,
     regularized_inverse_apply,
 )
-from reference_impls import central_diff_grad, random_spd
+from reference_impls import central_diff_grad, loop_gram, loop_sq_dists, random_spd
 
 
 class TestEval:
@@ -124,6 +125,52 @@ class TestGram:
         x = rng.standard_normal((10, 2))
         k = gram(BilinearKernel(np.eye(2)), x).k
         assert np.linalg.matrix_rank(k, tol=1e-9) <= 3
+
+
+class TestPairwiseSqDists:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        for n, d in [(1, 2), (7, 1), (40, 3), (25, 10)]:
+            x = rng.standard_normal((n, d))
+            assert np.allclose(pairwise_sq_dists(x, x), loop_sq_dists(x, x), rtol=1e-14, atol=1e-15)
+            kernel = GaussianKernel(0.37)
+            assert np.allclose(gram(kernel, x).k, loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
+
+    def test_symmetric_with_zero_diagonal(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((20, 2))
+        sq = pairwise_sq_dists(x, x)
+        assert np.array_equal(sq, sq.T)
+        assert np.array_equal(np.diag(sq), np.zeros(20))
+        i, j = 3, 11
+        assert sq[i, j] == ((x[i] - x[j]) ** 2).sum()
+
+    def test_gaussian_gram_unit_diagonal(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((15, 4))
+        k = gram(GaussianKernel(1.3), x).k
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(np.diag(k), np.ones(15))
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((10, 6))[:, ::2]  # strided view
+        contiguous = np.ascontiguousarray(x)
+        assert np.array_equal(pairwise_sq_dists(x, x), pairwise_sq_dists(contiguous, contiguous))
+        k = gram(GaussianKernel(0.5), x).k
+        assert k.shape == (10, 10)
+        assert np.array_equal(k, gram(GaussianKernel(0.5), contiguous).k)
+
+    def test_rectangular_matches_loop(self):
+        # the KDE evaluates query points against a different set of centres
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 5):
+            queries = rng.standard_normal((30, d))
+            centres = rng.standard_normal((12, d))
+            sq = pairwise_sq_dists(queries, centres)
+            assert sq.shape == (30, 12)
+            assert np.allclose(sq, loop_sq_dists(queries, centres), rtol=1e-14, atol=1e-15)
+            assert np.array_equal(sq.T, pairwise_sq_dists(centres, queries))
 
 
 class TestMedianBandwidth:

@@ -301,6 +301,14 @@ class TestGradientRestartStat:
         trace_form = np.tensordot(ens.v, k @ g + k @ ens.x - k.sum(1)[:, None] * ens.x)
         assert trace_form == pytest.approx(n**2 * loop, rel=1e-10)
         assert np.sign(trace_form) == -np.sign(got)
+        # the bilinear kernel goes through the rank-(d+1) factor of its Gram matrix
+        for d in (1, 2, 5):
+            target = gaussian_target(rng, d)
+            kernel = BilinearKernel(random_spd(rng, d))
+            ens = random_ensemble(rng, 6, d)
+            got = gradient_restart_stat(ens, kernel, target)
+            loop = loop_double_sum_stat(kernel, ens.x, ens.v, target)
+            assert got == pytest.approx(-loop, rel=1e-12)
 
 
 class TestLangevin:
