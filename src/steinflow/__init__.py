@@ -33,9 +33,9 @@ from .samplers import (
     RestartNesterov,
     SamplerConfig,
     asvgd_step,
-    gradient_restart_stat,
     mala_step,
     run,
+    step,
     svgd_step_bilinear,
     svgd_step_gaussian,
     ula_step,

@@ -9,11 +9,10 @@ import numpy as np
 
 from . import targets as targets_mod
 from .kernels import BilinearKernel, GaussianKernel
-from .samplers import ConstantDamping, RestartNesterov, SamplerConfig
+from .samplers import ALGORITHMS, ConstantDamping, RestartNesterov, SamplerConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
-SAMPLERS = ("asvgd", "svgd", "ula", "mala", "uld")
 KERNELS = ("gaussian", "bilinear")
 DAMPINGS = ("restart", "constant")
 
@@ -156,8 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(**raw)
 
-    _require(cfg.sampler in SAMPLERS,
-             f"unknown sampler {cfg.sampler!r} (valid: {', '.join(SAMPLERS)})")
+    _require(cfg.sampler in ALGORITHMS,
+             f"unknown sampler {cfg.sampler!r} (valid: {', '.join(ALGORITHMS)})")
     valid_targets = targets_mod.builtin_names() + ["gaussian"]
     _require(cfg.target in valid_targets,
              f"unknown target {cfg.target!r} (valid: {', '.join(valid_targets)})")

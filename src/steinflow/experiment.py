@@ -15,7 +15,6 @@ from . import gaussian_flow, samplers, spectral
 from .config import ConfigError, ExperimentConfig, parse_config
 from .diagnostics import CSV_SCHEMA_VERSION, MetricRecord, empirical_moments, gaussian_fit_kl, kl_estimate
 from .kernels import GaussianKernel
-from .samplers import ParticleEnsemble
 from .svg import render_trajectory_svg
 from .targets import GaussianTarget
 
@@ -84,44 +83,22 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     _write_manifest(outdir, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    x = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
+    x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
     kde_rng = np.random.default_rng(cfg.seed + 1)
 
     records = []
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
 
-    def record(iteration, positions, mean_speed, ens=None):
-        grad_stat = float("nan")
-        if ens is not None and isinstance(scfg.kernel, GaussianKernel) and cfg.sampler == "asvgd":
-            grad_stat = samplers.gradient_restart_stat(ens, scfg.kernel, scfg.target)
-        records.append(_metric_for(cfg, scfg, iteration, positions, mean_speed, grad_stat, kde_rng))
-        _write_snapshot(outdir, iteration, positions)
-        snapshots.append(positions.copy())
+    def record(ens):
+        if ens.iteration not in record_iters:
+            return
+        mean_speed = float(ens.prev_step_norms.mean())
+        records.append(_metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat, kde_rng))
+        _write_snapshot(outdir, ens.iteration, ens.x)
+        snapshots.append(ens.x.copy())
 
-    ens = ParticleEnsemble.initialize(x) if cfg.sampler in ("asvgd", "svgd") else None
-    p = np.zeros_like(x)
-    record(0, x, 0.0, ens)
-    for i in range(1, cfg.n_steps + 1):
-        x_prev = x
-        if cfg.sampler == "asvgd":
-            ens = samplers.asvgd_step(ens, scfg)
-            x = ens.x
-        elif cfg.sampler == "svgd":
-            if isinstance(scfg.kernel, GaussianKernel):
-                ens = samplers.svgd_step_gaussian(ens, scfg)
-            else:
-                ens = samplers.svgd_step_bilinear(ens, scfg)
-            x = ens.x
-        elif cfg.sampler == "ula":
-            x = samplers.ula_step(x, scfg, rng)
-        elif cfg.sampler == "mala":
-            x, _ = samplers.mala_step(x, scfg, rng)
-        else:
-            x, p = samplers.uld_step(x, p, scfg, rng)
-        if i in record_iters:
-            speed = float(np.linalg.norm(x - x_prev, axis=1).mean())
-            record(i, x, speed, ens)
+    samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
 
     header = f"# {CSV_SCHEMA_VERSION}\n" + MetricRecord.csv_header(dim)
     body = "\n".join(r.csv_row() for r in records)

@@ -30,7 +30,6 @@ __all__ = [
     "constant_damping",
     "nesterov_damping",
     "gamma_rate",
-    "trajectory_to_csv",
 ]
 
 
@@ -321,30 +320,3 @@ def gamma_rate(a, b, q):
     if gamma < lower_bound - 1e-12:
         raise AssertionError(f"gamma = {gamma} fell below its lower bound {lower_bound}")
     return gamma, lower_bound
-
-
-def trajectory_to_csv(path, traj, b, q, a=None):
-    """Write a trajectory as CSV rows (t, mu..., vec(Sigma)..., [nu..., vec(S)...,] KL[, H])."""
-    first = traj[0][1]
-    d = first.dim
-    accelerated = isinstance(first, AcceleratedGaussianState)
-    cols = ["t"]
-    cols += [f"mu_{i}" for i in range(d)]
-    cols += [f"sigma_{i}_{j}" for i in range(d) for j in range(d)]
-    if accelerated:
-        cols += [f"nu_{i}" for i in range(d)]
-        cols += [f"s_{i}_{j}" for i in range(d) for j in range(d)]
-    cols.append("kl")
-    if accelerated:
-        cols.append("hamiltonian")
-    lines = [",".join(cols)]
-    for t, state in traj:
-        vals = [t, *state.mu, *state.sigma.ravel()]
-        if accelerated:
-            vals += [*state.nu, *state.s.ravel()]
-        vals.append(kl_gaussians(state.mu, state.sigma, b, q))
-        if accelerated:
-            vals.append(hamiltonian(state, a, b, q))
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -27,7 +27,6 @@ __all__ = [
     "pairwise_sq_dists",
     "median_bandwidth",
     "regularized_inverse_apply",
-    "low_rank_pinv",
 ]
 
 
@@ -197,16 +196,3 @@ def woodbury_inverse_apply(u, eps, y, n):
     """n * (U U^T + eps I)^-1 y via the (d+1) x (d+1) capacitance system."""
     cap = eps * np.eye(u.shape[1]) + u.T @ u
     return (n / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))
-
-
-def low_rank_pinv(eigvecs, eigvals):
-    """Moore-Penrose pseudo-inverse of sum_i lambda_i v_i v_i^T for orthonormal v_i.
-
-    Eigenvalues equal to zero are dropped; for the rank-two case this reduces to
-    A^+ = v_1 v_1^T / lambda_1 + v_2 v_2^T / lambda_2.
-    """
-    eigvecs = np.asarray(eigvecs, dtype=float)
-    eigvals = np.asarray(eigvals, dtype=float)
-    keep = eigvals != 0.0
-    v = eigvecs[:, keep]
-    return (v / eigvals[keep]) @ v.T

@@ -16,6 +16,10 @@ One accelerated step runs
 
 For the bilinear kernel the whole step runs on the rank-(d+1) factorization of
 the Gram matrix, so it never forms an N x N matrix.
+
+``step`` is the one place the five samplers are told apart, and ``run`` is the
+one loop over it.  The Langevin samplers keep their state in the same
+``ParticleEnsemble``: ULD's momentum lives in Y.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .kernels import BilinearKernel, GaussianKernel, GramMatrix
+from .kernels import BilinearKernel, GaussianKernel
 
 __all__ = [
     "ParticleEnsemble",
@@ -39,14 +43,22 @@ __all__ = [
     "ula_step",
     "mala_step",
     "uld_step",
-    "gradient_restart_stat",
+    "ALGORITHMS",
+    "step",
     "run",
 ]
+
+ALGORITHMS = ("asvgd", "svgd", "ula", "mala", "uld")
 
 
 @dataclass
 class ParticleEnsemble:
-    """Positions, momenta and restart bookkeeping for one particle system."""
+    """Positions, momenta and restart bookkeeping for one particle system.
+
+    ``prev_step_norms`` holds each particle's displacement in the last step, and
+    ``grad_stat`` the gradient-restart statistic of the last accelerated
+    Gaussian-kernel step (NaN when no such step computed one).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -54,6 +66,7 @@ class ParticleEnsemble:
     restart_count: np.ndarray
     prev_step_norms: np.ndarray
     iteration: int = 0
+    grad_stat: float = float("nan")
 
     @classmethod
     def initialize(cls, x0):
@@ -129,41 +142,26 @@ def _check_finite(arr, iteration, what):
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
 
 
-def _grad_restart_stat_gaussian(k, v, x, g, sigma2):
+def _grad_restart_stat_gaussian(k, v, x, kg, sigma2):
     """Dissipation -dE/dt in matrix form; negative means the energy is rising.
 
-    -(1/N^2) [tr(V^T K grad_f(X)) + tr(V^T (K - diag(K 1)) X) / sigma2].
+    -(1/N^2) [tr(V^T K grad_f(X)) + tr(V^T (K - diag(K 1)) X) / sigma2], the
+    matrix form of the negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j)
+    grad_f(X_i) - grad2_k(X_j, X_i)>; ``kg`` is K grad_f(X).
     """
     n = k.shape[0]
     k1 = k.sum(axis=1)
-    drive = float(np.tensordot(v, k @ g))
+    drive = float(np.tensordot(v, kg))
     repulsion = float(np.tensordot(v, k @ x - k1[:, None] * x))
     return -(drive + repulsion / sigma2) / n**2
 
 
-def gradient_restart_stat(ens: ParticleEnsemble, kernel, target) -> float:
-    """Energy-dissipation statistic; a negative value signals a restart.
+def _damping_vector(ens, cfg, step_norms, grad_stat=float("nan")):
+    """Per-particle damping for step 3; also returns the updated counters.
 
-    Equals -dE/dt of the transported energy along the flow, estimated as the
-    negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j) grad_f(X_i) -
-    grad2_k(X_j, X_i)>, evaluated in matrix form.  For the bilinear kernel,
-    grad2_k(X_j, X_i) = A X_j and K = U U^T with the rank-(d+1) factor U, so
-    the sum is tr((U^T V)^T U^T grad_f(X)) - N tr(V^T X A) and no N x N
-    matrix is formed.
+    A negative ``grad_stat`` fires the global gradient restart; NaN (no
+    statistic on this kernel's path) never does.
     """
-    g = target.grad_all(ens.x)
-    if isinstance(kernel, GaussianKernel):
-        k = kernels.gram(kernel, ens.x).k
-        return _grad_restart_stat_gaussian(k, ens.v, ens.x, g, kernel.sigma2)
-    n = ens.n
-    u = kernel.low_rank_factor(ens.x)
-    drive = float(np.tensordot(u.T @ ens.v, u.T @ g))
-    confinement = float(np.tensordot(ens.v, ens.x @ kernel.a))
-    return -(drive - n * confinement) / n**2
-
-
-def _damping_vector(ens, cfg, x_new, step_norms, k=None, v_new=None, g=None):
-    """Per-particle damping for step 3; also returns the updated counters."""
     damping = cfg.damping
     if isinstance(damping, ConstantDamping):
         return np.full(ens.n, damping.beta), ens.restart_count.copy()
@@ -174,10 +172,8 @@ def _damping_vector(ens, cfg, x_new, step_norms, k=None, v_new=None, g=None):
         counts[~slower] += 1
     else:
         counts += 1
-    if damping.use_gradient and isinstance(cfg.kernel, GaussianKernel):
-        stat = _grad_restart_stat_gaussian(k, v_new, x_new, g, cfg.kernel.sigma2)
-        if stat < 0.0:
-            counts[:] = 1
+    if damping.use_gradient and grad_stat < 0.0:
+        counts[:] = 1
     alpha = (counts - 1.0) / (counts + damping.r - 1.0)
     return alpha, counts
 
@@ -189,12 +185,13 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
     the momentum update; with zero damping this reduces the X-iterates to the
     plain scheme with step tau, which the tests exploit.
     """
-    n, d = ens.n, ens.dim
+    n = ens.n
     sqrt_tau = np.sqrt(cfg.tau)
     x_new = ens.x + sqrt_tau * ens.y
-    _check_finite(x_new, ens.iteration, "positions")
+    _check_finite(x_new, ens.iteration + 1, "positions")
     g = cfg.target.grad_all(x_new)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    grad_stat = float("nan")
 
     if isinstance(cfg.kernel, BilinearKernel):
         u = cfg.kernel.low_rank_factor(x_new)
@@ -203,7 +200,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
         else:
             gm = kernels.gram(cfg.kernel, x_new)
             v_new = kernels.regularized_inverse_apply(gm, 0.0, ens.y, n)
-        alpha, counts = _damping_vector(ens, cfg, x_new, step_norms)
+        alpha, counts = _damping_vector(ens, cfg, step_norms)
         kg = u @ (u.T @ g)
         energy = -(sqrt_tau / n) * kg
         if include_interaction:
@@ -220,13 +217,15 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
         except np.linalg.LinAlgError:
             smin = np.linalg.svd(k_eps, compute_uv=False).min()
             raise np.linalg.LinAlgError(
-                f"regularized kernel matrix singular at iteration {ens.iteration} "
+                f"regularized kernel matrix singular at iteration {ens.iteration + 1} "
                 f"(smallest singular value {smin:.3e})"
             ) from None
         del k_eps  # an N x N copy; free it before the interaction term's N x N temporaries
         v_new = n * scipy.linalg.cho_solve((c, low), ens.y, check_finite=False)
-        alpha, counts = _damping_vector(ens, cfg, x_new, step_norms, k=k, v_new=v_new, g=g)
         sigma2 = cfg.kernel.sigma2
+        kg = k @ g
+        grad_stat = _grad_restart_stat_gaussian(k, v_new, x_new, kg, sigma2)
+        alpha, counts = _damping_vector(ens, cfg, step_norms, grad_stat)
         if include_interaction:
             vvt = v_new @ v_new.T
             w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
@@ -234,13 +233,13 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
             w = n * k
         y_new = (
             alpha[:, None] * ens.y
-            - (sqrt_tau / n) * (k @ g)
+            - (sqrt_tau / n) * kg
             + (sqrt_tau / (n**2 * sigma2)) * (w.sum(axis=1)[:, None] * x_new - w @ x_new)
         )
     else:
         raise TypeError(f"unsupported kernel {cfg.kernel!r}")
 
-    _check_finite(y_new, ens.iteration, "momentum update")
+    _check_finite(y_new, ens.iteration + 1, "momentum update")
     return ParticleEnsemble(
         x=x_new,
         y=y_new,
@@ -248,6 +247,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
         restart_count=counts,
         prev_step_norms=step_norms,
         iteration=ens.iteration + 1,
+        grad_stat=grad_stat,
     )
 
 
@@ -270,7 +270,7 @@ def svgd_step_gaussian(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEns
     else:
         direction = repulsion / cfg.kernel.sigma2 - k @ g
     x_new = ens.x + (cfg.tau / n) * direction
-    _check_finite(x_new, ens.iteration, "position update")
+    _check_finite(x_new, ens.iteration + 1, "position update")
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)
 
@@ -288,7 +288,7 @@ def svgd_step_bilinear(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEns
     u = cfg.kernel.low_rank_factor(ens.x)
     kg = u @ (u.T @ g)
     x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
-    _check_finite(x_new, ens.iteration, "position update")
+    _check_finite(x_new, ens.iteration + 1, "position update")
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)
 
@@ -330,73 +330,51 @@ def uld_step(x, p, cfg: SamplerConfig, rng):
     return x_new, p_new
 
 
-def run(cfg: SamplerConfig, initial_x, n_steps, recorder=None):
-    """Iterate the configured sampler, returning the list of position snapshots.
+def _unknown_algorithm(name):
+    return ValueError(f"unknown algorithm {name!r} (valid: {', '.join(ALGORITHMS)})")
 
-    The recorder hook, if given, is called as recorder(iteration, x, diagnostics)
-    once for the initial state and once per step; it must not mutate its
-    arguments.  All randomness (Langevin noise) comes from a generator seeded
-    with cfg.seed, so identical configurations produce identical trajectories.
+
+def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
+    """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``."""
+    if cfg.algorithm == "asvgd":
+        return asvgd_step(ens, cfg)
+    if cfg.algorithm == "svgd":
+        if isinstance(cfg.kernel, GaussianKernel):
+            return svgd_step_gaussian(ens, cfg)
+        return svgd_step_bilinear(ens, cfg)
+    y = ens.y
+    if cfg.algorithm == "ula":
+        x = ula_step(ens.x, cfg, rng)
+    elif cfg.algorithm == "mala":
+        x, _ = mala_step(ens.x, cfg, rng)
+    elif cfg.algorithm == "uld":
+        x, y = uld_step(ens.x, ens.y, cfg, rng)
+    else:
+        raise _unknown_algorithm(cfg.algorithm)
+    step_norms = np.linalg.norm(x - ens.x, axis=1)
+    return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=ens.iteration + 1)
+
+
+def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEnsemble:
+    """Take ``n_steps`` steps of the configured sampler from x0; returns the final ensemble.
+
+    The recorder hook, if given, is called as recorder(ens) once for the
+    initial state and once after every step; it must not mutate the ensemble.
+    The Langevin noise comes from ``rng``, a generator seeded with cfg.seed
+    unless the caller passes its own, so identical configurations produce
+    identical trajectories.
     """
-    initial_x = np.array(initial_x, dtype=float)
-    if initial_x.ndim != 2:
-        raise ValueError(f"initial positions must be N x d, got shape {initial_x.shape}")
-    rng = np.random.default_rng(cfg.seed)
-    algorithm = cfg.algorithm
-    trajectory = [initial_x.copy()]
+    if cfg.algorithm not in ALGORITHMS:
+        raise _unknown_algorithm(cfg.algorithm)
+    ens = ParticleEnsemble.initialize(x0)
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     if recorder is not None:
-        recorder(0, initial_x, {})
-
-    if algorithm in ("asvgd", "svgd"):
-        ens = ParticleEnsemble.initialize(initial_x)
-        for i in range(1, n_steps + 1):
-            try:
-                if algorithm == "asvgd":
-                    ens = asvgd_step(ens, cfg)
-                elif isinstance(cfg.kernel, GaussianKernel):
-                    ens = svgd_step_gaussian(ens, cfg)
-                else:
-                    ens = svgd_step_bilinear(ens, cfg)
-            except Exception as exc:
-                raise RuntimeError(f"{algorithm} failed at iteration {i}: {exc}") from exc
-            trajectory.append(ens.x.copy())
-            if recorder is not None:
-                recorder(i, ens.x, {"mean_speed": float(ens.prev_step_norms.mean())})
-        return trajectory
-
-    if algorithm == "ula":
-        x = initial_x.copy()
-        for i in range(1, n_steps + 1):
-            x_prev = x
-            x = ula_step(x, cfg, rng)
-            trajectory.append(x.copy())
-            if recorder is not None:
-                recorder(i, x, {"mean_speed": float(np.linalg.norm(x - x_prev, axis=1).mean())})
-        return trajectory
-
-    if algorithm == "mala":
-        x = initial_x.copy()
-        for i in range(1, n_steps + 1):
-            x_prev = x
-            x, accept = mala_step(x, cfg, rng)
-            trajectory.append(x.copy())
-            if recorder is not None:
-                recorder(i, x, {
-                    "mean_speed": float(np.linalg.norm(x - x_prev, axis=1).mean()),
-                    "accept_rate": float(accept.mean()),
-                })
-        return trajectory
-
-    if algorithm == "uld":
-        x = initial_x.copy()
-        p = np.zeros_like(x)
-        for i in range(1, n_steps + 1):
-            x_prev = x
-            x, p = uld_step(x, p, cfg, rng)
-            trajectory.append(x.copy())
-            if recorder is not None:
-                recorder(i, x, {"mean_speed": float(np.linalg.norm(x - x_prev, axis=1).mean())})
-        return trajectory
-
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r} "
-                     "(valid: asvgd, svgd, ula, mala, uld)")
+        recorder(ens)
+    for _ in range(n_steps):
+        try:
+            ens = step(ens, cfg, rng)
+        except Exception as exc:
+            raise RuntimeError(f"{cfg.algorithm} failed at iteration {ens.iteration + 1}: {exc}") from exc
+        if recorder is not None:
+            recorder(ens)
+    return ens

@@ -101,8 +101,8 @@ class DoubleBananasTarget:
         x = np.asarray(x, dtype=float)
         f1 = self._warp(x[0], x[1])
         f2 = self._warp(x[0], -x[1])
-        # softmax weights of the two mirrored components
-        w1 = 1.0 / (1.0 + np.exp(f1 - f2))
+        # softmax weights of the two mirrored components, clipped as in grad_all
+        w1 = 1.0 / (1.0 + np.exp(np.clip(f1 - f2, -700, 700)))
         w2 = 1.0 - w1
         g11, g12 = self._warp_grad(x[0], x[1])
         g21, g22 = self._warp_grad(x[0], -x[1])

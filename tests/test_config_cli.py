@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from steinflow import experiment
+from steinflow import experiment, kernels, samplers
 from steinflow.cli import main
 from steinflow.config import ConfigError, ExperimentConfig, parse_config
 from steinflow.experiment import analyze_spectrum, manifest_hash, run_experiment, run_sweep
@@ -152,6 +152,32 @@ class TestRunExperiment:
         cfg = make_cfg(tmp_path / sampler, sampler=sampler, n_steps=3)
         outdir = run_experiment(cfg)
         assert (outdir / "metrics.csv").exists()
+
+    def test_gram_built_once_per_step(self, tmp_path, monkeypatch):
+        calls = []
+        gram = kernels.gram
+
+        def counting_gram(*args):
+            calls.append(args)
+            return gram(*args)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        cfg = make_cfg(tmp_path, sampler="asvgd", kernel="gaussian", n_steps=5, record_every=2)
+        run_experiment(cfg)
+        assert len(calls) == cfg.n_steps
+
+    @pytest.mark.parametrize("sampler", ["asvgd", "svgd", "ula", "mala", "uld"])
+    def test_final_snapshot_is_the_sampler_loop_result(self, tmp_path, sampler):
+        cfg = make_cfg(tmp_path, sampler=sampler, n_steps=4)
+        outdir = run_experiment(cfg)
+        dim = cfg.build_target().dim
+        mean0, _, chol0 = cfg.initial_distribution(dim)
+        rng = np.random.default_rng(cfg.seed)
+        x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
+        final = samplers.run(cfg.build_sampler_config(), x0, cfg.n_steps, rng=rng)
+        text = (outdir / "snapshots" / f"particles_{cfg.n_steps}.csv").read_text()
+        snapshot = np.array([[float(v) for v in line.split(",")] for line in text.split()])
+        assert np.array_equal(snapshot, final.x)
 
     def test_kde_metrics_for_non_gaussian_target(self, tmp_path):
         cfg = make_cfg(tmp_path, target="quartic", n_particles=30, n_steps=2, record_every=2)

@@ -327,16 +327,3 @@ class TestGammaRate:
             lam_min = a / 2.0 + (s - root) / (4.0 * q)
             assert gamma == pytest.approx(lam_min, rel=1e-10)
 
-
-def test_trajectory_csv_export(tmp_path):
-    a = np.array([[0.5]])
-    q = np.array([[1.0]])
-    b = np.zeros(1)
-    state0 = AcceleratedGaussianState(np.array([1.0]), np.array([[2.0]]))
-    traj = integrate_rk4(lambda s, al: asvgd_gaussian_rhs(s, a, b, q, al),
-                         state0, 0.1, 0.01, damping=constant_damping(1.0))
-    path = tmp_path / "traj.csv"
-    gflow.trajectory_to_csv(path, traj, b, q, a=a)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].split(",") == ["t", "mu_0", "sigma_0_0", "nu_0", "s_0_0", "kl", "hamiltonian"]
-    assert len(lines) == len(traj) + 1

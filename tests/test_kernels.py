@@ -9,7 +9,6 @@ from steinflow.kernels import (
     grad1,
     grad2,
     gram,
-    low_rank_pinv,
     median_bandwidth,
     pairwise_sq_dists,
     regularized_inverse_apply,
@@ -242,15 +241,3 @@ class TestRegularizedInverse:
         with pytest.raises(ValueError):
             regularized_inverse_apply(gm, -0.1, np.zeros((2, 1)), 2)
 
-
-class TestLowRankPinv:
-    def test_rank_two_pseudo_inverse_identities(self):
-        rng = np.random.default_rng(31)
-        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        v = q[:, :2]
-        lam = np.array([2.5, -0.7])
-        a = lam[0] * np.outer(v[:, 0], v[:, 0]) + lam[1] * np.outer(v[:, 1], v[:, 1])
-        a_pinv = low_rank_pinv(v, lam)
-        assert np.allclose(a @ a_pinv @ a, a, atol=1e-10)
-        assert np.allclose(a_pinv @ a @ a_pinv, a_pinv, atol=1e-10)
-        assert np.allclose(a_pinv, np.linalg.pinv(a), atol=1e-10)

@@ -11,7 +11,6 @@ from steinflow.samplers import (
     RestartNesterov,
     SamplerConfig,
     asvgd_step,
-    gradient_restart_stat,
     mala_step,
     run,
     svgd_step_bilinear,
@@ -264,51 +263,58 @@ class TestRestartLogic:
                             damping=RestartNesterov(use_speed=False, use_gradient=True))
         out = asvgd_step(ens, cfg)
         assert np.all(out.restart_count == 1)
-        stat = gradient_restart_stat(out, kernel, target)
+        assert out.grad_stat < 0.0
         cfg_no = SamplerConfig(kernel=kernel, target=target, tau=0.01, eps=0.01,
                                damping=RestartNesterov(use_speed=False, use_gradient=False))
         out_no = asvgd_step(ens, cfg_no)
         assert np.all(out_no.restart_count == 5)
+        assert out_no.grad_stat == out.grad_stat  # computed whether or not it may restart
 
 
 class TestGradientRestartStat:
+    """The statistic the accelerated Gaussian-kernel step stores in ``grad_stat``."""
+
     def test_zero_momentum_gives_zero(self):
         rng = np.random.default_rng(11)
         target = gaussian_target(rng, 2)
-        ens = ParticleEnsemble.initialize(rng.standard_normal((5, 2)))
-        assert gradient_restart_stat(ens, GaussianKernel(0.5), target) == 0.0
-        assert gradient_restart_stat(ens, BilinearKernel(np.eye(2)), target) == 0.0
+        cfg = SamplerConfig(kernel=GaussianKernel(0.5), target=target, tau=0.05, eps=0.1)
+        out = asvgd_step(ParticleEnsemble.initialize(rng.standard_normal((5, 2))), cfg)
+        assert np.all(out.v == 0.0)
+        assert out.grad_stat == 0.0
 
     def test_single_particle_at_centered_mean(self):
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
-        ens = ParticleEnsemble.initialize(np.zeros((1, 2)))
-        ens.v = np.array([[1.0, -2.0]])
-        assert gradient_restart_stat(ens, GaussianKernel(1.0), target) == pytest.approx(0.0, abs=1e-15)
-        assert gradient_restart_stat(ens, BilinearKernel(np.eye(2)), target) == pytest.approx(0.0, abs=1e-15)
+        cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=target, tau=0.04, eps=0.1)
+        y0 = np.array([[1.0, -2.0]])
+        ens = ParticleEnsemble.initialize(-(np.sqrt(cfg.tau) * y0))
+        ens.y = y0
+        out = asvgd_step(ens, cfg)  # the position step lands exactly on the mean
+        assert np.all(out.x == 0.0) and np.all(out.v != 0.0)
+        assert out.grad_stat == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_form_matches_double_sum(self):
         rng = np.random.default_rng(12)
         target = gaussian_target(rng, 2)
         kernel = GaussianKernel(1.0)
-        ens = random_ensemble(rng, 4, 2)
-        got = gradient_restart_stat(ens, kernel, target)
-        loop = loop_double_sum_stat(kernel, ens.x, ens.v, target)
+        cfg = SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.1)
+        out = asvgd_step(random_ensemble(rng, 4, 2), cfg)
+        got = out.grad_stat
+        loop = loop_double_sum_stat(kernel, out.x, out.v, target)
         assert got == pytest.approx(-loop, rel=1e-10)
         # the raw trace form is the same quantity scaled by -(N^2 sigma2) at sigma2 = 1
         n = 4
-        k = np.exp(-((ens.x[:, None, :] - ens.x[None, :, :]) ** 2).sum(-1) / 2.0)
-        g = target.grad_all(ens.x)
-        trace_form = np.tensordot(ens.v, k @ g + k @ ens.x - k.sum(1)[:, None] * ens.x)
+        k = np.exp(-((out.x[:, None, :] - out.x[None, :, :]) ** 2).sum(-1) / 2.0)
+        g = target.grad_all(out.x)
+        trace_form = np.tensordot(out.v, k @ g + k @ out.x - k.sum(1)[:, None] * out.x)
         assert trace_form == pytest.approx(n**2 * loop, rel=1e-10)
         assert np.sign(trace_form) == -np.sign(got)
-        # the bilinear kernel goes through the rank-(d+1) factor of its Gram matrix
-        for d in (1, 2, 5):
-            target = gaussian_target(rng, d)
-            kernel = BilinearKernel(random_spd(rng, d))
-            ens = random_ensemble(rng, 6, d)
-            got = gradient_restart_stat(ens, kernel, target)
-            loop = loop_double_sum_stat(kernel, ens.x, ens.v, target)
-            assert got == pytest.approx(-loop, rel=1e-12)
+
+    def test_bilinear_step_leaves_it_unset(self):
+        rng = np.random.default_rng(15)
+        target = gaussian_target(rng, 2)
+        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=target, tau=0.05, eps=0.1)
+        assert np.isnan(ParticleEnsemble.initialize(np.zeros((3, 2))).grad_stat)
+        assert np.isnan(asvgd_step(random_ensemble(rng, 5, 2), cfg).grad_stat)
 
 
 class TestLangevin:
@@ -410,11 +416,18 @@ class TestRun:
                              damping=RestartNesterov(), seed=kw.pop("seed", 7),
                              algorithm=algorithm, **kw)
 
+    @staticmethod
+    def _trajectory(cfg, x0, n_steps):
+        traj = []
+        final = run(cfg, x0, n_steps, recorder=lambda ens: traj.append(ens.x))
+        assert traj[-1] is final.x
+        return traj
+
     def test_zero_steps(self):
         rng = np.random.default_rng(9)
         cfg = self._cfg("asvgd", rng)
         x0 = rng.standard_normal((4, 2))
-        traj = run(cfg, x0, 0)
+        traj = self._trajectory(cfg, x0, 0)
         assert len(traj) == 1 and np.array_equal(traj[0], x0)
 
     @pytest.mark.parametrize("algorithm", ["asvgd", "svgd", "ula", "mala", "uld"])
@@ -422,8 +435,9 @@ class TestRun:
         rng = np.random.default_rng(10)
         cfg = self._cfg(algorithm, rng)
         x0 = rng.standard_normal((6, 2))
-        t1 = run(cfg, x0, 8)
-        t2 = run(cfg, x0, 8)
+        t1 = self._trajectory(cfg, x0, 8)
+        t2 = self._trajectory(cfg, x0, 8)
+        assert len(t1) == len(t2) == 9
         for a, b in zip(t1, t2):
             assert np.array_equal(a, b)
 
@@ -432,9 +446,10 @@ class TestRun:
         cfg = self._cfg("asvgd", rng)
         x0 = rng.standard_normal((4, 2))
         seen = []
-        run(cfg, x0, 5, recorder=lambda i, x, diag: seen.append((i, x.shape, sorted(diag))))
+        final = run(cfg, x0, 5, recorder=lambda ens: seen.append((ens.iteration, ens.x.shape)))
         assert [s[0] for s in seen] == list(range(6))
         assert all(s[1] == (4, 2) for s in seen)
+        assert final.iteration == 5
 
     def test_unknown_algorithm(self):
         rng = np.random.default_rng(12)

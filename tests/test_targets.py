@@ -59,6 +59,13 @@ class TestGradients:
             rows = np.stack([t.grad(row) for row in x])
             assert np.allclose(t.grad_all(x), rows, rtol=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_double_bananas_grad_far_from_modes(self):
+        # f1 - f2 = 1e4 here, far past the range exp can take without overflowing
+        t = DoubleBananasTarget()
+        x = np.array([10.0, -5.0])
+        assert np.array_equal(t.grad(x), t.grad_all(x[None, :])[0])
+
     def test_gaussian_convexity(self):
         rng = np.random.default_rng(8)
         t = GaussianTarget(b=rng.standard_normal(3), q=random_spd(rng, 3))
