@@ -91,6 +91,14 @@ class DoubleBananasTarget:
         g2 = 2.0 * self.c2 * (x2 - x1**2)
         return g1, g2
 
+    def _log_odds(self, x1, x2):
+        """F(x) - F(Rx) = -4 c2 x1^2 x2, clipped so that exp stays finite.
+
+        The closed form, not the difference of the two warps: far out both warps
+        overflow to inf, and inf - inf is NaN, which no clip removes.
+        """
+        return np.clip(-4.0 * self.c2 * x1**2 * x2, -700, 700)
+
     def potential(self, x):
         x = np.asarray(x, dtype=float)
         f1 = self._warp(x[0], x[1])
@@ -99,10 +107,7 @@ class DoubleBananasTarget:
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        f1 = self._warp(x[0], x[1])
-        f2 = self._warp(x[0], -x[1])
-        # softmax weights of the two mirrored components, clipped as in grad_all
-        w1 = 1.0 / (1.0 + np.exp(np.clip(f1 - f2, -700, 700)))
+        w1 = 1.0 / (1.0 + np.exp(self._log_odds(x[0], x[1])))
         w2 = 1.0 - w1
         g11, g12 = self._warp_grad(x[0], x[1])
         g21, g22 = self._warp_grad(x[0], -x[1])
@@ -111,9 +116,7 @@ class DoubleBananasTarget:
     def grad_all(self, x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[:, 0], x[:, 1]
-        f1 = self._warp(x1, x2)
-        f2 = self._warp(x1, -x2)
-        w1 = 1.0 / (1.0 + np.exp(np.clip(f1 - f2, -700, 700)))
+        w1 = 1.0 / (1.0 + np.exp(self._log_odds(x1, x2)))
         w2 = 1.0 - w1
         g11, g12 = self._warp_grad(x1, x2)
         g21, g22 = self._warp_grad(x1, -x2)

@@ -5,6 +5,7 @@ scalar kernel API, deliberately avoiding the vectorized code paths it checks.
 """
 
 import numpy as np
+import scipy.linalg
 
 from steinflow import kernels
 from steinflow.kernels import GaussianKernel
@@ -56,6 +57,25 @@ def loop_svgd_direction_gaussian(kernel, x, target):
     return out
 
 
+def reference_damping(ens, cfg, step_norms, gradient_restart):
+    """Per-particle damping and counters, one particle at a time."""
+    n = ens.n
+    counts = ens.restart_count.copy()
+    if isinstance(cfg.damping, ConstantDamping):
+        return np.full(n, cfg.damping.beta), counts
+    if cfg.damping.use_speed:
+        for i in range(n):
+            if step_norms[i] < ens.prev_step_norms[i]:
+                counts[i] = 1
+            else:
+                counts[i] += 1
+    else:
+        counts += 1
+    if cfg.damping.use_gradient and gradient_restart:
+        counts[:] = 1
+    return (counts - 1.0) / (counts + cfg.damping.r - 1.0), counts
+
+
 def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     """Per-particle reference of one accelerated step, all sums written out.
 
@@ -70,23 +90,10 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     g = np.stack([cfg.target.grad(row) for row in x_new])
 
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    counts = ens.restart_count.copy()
-    if isinstance(cfg.damping, ConstantDamping):
-        alpha = np.full(n, cfg.damping.beta)
-    else:
-        if cfg.damping.use_speed:
-            for i in range(n):
-                if step_norms[i] < ens.prev_step_norms[i]:
-                    counts[i] = 1
-                else:
-                    counts[i] += 1
-        else:
-            counts += 1
-        if cfg.damping.use_gradient and isinstance(cfg.kernel, GaussianKernel):
-            diss = -loop_double_sum_stat(cfg.kernel, x_new, v_new, cfg.target)
-            if diss < 0.0:
-                counts[:] = 1
-        alpha = (counts - 1.0) / (counts + cfg.damping.r - 1.0)
+    restart = False
+    if isinstance(cfg.kernel, GaussianKernel):
+        restart = -loop_double_sum_stat(cfg.kernel, x_new, v_new, cfg.target) < 0.0
+    alpha, counts = reference_damping(ens, cfg, step_norms, restart)
 
     y_new = np.empty_like(ens.y)
     for j in range(n):
@@ -107,6 +114,43 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     return ParticleEnsemble(
         x=x_new, y=y_new, v=v_new, restart_count=counts,
         prev_step_norms=step_norms, iteration=ens.iteration + 1,
+    )
+
+
+def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=True) -> ParticleEnsemble:
+    """One accelerated Gaussian-kernel step with the interaction matrix W formed densely.
+
+    W = N K + K ((V V^T) o K) - K o ((K V) V^T) as an N x N matrix (an N^3
+    product), the restart statistic from K X and K 1 of the full K; the
+    production step only ever multiplies K by thin matrices.
+    """
+    n = ens.n
+    st = np.sqrt(cfg.tau)
+    sigma2 = cfg.kernel.sigma2
+    x_new = ens.x + st * ens.y
+    g = cfg.target.grad_all(x_new)
+    k = kernels.gram(cfg.kernel, x_new).k
+    v_new = n * scipy.linalg.cho_solve(scipy.linalg.cho_factor(k + cfg.eps * np.eye(n)), ens.y)
+    kg = k @ g
+    k1 = k.sum(axis=1)
+    drive = float(np.tensordot(v_new, kg))
+    repulsion = float(np.tensordot(v_new, k @ x_new - k1[:, None] * x_new))
+    grad_stat = -(drive + repulsion / sigma2) / n**2
+    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    alpha, counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
+    if include_interaction:
+        vvt = v_new @ v_new.T
+        w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
+    else:
+        w = n * k
+    y_new = (
+        alpha[:, None] * ens.y
+        - (st / n) * kg
+        + (st / (n**2 * sigma2)) * (w.sum(axis=1)[:, None] * x_new - w @ x_new)
+    )
+    return ParticleEnsemble(
+        x=x_new, y=y_new, v=v_new, restart_count=counts,
+        prev_step_norms=step_norms, iteration=ens.iteration + 1, grad_stat=grad_stat,
     )
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from steinflow.samplers import (
 )
 from steinflow.targets import CustomTarget, GaussianTarget, QuarticTarget
 from reference_impls import (
+    dense_asvgd_step_gaussian,
     loop_double_sum_stat,
     loop_svgd_direction_gaussian,
     random_spd,
@@ -213,6 +215,40 @@ class TestMatrixFormAgainstLoops:
         expect = x0 + (0.2 / 2.0) * (2.0 * x0 * 0.5 - k @ x0)  # grad f = x
         ens = svgd_step_bilinear(ParticleEnsemble.initialize(x0), cfg)
         assert np.allclose(ens.x, expect, rtol=1e-13)
+
+
+class TestThinProductsAgainstDenseInteraction:
+    """The Gaussian step's K-times-thin-matrix products against the dense N x N form of W."""
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("damping", [RestartNesterov(), ConstantDamping(0.6)], ids=["restart", "constant"])
+    @pytest.mark.parametrize("include_interaction", [True, False])
+    def test_step_matches_dense_form(self, n, d, damping, include_interaction):
+        rng = np.random.default_rng(1000 * n + d)
+        cfg = SamplerConfig(kernel=GaussianKernel(float(rng.uniform(0.5, 2.0))),
+                            target=gaussian_target(rng, d), tau=0.05, eps=0.1, damping=damping)
+        ens = random_ensemble(rng, n, d)
+        got = asvgd_step(ens, cfg, include_interaction=include_interaction)
+        ref = dense_asvgd_step_gaussian(ens, cfg, include_interaction=include_interaction)
+        assert np.abs(got.y - ref.y).max() <= 1e-11 * np.abs(ref.y).max()
+        assert got.grad_stat == pytest.approx(ref.grad_stat, rel=1e-11)
+        assert np.array_equal(got.restart_count, ref.restart_count)
+
+    def test_peak_memory_of_one_step(self):
+        n, d = 1000, 2
+        rng = np.random.default_rng(5)
+        cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=gaussian_target(rng, d),
+                            tau=0.05, eps=0.1, damping=ConstantDamping(0.9))
+        ens = random_ensemble(rng, n, d)
+        asvgd_step(random_ensemble(rng, 10, d), cfg)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            asvgd_step(ens, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n**2
 
 
 class TestRestartLogic:

@@ -115,6 +115,37 @@ class TestDoubleBananas:
         for x in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
             assert potential(t, x) < potential(t, np.zeros(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [[1e80, 1e80], [1e100, -3.0]])
+    def test_grad_finite_where_both_warps_overflow(self, x):
+        # F(x) and F(Rx) are inf here; their difference taken as such is NaN
+        t = DoubleBananasTarget()
+        x = np.array(x)
+        g = t.grad(x)
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(t.grad_all(x[None, :])[0], g)
+
+    def test_grad_matches_warp_difference_form(self):
+        t = DoubleBananasTarget()
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2.5, 2.5, size=(200, 2))
+        x1, x2 = x[:, 0], x[:, 1]
+
+        def warp(u, v):
+            return (t.a - u) ** 2 / t.c1 + t.c2 * (v - u**2) ** 2
+
+        w1 = 1.0 / (1.0 + np.exp(warp(x1, x2) - warp(x1, -x2)))
+        w2 = 1.0 - w1
+        g1 = -2.0 * (t.a - x1) / t.c1
+        ref = np.stack([
+            g1 - 4.0 * t.c2 * x1 * (w1 * (x2 - x1**2) + w2 * (-x2 - x1**2)),
+            2.0 * t.c2 * (w1 * (x2 - x1**2) - w2 * (-x2 - x1**2)),
+        ], axis=1)
+        got = t.grad_all(x)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.allclose(np.stack([t.grad(row) for row in x]), ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
+
     def test_invalid_gaussian_params(self):
         with pytest.raises(ValueError):
             GaussianTarget(b=np.zeros(2), q=np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
