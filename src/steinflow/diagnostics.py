@@ -98,7 +98,9 @@ def kl_estimate(x, target, method="gaussian-fit", rng=None, n_is_draws=10000) ->
     "gaussian-fit" fits moments and evaluates the closed-form Gaussian KL
     (Gaussian targets only).  "kde" builds an isotropic kernel density estimate
     with the median-heuristic bandwidth and corrects for the unknown target
-    normalization by self-normalized importance sampling from the KDE.
+    normalization by self-normalized importance sampling from the KDE; it
+    evaluates the target through ``potential_all``, once on the particles and
+    once on the importance draws.
     """
     x = np.asarray(x, dtype=float)
     if method == "gaussian-fit":
@@ -110,12 +112,12 @@ def kl_estimate(x, target, method="gaussian-fit", rng=None, n_is_draws=10000) ->
     n, d = x.shape
     bandwidth2 = kernels.median_bandwidth(x)
     log_rho_x = _kde_log_density(x, x, bandwidth2)
-    f_x = np.array([target.potential(row) for row in x])
+    f_x = target.potential_all(x)
     # normalization of exp(-f) by importance sampling with the KDE as proposal
     idx = rng.integers(0, n, size=n_is_draws)
     draws = x[idx] + np.sqrt(bandwidth2) * rng.standard_normal((n_is_draws, d))
     log_rho_z = _kde_log_density(x, draws, bandwidth2)
-    f_z = np.array([target.potential(row) for row in draws])
+    f_z = target.potential_all(draws)
     log_w = -f_z - log_rho_z
     m = log_w.max()
     log_z = m + np.log(np.exp(log_w - m).sum()) - np.log(n_is_draws)

@@ -327,13 +327,17 @@ def ula_step(x, cfg: SamplerConfig, rng) -> np.ndarray:
 
 
 def mala_step(x, cfg: SamplerConfig, rng):
-    """Metropolis-adjusted Langevin step; returns (new positions, acceptance flags)."""
+    """Metropolis-adjusted Langevin step; returns (new positions, acceptance flags).
+
+    The target is evaluated only through its batched ``potential_all`` and
+    ``grad_all``, once each on the current and the proposed positions.
+    """
     x = np.asarray(x, dtype=float)
     tau = cfg.tau
     g_x = cfg.target.grad_all(x)
     proposal = x - tau * g_x + np.sqrt(2.0 * tau) * rng.standard_normal(x.shape)
-    f_x = np.array([cfg.target.potential(row) for row in x])
-    f_y = np.array([cfg.target.potential(row) for row in proposal])
+    f_x = cfg.target.potential_all(x)
+    f_y = cfg.target.potential_all(proposal)
     g_y = cfg.target.grad_all(proposal)
     fwd = ((proposal - x + tau * g_x) ** 2).sum(axis=1)
     bwd = ((x - proposal + tau * g_y) ** 2).sum(axis=1)
@@ -361,7 +365,11 @@ def _unknown_algorithm(name):
 
 
 def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
-    """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``."""
+    """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``.
+
+    Every sampler raises FloatingPointError on non-finite positions, so a
+    diverging run stops at the step where it first left the floating-point range.
+    """
     if cfg.algorithm == "asvgd":
         return asvgd_step(ens, cfg)
     if cfg.algorithm == "svgd":
@@ -377,6 +385,7 @@ def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
         x, y = uld_step(ens.x, ens.y, cfg, rng)
     else:
         raise _unknown_algorithm(cfg.algorithm)
+    _check_finite(x, ens.iteration + 1, "positions")
     step_norms = np.linalg.norm(x - ens.x, axis=1)
     return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=ens.iteration + 1)
 

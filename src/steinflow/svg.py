@@ -97,10 +97,9 @@ def render_trajectory_svg(path, snapshots, target=None, max_paths=100,
     if target is not None and target.dim == 2:
         xs = np.linspace(xlim[0], xlim[1], 60)
         ys = np.linspace(ylim[0], ylim[1], 60)
-        grid = np.empty((xs.size, ys.size))
-        for i, xv in enumerate(xs):
-            for j, yv in enumerate(ys):
-                grid[i, j] = target.potential(np.array([xv, yv]))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        # grid[i, j] = f(xs[i], ys[j])
+        grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
         levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
         for level in np.unique(levels):
             for (x0, y0), (x1, y1) in marching_squares(grid, xs, ys, level):

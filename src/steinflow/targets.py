@@ -1,4 +1,10 @@
-"""Target potentials f (with density proportional to exp(-f)) and their gradients."""
+"""Target potentials f (with density proportional to exp(-f)) and their gradients.
+
+A target has a ``dim`` and four methods: ``potential(x)`` and ``grad(x)`` for
+one point of shape (d,), and ``potential_all(x)`` and ``grad_all(x)`` for the
+rows of an N x d array, returning shapes (N,) and (N, d).  The samplers, the
+KDE metric and the SVG level lines call only the batched pair.
+"""
 
 from __future__ import annotations
 
@@ -48,6 +54,10 @@ class GaussianTarget:
     def grad(self, x):
         return self.q_inv @ (np.asarray(x, dtype=float) - self.b)
 
+    def potential_all(self, x):
+        r = np.asarray(x, dtype=float) - self.b
+        return 0.5 * np.einsum("ij,ij->i", r @ self.q_inv, r)
+
     def grad_all(self, x):
         return (np.asarray(x, dtype=float) - self.b) @ self.q_inv
 
@@ -63,6 +73,9 @@ class QuarticTarget:
 
     def grad(self, x):
         return np.asarray(x, dtype=float) ** 3
+
+    def potential_all(self, x):
+        return 0.25 * (np.asarray(x, dtype=float) ** 4).sum(axis=1)
 
     def grad_all(self, x):
         return np.asarray(x, dtype=float) ** 3
@@ -113,6 +126,12 @@ class DoubleBananasTarget:
         g21, g22 = self._warp_grad(x[0], -x[1])
         return np.array([w1 * g11 + w2 * g21, w1 * g12 - w2 * g22])
 
+    def potential_all(self, x):
+        x = np.asarray(x, dtype=float)
+        f1 = self._warp(x[:, 0], x[:, 1])
+        f2 = self._warp(x[:, 0], -x[:, 1])
+        return -np.logaddexp(-f1, -f2)
+
     def grad_all(self, x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[:, 0], x[:, 1]
@@ -136,6 +155,9 @@ class CustomTarget:
 
     def grad(self, x):
         return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+
+    def potential_all(self, x):
+        return np.array([self.potential(row) for row in np.asarray(x, dtype=float)])
 
     def grad_all(self, x):
         return np.stack([self.grad(row) for row in np.asarray(x, dtype=float)])

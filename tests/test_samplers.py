@@ -19,7 +19,7 @@ from steinflow.samplers import (
     ula_step,
     uld_step,
 )
-from steinflow.targets import CustomTarget, GaussianTarget, QuarticTarget
+from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget
 from reference_impls import (
     dense_asvgd_step_gaussian,
     loop_double_sum_stat,
@@ -500,6 +500,20 @@ class TestRun:
                             damping=ConstantDamping(0.5), algorithm="asvgd")
         with pytest.raises(RuntimeError, match="iteration 1"):
             run(cfg, np.random.default_rng(0).standard_normal((3, 2)), 3)
+
+    def test_diverging_langevin_run_fails_at_first_non_finite_position(self):
+        # the steinflow-run config {"sampler": "ula", "target": "double-bananas",
+        # "n_particles": 300, "tau": 0.01, "seed": 7}: one particle leaves the
+        # floating-point range at iteration 9
+        cfg = SamplerConfig(kernel=GaussianKernel(0.1), target=DoubleBananasTarget(), tau=0.01,
+                            seed=7, algorithm="ula")
+        rng = np.random.default_rng(7)
+        x0 = rng.standard_normal((300, 2))
+        # the overflow warnings on the way must not be what stops the run
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError) as info:
+                run(cfg, x0, 30, rng=rng)
+        assert str(info.value) == "ula failed at iteration 9: non-finite positions at iteration 9"
 
 
 class TestPermutationEquivariance:

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from steinflow import targets
+from steinflow import svg, targets
+from steinflow.diagnostics import kl_estimate
+from steinflow.samplers import mala_step
 from steinflow.targets import (
+    CustomTarget,
     DoubleBananasTarget,
     GaussianTarget,
     QuarticTarget,
@@ -30,6 +35,80 @@ class TestPotential:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             potential(QuarticTarget(), np.zeros(3))
+
+
+def _batched_cases():
+    rng = np.random.default_rng(23)
+    cases = [(name, builtin(name)) for name in builtin_names()]
+    cases.append(("gaussian-d5", GaussianTarget(b=rng.standard_normal(5), q=random_spd(rng, 5))))
+    quartic = QuarticTarget()
+    cases.append(("custom", CustomTarget(quartic.potential, quartic.grad, dim=2)))
+    return [pytest.param(t, id=name) for name, t in cases]
+
+
+class TestPotentialAll:
+    @pytest.mark.parametrize("t", _batched_cases())
+    def test_matches_row_wise_potential(self, t):
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-3.0, 3.0, size=(1000, t.dim))
+        got = t.potential_all(x)
+        assert got.shape == (1000,)
+        rows = np.array([t.potential(row) for row in x])
+        assert np.allclose(got, rows, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", _batched_cases())
+    def test_single_row(self, t):
+        x = np.linspace(-1.0, 1.5, t.dim)[None, :]
+        got = t.potential_all(x)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(potential(t, x[0]), rel=1e-14, abs=0.0)
+
+
+class _ScalarPotentialForbidden(DoubleBananasTarget):
+    def potential(self, x):
+        raise AssertionError("per-point potential called on a batched path")
+
+
+class TestHotPathsAreBatched:
+    def test_mala_step(self):
+        rng = np.random.default_rng(31)
+        cfg = SimpleNamespace(tau=0.05, target=_ScalarPotentialForbidden())
+        x_new, accept = mala_step(rng.standard_normal((50, 2)), cfg, rng)
+        assert x_new.shape == (50, 2) and accept.shape == (50,)
+
+    def test_kde_kl_estimate(self):
+        x = np.random.default_rng(32).standard_normal((60, 2))
+        t = _ScalarPotentialForbidden()
+        got = kl_estimate(x, t, method="kde", rng=np.random.default_rng(0), n_is_draws=500)
+        assert got == kl_estimate(x, DoubleBananasTarget(), method="kde",
+                                  rng=np.random.default_rng(0), n_is_draws=500)
+
+    def test_svg_level_lines(self, tmp_path):
+        x = np.random.default_rng(33).standard_normal((20, 2))
+        snaps = [x, 0.5 * x]
+        svg.render_trajectory_svg(tmp_path / "t.svg", snaps, target=_ScalarPotentialForbidden())
+        assert (tmp_path / "t.svg").stat().st_size > 0
+
+    def test_svg_grid_equals_per_point_loop(self, tmp_path, monkeypatch):
+        grids = []
+        contour = svg.marching_squares
+
+        def spy(grid, xs, ys, level):
+            grids.append((grid, xs, ys))
+            return contour(grid, xs, ys, level)
+
+        monkeypatch.setattr(svg, "marching_squares", spy)
+        rng = np.random.default_rng(34)
+        # x and y ranges differ, so a transposed grid would not match
+        snaps = [rng.standard_normal((20, 2)) * [3.0, 0.5] + [1.0, -0.2] for _ in range(2)]
+        t = QuarticTarget()
+        svg.render_trajectory_svg(tmp_path / "t.svg", snaps, target=t)
+        grid, xs, ys = grids[0]
+        loop = np.empty((xs.size, ys.size))
+        for i, xv in enumerate(xs):
+            for j, yv in enumerate(ys):
+                loop[i, j] = t.potential(np.array([xv, yv]))
+        assert np.array_equal(grid, loop)
 
 
 class TestGradients:
