@@ -20,12 +20,8 @@ from .kernels import (
     BilinearKernel,
     GaussianKernel,
     GramMatrix,
-    eval_kernel,
-    grad1,
-    grad2,
     gram,
     median_bandwidth,
-    regularized_inverse_apply,
 )
 from .samplers import (
     ConstantDamping,
@@ -36,8 +32,7 @@ from .samplers import (
     mala_step,
     run,
     step,
-    svgd_step_bilinear,
-    svgd_step_gaussian,
+    svgd_step,
     ula_step,
     uld_step,
 )
@@ -58,9 +53,6 @@ from .targets import (
     QuarticTarget,
     builtin,
     builtin_names,
-    builtin_targets,
-    grad_potential,
-    potential,
 )
 
 __version__ = "0.1.0"

@@ -114,7 +114,6 @@ class ExperimentConfig:
             eps=self.eps,
             damping=self.build_damping(),
             seed=self.seed,
-            n_steps=self.n_steps,
             algorithm=self.sampler,
             alg2_literal=self.alg2_literal,
         )
@@ -166,6 +165,9 @@ def parse_config(text: str) -> ExperimentConfig:
              f"unknown damping {cfg.damping!r} (valid: {', '.join(DAMPINGS)})")
     _require(isinstance(cfg.tau, (int, float)) and cfg.tau > 0, "tau must be > 0")
     _require(isinstance(cfg.eps, (int, float)) and cfg.eps >= 0, "eps must be >= 0")
+    _require(not (cfg.sampler == "asvgd" and cfg.kernel == "bilinear" and cfg.eps == 0),
+             "eps must be > 0 for sampler asvgd with the bilinear kernel: its Gram matrix has "
+             "rank at most d + 1, so K + eps I is singular at eps = 0 once N > d + 1")
     _require(isinstance(cfg.sigma2, (int, float)) and cfg.sigma2 > 0, "sigma2 must be > 0")
     _require(isinstance(cfg.n_particles, int) and cfg.n_particles >= 1,
              "n_particles must be a positive integer")

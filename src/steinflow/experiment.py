@@ -14,7 +14,6 @@ import numpy as np
 from . import gaussian_flow, samplers, spectral
 from .config import ConfigError, ExperimentConfig, parse_config
 from .diagnostics import CSV_SCHEMA_VERSION, MetricRecord, empirical_moments, gaussian_fit_kl, kl_estimate
-from .kernels import GaussianKernel
 from .svg import render_trajectory_svg
 from .targets import GaussianTarget
 
@@ -74,6 +73,8 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     manifest.json into ``outdir``, which defaults to $STEINFLOW_OUT when set
     and to cfg.output_dir otherwise.  Fully deterministic for a fixed
     configuration (the seed drives the initial draw and all sampler noise).
+    metrics.csv is written one row per record, so a run that fails keeps the
+    rows recorded before the failure.
     """
     scfg = cfg.build_sampler_config()
     dim = scfg.target.dim
@@ -86,23 +87,24 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
     kde_rng = np.random.default_rng(cfg.seed + 1)
 
-    records = []
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
 
-    def record(ens):
-        if ens.iteration not in record_iters:
-            return
-        mean_speed = float(ens.prev_step_norms.mean())
-        records.append(_metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat, kde_rng))
-        _write_snapshot(outdir, ens.iteration, ens.x)
-        snapshots.append(ens.x.copy())
+    with open(outdir / "metrics.csv", "w", encoding="utf-8") as metrics:
+        metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + MetricRecord.csv_header(dim) + "\n")
 
-    samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
+        def record(ens):
+            if ens.iteration not in record_iters:
+                return
+            mean_speed = float(ens.prev_step_norms.mean())
+            row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat, kde_rng)
+            metrics.write(row.csv_row() + "\n")
+            metrics.flush()  # a run that fails later keeps every row recorded so far
+            _write_snapshot(outdir, ens.iteration, ens.x)
+            snapshots.append(ens.x.copy())
 
-    header = f"# {CSV_SCHEMA_VERSION}\n" + MetricRecord.csv_header(dim)
-    body = "\n".join(r.csv_row() for r in records)
-    (outdir / "metrics.csv").write_text(header + "\n" + body + "\n", encoding="utf-8")
+        samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
+
     if dim == 2:
         render_trajectory_svg(outdir / "trajectory.svg", snapshots, target=scfg.target)
     return outdir
@@ -120,10 +122,9 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     target = scfg.target
     if not isinstance(target, GaussianTarget):
         raise ConfigError("spectral analysis requires a Gaussian target")
-    kernel = scfg.kernel
-    if isinstance(kernel, GaussianKernel):
+    if cfg.kernel != "bilinear":
         raise ConfigError("spectral analysis requires the bilinear kernel (set kernel='bilinear')")
-    a, b, q = kernel.a, target.b, target.q
+    a, b, q = scfg.kernel.a, target.b, target.q
     outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 

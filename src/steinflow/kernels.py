@@ -1,12 +1,13 @@
-"""Positive-definite kernels, Gram matrices, bandwidth selection and regularized solves.
+"""Positive-definite kernels, Gram matrices, bandwidth selection and the low-rank solve.
 
 Two kernel families are supported:
 
 * ``GaussianKernel(sigma2)``  -- k(x, y) = exp(-|x - y|^2 / (2 sigma2)),
 * ``BilinearKernel(a)``       -- k(x, y) = x^T A y + 1 with A symmetric positive definite.
 
-The bilinear Gram matrix has rank at most d + 1, which ``regularized_inverse_apply``
-exploits through a Woodbury solve when the regularization is positive.
+The bilinear Gram matrix has rank at most d + 1, so (K + eps I) is invertible
+only for eps > 0; ``woodbury_inverse_apply`` solves with it on the rank-(d+1)
+factor in O(N d^2).
 """
 
 from __future__ import annotations
@@ -14,19 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "GaussianKernel",
     "BilinearKernel",
     "GramMatrix",
-    "eval_kernel",
-    "grad1",
-    "grad2",
     "gram",
     "pairwise_sq_dists",
     "median_bandwidth",
-    "regularized_inverse_apply",
+    "woodbury_inverse_apply",
 ]
 
 
@@ -73,41 +70,6 @@ class GramMatrix:
     k: np.ndarray
     kernel: object
     points: np.ndarray
-
-
-def _check_pair(kernel, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"x and y must be vectors of equal dimension, got {x.shape} and {y.shape}")
-    if isinstance(kernel, BilinearKernel) and x.shape[0] != kernel.dim:
-        raise ValueError(f"kernel expects dimension {kernel.dim}, got {x.shape[0]}")
-    return x, y
-
-
-def eval_kernel(kernel, x, y) -> float:
-    """Evaluate k(x, y)."""
-    x, y = _check_pair(kernel, x, y)
-    if isinstance(kernel, GaussianKernel):
-        diff = x - y
-        return float(np.exp(-diff @ diff / (2.0 * kernel.sigma2)))
-    return float(x @ kernel.a @ y + 1.0)
-
-
-def grad1(kernel, x, y) -> np.ndarray:
-    """Gradient of k with respect to the first argument."""
-    x, y = _check_pair(kernel, x, y)
-    if isinstance(kernel, GaussianKernel):
-        return -(x - y) / kernel.sigma2 * eval_kernel(kernel, x, y)
-    return kernel.a @ y
-
-
-def grad2(kernel, x, y) -> np.ndarray:
-    """Gradient of k with respect to the second argument."""
-    x, y = _check_pair(kernel, x, y)
-    if isinstance(kernel, GaussianKernel):
-        return (x - y) / kernel.sigma2 * eval_kernel(kernel, x, y)
-    return kernel.a @ x
 
 
 def pairwise_sq_dists(a, b) -> np.ndarray:
@@ -160,36 +122,6 @@ def median_bandwidth(x) -> float:
     if med == 0.0:
         raise ValueError("all points identical: median bandwidth undefined")
     return med**2 / (2.0 * np.log(n + 1.0))
-
-
-def regularized_inverse_apply(gm: GramMatrix, eps: float, y, n: int) -> np.ndarray:
-    """Return n * (K + eps I)^-1 y.
-
-    For the bilinear kernel with eps > 0 the solve goes through the Woodbury
-    identity on the rank-(d+1) factorization K = U U^T, which costs O(N d^2)
-    instead of O(N^3); it agrees with the dense solve to floating-point accuracy.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    y = np.asarray(y, dtype=float)
-    k = gm.k
-    if isinstance(gm.kernel, BilinearKernel) and eps > 0:
-        u = gm.kernel.low_rank_factor(gm.points)
-        return woodbury_inverse_apply(u, eps, y, n)
-    if eps == 0.0:
-        # K must be numerically invertible; report the failure mode precisely.
-        try:
-            c, low = scipy.linalg.cho_factor(k, check_finite=False)
-        except np.linalg.LinAlgError:
-            smin = np.linalg.svd(k, compute_uv=False).min()
-            raise np.linalg.LinAlgError(
-                f"kernel matrix is singular with eps = 0 (smallest singular value {smin:.3e})"
-            ) from None
-        return n * scipy.linalg.cho_solve((c, low), y, check_finite=False)
-    k_eps = k.copy()
-    k_eps.flat[:: k.shape[0] + 1] += eps
-    c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
-    return n * scipy.linalg.cho_solve((c, low), y, check_finite=False)
 
 
 def woodbury_inverse_apply(u, eps, y, n):

@@ -14,17 +14,21 @@ One accelerated step runs
    damping alpha from the counters (or a constant beta)
 4. kernel-specific momentum update in Y (alpha applied row-wise to the old Y).
 
-For the bilinear kernel the whole step runs on the rank-(d+1) factorization of
-the Gram matrix, so it never forms an N x N matrix.  For the Gaussian kernel,
-step 4 and the restart statistic of step 3 multiply K only by thin matrices:
+Steps 1 and 3 and the final combination of step 4 are shared; each kernel
+supplies V, K grad_f(X), its repulsion push and the restart statistic.  For the
+bilinear kernel these run on the rank-(d+1) factorization of the Gram matrix,
+so the step never forms an N x N matrix; eps must be positive, since K itself
+is singular once N > d + 1.  For the Gaussian kernel, step 4 and the
+restart statistic of step 3 multiply K only by thin matrices:
 one product K [grad_f(X) | X | V | Z | 1], with Z the N x d^2 matrix of
 products V_ia X_ic, and one product K [M | r] built from it.  That is
 O(N^2 (d^2 + 4d + 2)) after the O(N^3) Cholesky factorization, with no N x N
 temporary after it.
 
 ``step`` is the one place the five samplers are told apart, and ``run`` is the
-one loop over it.  The Langevin samplers keep their state in the same
-``ParticleEnsemble``: ULD's momentum lives in Y.
+one loop over it.  ``asvgd_step`` and ``svgd_step`` each tell the two kernels
+apart once; ``SamplerConfig`` rejects any other kernel.  The Langevin samplers
+keep their state in the same ``ParticleEnsemble``: ULD's momentum lives in Y.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ __all__ = [
     "ConstantDamping",
     "SamplerConfig",
     "asvgd_step",
-    "svgd_step_gaussian",
-    "svgd_step_bilinear",
+    "svgd_step",
     "ula_step",
     "mala_step",
     "uld_step",
@@ -131,7 +134,6 @@ class SamplerConfig:
     eps: float = 0.0
     damping: object = field(default_factory=RestartNesterov)
     seed: int = 0
-    n_steps: int = 1000
     algorithm: str = "asvgd"
     alg2_literal: bool = False
 
@@ -140,6 +142,8 @@ class SamplerConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not isinstance(self.kernel, (GaussianKernel, BilinearKernel)):
+            raise TypeError(f"unsupported kernel {self.kernel!r}")
 
 
 def _check_finite(arr, iteration, what):
@@ -161,7 +165,7 @@ def _grad_restart_stat_gaussian(v, x, kg, kx, k1, sigma2):
     return -(drive + repulsion / sigma2) / n**2
 
 
-def _damping_vector(ens, cfg, step_norms, grad_stat=float("nan")):
+def _damping_vector(ens, cfg, step_norms, grad_stat):
     """Per-particle damping for step 3; also returns the updated counters.
 
     A negative ``grad_stat`` fires the global gradient restart; NaN (no
@@ -183,14 +187,10 @@ def _damping_vector(ens, cfg, step_norms, grad_stat=float("nan")):
     return alpha, counts
 
 
-def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: bool = True) -> ParticleEnsemble:
-    """One accelerated transport step (position, density momentum, damping, momentum).
+def _gaussian_terms(ens, cfg, x_new, g, include_interaction):
+    """V, K grad_f(X), repulsion push and restart statistic of the Gaussian-kernel step.
 
-    ``include_interaction=False`` drops the quadratic-in-V interaction term of
-    the momentum update; with zero damping this reduces the X-iterates to the
-    plain scheme with step tau, which the tests exploit.
-
-    Gaussian kernel: the momentum update needs the interaction matrix
+    The momentum update needs the interaction matrix
     W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
     is never formed.  With P = K [G | X | V | Z | 1] (G = grad_f(X),
     Z[:, a d + c] = V_a X_c), M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
@@ -204,66 +204,79 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
     built-in target has d <= 10.
     """
     n = ens.n
+    k = kernels.gram(cfg.kernel, x_new).k
+    k_eps = k.copy()
+    k_eps.flat[:: n + 1] += cfg.eps
+    try:
+        c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
+    except np.linalg.LinAlgError:
+        smin = np.linalg.svd(k_eps, compute_uv=False).min()
+        raise np.linalg.LinAlgError(
+            f"regularized kernel matrix singular at iteration {ens.iteration + 1} "
+            f"(smallest singular value {smin:.3e})"
+        ) from None
+    v_new = n * scipy.linalg.cho_solve((c, low), ens.y, check_finite=False)
+    sigma2 = cfg.kernel.sigma2
+    d = ens.dim
+    # z[i, a*d + c] = V_ia X_ic
+    z = (v_new[:, :, None] * x_new[:, None, :]).reshape(n, d * d)
+    p = k @ np.hstack([g, x_new, v_new, z, np.ones((n, 1))])
+    kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
+    kz = p[:, 3 * d : -1].reshape(n, d, d)
+    k1 = p[:, -1]
+    grad_stat = _grad_restart_stat_gaussian(v_new, x_new, kg, kx, k1, sigma2)
+    w1 = n * k1
+    wx = n * kx
+    if include_interaction:
+        m = np.einsum("ia,iac->ic", v_new, kz)
+        r = np.einsum("ia,ia->i", v_new, kv)
+        q = k @ np.hstack([m, r[:, None]])
+        w1 += q[:, -1] - np.einsum("ia,ia->i", kv, kv)
+        wx += q[:, :-1] - np.einsum("ia,iac->ic", kv, kz)
+    push = (np.sqrt(cfg.tau) / (n**2 * sigma2)) * (w1[:, None] * x_new - wx)
+    return v_new, kg, push, grad_stat
+
+
+def _bilinear_terms(ens, cfg, x_new, g, include_interaction):
+    """V, K grad_f(X) and repulsion push of the bilinear-kernel step; no restart statistic.
+
+    Needs eps > 0: the Gram matrix has rank at most d + 1, so K + eps I is
+    singular at eps = 0 as soon as N > d + 1.
+    """
+    if cfg.eps == 0:
+        raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
+                         "its Gram matrix has rank at most d + 1")
+    n = ens.n
+    u = cfg.kernel.low_rank_factor(x_new)
+    v_new = kernels.woodbury_inverse_apply(u, cfg.eps, ens.y, n)
+    kg = u @ (u.T @ g)
+    scale = 1.0 + np.linalg.norm(u.T @ v_new) ** 2 / n**2 if include_interaction else 1.0
+    push = np.sqrt(cfg.tau) * scale * (x_new @ cfg.kernel.a)
+    return v_new, kg, push, float("nan")
+
+
+def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: bool = True) -> ParticleEnsemble:
+    """One accelerated transport step (position, density momentum, damping, momentum).
+
+    ``include_interaction=False`` drops the quadratic-in-V interaction term of
+    the momentum update; with zero damping this reduces the X-iterates to the
+    plain scheme with step tau, which the tests exploit.
+
+    The kernel-specific terms come from ``_gaussian_terms`` or
+    ``_bilinear_terms``; the bilinear kernel requires eps > 0 and raises
+    ValueError otherwise.
+    """
+    n = ens.n
     sqrt_tau = np.sqrt(cfg.tau)
     x_new = ens.x + sqrt_tau * ens.y
     _check_finite(x_new, ens.iteration + 1, "positions")
     g = cfg.target.grad_all(x_new)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    grad_stat = float("nan")
 
-    if isinstance(cfg.kernel, BilinearKernel):
-        u = cfg.kernel.low_rank_factor(x_new)
-        if cfg.eps > 0:
-            v_new = kernels.woodbury_inverse_apply(u, cfg.eps, ens.y, n)
-        else:
-            gm = kernels.gram(cfg.kernel, x_new)
-            v_new = kernels.regularized_inverse_apply(gm, 0.0, ens.y, n)
-        alpha, counts = _damping_vector(ens, cfg, step_norms)
-        kg = u @ (u.T @ g)
-        energy = -(sqrt_tau / n) * kg
-        if include_interaction:
-            scale = 1.0 + np.linalg.norm(u.T @ v_new) ** 2 / n**2
-        else:
-            scale = 1.0
-        y_new = alpha[:, None] * ens.y + energy + sqrt_tau * scale * (x_new @ cfg.kernel.a)
-    elif isinstance(cfg.kernel, GaussianKernel):
-        k = kernels.gram(cfg.kernel, x_new).k
-        k_eps = k.copy()
-        k_eps.flat[:: n + 1] += cfg.eps
-        try:
-            c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
-        except np.linalg.LinAlgError:
-            smin = np.linalg.svd(k_eps, compute_uv=False).min()
-            raise np.linalg.LinAlgError(
-                f"regularized kernel matrix singular at iteration {ens.iteration + 1} "
-                f"(smallest singular value {smin:.3e})"
-            ) from None
-        v_new = n * scipy.linalg.cho_solve((c, low), ens.y, check_finite=False)
-        sigma2 = cfg.kernel.sigma2
-        d = ens.dim
-        # z[i, a*d + c] = V_ia X_ic
-        z = (v_new[:, :, None] * x_new[:, None, :]).reshape(n, d * d)
-        p = k @ np.hstack([g, x_new, v_new, z, np.ones((n, 1))])
-        kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
-        kz = p[:, 3 * d : -1].reshape(n, d, d)
-        k1 = p[:, -1]
-        grad_stat = _grad_restart_stat_gaussian(v_new, x_new, kg, kx, k1, sigma2)
-        alpha, counts = _damping_vector(ens, cfg, step_norms, grad_stat)
-        w1 = n * k1
-        wx = n * kx
-        if include_interaction:
-            m = np.einsum("ia,iac->ic", v_new, kz)
-            r = np.einsum("ia,ia->i", v_new, kv)
-            q = k @ np.hstack([m, r[:, None]])
-            w1 += q[:, -1] - np.einsum("ia,ia->i", kv, kv)
-            wx += q[:, :-1] - np.einsum("ia,iac->ic", kv, kz)
-        y_new = (
-            alpha[:, None] * ens.y
-            - (sqrt_tau / n) * kg
-            + (sqrt_tau / (n**2 * sigma2)) * (w1[:, None] * x_new - wx)
-        )
-    else:
-        raise TypeError(f"unsupported kernel {cfg.kernel!r}")
+    terms = _gaussian_terms if isinstance(cfg.kernel, GaussianKernel) else _bilinear_terms
+    v_new, kg, push, grad_stat = terms(ens, cfg, x_new, g, include_interaction)
+    alpha, counts = _damping_vector(ens, cfg, step_norms, grad_stat)
+    y_new = alpha[:, None] * ens.y - (sqrt_tau / n) * kg + push
 
     _check_finite(y_new, ens.iteration + 1, "momentum update")
     return ParticleEnsemble(
@@ -277,43 +290,32 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
     )
 
 
-def svgd_step_gaussian(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
-    """Plain kernel-transport step with the Gaussian kernel.
+def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
+    """Plain kernel-transport step.
 
-    Default form: X <- X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
-    With ``cfg.alg2_literal`` the 1/sigma2 factor moves from the repulsion term
+    Gaussian kernel: X <- X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ];
+    with ``cfg.alg2_literal`` the 1/sigma2 factor moves from the repulsion term
     to the driving term instead.
+
+    Bilinear kernel: X <- X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1)
+    factor; the driving term enters with a minus sign, which is the descent
+    direction of the underlying flow.
     """
-    if not isinstance(cfg.kernel, GaussianKernel):
-        raise TypeError("svgd_step_gaussian requires a Gaussian kernel")
     n = ens.n
-    k = kernels.gram(cfg.kernel, ens.x).k
     g = cfg.target.grad_all(ens.x)
-    k1 = k.sum(axis=1)
-    repulsion = k1[:, None] * ens.x - k @ ens.x
-    if cfg.alg2_literal:
-        direction = repulsion - (k @ g) / cfg.kernel.sigma2
+    if isinstance(cfg.kernel, GaussianKernel):
+        k = kernels.gram(cfg.kernel, ens.x).k
+        k1 = k.sum(axis=1)
+        repulsion = k1[:, None] * ens.x - k @ ens.x
+        if cfg.alg2_literal:
+            direction = repulsion - (k @ g) / cfg.kernel.sigma2
+        else:
+            direction = repulsion / cfg.kernel.sigma2 - k @ g
+        x_new = ens.x + (cfg.tau / n) * direction
     else:
-        direction = repulsion / cfg.kernel.sigma2 - k @ g
-    x_new = ens.x + (cfg.tau / n) * direction
-    _check_finite(x_new, ens.iteration + 1, "position update")
-    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)
-
-
-def svgd_step_bilinear(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
-    """Plain kernel-transport step with the bilinear kernel.
-
-    X <- X + (tau/N) (N X A - K grad_f(X)); the driving term enters with a minus
-    sign, which is the descent direction of the underlying flow.
-    """
-    if not isinstance(cfg.kernel, BilinearKernel):
-        raise TypeError("svgd_step_bilinear requires a bilinear kernel")
-    n = ens.n
-    g = cfg.target.grad_all(ens.x)
-    u = cfg.kernel.low_rank_factor(ens.x)
-    kg = u @ (u.T @ g)
-    x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
+        u = cfg.kernel.low_rank_factor(ens.x)
+        kg = u @ (u.T @ g)
+        x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
     _check_finite(x_new, ens.iteration + 1, "position update")
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)
@@ -373,9 +375,7 @@ def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
     if cfg.algorithm == "asvgd":
         return asvgd_step(ens, cfg)
     if cfg.algorithm == "svgd":
-        if isinstance(cfg.kernel, GaussianKernel):
-            return svgd_step_gaussian(ens, cfg)
-        return svgd_step_bilinear(ens, cfg)
+        return svgd_step(ens, cfg)
     y = ens.y
     if cfg.algorithm == "ula":
         x = ula_step(ens.x, cfg, rng)

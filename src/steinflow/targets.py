@@ -15,11 +15,8 @@ __all__ = [
     "QuarticTarget",
     "DoubleBananasTarget",
     "CustomTarget",
-    "potential",
-    "grad_potential",
     "builtin",
     "builtin_names",
-    "builtin_targets",
 ]
 
 
@@ -163,20 +160,6 @@ class CustomTarget:
         return np.stack([self.grad(row) for row in np.asarray(x, dtype=float)])
 
 
-def potential(target, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (target.dim,):
-        raise ValueError(f"target expects dimension {target.dim}, got shape {x.shape}")
-    return target.potential(x)
-
-
-def grad_potential(target, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (target.dim,):
-        raise ValueError(f"target expects dimension {target.dim}, got shape {x.shape}")
-    return target.grad(x)
-
-
 _CORRELATED_Q = np.array([[3.0, -2.0], [-2.0, 3.0]])
 
 
@@ -202,7 +185,3 @@ def builtin(name: str, q_is_precision: bool = True):
 def builtin_names():
     return ["gauss-correlated", "gauss-aniso", "quartic", "double-bananas"]
 
-
-def builtin_targets(q_is_precision: bool = True):
-    """All built-in targets as (name, target) pairs."""
-    return [(name, builtin(name, q_is_precision)) for name in builtin_names()]

@@ -1,15 +1,51 @@
 """Independent reference implementations used as oracles by the tests.
 
 Everything here is written as plain per-particle / per-entry loops against the
-scalar kernel API, deliberately avoiding the vectorized code paths it checks.
+scalar kernel functions ``eval_kernel``, ``grad1`` and ``grad2`` defined below,
+deliberately avoiding the vectorized code paths it checks.
 """
 
 import numpy as np
 import scipy.linalg
 
 from steinflow import kernels
-from steinflow.kernels import GaussianKernel
+from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, ParticleEnsemble
+
+
+def _check_pair(kernel, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"x and y must be vectors of equal dimension, got {x.shape} and {y.shape}")
+    if isinstance(kernel, BilinearKernel) and x.shape[0] != kernel.dim:
+        raise ValueError(f"kernel expects dimension {kernel.dim}, got {x.shape[0]}")
+    return x, y
+
+
+def eval_kernel(kernel, x, y) -> float:
+    """Evaluate k(x, y) for one pair of points."""
+    x, y = _check_pair(kernel, x, y)
+    if isinstance(kernel, GaussianKernel):
+        diff = x - y
+        return float(np.exp(-diff @ diff / (2.0 * kernel.sigma2)))
+    return float(x @ kernel.a @ y + 1.0)
+
+
+def grad1(kernel, x, y) -> np.ndarray:
+    """Gradient of k with respect to the first argument."""
+    x, y = _check_pair(kernel, x, y)
+    if isinstance(kernel, GaussianKernel):
+        return -(x - y) / kernel.sigma2 * eval_kernel(kernel, x, y)
+    return kernel.a @ y
+
+
+def grad2(kernel, x, y) -> np.ndarray:
+    """Gradient of k with respect to the second argument."""
+    x, y = _check_pair(kernel, x, y)
+    if isinstance(kernel, GaussianKernel):
+        return (x - y) / kernel.sigma2 * eval_kernel(kernel, x, y)
+    return kernel.a @ x
 
 
 def loop_gram(kernel, x):
@@ -17,7 +53,7 @@ def loop_gram(kernel, x):
     k = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            k[i, j] = kernels.eval_kernel(kernel, x[i], x[j])
+            k[i, j] = eval_kernel(kernel, x[i], x[j])
     return k
 
 
@@ -38,8 +74,8 @@ def loop_double_sum_stat(kernel, x, v, target):
     total = 0.0
     for i in range(n):
         for j in range(n):
-            term = kernels.eval_kernel(kernel, x[i], x[j]) * g[i]
-            term = term - kernels.grad2(kernel, x[j], x[i])
+            term = eval_kernel(kernel, x[i], x[j]) * g[i]
+            term = term - grad2(kernel, x[j], x[i])
             total += float(v[j] @ term)
     return total / n**2
 
@@ -51,8 +87,8 @@ def loop_svgd_direction_gaussian(kernel, x, target):
     for i in range(n):
         acc = np.zeros(d)
         for j in range(n):
-            acc += kernels.eval_kernel(kernel, x[j], x[i]) * (-target.grad(x[j]))
-            acc += kernels.grad1(kernel, x[j], x[i])
+            acc += eval_kernel(kernel, x[j], x[i]) * (-target.grad(x[j]))
+            acc += grad1(kernel, x[j], x[i])
         out[i] = acc / n
     return out
 
@@ -99,16 +135,16 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     for j in range(n):
         energy = np.zeros(d)
         for i in range(n):
-            energy += kernels.grad2(cfg.kernel, x_new[j], x_new[i])
+            energy += grad2(cfg.kernel, x_new[j], x_new[i])
             energy -= k[j, i] * g[i]
         interaction = np.zeros(d)
         for i in range(n):
             for ell in range(n):
                 vv = float(v_new[i] @ v_new[ell])
                 interaction += vv * (
-                    k[i, ell] * kernels.grad2(cfg.kernel, x_new[j], x_new[i])
-                    + k[j, ell] * kernels.grad1(cfg.kernel, x_new[j], x_new[i])
-                    - k[j, i] * kernels.grad2(cfg.kernel, x_new[ell], x_new[i])
+                    k[i, ell] * grad2(cfg.kernel, x_new[j], x_new[i])
+                    + k[j, ell] * grad1(cfg.kernel, x_new[j], x_new[i])
+                    - k[j, i] * grad2(cfg.kernel, x_new[ell], x_new[i])
                 )
         y_new[j] = alpha[j] * ens.y[j] + (st / n) * energy + (st / n**2) * interaction
     return ParticleEnsemble(

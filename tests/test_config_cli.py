@@ -7,6 +7,7 @@ import pytest
 from steinflow import experiment, kernels, samplers
 from steinflow.cli import main
 from steinflow.config import ConfigError, ExperimentConfig, parse_config
+from steinflow.diagnostics import MetricRecord
 from steinflow.experiment import analyze_spectrum, manifest_hash, run_experiment, run_sweep
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, RestartNesterov
@@ -91,6 +92,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="target_mean"):
             parse_config('{"target": "gaussian"}')
 
+    def test_bilinear_asvgd_needs_positive_eps(self):
+        with pytest.raises(ConfigError, match="eps must be > 0.*rank at most d \\+ 1"):
+            parse_config('{"target": "quartic", "kernel": "bilinear", "eps": 0}')
+
+    def test_bilinear_svgd_accepts_zero_eps(self, tmp_path):
+        # the plain step never solves with K + eps I
+        cfg = make_cfg(tmp_path, sampler="svgd", kernel="bilinear", eps=0)
+        outdir = run_experiment(cfg)
+        assert len((outdir / "metrics.csv").read_text().strip().split("\n")) == 2 + 4  # records at 0, 2, 4 and 5
+
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
             parse_config('{"target": "quartic", "init_cov": [[1.0, 2.0], [2.0, 1.0]]}')
@@ -104,6 +115,16 @@ class TestRunExperiment:
         assert lines[0] == "# steinflow-metrics-v1"
         assert len(lines) == 3  # schema comment + header + one row
         assert lines[2].startswith("0,")
+
+    def test_failed_run_keeps_its_metric_rows(self, tmp_path):
+        # diverges at iteration 11, after the records at iterations 0, 3, 6 and 9
+        cfg = make_cfg(tmp_path, target="gauss-aniso", kernel="bilinear", damping="constant",
+                       beta=0.8, n_particles=60, n_steps=12, record_every=3, tau=0.02, seed=0)
+        with pytest.raises(RuntimeError, match="iteration 11"):
+            run_experiment(cfg)
+        lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
+        assert lines[:2] == ["# steinflow-metrics-v1", MetricRecord.csv_header(2)]
+        assert [line.split(",")[0] for line in lines[2:]] == ["0", "3", "6", "9"]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = make_cfg(tmp_path / "a")

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from steinflow import kernels
 from steinflow.kernels import (
     BilinearKernel,
     GaussianKernel,
-    eval_kernel,
-    grad1,
-    grad2,
     gram,
     median_bandwidth,
     pairwise_sq_dists,
-    regularized_inverse_apply,
+    woodbury_inverse_apply,
 )
-from reference_impls import central_diff_grad, loop_gram, loop_sq_dists, random_spd
+from reference_impls import (
+    central_diff_grad,
+    eval_kernel,
+    grad1,
+    grad2,
+    loop_gram,
+    loop_sq_dists,
+    random_spd,
+)
 
 
 class TestEval:
@@ -197,24 +201,19 @@ class TestMedianBandwidth:
 
 
 class TestRegularizedInverse:
-    def test_identity_gram_eps_zero(self):
-        gm = kernels.GramMatrix(k=np.eye(4), kernel=GaussianKernel(1.0), points=np.zeros((4, 2)))
-        y = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(regularized_inverse_apply(gm, 0.0, y, 4), 4.0 * y, rtol=1e-14)
+    """n (U U^T + eps I)^-1 y through the Woodbury identity on the low-rank factor U."""
 
     def test_identity_gram_eps_one(self):
-        gm = kernels.GramMatrix(k=np.eye(4), kernel=GaussianKernel(1.0), points=np.zeros((4, 2)))
         y = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(regularized_inverse_apply(gm, 1.0, y, 4), 2.0 * y, rtol=1e-14)
+        assert np.allclose(woodbury_inverse_apply(np.eye(4), 1.0, y, 4), 2.0 * y, rtol=1e-14)
 
     def test_woodbury_matches_dense(self):
         rng = np.random.default_rng(21)
         kernel = BilinearKernel(random_spd(rng, 2))
         x = rng.standard_normal((5, 2))
         y = rng.standard_normal((5, 2))
-        gm = gram(kernel, x)
-        fast = regularized_inverse_apply(gm, 0.1, y, 5)
-        dense = 5.0 * np.linalg.solve(gm.k + 0.1 * np.eye(5), y)
+        fast = woodbury_inverse_apply(kernel.low_rank_factor(x), 0.1, y, 5)
+        dense = 5.0 * np.linalg.solve(gram(kernel, x).k + 0.1 * np.eye(5), y)
         assert np.allclose(fast, dense, rtol=1e-8)
 
     def test_bilinear_residual(self):
@@ -223,21 +222,6 @@ class TestRegularizedInverse:
         x = rng.standard_normal((12, 3))
         y = rng.standard_normal((12, 3))
         eps = 0.05
-        gm = gram(kernel, x)
-        v = regularized_inverse_apply(gm, eps, y, 12)
-        resid = (gm.k + eps * np.eye(12)) @ v / 12.0 - y
+        v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y, 12)
+        resid = (gram(kernel, x).k + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
-
-    def test_singular_eps_zero_reports_singular_value(self):
-        rng = np.random.default_rng(23)
-        kernel = BilinearKernel(np.eye(2))
-        x = rng.standard_normal((8, 2))
-        gm = gram(kernel, x)  # rank 3 < 8
-        with pytest.raises(np.linalg.LinAlgError, match="singular value"):
-            regularized_inverse_apply(gm, 0.0, rng.standard_normal((8, 2)), 8)
-
-    def test_negative_eps_rejected(self):
-        gm = kernels.GramMatrix(k=np.eye(2), kernel=GaussianKernel(1.0), points=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            regularized_inverse_apply(gm, -0.1, np.zeros((2, 1)), 2)
-

@@ -14,8 +14,7 @@ from steinflow.samplers import (
     asvgd_step,
     mala_step,
     run,
-    svgd_step_bilinear,
-    svgd_step_gaussian,
+    svgd_step,
     ula_step,
     uld_step,
 )
@@ -69,6 +68,15 @@ class TestEnsemble:
             SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=0.1, eps=-1.0)
+
+    def test_sampler_config_rejects_unknown_kernel(self):
+        with pytest.raises(TypeError, match="unsupported kernel"):
+            SamplerConfig(kernel=SimpleNamespace(sigma2=1.0), target=QuarticTarget(), tau=0.1)
+
+    def test_bilinear_asvgd_step_needs_positive_eps(self):
+        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=QuarticTarget(), tau=0.1, eps=0.0)
+        with pytest.raises(ValueError, match="eps > 0"):
+            asvgd_step(ParticleEnsemble.initialize(np.zeros((5, 2))), cfg)
 
 
 class TestZeroMomentumReduction:
@@ -124,7 +132,7 @@ class TestPlainStepReduction:
         for _ in range(10):
             acc = asvgd_step(acc, cfg, include_interaction=False)
             acc_states.append(acc.x.copy())
-            plain = svgd_step_gaussian(plain, cfg)
+            plain = svgd_step(plain, cfg)
             plain_states.append(plain.x.copy())
         for k in range(10):
             assert np.abs(acc_states[k + 1] - plain_states[k]).max() <= 1e-10
@@ -161,7 +169,7 @@ class TestMatrixFormAgainstLoops:
         kernel = GaussianKernel(0.7)
         x0 = rng.standard_normal((3, 2))
         cfg = SamplerConfig(kernel=kernel, target=target, tau=0.08)
-        ens = svgd_step_gaussian(ParticleEnsemble.initialize(x0), cfg)
+        ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         direction = loop_svgd_direction_gaussian(kernel, x0, target)
         assert np.allclose(ens.x, x0 + cfg.tau * direction, atol=1e-12)
 
@@ -170,14 +178,14 @@ class TestMatrixFormAgainstLoops:
         target = gaussian_target(rng, 2)
         x0 = rng.standard_normal((1, 2))
         cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=target, tau=0.1)
-        ens = svgd_step_gaussian(ParticleEnsemble.initialize(x0), cfg)
+        ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         assert np.allclose(ens.x, x0 - cfg.tau * target.grad_all(x0), rtol=1e-13)
 
     def test_plain_gaussian_identical_particles_at_mean_stay(self):
         target = GaussianTarget(b=np.array([0.5, -0.5]), q=np.eye(2))
         x0 = np.tile(target.b, (4, 1))
         cfg = SamplerConfig(kernel=GaussianKernel(0.5), target=target, tau=0.1)
-        ens = svgd_step_gaussian(ParticleEnsemble.initialize(x0), cfg)
+        ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         assert np.allclose(ens.x, x0, atol=1e-14)
 
     def test_alg2_literal_flag_moves_constant(self):
@@ -187,8 +195,8 @@ class TestMatrixFormAgainstLoops:
         x0 = rng.standard_normal((4, 2))
         base = SamplerConfig(kernel=kernel, target=target, tau=0.1)
         lit = SamplerConfig(kernel=kernel, target=target, tau=0.1, alg2_literal=True)
-        x_base = svgd_step_gaussian(ParticleEnsemble.initialize(x0), base).x
-        x_lit = svgd_step_gaussian(ParticleEnsemble.initialize(x0), lit).x
+        x_base = svgd_step(ParticleEnsemble.initialize(x0), base).x
+        x_lit = svgd_step(ParticleEnsemble.initialize(x0), lit).x
         k = np.exp(-((x0[:, None, :] - x0[None, :, :]) ** 2).sum(-1) / (2 * 0.5))
         rep = k.sum(1)[:, None] * x0 - k @ x0
         drive = k @ target.grad_all(x0)
@@ -201,7 +209,7 @@ class TestMatrixFormAgainstLoops:
         x0 = rng.standard_normal((4, 2))
         theta = 1e-8
         cfg = SamplerConfig(kernel=BilinearKernel(theta * np.eye(2)), target=target, tau=0.1)
-        ens = svgd_step_bilinear(ParticleEnsemble.initialize(x0), cfg)
+        ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         k_limit = np.ones((4, 4))
         drift = -(cfg.tau / 4) * k_limit @ target.grad_all(x0)
         assert np.abs(ens.x - (x0 + drift)).max() <= 1e-6
@@ -213,7 +221,7 @@ class TestMatrixFormAgainstLoops:
         cfg = SamplerConfig(kernel=BilinearKernel(np.array([[0.5]])), target=target, tau=0.2)
         k = 0.5 * x0 @ x0.T + 1.0
         expect = x0 + (0.2 / 2.0) * (2.0 * x0 * 0.5 - k @ x0)  # grad f = x
-        ens = svgd_step_bilinear(ParticleEnsemble.initialize(x0), cfg)
+        ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         assert np.allclose(ens.x, expect, rtol=1e-13)
 
 
@@ -501,6 +509,14 @@ class TestRun:
         with pytest.raises(RuntimeError, match="iteration 1"):
             run(cfg, np.random.default_rng(0).standard_normal((3, 2)), 3)
 
+    def test_singular_gram_reports_smallest_singular_value(self):
+        # two coincident particles make the Gaussian Gram matrix singular at eps = 0
+        x0 = np.array([[0.5, -0.2], [0.5, -0.2], [1.0, 1.0]])
+        cfg = SamplerConfig(kernel=GaussianKernel(0.5), target=QuarticTarget(), tau=0.05, eps=0.0,
+                            algorithm="asvgd")
+        with pytest.raises(RuntimeError, match="iteration 1.*smallest singular value"):
+            run(cfg, x0, 3)
+
     def test_diverging_langevin_run_fails_at_first_non_finite_position(self):
         # the steinflow-run config {"sampler": "ula", "target": "double-bananas",
         # "n_particles": 300, "tau": 0.01, "seed": 7}: one particle leaves the
@@ -545,6 +561,6 @@ class TestPermutationEquivariance:
         ens = random_ensemble(rng, 7, 2, momentum=False)
         perm = rng.permutation(7)
         permuted = ParticleEnsemble.initialize(ens.x[perm])
-        a = svgd_step_gaussian(ens, cfg).x[perm]
-        b = svgd_step_gaussian(permuted, cfg).x
+        a = svgd_step(ens, cfg).x[perm]
+        b = svgd_step(permuted, cfg).x
         assert np.allclose(a, b, atol=1e-12)
