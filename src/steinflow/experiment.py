@@ -14,7 +14,7 @@ import numpy as np
 from . import gaussian_flow, samplers, spectral
 from .config import ConfigError, ExperimentConfig, parse_config
 from .diagnostics import CSV_SCHEMA_VERSION, MetricRecord, empirical_moments, gaussian_fit_kl, kl_estimate
-from .svg import render_trajectory_svg
+from .svg import MAX_PATHS, render_trajectory_svg
 from .targets import GaussianTarget
 
 __all__ = ["run_experiment", "analyze_spectrum", "run_sweep", "manifest_hash"]
@@ -38,11 +38,19 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig):
                                           encoding="utf-8")
 
 
-def _write_snapshot(outdir: Path, iteration: int, x: np.ndarray):
-    snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
-    lines = [",".join(f"{v:.17g}" for v in row) for row in x]
-    (snapdir / f"particles_{iteration}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv_text(rows) -> str:
+    """CSV text of an n x d float array: ``%.17g`` values, one line per row.
+
+    One ``%`` over a row template repeated n times formats every value in C;
+    the digits are those of ``f"{v:.17g}"``, so every float round-trips.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, d = rows.shape
+    return ((",".join(["%.17g"] * d) + "\n") * n) % tuple(rows.ravel().tolist())
+
+
+def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
+    (snapdir / f"particles_{iteration}.csv").write_text(_csv_text(x), encoding="utf-8")
 
 
 def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat, kde_rng):
@@ -87,6 +95,10 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
     kde_rng = np.random.default_rng(cfg.seed + 1)
 
+    snapdir = outdir / "snapshots"
+    snapdir.mkdir(exist_ok=True)
+    # The plot needs every row of the first and last ensembles (they set its
+    # limits) and only the drawn paths of the records in between.
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
 
@@ -100,12 +112,13 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
             row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat, kde_rng)
             metrics.write(row.csv_row() + "\n")
             metrics.flush()  # a run that fails later keeps every row recorded so far
-            _write_snapshot(outdir, ens.iteration, ens.x)
-            snapshots.append(ens.x.copy())
+            _write_snapshot(snapdir, ens.iteration, ens.x)
+            snapshots.append(ens.x[:MAX_PATHS].copy() if snapshots else ens.x.copy())
 
-        samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
+        final = samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
 
     if dim == 2:
+        snapshots[-1] = final.x  # the record of iteration n_steps, with all its rows
         render_trajectory_svg(outdir / "trajectory.svg", snapshots, target=scfg.target)
     return outdir
 
@@ -177,9 +190,8 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
             rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
         else:
             raise ConfigError(f"unknown sweep parameter {param!r} (valid: a, alpha)")
-    header = f"{param},spectral_abscissa,condition_number"
-    body = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows)
-    (outdir / "rate_table.csv").write_text(header + "\n" + body + "\n", encoding="utf-8")
+    header = f"{param},spectral_abscissa,condition_number\n"
+    (outdir / "rate_table.csv").write_text(header + _csv_text(np.reshape(rows, (-1, 3))), encoding="utf-8")
     return outdir
 
 

@@ -9,6 +9,8 @@ import numpy as np
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
+MAX_PATHS = 100  # particles drawn by render_trajectory_svg
+
 
 class SvgCanvas:
     def __init__(self, width, height, xlim, ylim):
@@ -53,37 +55,48 @@ class SvgCanvas:
 
 
 def marching_squares(grid, xs, ys, level):
-    """Line segments of the iso-contour {grid == level} on a regular grid."""
-    segs = []
+    """Line segments of the iso-contour {grid == level} on a regular grid.
+
+    Cell (i, j) has the corners (xs[i], ys[j]), (xs[i+1], ys[j]),
+    (xs[i+1], ys[j+1]) and (xs[i], ys[j+1]); edge k joins corner k to corner
+    k + 1 (mod 4).  An edge is crossed where its end values lie strictly on
+    either side of the level.  A cell with two or more crossings yields the
+    segment between its first two, and one with four also the segment between
+    its last two.  Segments come in row-major cell order.
+    """
+    grid = np.asarray(grid, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     nx, ny = grid.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [
-                (xs[i], ys[j], grid[i, j]),
-                (xs[i + 1], ys[j], grid[i + 1, j]),
-                (xs[i + 1], ys[j + 1], grid[i + 1, j + 1]),
-                (xs[i], ys[j + 1], grid[i, j + 1]),
-            ]
-            pts = []
-            for k in range(4):
-                x0, y0, v0 = corners[k]
-                x1, y1, v1 = corners[(k + 1) % 4]
-                if (v0 - level) * (v1 - level) < 0:
-                    t = (level - v0) / (v1 - v0)
-                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
-    return segs
+    ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    # one row per cell in row-major order: corners 0..3, then corner 0 again
+    i = ci.reshape(-1, 1) + [0, 1, 1, 0, 0]
+    j = cj.reshape(-1, 1) + [0, 0, 1, 1, 0]
+    v = grid[i, j]
+    crossed = (v[:, :4] - level) * (v[:, 1:] - level) < 0  # (cells, edges)
+    i0, i1 = i[:, :4][crossed], i[:, 1:][crossed]
+    j0, j1 = j[:, :4][crossed], j[:, 1:][crossed]
+    v0, v1 = grid[i0, j0], grid[i1, j1]
+    t = (level - v0) / (v1 - v0)  # v1 != v0 on a crossed edge
+    px = xs[i0] + t * (xs[i1] - xs[i0])
+    py = ys[j0] + t * (ys[j1] - ys[j0])
+    # the crossings of a cell are contiguous, in edge order
+    count = crossed.sum(axis=1)
+    first = np.cumsum(count) - count
+    start = np.sort(np.concatenate([first[count >= 2], first[count == 4] + 2]))
+    p0 = zip(px[start].tolist(), py[start].tolist())
+    p1 = zip(px[start + 1].tolist(), py[start + 1].tolist())
+    return list(zip(p0, p1))
 
 
-def render_trajectory_svg(path, snapshots, target=None, max_paths=100,
+def render_trajectory_svg(path, snapshots, target=None, max_paths=MAX_PATHS,
                           width=640, height=640):
     """Particle trajectories over the target's level lines.
 
     Initial particles are drawn as blue circles, final ones as red squares,
-    with the in-between path as a thin colored line per particle.
+    with the in-between path as a thin colored line per particle.  Only the
+    first ``max_paths`` particles are drawn, and the first and last snapshots
+    set the plot limits, so the snapshots in between need only those rows.
     """
     first, last = snapshots[0], snapshots[-1]
     allpts = np.vstack([first, last])

@@ -78,6 +78,16 @@ class QuarticTarget:
         return np.asarray(x, dtype=float) ** 3
 
 
+def _weigh(w, g):
+    """w * g, and exactly 0 where w is 0.
+
+    A mode whose softmax weight underflowed contributes nothing, even where its
+    warp gradient overflowed to inf (0 * inf would be NaN); so the gradients at
+    x and at its mirror image Rx agree up to the sign of the second component.
+    """
+    return np.multiply(w, g, out=np.zeros_like(g), where=w != 0)
+
+
 class DoubleBananasTarget:
     """Two mirrored banana-shaped modes.
 
@@ -116,12 +126,7 @@ class DoubleBananasTarget:
         return float(-np.logaddexp(-f1, -f2))
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        w1 = 1.0 / (1.0 + np.exp(self._log_odds(x[0], x[1])))
-        w2 = 1.0 - w1
-        g11, g12 = self._warp_grad(x[0], x[1])
-        g21, g22 = self._warp_grad(x[0], -x[1])
-        return np.array([w1 * g11 + w2 * g21, w1 * g12 - w2 * g22])
+        return self.grad_all(np.asarray(x, dtype=float)[None, :])[0]
 
     def potential_all(self, x):
         x = np.asarray(x, dtype=float)
@@ -136,7 +141,7 @@ class DoubleBananasTarget:
         w2 = 1.0 - w1
         g11, g12 = self._warp_grad(x1, x2)
         g21, g22 = self._warp_grad(x1, -x2)
-        return np.stack([w1 * g11 + w2 * g21, w1 * g12 - w2 * g22], axis=1)
+        return np.stack([_weigh(w1, g11) + _weigh(w2, g21), _weigh(w1, g12) - _weigh(w2, g22)], axis=1)
 
 
 class CustomTarget:

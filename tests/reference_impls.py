@@ -205,3 +205,35 @@ def central_diff_grad(f, x, step=1e-6):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def loop_csv_text(rows):
+    """CSV text of a 2-D array, one f-string per value (the original snapshot writer)."""
+    lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def loop_marching_squares(grid, xs, ys, level):
+    """Iso-contour segments of ``grid`` at ``level``, one cell and one edge at a time."""
+    segs = []
+    nx, ny = grid.shape
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = [
+                (xs[i], ys[j], grid[i, j]),
+                (xs[i + 1], ys[j], grid[i + 1, j]),
+                (xs[i + 1], ys[j + 1], grid[i + 1, j + 1]),
+                (xs[i], ys[j + 1], grid[i, j + 1]),
+            ]
+            pts = []
+            for k in range(4):
+                x0, y0, v0 = corners[k]
+                x1, y1, v1 = corners[(k + 1) % 4]
+                if (v0 - level) * (v1 - level) < 0:
+                    t = (level - v0) / (v1 - v0)
+                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            if len(pts) >= 2:
+                segs.append((pts[0], pts[1]))
+            if len(pts) == 4:
+                segs.append((pts[2], pts[3]))
+    return segs

@@ -127,11 +127,15 @@ class TestRunExperiment:
         assert [line.split(",")[0] for line in lines[2:]] == ["0", "3", "6", "9"]
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg1 = make_cfg(tmp_path / "a")
-        cfg2 = make_cfg(tmp_path / "b")
-        d1 = run_experiment(cfg1)
-        d2 = run_experiment(cfg2)
-        assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
+        # one output_dir in both configs, so the manifests may be compared too
+        d1 = run_experiment(make_cfg(tmp_path), tmp_path / "a")
+        d2 = run_experiment(make_cfg(tmp_path), tmp_path / "b")
+        files = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(d2) for p in d2.rglob("*") if p.is_file())
+        assert {"metrics.csv", "manifest.json", "trajectory.svg", "snapshots/particles_0.csv"} <= {
+            str(f) for f in files}
+        for f in files:
+            assert (d1 / f).read_bytes() == (d2 / f).read_bytes(), f
 
     def test_outputs_exist(self, tmp_path):
         cfg = make_cfg(tmp_path)

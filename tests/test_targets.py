@@ -196,6 +196,20 @@ class TestDoubleBananas:
         assert np.all(np.isfinite(g))
         assert np.array_equal(t.grad_all(x[None, :])[0], g)
 
+    @pytest.mark.filterwarnings("error")
+    def test_grad_of_mirror_image_is_mirrored_where_a_weight_vanishes(self):
+        # x1 = 1e103: each warp gradient overflows to inf, and the weight of the
+        # far mode is exactly 0 at x2 = 2 but about 1e-304 at x2 = -2
+        t = DoubleBananasTarget()
+        x = np.array([[1e103, 2.0], [1e103, -2.0]])
+        with np.errstate(over="ignore"):
+            g = t.grad_all(x)
+            single = np.stack([t.grad(row) for row in x])
+        assert not np.isnan(g).any()
+        assert g[0, 0] == g[1, 0] == np.inf
+        assert g[0, 1] == -g[1, 1] == -1e207
+        assert np.array_equal(single, g)
+
     def test_grad_matches_warp_difference_form(self):
         t = DoubleBananasTarget()
         rng = np.random.default_rng(21)
