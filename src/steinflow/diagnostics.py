@@ -80,16 +80,23 @@ def gaussian_fit_kl(x, target: GaussianTarget):
 
 
 def _kde_log_density(points, queries, bandwidth2):
-    """Log density of an isotropic Gaussian kernel density estimate."""
+    """Log density of an isotropic Gaussian kernel density estimate at each query.
+
+    Runs the whole log-sum-exp on one block of query rows at a time, so only
+    the length-``len(queries)`` result outlives a block: the KDE of 10^4
+    importance draws holds no draws x N array.
+    """
     n, d = points.shape
-    # one queries x points buffer, updated in place
-    log_kernel = kernels.pairwise_sq_dists(queries, points)
-    log_kernel /= -2.0 * bandwidth2
-    log_kernel -= 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
-    m = log_kernel.max(axis=1)
-    log_kernel -= m[:, None]
-    np.exp(log_kernel, out=log_kernel)
-    return m + np.log(log_kernel.sum(axis=1)) - np.log(n)
+    log_norm = 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
+    out = np.empty(queries.shape[0])
+    for start, stop, log_kernel in kernels._sq_dist_blocks(queries, points):
+        log_kernel /= -2.0 * bandwidth2
+        log_kernel -= log_norm
+        m = log_kernel.max(axis=1)
+        log_kernel -= m[:, None]
+        np.exp(log_kernel, out=log_kernel)
+        out[start:stop] = m + np.log(log_kernel.sum(axis=1)) - np.log(n)
+    return out
 
 
 def kl_estimate(x, target, method="gaussian-fit", rng=None, n_is_draws=10000) -> float:

@@ -208,8 +208,12 @@ def _gaussian_terms(ens, cfg, x_new, g, include_interaction):
     k_eps = k.copy()
     k_eps.flat[:: n + 1] += cfg.eps
     try:
-        c, low = scipy.linalg.cho_factor(k_eps, check_finite=False)
+        # K + eps I equals its transpose exactly, and the transpose is a
+        # Fortran-order view that LAPACK factors in place without a copy
+        c, low = scipy.linalg.cho_factor(k_eps.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
+        k_eps = k.copy()  # the failed factorization overwrote the buffer
+        k_eps.flat[:: n + 1] += cfg.eps
         smin = np.linalg.svd(k_eps, compute_uv=False).min()
         raise np.linalg.LinAlgError(
             f"regularized kernel matrix singular at iteration {ens.iteration + 1} "

@@ -2,7 +2,9 @@
 
 Everything here is written as plain per-particle / per-entry loops against the
 scalar kernel functions ``eval_kernel``, ``grad1`` and ``grad2`` defined below,
-deliberately avoiding the vectorized code paths it checks.
+deliberately avoiding the vectorized code paths it checks.  The
+``unblocked_*`` functions keep the one-buffer forms that the blocked distance
+pass in ``kernels`` replaced, as oracles that it must match bit for bit.
 """
 
 import numpy as np
@@ -65,6 +67,51 @@ def loop_sq_dists(a, b):
             diff = a[i] - b[j]
             out[i, j] = float(diff @ diff)
     return out
+
+
+def unblocked_sq_dists(a, b):
+    """Squared distances accumulated one coordinate at a time into one N x M buffer.
+
+    The unblocked form of ``kernels.pairwise_sq_dists``: the same per-entry
+    arithmetic, so the blocked pass must match it bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def unblocked_gaussian_gram(kernel, x):
+    """Gaussian Gram matrix exponentiated in place on the full distance matrix."""
+    k = unblocked_sq_dists(x, x)
+    k /= -2.0 * kernel.sigma2
+    np.exp(k, out=k)
+    return k
+
+
+def unblocked_median_bandwidth(x):
+    """Median-heuristic squared bandwidth from the index-array upper triangle."""
+    n = x.shape[0]
+    sq = unblocked_sq_dists(x, x)
+    med = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
+    return med**2 / (2.0 * np.log(n + 1.0))
+
+
+def unblocked_kde_log_density(points, queries, bandwidth2):
+    """Gaussian KDE log density with one queries x points buffer updated in place."""
+    n, d = points.shape
+    log_kernel = unblocked_sq_dists(queries, points)
+    log_kernel /= -2.0 * bandwidth2
+    log_kernel -= 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
+    m = log_kernel.max(axis=1)
+    log_kernel -= m[:, None]
+    np.exp(log_kernel, out=log_kernel)
+    return m + np.log(log_kernel.sum(axis=1)) - np.log(n)
 
 
 def loop_double_sum_stat(kernel, x, v, target):

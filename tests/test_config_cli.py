@@ -333,3 +333,22 @@ def test_float_formatting_17_significant_digits(tmp_path):
     value = row.split(",")[2]
     assert float(value) == float(f"{float(value):.17g}")
     assert "," in row and "." in value
+
+
+def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
+    # the KDE metric of 300 particles spans 2 distance blocks on the particles
+    # and 46 on the 10^4 importance draws; two worker threads must not share them
+    monkeypatch.delenv("STEINFLOW_OUT", raising=False)
+    outputs = {}
+    for workers in (1, 2):
+        cfg = make_cfg(tmp_path, sampler="mala", target="double-bananas", n_particles=300,
+                       n_steps=4, record_every=2, tau=0.01, kl_method="auto",
+                       output_dir=str(tmp_path / f"workers_{workers}"))
+        outdirs = run_sweep(cfg, "tau", [0.005, 0.02], max_workers=workers)
+        outputs[workers] = [
+            {str(p.relative_to(d)): p.read_bytes()
+             for p in [d / "metrics.csv", *sorted((d / "snapshots").iterdir())]}
+            for d in outdirs
+        ]
+    assert [len(files) for files in outputs[1]] == [4, 4]
+    assert outputs[2] == outputs[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ class TestKlEstimate:
             errs_small.append(abs(kl_estimate(small, target) - analytic))
             errs_big.append(abs(kl_estimate(big, target) - analytic))
         assert np.median(errs_big) <= np.median(errs_small)
+
+    def test_kde_peak_memory(self):
+        # the KDE of 10^4 draws against 500 particles runs block by block;
+        # one draws x N array alone would be 40 MB
+        rng = np.random.default_rng(6)
+        target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
+        x = rng.standard_normal((500, 2))
+        kl_estimate(x[:10], target, method="kde", rng=np.random.default_rng(0))  # first-call caches
+        tracemalloc.start()
+        try:
+            kl_estimate(x, target, method="kde", rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

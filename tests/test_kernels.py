@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from steinflow import kernels
+from steinflow.diagnostics import _kde_log_density
 from steinflow.kernels import (
     BilinearKernel,
     GaussianKernel,
@@ -17,6 +19,10 @@ from reference_impls import (
     loop_gram,
     loop_sq_dists,
     random_spd,
+    unblocked_gaussian_gram,
+    unblocked_kde_log_density,
+    unblocked_median_bandwidth,
+    unblocked_sq_dists,
 )
 
 
@@ -133,11 +139,15 @@ class TestGram:
 class TestPairwiseSqDists:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
-        for n, d in [(1, 2), (7, 1), (40, 3), (25, 10)]:
-            x = rng.standard_normal((n, d))
-            assert np.allclose(pairwise_sq_dists(x, x), loop_sq_dists(x, x), rtol=1e-14, atol=1e-15)
-            kernel = GaussianKernel(0.37)
-            assert np.allclose(gram(kernel, x).k, loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
+        for n, d in [(1, 2), (7, 1), (40, 3), (25, 10), (30, 1), (30, 2), (30, 10)]:
+            # off-centre points near 10^3 too, where a ||a||^2 + ||b||^2 - 2 a.b form cancels
+            for centre in (0.0, 1e3):
+                x = centre + rng.standard_normal((n, d))
+                sq = pairwise_sq_dists(x, x)
+                assert np.allclose(sq, loop_sq_dists(x, x), rtol=1e-14, atol=1e-15)
+                assert np.array_equal(sq, unblocked_sq_dists(x, x))
+                kernel = GaussianKernel(0.37)
+                assert np.allclose(gram(kernel, x).k, loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
 
     def test_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -174,6 +184,48 @@ class TestPairwiseSqDists:
             assert sq.shape == (30, 12)
             assert np.allclose(sq, loop_sq_dists(queries, centres), rtol=1e-14, atol=1e-15)
             assert np.array_equal(sq.T, pairwise_sq_dists(centres, queries))
+
+
+class TestBlockedDistancePass:
+    """The row-blocked distance pass against the unblocked one-buffer oracles, bit for bit."""
+
+    M = 500  # columns of the rectangular cases
+    ROWS = kernels._BLOCK_ENTRIES // M  # rows per block against M columns
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7])
+    def test_rectangular_across_block_edges(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        queries = rng.standard_normal((n, d))
+        centres = rng.standard_normal((self.M, d))
+        assert np.array_equal(pairwise_sq_dists(queries, centres), unblocked_sq_dists(queries, centres))
+        assert np.array_equal(_kde_log_density(centres, queries, 0.3),
+                              unblocked_kde_log_density(centres, queries, 0.3))
+
+    def test_more_columns_than_block_entries(self):
+        # one row per block, the buffer larger than the budget
+        rng = np.random.default_rng(11)
+        queries = rng.standard_normal((3, 2))
+        centres = rng.standard_normal((kernels._BLOCK_ENTRIES + 5, 2))
+        assert np.array_equal(pairwise_sq_dists(queries, centres), unblocked_sq_dists(queries, centres))
+        assert np.array_equal(_kde_log_density(centres, queries, 0.3),
+                              unblocked_kde_log_density(centres, queries, 0.3))
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_gaussian_gram(self, n, d):
+        # 256 rows fill exactly one 2^16-entry block; 257 leave a two-row tail block
+        rng = np.random.default_rng(12 * n + d)
+        x = rng.standard_normal((n, d))
+        kernel = GaussianKernel(0.5 * d)
+        assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 257, 700])
+    def test_median_bandwidth(self, n):
+        # odd and even pair counts take the median's one- and two-element branches
+        rng = np.random.default_rng(13 * n)
+        x = rng.standard_normal((n, 2))
+        assert median_bandwidth(x) == unblocked_median_bandwidth(x)
 
 
 class TestMedianBandwidth:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -258,6 +259,23 @@ class TestThinProductsAgainstDenseInteraction:
             tracemalloc.stop()
         assert peak <= 3.5 * 8 * n**2
 
+    def test_peak_memory_factors_in_place(self):
+        # K, K + eps I factored in place through its Fortran-order transpose,
+        # and distance blocks of 2^16 entries: no third N x N array
+        n, d = 1000, 2
+        rng = np.random.default_rng(6)
+        cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=gaussian_target(rng, d),
+                            tau=0.05, eps=0.1, damping=ConstantDamping(0.9))
+        ens = random_ensemble(rng, n, d)
+        asvgd_step(random_ensemble(rng, 10, d), cfg)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            asvgd_step(ens, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n**2
+
 
 class TestRestartLogic:
     def test_speed_restart_resets_and_increments(self):
@@ -516,6 +534,17 @@ class TestRun:
                             algorithm="asvgd")
         with pytest.raises(RuntimeError, match="iteration 1.*smallest singular value"):
             run(cfg, x0, 3)
+
+    def test_singular_gram_value_is_of_the_unfactored_matrix(self):
+        # the failed in-place factorization leaves a partial factor in its buffer,
+        # whose smallest singular value (0.62 here) is not the Gram matrix's
+        x0 = np.array([[0.5, -0.2], [0.5, -0.2], [1.0, 1.0]])
+        cfg = SamplerConfig(kernel=GaussianKernel(0.5), target=QuarticTarget(), tau=0.05, eps=0.0,
+                            algorithm="asvgd")
+        with pytest.raises(RuntimeError) as info:
+            run(cfg, x0, 3)
+        smin = float(re.search(r"smallest singular value (\S+)\)", str(info.value)).group(1))
+        assert smin <= 1e-12
 
     def test_diverging_langevin_run_fails_at_first_non_finite_position(self):
         # the steinflow-run config {"sampler": "ula", "target": "double-bananas",
