@@ -1,0 +1,67 @@
+"""Digest of every file a fixed grid of ``steinflow run`` calls writes.
+
+    python3 scripts/output_digest.py [--src DIR] > digest.txt
+
+The grid is 5 samplers x 2 kernels x 4 built-in targets x 2 dampings, each run
+with N = 60 particles, 12 steps, record_every 3 and eps = 0.1, inside a
+temporary directory.  The script prints one ``sha256  path`` line per output
+file and one ``run  error: ...`` line per failed run, with paths relative to
+that directory.  Run it on two checkouts and diff the outputs to check that a
+change leaves every CLI output byte-identical; ``--src`` names the directory
+that holds the ``steinflow`` package to import (default: this checkout's
+``src``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SAMPLERS = ("asvgd", "svgd", "ula", "mala", "uld")
+KERNELS = ("gaussian", "bilinear")
+TARGETS = ("gauss-correlated", "gauss-aniso", "quartic", "double-bananas")
+DAMPINGS = ("restart", "constant")
+FIXED = {"n_particles": 60, "n_steps": 12, "record_every": 3, "eps": 0.1}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the steinflow package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from steinflow import cli
+
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # output_dir stays relative, so manifest.json does not name the temp dir
+        try:
+            for sampler, kernel, target, damping in itertools.product(SAMPLERS, KERNELS, TARGETS, DAMPINGS):
+                name = f"{sampler}-{kernel}-{target}-{damping}"
+                config = Path(f"{name}.json")
+                config.write_text(json.dumps({"sampler": sampler, "kernel": kernel, "target": target,
+                                              "damping": damping, "output_dir": name, **FIXED}),
+                                  encoding="utf-8")
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    cli.main(["run", str(config)])
+                lines += [f"{name}  {line}" for line in stderr.getvalue().splitlines()
+                          if line.startswith("error:")]
+                for out in sorted(p for p in Path(name).rglob("*") if p.is_file()):
+                    lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {out.as_posix()}")
+        finally:
+            os.chdir(cwd)
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,15 +15,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
 KERNELS = ("gaussian", "bilinear")
 DAMPINGS = ("restart", "constant")
-
-_KNOWN_KEYS = {
-    "sampler", "target", "kernel", "sigma2", "a_matrix",
-    "n_particles", "n_steps", "tau", "eps", "seed",
-    "damping", "beta", "use_speed_restart", "use_gradient_restart", "restart_offset",
-    "init_mean", "init_cov", "record_every", "output_dir",
-    "q_is_precision", "target_mean", "target_q", "kl_method", "alg2_literal",
-}
-
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range experiment configurations."""
@@ -132,6 +123,9 @@ class ExperimentConfig:
         return mean, cov, chol
 
 
+_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
@@ -168,6 +162,9 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(not (cfg.sampler == "asvgd" and cfg.kernel == "bilinear" and cfg.eps == 0),
              "eps must be > 0 for sampler asvgd with the bilinear kernel: its Gram matrix has "
              "rank at most d + 1, so K + eps I is singular at eps = 0 once N > d + 1")
+    _require(not cfg.alg2_literal or (cfg.sampler == "svgd" and cfg.kernel == "gaussian"),
+             "alg2_literal applies only to sampler svgd with the gaussian kernel: it moves the "
+             "1/sigma2 factor of the plain Gaussian-kernel update, and every other step ignores it")
     _require(isinstance(cfg.sigma2, (int, float)) and cfg.sigma2 > 0, "sigma2 must be > 0")
     _require(isinstance(cfg.n_particles, int) and cfg.n_particles >= 1,
              "n_particles must be a positive integer")

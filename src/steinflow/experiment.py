@@ -156,9 +156,8 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         report["optimal_a_1d"] = a_s
         report["optimal_step_1d"] = h_s
 
-    commuting = np.linalg.norm(a @ q - q @ a) <= 1e-10 * max(np.linalg.norm(a) * np.linalg.norm(q), 1e-300)
     accelerated = None
-    if np.allclose(b, 0.0) and commuting:
+    if np.allclose(b, 0.0) and spectral.commutes(a, q):
         alpha = spectral.optimal_damping(a)
         accelerated = spectral.asvgd_linearized_spectrum(a, q, alpha).to_dict()
         theta = float(np.linalg.eigvalsh(a).min())

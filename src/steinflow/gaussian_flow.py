@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import commutes
+
 __all__ = [
     "GaussianState",
     "AcceleratedGaussianState",
@@ -224,9 +226,7 @@ def closed_form_sigma(t, sigma0, q, a):
     q = _check_spd(q, "q")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     for m1, m2, names in ((sigma0, q, "sigma0, q"), (a, q, "a, q"), (a, sigma0, "a, sigma0")):
-        comm = m1 @ m2 - m2 @ m1
-        scale = max(np.linalg.norm(m1) * np.linalg.norm(m2), 1e-300)
-        if np.linalg.norm(comm) > 1e-10 * scale:
+        if not commutes(m1, m2):
             raise ValueError(f"matrices {names} do not commute")
     vals, vecs = np.linalg.eigh(a)
     exp_m2ta = (vecs * np.exp(-2.0 * t * vals)) @ vecs.T

@@ -1,13 +1,23 @@
-"""Positive-definite kernels, Gram matrices, bandwidth selection and the low-rank solve.
+"""Positive-definite kernels: each one owns the kernel-specific part of the samplers' steps.
 
 Two kernel families are supported:
 
 * ``GaussianKernel(sigma2)``  -- k(x, y) = exp(-|x - y|^2 / (2 sigma2)),
 * ``BilinearKernel(a)``       -- k(x, y) = x^T A y + 1 with A symmetric positive definite.
 
-The bilinear Gram matrix has rank at most d + 1, so (K + eps I) is invertible
-only for eps > 0; ``woodbury_inverse_apply`` solves with it on the rank-(d+1)
-factor in O(N d^2).
+A kernel is anything with the two step methods the samplers call:
+
+* ``accelerated_terms(x, y, g, eps, tau)`` returns, for the accelerated step
+  at positions X with momenta Y and G = grad_f(X), the density momenta
+  V = N (K + eps I)^-1 Y, the drive K G, the repulsion push of the momentum
+  update and the gradient-restart statistic (NaN when the kernel has none);
+* ``plain_step(x, g, tau, alg2_literal)`` returns the positions after one
+  plain kernel-transport step.
+
+The Gaussian kernel solves with the dense Gram matrix from ``gram`` through
+``cholesky_inverse_apply``.  The bilinear Gram matrix has rank at most d + 1,
+so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
+solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
 Every squared distance in the package -- the Gaussian Gram matrix, the median
 bandwidth and the KDE of ``diagnostics`` -- comes from one loop,
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "GaussianKernel",
@@ -29,6 +40,7 @@ __all__ = [
     "gram",
     "pairwise_sq_dists",
     "median_bandwidth",
+    "cholesky_inverse_apply",
     "woodbury_inverse_apply",
 ]
 
@@ -42,6 +54,61 @@ class GaussianKernel:
     def __post_init__(self):
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be a positive real, got {self.sigma2}")
+
+    def accelerated_terms(self, x, y, g, eps, tau):
+        """V, K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
+
+        The momentum update needs the interaction matrix
+        W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
+        is never formed.  With P = K [G | X | V | Z | 1] (G = grad_f(X),
+        Z[:, a d + c] = V_a X_c), M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
+
+            W 1 = N K1 + K r - rowsum(KV o KV),
+            W X = N KX + K M - E,   E_ic = sum_a (KV)_ia (KZ)_i,ac,
+
+        and the restart statistic reads KG, KX and K1 from P.  The two products
+        cost O(N^2 (d^2 + 4d + 2)) instead of the O(N^3) of forming W, so they
+        stop paying once d^2 approaches N (d of about 30 at N = 1000); every
+        built-in target has d <= 10.
+        """
+        n, d = x.shape
+        k = gram(self, x).k
+        v = cholesky_inverse_apply(k, eps, y, n)
+        # z[i, a*d + c] = V_ia X_ic
+        z = (v[:, :, None] * x[:, None, :]).reshape(n, d * d)
+        p = k @ np.hstack([g, x, v, z, np.ones((n, 1))])
+        kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
+        kz = p[:, 3 * d : -1].reshape(n, d, d)
+        k1 = p[:, -1]
+        # Dissipation -dE/dt in matrix form, negative when the energy is rising:
+        # -(1/N^2) [tr(V^T K G) + tr(V^T (K - diag(K 1)) X) / sigma2], the matrix
+        # form of the negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j)
+        # grad_f(X_i) - grad2_k(X_j, X_i)>.
+        drive = float(np.tensordot(v, kg))
+        repulsion = float(np.tensordot(v, kx - k1[:, None] * x))
+        grad_stat = -(drive + repulsion / self.sigma2) / n**2
+        m = np.einsum("ia,iac->ic", v, kz)
+        r = np.einsum("ia,ia->i", v, kv)
+        q = k @ np.hstack([m, r[:, None]])
+        w1 = n * k1 + (q[:, -1] - np.einsum("ia,ia->i", kv, kv))
+        wx = n * kx + (q[:, :-1] - np.einsum("ia,iac->ic", kv, kz))
+        push = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
+        return v, kg, push, grad_stat
+
+    def plain_step(self, x, g, tau, alg2_literal=False):
+        """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
+
+        With ``alg2_literal`` the 1/sigma2 factor moves from the repulsion term
+        to the driving term instead.
+        """
+        k = gram(self, x).k
+        k1 = k.sum(axis=1)
+        repulsion = k1[:, None] * x - k @ x
+        if alg2_literal:
+            direction = repulsion - (k @ g) / self.sigma2
+        else:
+            direction = repulsion / self.sigma2 - k @ g
+        return x + (tau / x.shape[0]) * direction
 
 
 class BilinearKernel:
@@ -64,18 +131,42 @@ class BilinearKernel:
         return f"BilinearKernel(a={self.a.tolist()})"
 
     def low_rank_factor(self, x):
-        """U with U U^T = gram(self, x): columns [X L | 1] where A = L L^T."""
+        """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T."""
         x = np.asarray(x, dtype=float)
         return np.hstack([x @ self.chol_a, np.ones((x.shape[0], 1))])
+
+    def accelerated_terms(self, x, y, g, eps, tau):
+        """V, K grad_f(X) and repulsion push of the accelerated step at X; no restart statistic.
+
+        Needs eps > 0: the Gram matrix has rank at most d + 1, so K + eps I is
+        singular at eps = 0 as soon as N > d + 1.
+        """
+        if eps == 0:
+            raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
+                             "its Gram matrix has rank at most d + 1")
+        n = x.shape[0]
+        u = self.low_rank_factor(x)
+        v = woodbury_inverse_apply(u, eps, y, n)
+        kg = u @ (u.T @ g)
+        scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
+        return v, kg, np.sqrt(tau) * scale * (x @ self.a), float("nan")
+
+    def plain_step(self, x, g, tau, alg2_literal=False):
+        """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
+
+        The driving term enters with a minus sign, which is the descent
+        direction of the underlying flow; ``alg2_literal`` has no effect here.
+        """
+        u = self.low_rank_factor(x)
+        kg = u @ (u.T @ g)
+        return x + tau * (x @ self.a - kg / x.shape[0])
 
 
 @dataclass
 class GramMatrix:
-    """Kernel matrix together with the kernel and points it was built from."""
+    """Dense kernel matrix K."""
 
     k: np.ndarray
-    kernel: object
-    points: np.ndarray
 
 
 # entries per distance block; a block always holds at least one full row
@@ -126,27 +217,22 @@ def pairwise_sq_dists(a, b) -> np.ndarray:
 
 
 def gram(kernel, x) -> GramMatrix:
-    """Kernel matrix K with K[i, j] = k(x_i, x_j); symmetric by construction.
+    """Gaussian kernel matrix K with K[i, j] = k(x_i, x_j); symmetric with a unit diagonal.
 
-    The Gaussian kernel scales each distance block and exponentiates it
-    straight into K, so K is the only N x N array it allocates.
+    Each distance block is scaled and exponentiated straight into K, so K is
+    the only N x N array it allocates.
     """
+    if not isinstance(kernel, GaussianKernel):
+        raise TypeError(f"gram builds dense Gaussian Gram matrices only, got {kernel!r}; "
+                        "a bilinear kernel's Gram matrix is U U^T with U from its low_rank_factor")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected an N x d point array with N >= 1, got shape {x.shape}")
-    if isinstance(kernel, GaussianKernel):
-        k = np.empty((x.shape[0], x.shape[0]))
-        for start, stop, block in _sq_dist_blocks(x, x):
-            block /= -2.0 * kernel.sigma2
-            np.exp(block, out=k[start:stop])  # unit diagonal: the distance diagonal is exactly zero
-    elif isinstance(kernel, BilinearKernel):
-        if x.shape[1] != kernel.dim:
-            raise ValueError(f"kernel expects dimension {kernel.dim}, got {x.shape[1]}")
-        k = x @ kernel.a @ x.T + 1.0
-        k = 0.5 * (k + k.T)
-    else:
-        raise TypeError(f"unsupported kernel {kernel!r}")
-    return GramMatrix(k=k, kernel=kernel, points=x)
+    k = np.empty((x.shape[0], x.shape[0]))
+    for start, stop, block in _sq_dist_blocks(x, x):
+        block /= -2.0 * kernel.sigma2
+        np.exp(block, out=k[start:stop])  # unit diagonal: the distance diagonal is exactly zero
+    return GramMatrix(k=k)
 
 
 def median_bandwidth(x) -> float:
@@ -170,6 +256,28 @@ def median_bandwidth(x) -> float:
     if med == 0.0:
         raise ValueError("all points identical: median bandwidth undefined")
     return med**2 / (2.0 * np.log(n + 1.0))
+
+
+def cholesky_inverse_apply(k, eps, y, n):
+    """n * (K + eps I)^-1 y by a Cholesky factorization; K itself is left intact.
+
+    Raises LinAlgError with the smallest singular value of K + eps I when the
+    factorization fails.
+    """
+    k_eps = k.copy()
+    k_eps.flat[:: n + 1] += eps
+    try:
+        # K + eps I equals its transpose exactly, and the transpose is a
+        # Fortran-order view that LAPACK factors in place without a copy
+        factor = scipy.linalg.cho_factor(k_eps.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        k_eps = k.copy()  # the failed factorization overwrote the buffer
+        k_eps.flat[:: n + 1] += eps
+        smin = np.linalg.svd(k_eps, compute_uv=False).min()
+        raise np.linalg.LinAlgError(
+            f"regularized kernel matrix singular (smallest singular value {smin:.3e})"
+        ) from None
+    return n * scipy.linalg.cho_solve(factor, y, check_finite=False)
 
 
 def woodbury_inverse_apply(u, eps, y, n):

@@ -9,26 +9,22 @@ alpha_i = (count_i - 1) / (count_i + r - 1).
 One accelerated step runs
 
 1. X <- X + sqrt(tau) Y
-2. K <- gram(X);  V <- N (K + eps I)^-1 Y
-3. per-particle speed restart, global gradient restart (Gaussian kernel),
-   damping alpha from the counters (or a constant beta)
-4. kernel-specific momentum update in Y (alpha applied row-wise to the old Y).
+2. V <- N (K + eps I)^-1 Y
+3. per-particle speed restart, global gradient restart (when the kernel
+   supplies a restart statistic), damping alpha from the counters (or a
+   constant beta)
+4. Y <- alpha Y - (sqrt(tau) / N) K grad_f(X) + push.
 
-Steps 1 and 3 and the final combination of step 4 are shared; each kernel
-supplies V, K grad_f(X), its repulsion push and the restart statistic.  For the
-bilinear kernel these run on the rank-(d+1) factorization of the Gram matrix,
-so the step never forms an N x N matrix; eps must be positive, since K itself
-is singular once N > d + 1.  For the Gaussian kernel, step 4 and the
-restart statistic of step 3 multiply K only by thin matrices:
-one product K [grad_f(X) | X | V | Z | 1], with Z the N x d^2 matrix of
-products V_ia X_ic, and one product K [M | r] built from it.  That is
-O(N^2 (d^2 + 4d + 2)) after the O(N^3) Cholesky factorization, with no N x N
-temporary after it.
+Steps 1 and 3 and the combination of step 4 are the same for every kernel.
+The kernel's ``accelerated_terms`` supplies V, K grad_f(X), the repulsion push
+and the restart statistic, and its ``plain_step`` the whole plain update, so
+``asvgd_step`` and ``svgd_step`` never ask which kernel they run on; see
+``kernels`` for how each kernel computes them.  ``SamplerConfig`` rejects a
+kernel without those two methods.
 
 ``step`` is the one place the five samplers are told apart, and ``run`` is the
-one loop over it.  ``asvgd_step`` and ``svgd_step`` each tell the two kernels
-apart once; ``SamplerConfig`` rejects any other kernel.  The Langevin samplers
-keep their state in the same ``ParticleEnsemble``: ULD's momentum lives in Y.
+one loop over it.  The Langevin samplers keep their state in the same
+``ParticleEnsemble``: ULD's momentum lives in Y.
 """
 
 from __future__ import annotations
@@ -36,10 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-
-from . import kernels
-from .kernels import BilinearKernel, GaussianKernel
 
 __all__ = [
     "ParticleEnsemble",
@@ -64,8 +56,8 @@ class ParticleEnsemble:
     """Positions, momenta and restart bookkeeping for one particle system.
 
     ``prev_step_norms`` holds each particle's displacement in the last step, and
-    ``grad_stat`` the gradient-restart statistic of the last accelerated
-    Gaussian-kernel step (NaN when no such step computed one).
+    ``grad_stat`` the gradient-restart statistic of the last accelerated step
+    (NaN when no step computed one; of the two kernels only the Gaussian does).
     """
 
     x: np.ndarray
@@ -142,27 +134,14 @@ class SamplerConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not isinstance(self.kernel, (GaussianKernel, BilinearKernel)):
+        # the two methods the kernel samplers call; see the kernels module docstring
+        if not all(callable(getattr(self.kernel, m, None)) for m in ("accelerated_terms", "plain_step")):
             raise TypeError(f"unsupported kernel {self.kernel!r}")
 
 
 def _check_finite(arr, iteration, what):
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
-
-
-def _grad_restart_stat_gaussian(v, x, kg, kx, k1, sigma2):
-    """Dissipation -dE/dt in matrix form; negative means the energy is rising.
-
-    -(1/N^2) [tr(V^T K grad_f(X)) + tr(V^T (K - diag(K 1)) X) / sigma2], the
-    matrix form of the negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j)
-    grad_f(X_i) - grad2_k(X_j, X_i)>; ``kg``, ``kx`` and ``k1`` are K grad_f(X),
-    K X and K 1.
-    """
-    n = x.shape[0]
-    drive = float(np.tensordot(v, kg))
-    repulsion = float(np.tensordot(v, kx - k1[:, None] * x))
-    return -(drive + repulsion / sigma2) / n**2
 
 
 def _damping_vector(ens, cfg, step_norms, grad_stat):
@@ -187,88 +166,11 @@ def _damping_vector(ens, cfg, step_norms, grad_stat):
     return alpha, counts
 
 
-def _gaussian_terms(ens, cfg, x_new, g, include_interaction):
-    """V, K grad_f(X), repulsion push and restart statistic of the Gaussian-kernel step.
-
-    The momentum update needs the interaction matrix
-    W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
-    is never formed.  With P = K [G | X | V | Z | 1] (G = grad_f(X),
-    Z[:, a d + c] = V_a X_c), M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
-
-        W 1 = N K1 + K r - rowsum(KV o KV),
-        W X = N KX + K M - E,   E_ic = sum_a (KV)_ia (KZ)_i,ac,
-
-    and the restart statistic reads KG, KX and K1 from P.  The two products
-    cost O(N^2 (d^2 + 4d + 2)) instead of the O(N^3) of forming W, so they
-    stop paying once d^2 approaches N (d of about 30 at N = 1000); every
-    built-in target has d <= 10.
-    """
-    n = ens.n
-    k = kernels.gram(cfg.kernel, x_new).k
-    k_eps = k.copy()
-    k_eps.flat[:: n + 1] += cfg.eps
-    try:
-        # K + eps I equals its transpose exactly, and the transpose is a
-        # Fortran-order view that LAPACK factors in place without a copy
-        c, low = scipy.linalg.cho_factor(k_eps.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        k_eps = k.copy()  # the failed factorization overwrote the buffer
-        k_eps.flat[:: n + 1] += cfg.eps
-        smin = np.linalg.svd(k_eps, compute_uv=False).min()
-        raise np.linalg.LinAlgError(
-            f"regularized kernel matrix singular at iteration {ens.iteration + 1} "
-            f"(smallest singular value {smin:.3e})"
-        ) from None
-    v_new = n * scipy.linalg.cho_solve((c, low), ens.y, check_finite=False)
-    sigma2 = cfg.kernel.sigma2
-    d = ens.dim
-    # z[i, a*d + c] = V_ia X_ic
-    z = (v_new[:, :, None] * x_new[:, None, :]).reshape(n, d * d)
-    p = k @ np.hstack([g, x_new, v_new, z, np.ones((n, 1))])
-    kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
-    kz = p[:, 3 * d : -1].reshape(n, d, d)
-    k1 = p[:, -1]
-    grad_stat = _grad_restart_stat_gaussian(v_new, x_new, kg, kx, k1, sigma2)
-    w1 = n * k1
-    wx = n * kx
-    if include_interaction:
-        m = np.einsum("ia,iac->ic", v_new, kz)
-        r = np.einsum("ia,ia->i", v_new, kv)
-        q = k @ np.hstack([m, r[:, None]])
-        w1 += q[:, -1] - np.einsum("ia,ia->i", kv, kv)
-        wx += q[:, :-1] - np.einsum("ia,iac->ic", kv, kz)
-    push = (np.sqrt(cfg.tau) / (n**2 * sigma2)) * (w1[:, None] * x_new - wx)
-    return v_new, kg, push, grad_stat
-
-
-def _bilinear_terms(ens, cfg, x_new, g, include_interaction):
-    """V, K grad_f(X) and repulsion push of the bilinear-kernel step; no restart statistic.
-
-    Needs eps > 0: the Gram matrix has rank at most d + 1, so K + eps I is
-    singular at eps = 0 as soon as N > d + 1.
-    """
-    if cfg.eps == 0:
-        raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
-                         "its Gram matrix has rank at most d + 1")
-    n = ens.n
-    u = cfg.kernel.low_rank_factor(x_new)
-    v_new = kernels.woodbury_inverse_apply(u, cfg.eps, ens.y, n)
-    kg = u @ (u.T @ g)
-    scale = 1.0 + np.linalg.norm(u.T @ v_new) ** 2 / n**2 if include_interaction else 1.0
-    push = np.sqrt(cfg.tau) * scale * (x_new @ cfg.kernel.a)
-    return v_new, kg, push, float("nan")
-
-
-def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: bool = True) -> ParticleEnsemble:
+def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
     """One accelerated transport step (position, density momentum, damping, momentum).
 
-    ``include_interaction=False`` drops the quadratic-in-V interaction term of
-    the momentum update; with zero damping this reduces the X-iterates to the
-    plain scheme with step tau, which the tests exploit.
-
-    The kernel-specific terms come from ``_gaussian_terms`` or
-    ``_bilinear_terms``; the bilinear kernel requires eps > 0 and raises
-    ValueError otherwise.
+    The kernel-specific terms come from ``cfg.kernel.accelerated_terms``; the
+    bilinear kernel requires eps > 0 and raises ValueError otherwise.
     """
     n = ens.n
     sqrt_tau = np.sqrt(cfg.tau)
@@ -277,8 +179,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
     g = cfg.target.grad_all(x_new)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
 
-    terms = _gaussian_terms if isinstance(cfg.kernel, GaussianKernel) else _bilinear_terms
-    v_new, kg, push, grad_stat = terms(ens, cfg, x_new, g, include_interaction)
+    v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(x_new, ens.y, g, cfg.eps, cfg.tau)
     alpha, counts = _damping_vector(ens, cfg, step_norms, grad_stat)
     y_new = alpha[:, None] * ens.y - (sqrt_tau / n) * kg + push
 
@@ -295,31 +196,9 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, include_interaction: b
 
 
 def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
-    """Plain kernel-transport step.
-
-    Gaussian kernel: X <- X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ];
-    with ``cfg.alg2_literal`` the 1/sigma2 factor moves from the repulsion term
-    to the driving term instead.
-
-    Bilinear kernel: X <- X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1)
-    factor; the driving term enters with a minus sign, which is the descent
-    direction of the underlying flow.
-    """
-    n = ens.n
+    """Plain kernel-transport step; the update itself is ``cfg.kernel.plain_step``."""
     g = cfg.target.grad_all(ens.x)
-    if isinstance(cfg.kernel, GaussianKernel):
-        k = kernels.gram(cfg.kernel, ens.x).k
-        k1 = k.sum(axis=1)
-        repulsion = k1[:, None] * ens.x - k @ ens.x
-        if cfg.alg2_literal:
-            direction = repulsion - (k @ g) / cfg.kernel.sigma2
-        else:
-            direction = repulsion / cfg.kernel.sigma2 - k @ g
-        x_new = ens.x + (cfg.tau / n) * direction
-    else:
-        u = cfg.kernel.low_rank_factor(ens.x)
-        kg = u @ (u.T @ g)
-        x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
+    x_new = cfg.kernel.plain_step(ens.x, g, cfg.tau, cfg.alg2_literal)
     _check_finite(x_new, ens.iteration + 1, "position update")
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)

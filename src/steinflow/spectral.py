@@ -16,6 +16,7 @@ __all__ = [
     "vec",
     "unvec",
     "sym_kron_sum",
+    "commutes",
     "svgd_linearized_matrix",
     "eigs_1d",
     "optimal_a_svgd",
@@ -42,11 +43,10 @@ def sym_kron_sum(m, n):
     return np.kron(m, n) + np.kron(n, m)
 
 
-def _check_commuting(a, q):
-    comm = a @ q - q @ a
-    scale = max(np.linalg.norm(a) * np.linalg.norm(q), 1e-300)
-    if np.linalg.norm(comm) > 1e-10 * scale:
-        raise ValueError("A and Q must commute")
+def commutes(a, b):
+    """Whether |AB - BA| <= 1e-10 |A| |B| in the Frobenius norm (the scale floored at 1e-300)."""
+    scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300)
+    return np.linalg.norm(a @ b - b @ a) <= 1e-10 * scale
 
 
 @dataclass
@@ -154,7 +154,8 @@ def _simultaneous_eigvals(a, q):
     Within a repeated eigenvalue block of Q the basis returned by eigh is
     rotated so that it also diagonalizes A.
     """
-    _check_commuting(a, q)
+    if not commutes(a, q):
+        raise ValueError("A and Q must commute")
     q_vals, v = np.linalg.eigh(q)
     n = q_vals.size
     i = 0

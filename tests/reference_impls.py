@@ -200,7 +200,7 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     )
 
 
-def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=True) -> ParticleEnsemble:
+def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     """One accelerated Gaussian-kernel step with the interaction matrix W formed densely.
 
     W = N K + K ((V V^T) o K) - K o ((K V) V^T) as an N x N matrix (an N^3
@@ -221,11 +221,8 @@ def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=Tr
     grad_stat = -(drive + repulsion / sigma2) / n**2
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     alpha, counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
-    if include_interaction:
-        vvt = v_new @ v_new.T
-        w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
-    else:
-        w = n * k
+    vvt = v_new @ v_new.T
+    w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
     y_new = (
         alpha[:, None] * ens.y
         - (st / n) * kg

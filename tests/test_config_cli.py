@@ -102,6 +102,13 @@ class TestParseConfig:
         outdir = run_experiment(cfg)
         assert len((outdir / "metrics.csv").read_text().strip().split("\n")) == 2 + 4  # records at 0, 2, 4 and 5
 
+    @pytest.mark.parametrize("sampler, kernel", [("asvgd", "gaussian"), ("svgd", "bilinear"), ("mala", "gaussian")])
+    def test_alg2_literal_only_where_it_has_an_effect(self, sampler, kernel):
+        with pytest.raises(ConfigError, match="alg2_literal applies only to sampler svgd with the gaussian kernel"):
+            parse_config(json.dumps({"target": "quartic", "sampler": sampler, "kernel": kernel,
+                                     "alg2_literal": True}))
+        assert parse_config('{"target": "quartic", "sampler": "svgd", "alg2_literal": true}').alg2_literal
+
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
             parse_config('{"target": "quartic", "init_cov": [[1.0, 2.0], [2.0, 1.0]]}')

@@ -26,6 +26,14 @@ from reference_impls import (
 )
 
 
+def dense_gram(kernel, x):
+    """K from ``gram`` for the Gaussian kernel, U U^T from the low-rank factor for the bilinear one."""
+    if isinstance(kernel, GaussianKernel):
+        return gram(kernel, x).k
+    u = kernel.low_rank_factor(x)
+    return u @ u.T
+
+
 class TestEval:
     def test_gaussian_coincident_points(self):
         k = GaussianKernel(0.37)
@@ -103,8 +111,8 @@ class TestGram:
         assert np.array_equal(gm.k, np.ones((2, 2)))
 
     def test_bilinear_standard_basis(self):
-        gm = gram(BilinearKernel(np.eye(2)), np.eye(2))
-        assert np.allclose(gm.k, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
+        u = BilinearKernel(np.eye(2)).low_rank_factor(np.eye(2))
+        assert np.allclose(u @ u.T, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15)
 
     def test_gaussian_unit_diagonal(self):
         rng = np.random.default_rng(0)
@@ -116,8 +124,9 @@ class TestGram:
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = rng.standard_normal((25, 2))
-            k = gram(kernel, x).k
+            k = dense_gram(kernel, x)
             assert np.array_equal(k, k.T)
+            assert np.allclose(k, loop_gram(kernel, x), rtol=1e-13, atol=1e-14)
             min_eig = np.linalg.eigvalsh(k).min()
             assert min_eig >= -1e-10 * np.linalg.norm(k)
 
@@ -132,8 +141,13 @@ class TestGram:
     def test_bilinear_rank(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 2))
-        k = gram(BilinearKernel(np.eye(2)), x).k
-        assert np.linalg.matrix_rank(k, tol=1e-9) <= 3
+        kernel = BilinearKernel(np.eye(2))
+        assert kernel.low_rank_factor(x).shape == (10, 3)
+        assert np.linalg.matrix_rank(loop_gram(kernel, x), tol=1e-9) <= 3
+
+    def test_bilinear_kernel_has_no_dense_gram(self):
+        with pytest.raises(TypeError, match="low_rank_factor"):
+            gram(BilinearKernel(np.eye(2)), np.eye(2))
 
 
 class TestPairwiseSqDists:
@@ -265,7 +279,7 @@ class TestRegularizedInverse:
         x = rng.standard_normal((5, 2))
         y = rng.standard_normal((5, 2))
         fast = woodbury_inverse_apply(kernel.low_rank_factor(x), 0.1, y, 5)
-        dense = 5.0 * np.linalg.solve(gram(kernel, x).k + 0.1 * np.eye(5), y)
+        dense = 5.0 * np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
         assert np.allclose(fast, dense, rtol=1e-8)
 
     def test_bilinear_residual(self):
@@ -275,5 +289,5 @@ class TestRegularizedInverse:
         y = rng.standard_normal((12, 3))
         eps = 0.05
         v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y, 12)
-        resid = (gram(kernel, x).k + eps * np.eye(12)) @ v / 12.0 - y
+        resid = (loop_gram(kernel, x) + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)

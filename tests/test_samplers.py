@@ -118,27 +118,6 @@ class TestZeroMomentumReduction:
         assert np.allclose(ens.y, 0.0, atol=1e-14)  # drive and interaction both vanish
 
 
-class TestPlainStepReduction:
-    def test_zero_damping_matches_plain_sequence(self):
-        rng = np.random.default_rng(2)
-        target = gaussian_target(rng, 2)
-        kernel = GaussianKernel(0.9)
-        x0 = rng.standard_normal((6, 2))
-        cfg = SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.0,
-                            damping=ConstantDamping(0.0))
-        acc = ParticleEnsemble.initialize(x0)
-        plain = ParticleEnsemble.initialize(x0)
-        acc_states = [acc.x.copy()]
-        plain_states = [plain.x.copy()]
-        for _ in range(10):
-            acc = asvgd_step(acc, cfg, include_interaction=False)
-            acc_states.append(acc.x.copy())
-            plain = svgd_step(plain, cfg)
-            plain_states.append(plain.x.copy())
-        for k in range(10):
-            assert np.abs(acc_states[k + 1] - plain_states[k]).max() <= 1e-10
-
-
 class TestMatrixFormAgainstLoops:
     @pytest.mark.parametrize("kernel_kind", ["gaussian", "bilinear"])
     @pytest.mark.parametrize("damping_kind", ["constant", "restart"])
@@ -232,14 +211,13 @@ class TestThinProductsAgainstDenseInteraction:
     @pytest.mark.parametrize("n", [50, 400])
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("damping", [RestartNesterov(), ConstantDamping(0.6)], ids=["restart", "constant"])
-    @pytest.mark.parametrize("include_interaction", [True, False])
-    def test_step_matches_dense_form(self, n, d, damping, include_interaction):
+    def test_step_matches_dense_form(self, n, d, damping):
         rng = np.random.default_rng(1000 * n + d)
         cfg = SamplerConfig(kernel=GaussianKernel(float(rng.uniform(0.5, 2.0))),
                             target=gaussian_target(rng, d), tau=0.05, eps=0.1, damping=damping)
         ens = random_ensemble(rng, n, d)
-        got = asvgd_step(ens, cfg, include_interaction=include_interaction)
-        ref = dense_asvgd_step_gaussian(ens, cfg, include_interaction=include_interaction)
+        got = asvgd_step(ens, cfg)
+        ref = dense_asvgd_step_gaussian(ens, cfg)
         assert np.abs(got.y - ref.y).max() <= 1e-11 * np.abs(ref.y).max()
         assert got.grad_stat == pytest.approx(ref.grad_stat, rel=1e-11)
         assert np.array_equal(got.restart_count, ref.restart_count)
