@@ -200,12 +200,14 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     )
 
 
-def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
+def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=True) -> ParticleEnsemble:
     """One accelerated Gaussian-kernel step with the interaction matrix W formed densely.
 
     W = N K + K ((V V^T) o K) - K o ((K V) V^T) as an N x N matrix (an N^3
     product), the restart statistic from K X and K 1 of the full K; the
-    production step only ever multiplies K by thin matrices.
+    production step only ever multiplies K by thin matrices.  With
+    ``include_interaction=False`` W is N K alone: the step keeps only the drive
+    and repulsion, which is the plain SVGD direction applied to the momentum.
     """
     n = ens.n
     st = np.sqrt(cfg.tau)
@@ -221,8 +223,11 @@ def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     grad_stat = -(drive + repulsion / sigma2) / n**2
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     alpha, counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
-    vvt = v_new @ v_new.T
-    w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
+    if include_interaction:
+        vvt = v_new @ v_new.T
+        w = n * k + k @ (vvt * k) - k * ((k @ v_new) @ v_new.T)
+    else:
+        w = n * k
     y_new = (
         alpha[:, None] * ens.y
         - (st / n) * kg

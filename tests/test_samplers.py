@@ -26,6 +26,7 @@ from reference_impls import (
     loop_svgd_direction_gaussian,
     random_spd,
     reference_asvgd_step,
+    reference_damping,
 )
 
 
@@ -116,6 +117,29 @@ class TestZeroMomentumReduction:
         ens = asvgd_step(ParticleEnsemble.initialize(np.zeros((1, 2))), cfg)
         assert np.allclose(ens.x, 0.0)
         assert np.allclose(ens.y, 0.0, atol=1e-14)  # drive and interaction both vanish
+
+
+class TestPlainStepReduction:
+    def test_zero_damping_matches_plain_sequence(self):
+        # with zero damping and no interaction term the accelerated sequence is
+        # the plain one shifted by a step: x_{k+1} of the former is x_k of svgd_step
+        rng = np.random.default_rng(2)
+        target = gaussian_target(rng, 2)
+        kernel = GaussianKernel(0.9)
+        x0 = rng.standard_normal((6, 2))
+        cfg = SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.0,
+                            damping=ConstantDamping(0.0))
+        acc = ParticleEnsemble.initialize(x0)
+        plain = ParticleEnsemble.initialize(x0)
+        acc_states = [acc.x.copy()]
+        plain_states = [plain.x.copy()]
+        for _ in range(10):
+            acc = dense_asvgd_step_gaussian(acc, cfg, include_interaction=False)
+            acc_states.append(acc.x.copy())
+            plain = svgd_step(plain, cfg)
+            plain_states.append(plain.x.copy())
+        for k in range(10):
+            assert np.abs(acc_states[k + 1] - plain_states[k]).max() <= 1e-10
 
 
 class TestMatrixFormAgainstLoops:
@@ -211,14 +235,24 @@ class TestThinProductsAgainstDenseInteraction:
     @pytest.mark.parametrize("n", [50, 400])
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("damping", [RestartNesterov(), ConstantDamping(0.6)], ids=["restart", "constant"])
-    def test_step_matches_dense_form(self, n, d, damping):
+    @pytest.mark.parametrize("include_interaction", [True, False])
+    def test_step_matches_dense_form(self, n, d, damping, include_interaction):
         rng = np.random.default_rng(1000 * n + d)
         cfg = SamplerConfig(kernel=GaussianKernel(float(rng.uniform(0.5, 2.0))),
                             target=gaussian_target(rng, d), tau=0.05, eps=0.1, damping=damping)
         ens = random_ensemble(rng, n, d)
         got = asvgd_step(ens, cfg)
-        ref = dense_asvgd_step_gaussian(ens, cfg)
-        assert np.abs(got.y - ref.y).max() <= 1e-11 * np.abs(ref.y).max()
+        ref = dense_asvgd_step_gaussian(ens, cfg, include_interaction=include_interaction)
+        if include_interaction:
+            assert np.abs(got.y - ref.y).max() <= 1e-11 * np.abs(ref.y).max()
+        else:
+            # without W's interaction part the momentum update past the damping
+            # is the kernel's plain step taken with step size sqrt(tau)
+            alpha, _ = reference_damping(ens, cfg, ref.prev_step_norms, ref.grad_stat < 0.0)
+            g = cfg.target.grad_all(got.x)
+            plain = cfg.kernel.plain_step(got.x, g, np.sqrt(cfg.tau)) - got.x
+            drive = ref.y - alpha[:, None] * ens.y
+            assert np.abs(plain - drive).max() <= 1e-11 * np.abs(drive).max()
         assert got.grad_stat == pytest.approx(ref.grad_stat, rel=1e-11)
         assert np.array_equal(got.restart_count, ref.restart_count)
 
