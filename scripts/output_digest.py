@@ -2,9 +2,11 @@
 
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
-The grid is 5 samplers x 2 kernels x 4 built-in targets x 2 dampings, each run
-with N = 60 particles, 12 steps, record_every 3 and eps = 0.1, inside a
-temporary directory.  The script prints one ``sha256  path`` line per output
+The grid is 5 samplers x 2 kernels x 4 built-in targets x 2 dampings, then
+``mala`` with ``kl_method: "kde"`` on the two Gaussian targets (the only CLI
+runs that take a Gaussian target's log-normalizer), each run with N = 60
+particles, 12 steps, record_every 3 and eps = 0.1, inside a temporary
+directory.  The script prints one ``sha256  path`` line per output
 file and one ``run  error: ...`` line per failed run, with paths relative to
 that directory.  Run it on two checkouts and diff the outputs to check that a
 change leaves every CLI output byte-identical; ``--src`` names the directory
@@ -32,6 +34,15 @@ DAMPINGS = ("restart", "constant")
 FIXED = {"n_particles": 60, "n_steps": 12, "record_every": 3, "eps": 0.1}
 
 
+def _runs():
+    """(name, config) of every run, the full grid first."""
+    for sampler, kernel, target, damping in itertools.product(SAMPLERS, KERNELS, TARGETS, DAMPINGS):
+        yield (f"{sampler}-{kernel}-{target}-{damping}",
+               {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping})
+    for target in TARGETS[:2]:
+        yield f"mala-kde-{target}", {"sampler": "mala", "target": target, "kl_method": "kde"}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
@@ -45,15 +56,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # output_dir stays relative, so manifest.json does not name the temp dir
         try:
-            for sampler, kernel, target, damping in itertools.product(SAMPLERS, KERNELS, TARGETS, DAMPINGS):
-                name = f"{sampler}-{kernel}-{target}-{damping}"
-                config = Path(f"{name}.json")
-                config.write_text(json.dumps({"sampler": sampler, "kernel": kernel, "target": target,
-                                              "damping": damping, "output_dir": name, **FIXED}),
-                                  encoding="utf-8")
+            for name, config in _runs():
+                path = Path(f"{name}.json")
+                path.write_text(json.dumps({**config, "output_dir": name, **FIXED}), encoding="utf-8")
                 stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                    cli.main(["run", str(config)])
+                    cli.main(["run", str(path)])
                 lines += [f"{name}  {line}" for line in stderr.getvalue().splitlines()
                           if line.startswith("error:")]
                 for out in sorted(p for p in Path(name).rglob("*") if p.is_file()):

@@ -182,5 +182,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # construction of the derived objects performs matrix-level validation
     sampler_cfg = cfg.build_sampler_config()
+    _require(cfg.kl_method != "gaussian-fit" or isinstance(sampler_cfg.target, targets_mod.GaussianTarget),
+             f"kl_method gaussian-fit needs a Gaussian target, and {cfg.target!r} is not one "
+             "(the metric is the closed-form KL between the moment-fitted Gaussian and the "
+             "target); use kde or auto")
     cfg.initial_distribution(sampler_cfg.target.dim)
     return cfg

@@ -53,16 +53,19 @@ def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
     (snapdir / f"particles_{iteration}.csv").write_text(_csv_text(x), encoding="utf-8")
 
 
-def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat, kde_rng):
+def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
     method = cfg.kl_method
     if method == "auto":
         method = "gaussian-fit" if isinstance(scfg.target, GaussianTarget) else "kde"
     degenerate = False
-    if method == "gaussian-fit":
-        kl, degenerate = gaussian_fit_kl(x, scfg.target)
-    else:
-        kl = kl_estimate(x, scfg.target, method="kde", rng=kde_rng)
-    mean, cov = empirical_moments(x)
+    try:
+        if method == "gaussian-fit":
+            kl, degenerate = gaussian_fit_kl(x, scfg.target)
+        else:
+            kl = kl_estimate(x, scfg.target, method="kde")
+        mean, cov = empirical_moments(x)
+    except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
+        raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
     return MetricRecord(
         iteration=iteration,
         kl_estimate=kl,
@@ -93,7 +96,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
 
     rng = np.random.default_rng(cfg.seed)
     x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
-    kde_rng = np.random.default_rng(cfg.seed + 1)
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
@@ -109,7 +111,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
             if ens.iteration not in record_iters:
                 return
             mean_speed = float(ens.prev_step_norms.mean())
-            row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat, kde_rng)
+            row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat)
             metrics.write(row.csv_row() + "\n")
             metrics.flush()  # a run that fails later keeps every row recorded so far
             _write_snapshot(snapdir, ens.iteration, ens.x)

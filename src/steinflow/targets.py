@@ -3,10 +3,15 @@
 A target has a ``dim`` and four methods: ``potential(x)`` and ``grad(x)`` for
 one point of shape (d,), and ``potential_all(x)`` and ``grad_all(x)`` for the
 rows of an N x d array, returning shapes (N,) and (N, d).  The samplers, the
-KDE metric and the SVG level lines call only the batched pair.
+KDE metric and the SVG level lines call only the batched pair.  Every built-in
+target also has ``log_normalizer`` = log of the integral of exp(-f) over R^d,
+in closed form.  The KDE metric needs it and rejects a target without it,
+such as a ``CustomTarget``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,7 +29,8 @@ class GaussianTarget:
     """Quadratic potential 0.5 (x - b)^T Q^-1 (x - b) for a normal target N(b, Q).
 
     Q is the target covariance; its inverse and log-determinant are cached via
-    a Cholesky factorization at construction.
+    a Cholesky factorization at construction, and with them the log-normalizer
+    (d log 2 pi + log det Q) / 2.
     """
 
     def __init__(self, b, q):
@@ -43,6 +49,7 @@ class GaussianTarget:
         self.q_inv = 0.5 * (self.q_inv + self.q_inv.T)
         self.log_det_q = 2.0 * float(np.log(np.diag(chol)).sum())
         self.dim = self.b.size
+        self.log_normalizer = 0.5 * (self.dim * math.log(2.0 * math.pi) + self.log_det_q)
 
     def potential(self, x):
         r = np.asarray(x, dtype=float) - self.b
@@ -60,9 +67,14 @@ class GaussianTarget:
 
 
 class QuarticTarget:
-    """Non-Lipschitz convex potential (x1^4 + x2^4) / 4 in two dimensions."""
+    """Non-Lipschitz convex potential (x1^4 + x2^4) / 4 in two dimensions.
+
+    Each coordinate integrates to 2 * 4^(1/4) * Gamma(5/4), so the
+    log-normalizer is twice the log of that.
+    """
 
     dim = 2
+    log_normalizer = 2.0 * math.log(2.0 * 4.0**0.25 * math.gamma(1.25))
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -94,6 +106,10 @@ class DoubleBananasTarget:
     f(x) = -log(exp(-F(x)) + exp(-F(Rx))) with the Rosenbrock-type warp
     F(x) = (a - x1)^2 / c1 + c2 (x2 - x1^2)^2 and the reflection R = diag(1, -1).
     The defaults a=1, c1=0.5, c2=5 place both modes inside [-2, 2]^2.
+
+    Each warp integrates to pi sqrt(c1 / c2), whatever ``a`` is (a Gaussian in
+    x1 times a Gaussian in x2 - x1^2), so the log-normalizer is
+    log(2 pi sqrt(c1 / c2)).
     """
 
     dim = 2
@@ -102,6 +118,10 @@ class DoubleBananasTarget:
         self.a = float(a)
         self.c1 = float(c1)
         self.c2 = float(c2)
+
+    @property
+    def log_normalizer(self):
+        return math.log(2.0 * math.pi * math.sqrt(self.c1 / self.c2))
 
     def _warp(self, x1, x2):
         return (self.a - x1) ** 2 / self.c1 + self.c2 * (x2 - x1**2) ** 2
@@ -145,7 +165,10 @@ class DoubleBananasTarget:
 
 
 class CustomTarget:
-    """Wrap user-supplied potential/gradient callables."""
+    """Wrap user-supplied potential/gradient callables.
+
+    It has no ``log_normalizer``, so the KDE metric rejects it.
+    """
 
     def __init__(self, f, grad_f, dim):
         self._f = f

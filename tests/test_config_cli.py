@@ -109,6 +109,11 @@ class TestParseConfig:
                                      "alg2_literal": True}))
         assert parse_config('{"target": "quartic", "sampler": "svgd", "alg2_literal": true}').alg2_literal
 
+    def test_gaussian_fit_kl_needs_gaussian_target(self):
+        with pytest.raises(ConfigError, match="kl_method gaussian-fit needs a Gaussian target.*'double-bananas'"):
+            parse_config('{"target": "double-bananas", "sampler": "mala", "kl_method": "gaussian-fit"}')
+        assert parse_config('{"target": "gauss-aniso", "kl_method": "gaussian-fit"}').kl_method == "gaussian-fit"
+
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
             parse_config('{"target": "quartic", "init_cov": [[1.0, 2.0], [2.0, 1.0]]}')
@@ -132,6 +137,22 @@ class TestRunExperiment:
         lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
         assert lines[:2] == ["# steinflow-metrics-v1", MetricRecord.csv_header(2)]
         assert [line.split(",")[0] for line in lines[2:]] == ["0", "3", "6", "9"]
+
+    def test_failed_metric_names_its_iteration(self, tmp_path, capsys):
+        # the particles diverge and their moment fit stops being positive definite
+        # at the record of iteration 6, after the records at 0 and 3
+        cfg = make_cfg(tmp_path, sampler="svgd", kernel="bilinear", target="gauss-aniso", n_particles=60,
+                       n_steps=12, record_every=3, eps=0.1, seed=0)
+        message = "svgd: gaussian-fit KL metric failed at iteration 6: sigma must be positive definite"
+        with pytest.raises(RuntimeError, match=message):
+            run_experiment(cfg)
+        lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
+        assert [line.split(",")[0] for line in lines[2:]] == ["0", "3"]
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.resolved()))
+        assert main(["run", str(path)]) != 0
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
     def test_determinism_byte_identical(self, tmp_path):
         # one output_dir in both configs, so the manifests may be compared too
@@ -343,8 +364,8 @@ def test_float_formatting_17_significant_digits(tmp_path):
 
 
 def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
-    # the KDE metric of 300 particles spans 2 distance blocks on the particles
-    # and 46 on the 10^4 importance draws; two worker threads must not share them
+    # the KDE metric of 300 particles spans 2 distance blocks; two worker
+    # threads must not share them
     monkeypatch.delenv("STEINFLOW_OUT", raising=False)
     outputs = {}
     for workers in (1, 2):

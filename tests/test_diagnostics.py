@@ -11,7 +11,8 @@ from steinflow.diagnostics import (
     kl_estimate,
 )
 from steinflow.gaussian_flow import kl_gaussians
-from steinflow.targets import GaussianTarget
+from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget
+from reference_impls import unblocked_kde_log_density, unblocked_median_bandwidth
 
 
 class TestEmpiricalMoments:
@@ -86,8 +87,24 @@ class TestKlEstimate:
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = rng.standard_normal((500, 2))
         fit = kl_estimate(x, target, method="gaussian-fit")
-        kde = kl_estimate(x, target, method="kde", rng=np.random.default_rng(0))
+        kde = kl_estimate(x, target, method="kde")
         assert abs(kde - fit) <= 0.1
+
+    @pytest.mark.parametrize("target", [DoubleBananasTarget(), QuarticTarget(),
+                                        GaussianTarget(b=np.array([1.0, -1.0]), q=np.array([[2.0, 0.5], [0.5, 1.0]]))],
+                             ids=["double-bananas", "quartic", "gaussian"])
+    def test_kde_is_mean_log_density_ratio_plus_log_normalizer(self, target):
+        x = np.random.default_rng(7).standard_normal((300, 2))
+        bandwidth2 = unblocked_median_bandwidth(x)
+        expected = (unblocked_kde_log_density(x, x, bandwidth2) + target.potential_all(x)).mean()
+        assert kl_estimate(x, target, method="kde") == expected + target.log_normalizer
+
+    def test_kde_needs_log_normalizer(self):
+        quartic = QuarticTarget()
+        target = CustomTarget(quartic.potential, quartic.grad, dim=2)
+        x = np.random.default_rng(8).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="log_normalizer.*CustomTarget"):
+            kl_estimate(x, target, method="kde")
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -111,15 +128,15 @@ class TestKlEstimate:
         assert np.median(errs_big) <= np.median(errs_small)
 
     def test_kde_peak_memory(self):
-        # the KDE of 10^4 draws against 500 particles runs block by block;
-        # one draws x N array alone would be 40 MB
+        # the KDE of 500 particles at themselves runs block by block and
+        # holds no N x N array
         rng = np.random.default_rng(6)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = rng.standard_normal((500, 2))
-        kl_estimate(x[:10], target, method="kde", rng=np.random.default_rng(0))  # first-call caches
+        kl_estimate(x[:10], target, method="kde")  # first-call caches
         tracemalloc.start()
         try:
-            kl_estimate(x, target, method="kde", rng=np.random.default_rng(0))
+            kl_estimate(x, target, method="kde")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
