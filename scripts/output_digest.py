@@ -1,17 +1,19 @@
-"""Digest of every file a fixed grid of ``steinflow run`` calls writes.
+"""Digest of every file a fixed set of 84 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
-The grid is 5 samplers x 2 kernels x 4 built-in targets x 2 dampings, then
-``mala`` with ``kl_method: "kde"`` on the two Gaussian targets (the only CLI
-runs that take a Gaussian target's log-normalizer), each run with N = 60
-particles, 12 steps, record_every 3 and eps = 0.1, inside a temporary
-directory.  The script prints one ``sha256  path`` line per output
-file and one ``run  error: ...`` line per failed run, with paths relative to
-that directory.  Run it on two checkouts and diff the outputs to check that a
-change leaves every CLI output byte-identical; ``--src`` names the directory
-that holds the ``steinflow`` package to import (default: this checkout's
-``src``).
+The calls are ``steinflow run`` on the grid 5 samplers x 2 kernels x 4
+built-in targets x 2 dampings, then ``mala`` with ``kl_method: "kde"`` on the
+two Gaussian targets (the only CLI runs that take a Gaussian target's
+log-normalizer), then one ``steinflow analyze`` (bilinear kernel,
+``gauss-correlated``) and one two-value ``steinflow sweep --param tau``.  Every
+config has N = 60 particles, 12 steps, record_every 3 and eps = 0.1, and every
+call runs inside a temporary directory.  The script prints one
+``sha256  path`` line per output file and one ``name  error: ...`` line per
+failed call, with paths relative to that directory.  Run it on two checkouts
+and diff the outputs to check that a change leaves every CLI output
+byte-identical; ``--src`` names the directory that holds the ``steinflow``
+package to import (default: this checkout's ``src``).
 """
 
 from __future__ import annotations
@@ -34,13 +36,16 @@ DAMPINGS = ("restart", "constant")
 FIXED = {"n_particles": 60, "n_steps": 12, "record_every": 3, "eps": 0.1}
 
 
-def _runs():
-    """(name, config) of every run, the full grid first."""
+def _calls():
+    """(name, config, CLI command and options) of every call, the grid of runs first."""
     for sampler, kernel, target, damping in itertools.product(SAMPLERS, KERNELS, TARGETS, DAMPINGS):
         yield (f"{sampler}-{kernel}-{target}-{damping}",
-               {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping})
+               {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping}, ["run"])
     for target in TARGETS[:2]:
-        yield f"mala-kde-{target}", {"sampler": "mala", "target": target, "kl_method": "kde"}
+        yield f"mala-kde-{target}", {"sampler": "mala", "target": target, "kl_method": "kde"}, ["run"]
+    yield "analyze-bilinear-gauss-correlated", {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze"]
+    yield ("sweep-tau-gauss-correlated", {"target": "gauss-correlated"},
+           ["sweep", "--param", "tau", "--values", "0.05,0.1"])
 
 
 def main(argv=None):
@@ -56,12 +61,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # output_dir stays relative, so manifest.json does not name the temp dir
         try:
-            for name, config in _runs():
+            for name, config, (command, *options) in _calls():
                 path = Path(f"{name}.json")
                 path.write_text(json.dumps({**config, "output_dir": name, **FIXED}), encoding="utf-8")
                 stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                    cli.main(["run", str(path)])
+                    cli.main([command, str(path), *options])
                 lines += [f"{name}  {line}" for line in stderr.getvalue().splitlines()
                           if line.startswith("error:")]
                 for out in sorted(p for p in Path(name).rglob("*") if p.is_file()):

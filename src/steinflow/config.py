@@ -131,14 +131,19 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _reject_constant(token):
+    raise ConfigError(f"config value {token} is not a finite number")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON configuration object.
 
-    Unknown keys are rejected; every numeric field is range-checked with a
-    key-specific message.  Only ``target`` has no default.
+    Unknown keys are rejected, and so are the tokens Infinity, -Infinity and
+    NaN; every numeric field is type- and range-checked with a key-specific
+    message, and a JSON boolean is not a number.  Only ``target`` has no default.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -157,25 +162,26 @@ def parse_config(text: str) -> ExperimentConfig:
              f"unknown kernel {cfg.kernel!r} (valid: {', '.join(KERNELS)})")
     _require(cfg.damping in DAMPINGS,
              f"unknown damping {cfg.damping!r} (valid: {', '.join(DAMPINGS)})")
-    _require(isinstance(cfg.tau, (int, float)) and cfg.tau > 0, "tau must be > 0")
-    _require(isinstance(cfg.eps, (int, float)) and cfg.eps >= 0, "eps must be >= 0")
+    # type(v), not isinstance: a JSON true or false is a bool, which is an int
+    real = (int, float)
+    _require(type(cfg.tau) in real and cfg.tau > 0, "tau must be > 0")
+    _require(type(cfg.eps) in real and cfg.eps >= 0, "eps must be >= 0")
     _require(not (cfg.sampler == "asvgd" and cfg.kernel == "bilinear" and cfg.eps == 0),
              "eps must be > 0 for sampler asvgd with the bilinear kernel: its Gram matrix has "
              "rank at most d + 1, so K + eps I is singular at eps = 0 once N > d + 1")
     _require(not cfg.alg2_literal or (cfg.sampler == "svgd" and cfg.kernel == "gaussian"),
              "alg2_literal applies only to sampler svgd with the gaussian kernel: it moves the "
              "1/sigma2 factor of the plain Gaussian-kernel update, and every other step ignores it")
-    _require(isinstance(cfg.sigma2, (int, float)) and cfg.sigma2 > 0, "sigma2 must be > 0")
-    _require(isinstance(cfg.n_particles, int) and cfg.n_particles >= 1,
-             "n_particles must be a positive integer")
-    _require(isinstance(cfg.n_steps, int) and cfg.n_steps >= 0,
+    _require(type(cfg.sigma2) in real and cfg.sigma2 > 0, "sigma2 must be > 0")
+    _require(type(cfg.n_particles) is int and cfg.n_particles >= 2,
+             "n_particles must be an integer >= 2: both KL metrics need two particles")
+    _require(type(cfg.n_steps) is int and cfg.n_steps >= 0,
              "n_steps must be a nonnegative integer")
-    _require(isinstance(cfg.record_every, int) and cfg.record_every >= 1,
+    _require(type(cfg.record_every) is int and cfg.record_every >= 1,
              "record_every must be a positive integer")
-    _require(isinstance(cfg.seed, int), "seed must be an integer")
-    _require(isinstance(cfg.beta, (int, float)) and 0.0 <= cfg.beta < 1.0,
-             "beta must lie in [0, 1)")
-    _require(isinstance(cfg.restart_offset, (int, float)) and cfg.restart_offset >= 3.0,
+    _require(type(cfg.seed) is int, "seed must be an integer")
+    _require(type(cfg.beta) in real and 0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
+    _require(type(cfg.restart_offset) in real and cfg.restart_offset >= 3.0,
              "restart_offset must be a number >= 3")
     _require(cfg.kl_method in ("auto", "gaussian-fit", "kde"),
              "kl_method must be auto, gaussian-fit or kde")

@@ -1,8 +1,13 @@
-"""Run-time metrics: empirical moments, KL estimates, per-iteration records."""
+"""Run-time metrics: empirical moments, KL estimates, per-iteration records.
+
+Every metric takes the whole particle set: the KDE is evaluated at the
+particles themselves, and the target only through ``potential_all`` and
+``log_normalizer``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,17 +84,16 @@ def gaussian_fit_kl(x, target: GaussianTarget):
     return kl_gaussians(mean, cov, target.b, target.q), degenerate
 
 
-def _kde_log_density(points, queries, bandwidth2):
-    """Log density of an isotropic Gaussian kernel density estimate at each query.
+def _kde_log_density(x, bandwidth2):
+    """Log density of the isotropic Gaussian kernel density estimate of the rows of x, at those rows.
 
-    Runs the whole log-sum-exp on one block of query rows at a time, so only
-    the length-``len(queries)`` result outlives a block: no queries x N array
-    is held.
+    Runs the whole log-sum-exp on one block of rows at a time, so only the
+    length-N result outlives a block: no N x N array is held.
     """
-    n, d = points.shape
+    n, d = x.shape
     log_norm = 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
-    out = np.empty(queries.shape[0])
-    for start, stop, log_kernel in kernels._sq_dist_blocks(queries, points):
+    out = np.empty(n)
+    for start, stop, log_kernel in kernels._sq_dist_blocks(x):
         log_kernel /= -2.0 * bandwidth2
         log_kernel -= log_norm
         m = log_kernel.max(axis=1)
@@ -119,6 +123,6 @@ def kl_estimate(x, target, method="gaussian-fit") -> float:
     if log_z is None:
         raise ValueError(f"kde KL needs the target's log_normalizer, which {type(target).__name__} lacks")
     bandwidth2 = kernels.median_bandwidth(x)
-    log_rho_x = _kde_log_density(x, x, bandwidth2)
+    log_rho_x = _kde_log_density(x, bandwidth2)
     f_x = target.potential_all(x)
     return float((log_rho_x + f_x).mean() + log_z)

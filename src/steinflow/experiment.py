@@ -140,6 +140,14 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     if cfg.kernel != "bilinear":
         raise ConfigError("spectral analysis requires the bilinear kernel (set kernel='bilinear')")
     a, b, q = scfg.kernel.a, target.b, target.q
+    commuting = np.allclose(b, 0.0) and spectral.commutes(a, q)
+    param = sweep_param or ("alpha" if commuting else "a")
+    if param not in ("a", "alpha"):
+        raise ConfigError(f"unknown sweep parameter {param!r} (valid: a, alpha)")
+    if param == "alpha" and not commuting:
+        raise ConfigError("alpha sweep requires b = 0 and commuting A, Q")
+    if param == "a" and target.dim != 1:
+        raise ConfigError("the kernel-scale sweep is one-dimensional")
     outdir = _output_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -159,7 +167,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         report["optimal_step_1d"] = h_s
 
     accelerated = None
-    if np.allclose(b, 0.0) and spectral.commutes(a, q):
+    if commuting:
         alpha = spectral.optimal_damping(a)
         accelerated = spectral.asvgd_linearized_spectrum(a, q, alpha).to_dict()
         theta = float(np.linalg.eigvalsh(a).min())
@@ -169,7 +177,6 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     (outdir / "spectral_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                                  encoding="utf-8")
 
-    param = sweep_param or ("alpha" if accelerated is not None else "a")
     if sweep_values is None:
         if param == "alpha":
             center = spectral.optimal_damping(a)
@@ -179,18 +186,12 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     rows = []
     for val in sweep_values:
         if param == "alpha":
-            if accelerated is None:
-                raise ConfigError("alpha sweep requires b = 0 and commuting A, Q")
             eigs = spectral.asvgd_closed_form_eigs(a, q, float(val))
             mags = np.abs(eigs)
             rows.append((float(val), float(eigs.real.min()), float(mags.max() / mags.min())))
-        elif param == "a":
-            if target.dim != 1:
-                raise ConfigError("the kernel-scale sweep is one-dimensional")
+        else:
             lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
             rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
-        else:
-            raise ConfigError(f"unknown sweep parameter {param!r} (valid: a, alpha)")
     header = f"{param},spectral_abscissa,condition_number\n"
     (outdir / "rate_table.csv").write_text(header + _csv_text(np.reshape(rows, (-1, 3))), encoding="utf-8")
     return outdir
@@ -199,18 +200,21 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
 def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=4):
     """Fan out independent runs over a parameter grid.
 
-    Each run gets its own subdirectory and seed (base seed + index) and executes
-    on a worker thread with a private ensemble.  The base directory is resolved
-    once, here, and each run is handed its subdirectory explicitly.
+    Each run gets its own subdirectory and seed (base seed + index, or the
+    swept value when ``param`` is ``seed``) and executes on a worker thread
+    with a private ensemble.  The base directory is resolved once, here, and
+    each run is handed its subdirectory explicitly.
     """
     base = _output_dir(cfg)
     if param not in cfg.resolved():
         raise ConfigError(f"unknown sweep key {param!r}")
+    if param == "output_dir":
+        raise ConfigError("output_dir cannot be swept: run i of a sweep writes to sweep_<i> under it")
     jobs, outdirs = [], []
     for i, value in enumerate(values):
         raw = cfg.resolved()
         raw[param] = value
-        raw["seed"] = cfg.seed + i
+        raw["seed"] = value if param == "seed" else cfg.seed + i
         raw["output_dir"] = str(base / f"sweep_{i}")
         jobs.append(parse_config(json.dumps(raw)))  # re-validate the swept value
         outdirs.append(base / f"sweep_{i}")

@@ -20,10 +20,11 @@ so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
 solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
 Every squared distance in the package -- the Gaussian Gram matrix, the median
-bandwidth and the KDE of ``diagnostics`` -- comes from one loop,
-``_sq_dist_blocks``, which hands out row blocks of the distance matrix in a
-reused buffer of about ``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB L2
-cache), so no caller holds an N x M distance matrix it does not return.
+bandwidth and the KDE of ``diagnostics`` -- is between two particles of one
+set and comes from one loop, ``_sq_dist_blocks``, which hands out row blocks
+of the N x N distance matrix in a reused buffer of about ``_BLOCK_ENTRIES``
+entries (512 KB, inside a 2 MiB L2 cache), so no caller holds a distance
+matrix it does not return.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "BilinearKernel",
     "GramMatrix",
     "gram",
-    "pairwise_sq_dists",
     "median_bandwidth",
     "cholesky_inverse_apply",
     "woodbury_inverse_apply",
@@ -73,7 +73,7 @@ class GaussianKernel:
         """
         n, d = x.shape
         k = gram(self, x).k
-        v = cholesky_inverse_apply(k, eps, y, n)
+        v = cholesky_inverse_apply(k, eps, y)
         # z[i, a*d + c] = V_ia X_ic
         z = (v[:, :, None] * x[:, None, :]).reshape(n, d * d)
         p = k @ np.hstack([g, x, v, z, np.ones((n, 1))])
@@ -146,7 +146,7 @@ class BilinearKernel:
                              "its Gram matrix has rank at most d + 1")
         n = x.shape[0]
         u = self.low_rank_factor(x)
-        v = woodbury_inverse_apply(u, eps, y, n)
+        v = woodbury_inverse_apply(u, eps, y)
         kg = u @ (u.T @ g)
         scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
         return v, kg, np.sqrt(tau) * scale * (x @ self.a), float("nan")
@@ -173,47 +173,31 @@ class GramMatrix:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _sq_dist_blocks(a, b):
-    """Yield (start, stop, block): the squared distances of rows a[start:stop] to every row of b.
+def _sq_dist_blocks(x):
+    """Yield (start, stop, block): the squared distances of rows x[start:stop] to every row of x.
 
     ``block`` is a view of one buffer of about ``_BLOCK_ENTRIES`` entries that
     is overwritten by the next block, so a caller consumes it before asking for
     more.  Each entry sums its coordinates' squared differences in coordinate
     order, the first square seeding the sum, so a block row is bit-identical
-    for any block size and ``a = b`` gives an exactly symmetric matrix with an
-    exactly zero diagonal.
+    for any block size, and the matrix is exactly symmetric with an exactly
+    zero diagonal.
     """
-    n, d = a.shape
-    m = b.shape[0]
-    bt = np.ascontiguousarray(b.T)
-    rows = max(1, min(n, _BLOCK_ENTRIES // max(m, 1)))
-    buf = np.empty((rows, m))
-    diff = np.empty((rows, m))
+    n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
+    rows = max(1, min(n, _BLOCK_ENTRIES // max(n, 1)))
+    buf = np.empty((rows, n))
+    diff = np.empty((rows, n))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block, scratch = buf[: stop - start], diff[: stop - start]
-        np.subtract(a[start:stop, 0, None], bt[0], out=block)
+        np.subtract(x[start:stop, 0, None], xt[0], out=block)
         block *= block
         for k in range(1, d):
-            np.subtract(a[start:stop, k, None], bt[k], out=scratch)
+            np.subtract(x[start:stop, k, None], xt[k], out=scratch)
             scratch *= scratch
             block += scratch
         yield start, stop, block
-
-
-def pairwise_sq_dists(a, b) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a (N x d) and b (M x d), as an N x M array.
-
-    Filled block by block from ``_sq_dist_blocks``, so no N x M x d difference
-    array is formed; ``pairwise_sq_dists(x, x)`` is exactly symmetric with an
-    exactly zero diagonal.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start, stop, block in _sq_dist_blocks(a, b):
-        out[start:stop] = block
-    return out
 
 
 def gram(kernel, x) -> GramMatrix:
@@ -229,7 +213,7 @@ def gram(kernel, x) -> GramMatrix:
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected an N x d point array with N >= 1, got shape {x.shape}")
     k = np.empty((x.shape[0], x.shape[0]))
-    for start, stop, block in _sq_dist_blocks(x, x):
+    for start, stop, block in _sq_dist_blocks(x):
         block /= -2.0 * kernel.sigma2
         np.exp(block, out=k[start:stop])  # unit diagonal: the distance diagonal is exactly zero
     return GramMatrix(k=k)
@@ -247,7 +231,7 @@ def median_bandwidth(x) -> float:
         raise ValueError("median bandwidth needs at least two points")
     upper = np.empty(n * (n - 1) // 2)
     pos = 0
-    for start, stop, block in _sq_dist_blocks(x, x):
+    for start, stop, block in _sq_dist_blocks(x):
         for i in range(start, stop):
             upper[pos : pos + n - 1 - i] = block[i - start, i + 1 :]
             pos += n - 1 - i
@@ -258,12 +242,13 @@ def median_bandwidth(x) -> float:
     return med**2 / (2.0 * np.log(n + 1.0))
 
 
-def cholesky_inverse_apply(k, eps, y, n):
-    """n * (K + eps I)^-1 y by a Cholesky factorization; K itself is left intact.
+def cholesky_inverse_apply(k, eps, y):
+    """N (K + eps I)^-1 y for the N x N matrix K by a Cholesky factorization; K itself is left intact.
 
     Raises LinAlgError with the smallest singular value of K + eps I when the
     factorization fails.
     """
+    n = k.shape[0]
     k_eps = k.copy()
     k_eps.flat[:: n + 1] += eps
     try:
@@ -280,7 +265,7 @@ def cholesky_inverse_apply(k, eps, y, n):
     return n * scipy.linalg.cho_solve(factor, y, check_finite=False)
 
 
-def woodbury_inverse_apply(u, eps, y, n):
-    """n * (U U^T + eps I)^-1 y via the (d+1) x (d+1) capacitance system."""
+def woodbury_inverse_apply(u, eps, y):
+    """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system."""
     cap = eps * np.eye(u.shape[1]) + u.T @ u
-    return (n / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))
+    return (u.shape[0] / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))

@@ -89,13 +89,12 @@ def marching_squares(grid, xs, ys, level):
     return list(zip(p0, p1))
 
 
-def render_trajectory_svg(path, snapshots, target=None, max_paths=MAX_PATHS,
-                          width=640, height=640):
-    """Particle trajectories over the target's level lines.
+def render_trajectory_svg(path, snapshots, target=None):
+    """Particle trajectories over the target's level lines, on a 640 x 640 canvas.
 
     Initial particles are drawn as blue circles, final ones as red squares,
     with the in-between path as a thin colored line per particle.  Only the
-    first ``max_paths`` particles are drawn, and the first and last snapshots
+    first ``MAX_PATHS`` particles are drawn, and the first and last snapshots
     set the plot limits, so the snapshots in between need only those rows.
     """
     first, last = snapshots[0], snapshots[-1]
@@ -105,7 +104,7 @@ def render_trajectory_svg(path, snapshots, target=None, max_paths=MAX_PATHS,
     pad = 0.15 * np.maximum(hi - lo, 1e-6)
     xlim = (lo[0] - pad[0], hi[0] + pad[0])
     ylim = (lo[1] - pad[1], hi[1] + pad[1])
-    canvas = SvgCanvas(width, height, xlim, ylim)
+    canvas = SvgCanvas(640, 640, xlim, ylim)
 
     if target is not None and target.dim == 2:
         xs = np.linspace(xlim[0], xlim[1], 60)
@@ -118,8 +117,7 @@ def render_trajectory_svg(path, snapshots, target=None, max_paths=MAX_PATHS,
             for (x0, y0), (x1, y1) in marching_squares(grid, xs, ys, level):
                 canvas.polyline([x0, x1], [y0, y1], color="black", width=0.6, opacity=0.6)
 
-    n = first.shape[0]
-    shown = range(min(n, max_paths))
+    shown = range(min(first.shape[0], MAX_PATHS))
     for idx in shown:
         xs = [snap[idx, 0] for snap in snapshots]
         ys = [snap[idx, 1] for snap in snapshots]

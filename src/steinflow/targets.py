@@ -1,12 +1,10 @@
 """Target potentials f (with density proportional to exp(-f)) and their gradients.
 
-A target has a ``dim`` and four methods: ``potential(x)`` and ``grad(x)`` for
-one point of shape (d,), and ``potential_all(x)`` and ``grad_all(x)`` for the
-rows of an N x d array, returning shapes (N,) and (N, d).  The samplers, the
-KDE metric and the SVG level lines call only the batched pair.  Every built-in
-target also has ``log_normalizer`` = log of the integral of exp(-f) over R^d,
-in closed form.  The KDE metric needs it and rejects a target without it,
-such as a ``CustomTarget``.
+A target has a ``dim`` and two batched methods, ``potential_all(x)`` and
+``grad_all(x)``, which take the rows of an N x d array and return shapes (N,)
+and (N, d).  Every built-in target also has ``log_normalizer`` = log of the
+integral of exp(-f) over R^d, in closed form.  The KDE metric needs it and
+rejects a target without it, such as a ``CustomTarget``.
 """
 
 from __future__ import annotations
@@ -51,13 +49,6 @@ class GaussianTarget:
         self.dim = self.b.size
         self.log_normalizer = 0.5 * (self.dim * math.log(2.0 * math.pi) + self.log_det_q)
 
-    def potential(self, x):
-        r = np.asarray(x, dtype=float) - self.b
-        return 0.5 * float(r @ self.q_inv @ r)
-
-    def grad(self, x):
-        return self.q_inv @ (np.asarray(x, dtype=float) - self.b)
-
     def potential_all(self, x):
         r = np.asarray(x, dtype=float) - self.b
         return 0.5 * np.einsum("ij,ij->i", r @ self.q_inv, r)
@@ -75,13 +66,6 @@ class QuarticTarget:
 
     dim = 2
     log_normalizer = 2.0 * math.log(2.0 * 4.0**0.25 * math.gamma(1.25))
-
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.25 * float((x**4).sum())
-
-    def grad(self, x):
-        return np.asarray(x, dtype=float) ** 3
 
     def potential_all(self, x):
         return 0.25 * (np.asarray(x, dtype=float) ** 4).sum(axis=1)
@@ -139,15 +123,6 @@ class DoubleBananasTarget:
         """
         return np.clip(-4.0 * self.c2 * x1**2 * x2, -700, 700)
 
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        f1 = self._warp(x[0], x[1])
-        f2 = self._warp(x[0], -x[1])
-        return float(-np.logaddexp(-f1, -f2))
-
-    def grad(self, x):
-        return self.grad_all(np.asarray(x, dtype=float)[None, :])[0]
-
     def potential_all(self, x):
         x = np.asarray(x, dtype=float)
         f1 = self._warp(x[:, 0], x[:, 1])
@@ -165,7 +140,7 @@ class DoubleBananasTarget:
 
 
 class CustomTarget:
-    """Wrap user-supplied potential/gradient callables.
+    """Batched target from user-supplied per-point callables f(x) and grad_f(x), x of shape (d,).
 
     It has no ``log_normalizer``, so the KDE metric rejects it.
     """
@@ -175,17 +150,11 @@ class CustomTarget:
         self._grad = grad_f
         self.dim = dim
 
-    def potential(self, x):
-        return float(self._f(np.asarray(x, dtype=float)))
-
-    def grad(self, x):
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
-
     def potential_all(self, x):
-        return np.array([self.potential(row) for row in np.asarray(x, dtype=float)])
+        return np.array([float(self._f(row)) for row in np.asarray(x, dtype=float)])
 
     def grad_all(self, x):
-        return np.stack([self.grad(row) for row in np.asarray(x, dtype=float)])
+        return np.stack([np.asarray(self._grad(row), dtype=float) for row in np.asarray(x, dtype=float)])
 
 
 _CORRELATED_Q = np.array([[3.0, -2.0], [-2.0, 3.0]])

@@ -5,6 +5,8 @@ scalar kernel functions ``eval_kernel``, ``grad1`` and ``grad2`` defined below,
 deliberately avoiding the vectorized code paths it checks.  The
 ``unblocked_*`` functions keep the one-buffer forms that the blocked distance
 pass in ``kernels`` replaced, as oracles that it must match bit for bit.
+``point_potential`` writes each built-in target's potential out for one point;
+gradients are checked against ``central_diff_grad`` of it.
 """
 
 import numpy as np
@@ -13,6 +15,23 @@ import scipy.linalg
 from steinflow import kernels
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, ParticleEnsemble
+from steinflow.targets import DoubleBananasTarget, GaussianTarget, QuarticTarget
+
+
+def point_potential(target, x) -> float:
+    """f(x) at one point x of shape (d,), from the formula of the built-in target."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(target, GaussianTarget):
+        r = x - target.b
+        return 0.5 * float(r @ target.q_inv @ r)
+    if isinstance(target, QuarticTarget):
+        return 0.25 * float((x**4).sum())
+    if isinstance(target, DoubleBananasTarget):
+        def warp(x1, x2):
+            return (target.a - x1) ** 2 / target.c1 + target.c2 * (x2 - x1**2) ** 2
+
+        return float(-np.logaddexp(-warp(x[0], x[1]), -warp(x[0], -x[1])))
+    raise TypeError(f"no per-point formula for {type(target).__name__}")
 
 
 def _check_pair(kernel, x, y):
@@ -59,28 +78,28 @@ def loop_gram(kernel, x):
     return k
 
 
-def loop_sq_dists(a, b):
-    """Squared Euclidean distance of every row of a to every row of b, entry by entry."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            diff = a[i] - b[j]
+def loop_sq_dists(x):
+    """Squared Euclidean distance of every row of x to every row, entry by entry."""
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            diff = x[i] - x[j]
             out[i, j] = float(diff @ diff)
     return out
 
 
-def unblocked_sq_dists(a, b):
-    """Squared distances accumulated one coordinate at a time into one N x M buffer.
+def unblocked_sq_dists(x):
+    """Squared distances of the rows of x accumulated one coordinate at a time into one N x N buffer.
 
-    The unblocked form of ``kernels.pairwise_sq_dists``: the same per-entry
+    The unblocked form of ``kernels._sq_dist_blocks``: the same per-entry
     arithmetic, so the blocked pass must match it bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[0]))
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((x.shape[0], x.shape[0]))
     diff = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
+    for k in range(x.shape[1]):
+        np.subtract.outer(x[:, k], x[:, k], out=diff)
         diff *= diff
         out += diff
     return out
@@ -88,7 +107,7 @@ def unblocked_sq_dists(a, b):
 
 def unblocked_gaussian_gram(kernel, x):
     """Gaussian Gram matrix exponentiated in place on the full distance matrix."""
-    k = unblocked_sq_dists(x, x)
+    k = unblocked_sq_dists(x)
     k /= -2.0 * kernel.sigma2
     np.exp(k, out=k)
     return k
@@ -97,15 +116,15 @@ def unblocked_gaussian_gram(kernel, x):
 def unblocked_median_bandwidth(x):
     """Median-heuristic squared bandwidth from the index-array upper triangle."""
     n = x.shape[0]
-    sq = unblocked_sq_dists(x, x)
+    sq = unblocked_sq_dists(x)
     med = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
     return med**2 / (2.0 * np.log(n + 1.0))
 
 
-def unblocked_kde_log_density(points, queries, bandwidth2):
-    """Gaussian KDE log density with one queries x points buffer updated in place."""
-    n, d = points.shape
-    log_kernel = unblocked_sq_dists(queries, points)
+def unblocked_kde_log_density(x, bandwidth2):
+    """Gaussian KDE log density of the rows of x at those rows, with one N x N buffer updated in place."""
+    n, d = x.shape
+    log_kernel = unblocked_sq_dists(x)
     log_kernel /= -2.0 * bandwidth2
     log_kernel -= 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
     m = log_kernel.max(axis=1)
@@ -132,7 +151,7 @@ def grid_log_normalizer(target, x1_range, x2_range, n=2001):
 def loop_double_sum_stat(kernel, x, v, target):
     """(1/N^2) sum_ij <V_j, k(X_i, X_j) grad_f(X_i) - grad2_k(X_j, X_i)>."""
     n = x.shape[0]
-    g = np.stack([target.grad(row) for row in x])
+    g = target.grad_all(x)
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -145,11 +164,12 @@ def loop_double_sum_stat(kernel, x, v, target):
 def loop_svgd_direction_gaussian(kernel, x, target):
     """(1/N) sum_j [k(x_j, x_i) (-grad_f(x_j)) + grad-over-x_j k(x_j, x_i)]."""
     n, d = x.shape
+    g = target.grad_all(x)
     out = np.zeros((n, d))
     for i in range(n):
         acc = np.zeros(d)
         for j in range(n):
-            acc += eval_kernel(kernel, x[j], x[i]) * (-target.grad(x[j]))
+            acc += eval_kernel(kernel, x[j], x[i]) * (-g[j])
             acc += grad1(kernel, x[j], x[i])
         out[i] = acc / n
     return out
@@ -185,7 +205,7 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     x_new = ens.x + st * ens.y
     k = loop_gram(cfg.kernel, x_new)
     v_new = n * np.linalg.solve(k + cfg.eps * np.eye(n), ens.y)
-    g = np.stack([cfg.target.grad(row) for row in x_new])
+    g = cfg.target.grad_all(x_new)
 
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     restart = False

@@ -118,6 +118,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="init_cov"):
             parse_config('{"target": "quartic", "init_cov": [[1.0, 2.0], [2.0, 1.0]]}')
 
+    def test_n_particles_at_least_two(self):
+        # both KL metrics need two particles, so one particle would fail at the first record
+        with pytest.raises(ConfigError, match="n_particles must be an integer >= 2"):
+            parse_config('{"target": "quartic", "n_particles": 1}')
+        assert parse_config('{"target": "quartic", "n_particles": 2}').n_particles == 2
+
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys):
+        for key in ("tau", "eps", "sigma2", "n_particles", "n_steps", "record_every", "seed", "beta",
+                    "restart_offset"):
+            for value in (True, False):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(json.dumps({"target": "quartic", key: value}))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "quartic", "n_particles": True, "n_steps": 1,
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_particles must be an integer >= 2")
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_tokens_rejected(self, token):
+        with pytest.raises(ConfigError, match=f"config value {token} is not a finite number"):
+            parse_config(f'{{"target": "quartic", "init_mean": [0.0, {token}]}}')
+
 
 class TestRunExperiment:
     def test_zero_steps_single_row(self, tmp_path):
@@ -280,6 +303,19 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="bilinear"):
             analyze_spectrum(cfg)
 
+    @pytest.mark.parametrize("sweep_param, target_mean, message", [
+        ("a", [0.0, 0.0], "one-dimensional"),
+        ("alpha", [0.5, 0.0], "alpha sweep requires b = 0"),
+    ])
+    def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, message):
+        cfg = parse_config(json.dumps({
+            "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 4.0]],
+            "q_is_precision": False, "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
+        }))
+        with pytest.raises(ConfigError, match=message):
+            analyze_spectrum(cfg, sweep_param=sweep_param)
+        assert not (tmp_path / "an").exists()
+
 
 class TestSweepAndCli:
     def test_sweep_assigns_seeds_and_dirs(self, tmp_path):
@@ -290,6 +326,35 @@ class TestSweepAndCli:
         assert manifests[0]["config"]["tau"] == 0.05
         assert manifests[1]["config"]["tau"] == 0.1
         assert manifests[1]["config"]["seed"] == cfg.seed + 1
+
+    def test_sweep_over_seed_runs_the_swept_seeds(self, tmp_path):
+        cfg = make_cfg(tmp_path, n_steps=2, n_particles=10)
+        outdirs = run_sweep(cfg, "seed", [7, 8], max_workers=2)
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in outdirs]
+        assert [m["config"]["seed"] for m in manifests] == [7, 8]
+        single = run_experiment(make_cfg(tmp_path, n_steps=2, n_particles=10, seed=8), tmp_path / "single")
+        assert (outdirs[1] / "metrics.csv").read_bytes() == (single / "metrics.csv").read_bytes()
+
+    def test_sweep_rejects_output_dir(self, tmp_path):
+        cfg = make_cfg(tmp_path, n_steps=1, n_particles=8)
+        with pytest.raises(ConfigError, match="output_dir cannot be swept"):
+            run_sweep(cfg, "output_dir", [str(tmp_path / "a"), str(tmp_path / "b")])
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_values_rejected_on_every_route(self, tmp_path, capsys):
+        # the config file, --override and swept values all pass through parse_config
+        config = {"target": "gauss-correlated", "sampler": "mala", "n_particles": 8, "n_steps": 1,
+                  "record_every": 1, "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "tau": float("inf")}))  # json.dumps writes Infinity
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--override", "tau=NaN"]) == 1
+        assert capsys.readouterr().err == "error: config value NaN is not a finite number\n"
+        assert main(["sweep", str(path), "--param", "tau", "--values", "0.1,Infinity"]) == 1
+        assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_leaves_environment_alone(self, tmp_path, monkeypatch):
         base = tmp_path / "env_out"

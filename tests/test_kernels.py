@@ -8,7 +8,6 @@ from steinflow.kernels import (
     GaussianKernel,
     gram,
     median_bandwidth,
-    pairwise_sq_dists,
     woodbury_inverse_apply,
 )
 from reference_impls import (
@@ -24,6 +23,14 @@ from reference_impls import (
     unblocked_median_bandwidth,
     unblocked_sq_dists,
 )
+
+
+def blocked_sq_dists(x):
+    """The N x N squared-distance matrix assembled from the blocks of ``kernels._sq_dist_blocks``."""
+    out = np.empty((x.shape[0], x.shape[0]))
+    for start, stop, block in kernels._sq_dist_blocks(x):
+        out[start:stop] = block
+    return out
 
 
 def dense_gram(kernel, x):
@@ -157,16 +164,16 @@ class TestPairwiseSqDists:
             # off-centre points near 10^3 too, where a ||a||^2 + ||b||^2 - 2 a.b form cancels
             for centre in (0.0, 1e3):
                 x = centre + rng.standard_normal((n, d))
-                sq = pairwise_sq_dists(x, x)
-                assert np.allclose(sq, loop_sq_dists(x, x), rtol=1e-14, atol=1e-15)
-                assert np.array_equal(sq, unblocked_sq_dists(x, x))
+                sq = blocked_sq_dists(x)
+                assert np.allclose(sq, loop_sq_dists(x), rtol=1e-14, atol=1e-15)
+                assert np.array_equal(sq, unblocked_sq_dists(x))
                 kernel = GaussianKernel(0.37)
                 assert np.allclose(gram(kernel, x).k, loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
 
     def test_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((20, 2))
-        sq = pairwise_sq_dists(x, x)
+        sq = blocked_sq_dists(x)
         assert np.array_equal(sq, sq.T)
         assert np.array_equal(np.diag(sq), np.zeros(20))
         i, j = 3, 11
@@ -183,47 +190,14 @@ class TestPairwiseSqDists:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((10, 6))[:, ::2]  # strided view
         contiguous = np.ascontiguousarray(x)
-        assert np.array_equal(pairwise_sq_dists(x, x), pairwise_sq_dists(contiguous, contiguous))
+        assert np.array_equal(blocked_sq_dists(x), blocked_sq_dists(contiguous))
         k = gram(GaussianKernel(0.5), x).k
         assert k.shape == (10, 10)
         assert np.array_equal(k, gram(GaussianKernel(0.5), contiguous).k)
 
-    def test_rectangular_matches_loop(self):
-        # the KDE evaluates query points against a different set of centres
-        rng = np.random.default_rng(4)
-        for d in (1, 2, 5):
-            queries = rng.standard_normal((30, d))
-            centres = rng.standard_normal((12, d))
-            sq = pairwise_sq_dists(queries, centres)
-            assert sq.shape == (30, 12)
-            assert np.allclose(sq, loop_sq_dists(queries, centres), rtol=1e-14, atol=1e-15)
-            assert np.array_equal(sq.T, pairwise_sq_dists(centres, queries))
-
 
 class TestBlockedDistancePass:
     """The row-blocked distance pass against the unblocked one-buffer oracles, bit for bit."""
-
-    M = 500  # columns of the rectangular cases
-    ROWS = kernels._BLOCK_ENTRIES // M  # rows per block against M columns
-
-    @pytest.mark.parametrize("d", [1, 2, 10])
-    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7])
-    def test_rectangular_across_block_edges(self, n, d):
-        rng = np.random.default_rng(10 * n + d)
-        queries = rng.standard_normal((n, d))
-        centres = rng.standard_normal((self.M, d))
-        assert np.array_equal(pairwise_sq_dists(queries, centres), unblocked_sq_dists(queries, centres))
-        assert np.array_equal(_kde_log_density(centres, queries, 0.3),
-                              unblocked_kde_log_density(centres, queries, 0.3))
-
-    def test_more_columns_than_block_entries(self):
-        # one row per block, the buffer larger than the budget
-        rng = np.random.default_rng(11)
-        queries = rng.standard_normal((3, 2))
-        centres = rng.standard_normal((kernels._BLOCK_ENTRIES + 5, 2))
-        assert np.array_equal(pairwise_sq_dists(queries, centres), unblocked_sq_dists(queries, centres))
-        assert np.array_equal(_kde_log_density(centres, queries, 0.3),
-                              unblocked_kde_log_density(centres, queries, 0.3))
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
     @pytest.mark.parametrize("d", [1, 2, 10])
@@ -233,6 +207,25 @@ class TestBlockedDistancePass:
         x = rng.standard_normal((n, d))
         kernel = GaussianKernel(0.5 * d)
         assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_sq_dists_and_kde(self, n, d):
+        rng = np.random.default_rng(14 * n + d)
+        x = rng.standard_normal((n, d))
+        assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
+        assert np.array_equal(_kde_log_density(x, 0.3), unblocked_kde_log_density(x, 0.3))
+
+    def test_one_row_per_block(self, monkeypatch):
+        # a row longer than the entry budget still makes a block of its own
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 5)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((7, 2))
+        kernel = GaussianKernel(0.5)
+        assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
+        assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
+        assert np.array_equal(_kde_log_density(x, 0.3), unblocked_kde_log_density(x, 0.3))
+        assert median_bandwidth(x) == unblocked_median_bandwidth(x)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 257, 700])
     def test_median_bandwidth(self, n):
@@ -271,14 +264,14 @@ class TestRegularizedInverse:
 
     def test_identity_gram_eps_one(self):
         y = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(woodbury_inverse_apply(np.eye(4), 1.0, y, 4), 2.0 * y, rtol=1e-14)
+        assert np.allclose(woodbury_inverse_apply(np.eye(4), 1.0, y), 2.0 * y, rtol=1e-14)
 
     def test_woodbury_matches_dense(self):
         rng = np.random.default_rng(21)
         kernel = BilinearKernel(random_spd(rng, 2))
         x = rng.standard_normal((5, 2))
         y = rng.standard_normal((5, 2))
-        fast = woodbury_inverse_apply(kernel.low_rank_factor(x), 0.1, y, 5)
+        fast = woodbury_inverse_apply(kernel.low_rank_factor(x), 0.1, y)
         dense = 5.0 * np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
         assert np.allclose(fast, dense, rtol=1e-8)
 
@@ -288,6 +281,6 @@ class TestRegularizedInverse:
         x = rng.standard_normal((12, 3))
         y = rng.standard_normal((12, 3))
         eps = 0.05
-        v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y, 12)
+        v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y)
         resid = (loop_gram(kernel, x) + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)

@@ -1,11 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from steinflow import svg, targets
-from steinflow.diagnostics import kl_estimate
-from steinflow.samplers import mala_step
+from steinflow import svg
 from steinflow.targets import (
     CustomTarget,
     DoubleBananasTarget,
@@ -14,20 +10,25 @@ from steinflow.targets import (
     builtin,
     builtin_names,
 )
-from reference_impls import central_diff_grad, grid_log_normalizer, random_spd
+from reference_impls import central_diff_grad, grid_log_normalizer, point_potential, random_spd
+
+
+def one_point(method, x):
+    """A batched target method evaluated at the single point x of shape (d,)."""
+    return method(np.asarray(x, dtype=float)[None, :])[0]
 
 
 class TestPotential:
     def test_gaussian_zero_at_mean(self):
         t = GaussianTarget(b=np.array([1.0, -2.0]), q=np.diag([2.0, 3.0]))
-        assert t.potential(t.b) == 0.0
+        assert one_point(t.potential_all, t.b) == 0.0
 
     def test_quartic_value(self):
-        assert QuarticTarget().potential(np.array([1.0, 1.0])) == pytest.approx(0.5)
+        assert one_point(QuarticTarget().potential_all, [1.0, 1.0]) == pytest.approx(0.5)
 
     def test_gaussian_anisotropic_value(self):
         t = GaussianTarget(b=np.zeros(2), q=np.diag([10.0, 0.05]))
-        assert t.potential(np.array([1.0, 0.0])) == pytest.approx(0.05, rel=1e-12)
+        assert one_point(t.potential_all, [1.0, 0.0]) == pytest.approx(0.05, rel=1e-12)
 
 
 class TestLogNormalizer:
@@ -55,55 +56,39 @@ class TestLogNormalizer:
 
 
 def _batched_cases():
+    """(target, per-point oracle of its potential) pairs."""
     rng = np.random.default_rng(23)
-    cases = [(name, builtin(name)) for name in builtin_names()]
-    cases.append(("gaussian-d5", GaussianTarget(b=rng.standard_normal(5), q=random_spd(rng, 5))))
-    quartic = QuarticTarget()
-    cases.append(("custom", CustomTarget(quartic.potential, quartic.grad, dim=2)))
-    return [pytest.param(t, id=name) for name, t in cases]
+    targets = [builtin(name) for name in builtin_names()]
+    targets.append(GaussianTarget(b=rng.standard_normal(5), q=random_spd(rng, 5)))
+    cases = [pytest.param(t, lambda x, t=t: point_potential(t, x), id=name)
+             for name, t in zip(builtin_names() + ["gaussian-d5"], targets)]
+
+    def quartic(x):
+        return point_potential(QuarticTarget(), x)
+
+    cases.append(pytest.param(CustomTarget(quartic, lambda x: x**3, dim=2), quartic, id="custom"))
+    return cases
 
 
 class TestPotentialAll:
-    @pytest.mark.parametrize("t", _batched_cases())
-    def test_matches_row_wise_potential(self, t):
+    @pytest.mark.parametrize("t, f", _batched_cases())
+    def test_matches_row_wise_potential(self, t, f):
         rng = np.random.default_rng(29)
         x = rng.uniform(-3.0, 3.0, size=(1000, t.dim))
         got = t.potential_all(x)
         assert got.shape == (1000,)
-        rows = np.array([t.potential(row) for row in x])
+        rows = np.array([f(row) for row in x])
         assert np.allclose(got, rows, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("t", _batched_cases())
-    def test_single_row(self, t):
+    @pytest.mark.parametrize("t, f", _batched_cases())
+    def test_single_row(self, t, f):
         x = np.linspace(-1.0, 1.5, t.dim)[None, :]
         got = t.potential_all(x)
         assert got.shape == (1,)
-        assert got[0] == pytest.approx(t.potential(x[0]), rel=1e-14, abs=0.0)
-
-
-class _ScalarPotentialForbidden(DoubleBananasTarget):
-    def potential(self, x):
-        raise AssertionError("per-point potential called on a batched path")
+        assert got[0] == pytest.approx(f(x[0]), rel=1e-14, abs=0.0)
 
 
 class TestHotPathsAreBatched:
-    def test_mala_step(self):
-        rng = np.random.default_rng(31)
-        cfg = SimpleNamespace(tau=0.05, target=_ScalarPotentialForbidden())
-        x_new, accept = mala_step(rng.standard_normal((50, 2)), cfg, rng)
-        assert x_new.shape == (50, 2) and accept.shape == (50,)
-
-    def test_kde_kl_estimate(self):
-        x = np.random.default_rng(32).standard_normal((60, 2))
-        t = _ScalarPotentialForbidden()
-        assert kl_estimate(x, t, method="kde") == kl_estimate(x, DoubleBananasTarget(), method="kde")
-
-    def test_svg_level_lines(self, tmp_path):
-        x = np.random.default_rng(33).standard_normal((20, 2))
-        snaps = [x, 0.5 * x]
-        svg.render_trajectory_svg(tmp_path / "t.svg", snaps, target=_ScalarPotentialForbidden())
-        assert (tmp_path / "t.svg").stat().st_size > 0
-
     def test_svg_grid_equals_per_point_loop(self, tmp_path, monkeypatch):
         grids = []
         contour = svg.marching_squares
@@ -122,50 +107,45 @@ class TestHotPathsAreBatched:
         loop = np.empty((xs.size, ys.size))
         for i, xv in enumerate(xs):
             for j, yv in enumerate(ys):
-                loop[i, j] = t.potential(np.array([xv, yv]))
+                loop[i, j] = point_potential(t, [xv, yv])
         assert np.array_equal(grid, loop)
 
 
 class TestGradients:
     def test_gaussian_zero_gradient_at_mean(self):
         t = GaussianTarget(b=np.array([0.5, 0.5]), q=np.eye(2))
-        assert np.allclose(t.grad(t.b), 0.0)
+        assert np.allclose(one_point(t.grad_all, t.b), 0.0)
 
     def test_quartic_componentwise_cubes(self):
-        out = QuarticTarget().grad(np.array([1.0, -1.0]))
+        out = one_point(QuarticTarget().grad_all, [1.0, -1.0])
         assert np.array_equal(out, np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize("name", ["gauss-correlated", "gauss-aniso", "quartic", "double-bananas"])
     def test_gradient_matches_finite_differences(self, name):
         t = builtin(name)
         rng = np.random.default_rng(hash(name) % 2**32)
-        for _ in range(100):
-            x = rng.uniform(-2.0, 2.0, size=t.dim)
-            fd = central_diff_grad(t.potential, x, step=1e-5)
-            g = t.grad(x)
+        x = rng.uniform(-2.0, 2.0, size=(100, t.dim))
+        for row, g in zip(x, t.grad_all(x)):
+            fd = central_diff_grad(lambda p: point_potential(t, p), row, step=1e-5)
             tol = 1e-5 * max(1.0, np.linalg.norm(g))
             assert np.allclose(g, fd, atol=tol)
-
-    def test_grad_all_matches_grad(self):
-        rng = np.random.default_rng(17)
-        for t in [builtin(n) for n in builtin_names()]:
-            x = rng.uniform(-1.5, 1.5, size=(6, t.dim))
-            rows = np.stack([t.grad(row) for row in x])
-            assert np.allclose(t.grad_all(x), rows, rtol=1e-13)
 
     @pytest.mark.filterwarnings("error")
     def test_double_bananas_grad_far_from_modes(self):
         # f1 - f2 = 1e4 here, far past the range exp can take without overflowing
         t = DoubleBananasTarget()
         x = np.array([10.0, -5.0])
-        assert np.array_equal(t.grad(x), t.grad_all(x[None, :])[0])
+        g = one_point(t.grad_all, x)
+        fd = central_diff_grad(lambda p: point_potential(t, p), x, step=1e-5)
+        assert np.allclose(g, fd, rtol=1e-6)
 
     def test_gaussian_convexity(self):
         rng = np.random.default_rng(8)
         t = GaussianTarget(b=rng.standard_normal(3), q=random_spd(rng, 3))
         for _ in range(50):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert (t.grad(x) - t.grad(y)) @ (x - y) >= 0.0
+            gx, gy = t.grad_all(np.stack([x, y]))
+            assert (gx - gy) @ (x - y) >= 0.0
 
 
 class TestBuiltins:
@@ -200,23 +180,21 @@ class TestDoubleBananas:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             mirrored = np.array([x[0], -x[1]])
-            assert t.potential(x) == pytest.approx(t.potential(mirrored), rel=1e-12)
+            assert one_point(t.potential_all, x) == pytest.approx(one_point(t.potential_all, mirrored), rel=1e-12)
 
     def test_two_modes_in_window(self):
         # both warped minima (at x1 = a, x2 = +- a^2) are low-potential points
         t = DoubleBananasTarget()
         for x in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
-            assert t.potential(x) < t.potential(np.zeros(2))
+            assert one_point(t.potential_all, x) < one_point(t.potential_all, np.zeros(2))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [[1e80, 1e80], [1e100, -3.0]])
     def test_grad_finite_where_both_warps_overflow(self, x):
         # F(x) and F(Rx) are inf here; their difference taken as such is NaN
         t = DoubleBananasTarget()
-        x = np.array(x)
-        g = t.grad(x)
+        g = one_point(t.grad_all, x)
         assert np.all(np.isfinite(g))
-        assert np.array_equal(t.grad_all(x[None, :])[0], g)
 
     @pytest.mark.filterwarnings("error")
     def test_grad_of_mirror_image_is_mirrored_where_a_weight_vanishes(self):
@@ -226,11 +204,9 @@ class TestDoubleBananas:
         x = np.array([[1e103, 2.0], [1e103, -2.0]])
         with np.errstate(over="ignore"):
             g = t.grad_all(x)
-            single = np.stack([t.grad(row) for row in x])
         assert not np.isnan(g).any()
         assert g[0, 0] == g[1, 0] == np.inf
         assert g[0, 1] == -g[1, 1] == -1e207
-        assert np.array_equal(single, g)
 
     def test_grad_matches_warp_difference_form(self):
         t = DoubleBananasTarget()
@@ -250,8 +226,6 @@ class TestDoubleBananas:
         ], axis=1)
         got = t.grad_all(x)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        assert np.allclose(np.stack([t.grad(row) for row in x]), ref, rtol=1e-12,
-                           atol=1e-12 * np.abs(ref).max())
 
     def test_invalid_gaussian_params(self):
         with pytest.raises(ValueError):
