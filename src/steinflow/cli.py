@@ -12,6 +12,14 @@ from .experiment import analyze_spectrum, run_experiment, run_sweep
 __all__ = ["main"]
 
 
+def _json_or_text(text):
+    """A command-line value: ``text`` parsed as JSON if it parses, else the text itself."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def _load_config(path, overrides):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -19,21 +27,12 @@ def _load_config(path, overrides):
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
-        try:
-            raw[key] = json.loads(value)
-        except json.JSONDecodeError:
-            raw[key] = value
+        raw[key] = _json_or_text(value)
     return parse_config(json.dumps(raw))
 
 
 def _parse_values(text):
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(json.loads(token))
-        except json.JSONDecodeError:
-            values.append(token)
-    return values
+    return [_json_or_text(token) for token in text.split(",")]
 
 
 def main(argv=None) -> int:

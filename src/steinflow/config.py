@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,7 +23,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated, fully-defaulted experiment description."""
+    """Validated, fully-defaulted experiment description; ``target_q`` is a precision (inverse covariance)."""
 
     sampler: str = "asvgd"
     target: str = ""
@@ -43,34 +44,24 @@ class ExperimentConfig:
     init_cov: list | None = None
     record_every: int = 10
     output_dir: str = "steinflow_out"
-    q_is_precision: bool = True
     target_mean: list | None = None
     target_q: list | None = None
     kl_method: str = "auto"
-    alg2_literal: bool = False
 
     def resolved(self) -> dict:
         """Plain-JSON view of every field, suitable for the run manifest."""
-        out = {}
-        for key in sorted(_KNOWN_KEYS):
-            val = getattr(self, key)
-            if isinstance(val, np.ndarray):
-                val = val.tolist()
-            out[key] = val
-        return out
+        return {key: getattr(self, key) for key in sorted(_FIELD_TYPES)}
 
     def build_target(self):
         if self.target == "gaussian":
             if self.target_mean is None or self.target_q is None:
                 raise ConfigError("target 'gaussian' requires target_mean and target_q")
-            q = np.atleast_2d(np.asarray(self.target_q, dtype=float))
-            if self.q_is_precision:
-                q = np.linalg.inv(q)
-            try:
-                return targets_mod.GaussianTarget(b=np.asarray(self.target_mean, float), q=q)
+            b, q = self._array("target_mean"), self._array("target_q", ndmin=2)
+            try:  # np.linalg.LinAlgError is a ValueError
+                return targets_mod.GaussianTarget(b=b, q=np.linalg.inv(q))
             except ValueError as exc:
                 raise ConfigError(f"target_q: {exc}") from exc
-        return targets_mod.builtin(self.target, q_is_precision=self.q_is_precision)
+        return targets_mod.builtin(self.target)
 
     def build_kernel(self, dim):
         if self.kernel == "gaussian":
@@ -78,7 +69,7 @@ class ExperimentConfig:
                 return GaussianKernel(self.sigma2)
             except ValueError as exc:
                 raise ConfigError(f"sigma2: {exc}") from exc
-        a = np.eye(dim) if self.a_matrix is None else np.asarray(self.a_matrix, dtype=float)
+        a = np.eye(dim) if self.a_matrix is None else self._array("a_matrix")
         try:
             return BilinearKernel(a)
         except ValueError as exc:
@@ -106,12 +97,11 @@ class ExperimentConfig:
             damping=self.build_damping(),
             seed=self.seed,
             algorithm=self.sampler,
-            alg2_literal=self.alg2_literal,
         )
 
     def initial_distribution(self, dim):
-        mean = np.zeros(dim) if self.init_mean is None else np.asarray(self.init_mean, float)
-        cov = np.eye(dim) if self.init_cov is None else np.atleast_2d(np.asarray(self.init_cov, float))
+        mean = np.zeros(dim) if self.init_mean is None else self._array("init_mean")
+        cov = np.eye(dim) if self.init_cov is None else self._array("init_cov", ndmin=2)
         if mean.shape != (dim,):
             raise ConfigError(f"init_mean must have {dim} entries, got {mean.shape}")
         if cov.shape != (dim, dim):
@@ -122,8 +112,33 @@ class ExperimentConfig:
             raise ConfigError("init_cov must be positive definite") from None
         return mean, cov, chol
 
+    def _array(self, key, ndmin=1):
+        """The list-valued ``key`` as a float array, or a ConfigError that names the key."""
+        value = getattr(self, key)
+        if not _is_numeric(value):
+            raise ConfigError(f"{key}: every entry must be a number")
+        try:
+            return np.array(value, dtype=float, ndmin=ndmin)
+        except ValueError as exc:  # a ragged list
+            raise ConfigError(f"{key}: {exc}") from None
 
-_KNOWN_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# what parse_config admits for each ExperimentConfig annotation: a description
+# and the JSON value types, matched by type(v), not isinstance, so that a JSON
+# true or false, a bool, is never an int
+_JSON_TYPES = {
+    "str": ("a string", (str,)),
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", (bool,)),
+    "list | None": ("a list or null", (list, type(None))),
+}
+
+
+def _is_numeric(value):
+    """Whether ``value`` is a number or a list, nested to any depth, of numbers."""
+    return type(value) in (int, float) or (type(value) is list and all(map(_is_numeric, value)))
 
 
 def _require(cond, message):
@@ -131,25 +146,33 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _reject_constant(token):
-    raise ConfigError(f"config value {token} is not a finite number")
+def _finite_float(token):
+    """The float of a JSON number or constant token; a ConfigError if it is not finite."""
+    if not math.isfinite(value := float(token)):
+        raise ConfigError(f"config value {token} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON configuration object.
 
     Unknown keys are rejected, and so are the tokens Infinity, -Infinity and
-    NaN; every numeric field is type- and range-checked with a key-specific
-    message, and a JSON boolean is not a number.  Only ``target`` has no default.
+    NaN and float literals that overflow; every key is checked against the type
+    of its ``ExperimentConfig`` field (a JSON boolean is never a number), and
+    every numeric key is range-checked, with a key-specific message.  Only
+    ``target`` has no default.
     """
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(raw.keys() - _FIELD_TYPES.keys())
     _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
     _require("target" in raw, "missing required key 'target'")
+    for key, value in raw.items():
+        kind, types = _JSON_TYPES[_FIELD_TYPES[key]]
+        _require(type(value) in types, f"{key} must be {kind}, got {json.dumps(value)}")
 
     cfg = ExperimentConfig(**raw)
 
@@ -162,35 +185,20 @@ def parse_config(text: str) -> ExperimentConfig:
              f"unknown kernel {cfg.kernel!r} (valid: {', '.join(KERNELS)})")
     _require(cfg.damping in DAMPINGS,
              f"unknown damping {cfg.damping!r} (valid: {', '.join(DAMPINGS)})")
-    # type(v), not isinstance: a JSON true or false is a bool, which is an int
-    real = (int, float)
-    _require(type(cfg.tau) in real and cfg.tau > 0, "tau must be > 0")
-    _require(type(cfg.eps) in real and cfg.eps >= 0, "eps must be >= 0")
+    _require(cfg.tau > 0, "tau must be > 0")
+    _require(cfg.eps >= 0, "eps must be >= 0")
     _require(not (cfg.sampler == "asvgd" and cfg.kernel == "bilinear" and cfg.eps == 0),
              "eps must be > 0 for sampler asvgd with the bilinear kernel: its Gram matrix has "
              "rank at most d + 1, so K + eps I is singular at eps = 0 once N > d + 1")
-    _require(not cfg.alg2_literal or (cfg.sampler == "svgd" and cfg.kernel == "gaussian"),
-             "alg2_literal applies only to sampler svgd with the gaussian kernel: it moves the "
-             "1/sigma2 factor of the plain Gaussian-kernel update, and every other step ignores it")
-    _require(type(cfg.sigma2) in real and cfg.sigma2 > 0, "sigma2 must be > 0")
-    _require(type(cfg.n_particles) is int and cfg.n_particles >= 2,
-             "n_particles must be an integer >= 2: both KL metrics need two particles")
-    _require(type(cfg.n_steps) is int and cfg.n_steps >= 0,
-             "n_steps must be a nonnegative integer")
-    _require(type(cfg.record_every) is int and cfg.record_every >= 1,
-             "record_every must be a positive integer")
-    _require(type(cfg.seed) is int, "seed must be an integer")
-    _require(type(cfg.beta) in real and 0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
-    _require(type(cfg.restart_offset) in real and cfg.restart_offset >= 3.0,
-             "restart_offset must be a number >= 3")
-    _require(cfg.kl_method in ("auto", "gaussian-fit", "kde"),
-             "kl_method must be auto, gaussian-fit or kde")
+    _require(cfg.sigma2 > 0, "sigma2 must be > 0")
+    _require(cfg.n_particles >= 2, "n_particles must be an integer >= 2: both KL metrics need two particles")
+    _require(cfg.n_steps >= 0, "n_steps must be a nonnegative integer")
+    _require(cfg.record_every >= 1, "record_every must be a positive integer")
+    _require(0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
+    _require(cfg.restart_offset >= 3.0, "restart_offset must be a number >= 3")
+    _require(cfg.kl_method in ("auto", "kde"), "kl_method must be auto or kde")
 
     # construction of the derived objects performs matrix-level validation
     sampler_cfg = cfg.build_sampler_config()
-    _require(cfg.kl_method != "gaussian-fit" or isinstance(sampler_cfg.target, targets_mod.GaussianTarget),
-             f"kl_method gaussian-fit needs a Gaussian target, and {cfg.target!r} is not one "
-             "(the metric is the closed-form KL between the moment-fitted Gaussian and the "
-             "target); use kde or auto")
     cfg.initial_distribution(sampler_cfg.target.dim)
     return cfg

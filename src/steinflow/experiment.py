@@ -54,9 +54,7 @@ def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
 
 
 def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
-    method = cfg.kl_method
-    if method == "auto":
-        method = "gaussian-fit" if isinstance(scfg.target, GaussianTarget) else "kde"
+    method = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "kde"
     degenerate = False
     try:
         if method == "gaussian-fit":

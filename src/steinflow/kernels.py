@@ -11,8 +11,7 @@ A kernel is anything with the two step methods the samplers call:
   at positions X with momenta Y and G = grad_f(X), the density momenta
   V = N (K + eps I)^-1 Y, the drive K G, the repulsion push of the momentum
   update and the gradient-restart statistic (NaN when the kernel has none);
-* ``plain_step(x, g, tau, alg2_literal)`` returns the positions after one
-  plain kernel-transport step.
+* ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 The Gaussian kernel solves with the dense Gram matrix from ``gram`` through
 ``cholesky_inverse_apply``.  The bilinear Gram matrix has rank at most d + 1,
@@ -95,20 +94,11 @@ class GaussianKernel:
         push = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
         return v, kg, push, grad_stat
 
-    def plain_step(self, x, g, tau, alg2_literal=False):
-        """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
-
-        With ``alg2_literal`` the 1/sigma2 factor moves from the repulsion term
-        to the driving term instead.
-        """
+    def plain_step(self, x, g, tau):
+        """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ]."""
         k = gram(self, x).k
-        k1 = k.sum(axis=1)
-        repulsion = k1[:, None] * x - k @ x
-        if alg2_literal:
-            direction = repulsion - (k @ g) / self.sigma2
-        else:
-            direction = repulsion / self.sigma2 - k @ g
-        return x + (tau / x.shape[0]) * direction
+        repulsion = k.sum(axis=1)[:, None] * x - k @ x
+        return x + (tau / x.shape[0]) * (repulsion / self.sigma2 - k @ g)
 
 
 class BilinearKernel:
@@ -151,11 +141,11 @@ class BilinearKernel:
         scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
         return v, kg, np.sqrt(tau) * scale * (x @ self.a), float("nan")
 
-    def plain_step(self, x, g, tau, alg2_literal=False):
+    def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
 
         The driving term enters with a minus sign, which is the descent
-        direction of the underlying flow; ``alg2_literal`` has no effect here.
+        direction of the underlying flow.
         """
         u = self.low_rank_factor(x)
         kg = u @ (u.T @ g)

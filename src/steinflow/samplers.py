@@ -127,7 +127,6 @@ class SamplerConfig:
     damping: object = field(default_factory=RestartNesterov)
     seed: int = 0
     algorithm: str = "asvgd"
-    alg2_literal: bool = False
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -198,7 +197,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
 def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
     """Plain kernel-transport step; the update itself is ``cfg.kernel.plain_step``."""
     g = cfg.target.grad_all(ens.x)
-    x_new = cfg.kernel.plain_step(ens.x, g, cfg.tau, cfg.alg2_literal)
+    x_new = cfg.kernel.plain_step(ens.x, g, cfg.tau)
     _check_finite(x_new, ens.iteration + 1, "position update")
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)

@@ -157,28 +157,21 @@ class CustomTarget:
         return np.stack([np.asarray(self._grad(row), dtype=float) for row in np.asarray(x, dtype=float)])
 
 
-_CORRELATED_Q = np.array([[3.0, -2.0], [-2.0, 3.0]])
+# gauss-correlated is N(0, Q) with the printed matrix [[3, -2], [-2, 3]] as its precision Q^-1
+_BUILTINS = {
+    "gauss-correlated": lambda: GaussianTarget(b=np.zeros(2), q=np.linalg.inv([[3.0, -2.0], [-2.0, 3.0]])),
+    "gauss-aniso": lambda: GaussianTarget(b=np.array([1.0, 1.0]), q=np.diag([10.0, 0.05])),
+    "quartic": QuarticTarget,
+    "double-bananas": DoubleBananasTarget,
+}
 
 
-def builtin(name: str, q_is_precision: bool = True):
-    """Construct one of the built-in experiment targets by name.
-
-    For ``gauss-correlated`` the printed matrix [[3, -2], [-2, 3]] is read as the
-    precision (inverse covariance) when ``q_is_precision`` is true (the default);
-    set it to false to read it as the covariance directly.
-    """
-    if name == "gauss-correlated":
-        q = np.linalg.inv(_CORRELATED_Q) if q_is_precision else _CORRELATED_Q
-        return GaussianTarget(b=np.zeros(2), q=q)
-    if name == "gauss-aniso":
-        return GaussianTarget(b=np.array([1.0, 1.0]), q=np.diag([10.0, 0.05]))
-    if name == "quartic":
-        return QuarticTarget()
-    if name == "double-bananas":
-        return DoubleBananasTarget()
-    raise ValueError(f"unknown target {name!r} (valid names: {', '.join(builtin_names())})")
+def builtin(name: str):
+    """Construct one of the built-in experiment targets by name."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown target {name!r} (valid names: {', '.join(builtin_names())})")
+    return _BUILTINS[name]()
 
 
 def builtin_names():
-    return ["gauss-correlated", "gauss-aniso", "quartic", "double-bananas"]
-
+    return list(_BUILTINS)

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,8 +81,7 @@ class TestParseConfig:
 
     def test_custom_gaussian_target(self):
         cfg = parse_config(json.dumps({
-            "target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]],
-            "q_is_precision": False,
+            "target": "gaussian", "target_mean": [0.0], "target_q": [[0.5]],
         }))
         t = cfg.build_target()
         assert t.q[0, 0] == 2.0
@@ -102,17 +104,17 @@ class TestParseConfig:
         outdir = run_experiment(cfg)
         assert len((outdir / "metrics.csv").read_text().strip().split("\n")) == 2 + 4  # records at 0, 2, 4 and 5
 
-    @pytest.mark.parametrize("sampler, kernel", [("asvgd", "gaussian"), ("svgd", "bilinear"), ("mala", "gaussian")])
-    def test_alg2_literal_only_where_it_has_an_effect(self, sampler, kernel):
-        with pytest.raises(ConfigError, match="alg2_literal applies only to sampler svgd with the gaussian kernel"):
-            parse_config(json.dumps({"target": "quartic", "sampler": sampler, "kernel": kernel,
-                                     "alg2_literal": True}))
-        assert parse_config('{"target": "quartic", "sampler": "svgd", "alg2_literal": true}').alg2_literal
+    @pytest.mark.parametrize("key", ["alg2_literal", "q_is_precision"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {key}"):
+            parse_config(json.dumps({"target": "gauss-correlated", key: False}))
 
-    def test_gaussian_fit_kl_needs_gaussian_target(self):
-        with pytest.raises(ConfigError, match="kl_method gaussian-fit needs a Gaussian target.*'double-bananas'"):
-            parse_config('{"target": "double-bananas", "sampler": "mala", "kl_method": "gaussian-fit"}')
-        assert parse_config('{"target": "gauss-aniso", "kl_method": "gaussian-fit"}').kl_method == "gaussian-fit"
+    @pytest.mark.parametrize("target", ["gauss-aniso", "double-bananas"])
+    def test_kl_method_gaussian_fit_rejected(self, target):
+        # auto already takes the Gaussian fit on a Gaussian target
+        with pytest.raises(ConfigError, match="kl_method must be auto or kde"):
+            parse_config(json.dumps({"target": target, "kl_method": "gaussian-fit"}))
+        assert parse_config(json.dumps({"target": target, "kl_method": "kde"})).kl_method == "kde"
 
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
@@ -134,12 +136,49 @@ class TestParseConfig:
         path.write_text(json.dumps({"target": "quartic", "n_particles": True, "n_steps": 1,
                                     "output_dir": str(tmp_path / "out")}))
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: n_particles must be an integer >= 2")
+        assert capsys.readouterr().err.startswith("error: n_particles must be an integer, got true")
 
-    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("key, value, expected", [
+        ("use_speed_restart", "false", 'true or false, got "false"'),
+        ("use_gradient_restart", "false", 'true or false, got "false"'),
+        ("use_gradient_restart", 0, "true or false, got 0"),
+        ("sampler", 1, "a string, got 1"),
+        ("output_dir", 7, "a string, got 7"),
+        ("init_mean", 0.0, "a list or null, got 0.0"),
+        ("target_q", {"q": 1}, 'a list or null, got {"q": 1}'),
+    ])
+    def test_every_key_is_type_checked(self, key, value, expected):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} must be {expected}')}$"):
+            parse_config(json.dumps({"target": "quartic", key: value}))
+
+    def test_output_dir_type_error_is_a_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "quartic", "n_steps": 1, "output_dir": 7}))
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: output_dir must be a string, got 7\n"
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"init_mean": ["a", "b"]}, "init_mean: every entry must be a number"),
+        ({"init_mean": [0.0, None]}, "init_mean: every entry must be a number"),
+        ({"init_cov": [[1.0, 0.0], [0.0]]}, "init_cov: setting an array element with a sequence"),
+        ({"kernel": "bilinear", "a_matrix": [[1, "y"], [0, 1]]}, "a_matrix: every entry must be a number"),
+        ({"kernel": "bilinear", "a_matrix": [[1, True], [0, 1]]}, "a_matrix: every entry must be a number"),
+        ({"target": "gaussian", "target_mean": [0, "x"], "target_q": [[1, 0], [0, 1]]},
+         "target_mean: every entry must be a number"),
+        ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 1], [1, 1]]}, "target_q: Singular matrix"),
+        ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 0, 0], [0, 1, 0]]},
+         "target_q: Last 2 dimensions of the array must be square"),
+    ])
+    def test_list_keys_name_themselves(self, raw, message):
+        with pytest.raises(ConfigError, match="^" + message):
+            parse_config(json.dumps({"target": "quartic", **raw}))
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999"])
     def test_non_finite_tokens_rejected(self, token):
         with pytest.raises(ConfigError, match=f"config value {token} is not a finite number"):
             parse_config(f'{{"target": "quartic", "init_mean": [0.0, {token}]}}')
+        with pytest.raises(ConfigError, match=f"config value {token} is not a finite number"):
+            parse_config(f'{{"target": "quartic", "tau": {token}}}')
 
 
 class TestRunExperiment:
@@ -266,7 +305,7 @@ class TestAnalyze:
     def test_report_values_for_isotropic_half(self, tmp_path):
         cfg = parse_config(json.dumps({
             "target": "gaussian", "target_mean": [0.0, 0.0],
-            "target_q": [[1.0, 0.0], [0.0, 1.0]], "q_is_precision": False,
+            "target_q": [[1.0, 0.0], [0.0, 1.0]],
             "kernel": "bilinear", "a_matrix": [[0.5, 0.0], [0.0, 0.5]],
             "output_dir": str(tmp_path / "spectral_out"),
         }))
@@ -280,8 +319,8 @@ class TestAnalyze:
 
     def test_scale_sweep_has_interior_minimum(self, tmp_path):
         cfg = parse_config(json.dumps({
-            "target": "gaussian", "target_mean": [0.3], "target_q": [[0.8]],
-            "q_is_precision": False, "kernel": "bilinear", "a_matrix": [[1.0]],
+            "target": "gaussian", "target_mean": [0.3], "target_q": [[1.25]],
+            "kernel": "bilinear", "a_matrix": [[1.0]],
             "output_dir": str(tmp_path / "sweep1d"),
         }))
         outdir = analyze_spectrum(cfg, sweep_param="a")
@@ -309,8 +348,8 @@ class TestAnalyze:
     ])
     def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, message):
         cfg = parse_config(json.dumps({
-            "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 4.0]],
-            "q_is_precision": False, "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
+            "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 0.25]],
+            "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
         }))
         with pytest.raises(ConfigError, match=message):
             analyze_spectrum(cfg, sweep_param=sweep_param)
@@ -402,7 +441,7 @@ class TestSweepAndCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "target": "gaussian", "target_mean": [0.0, 0.0],
-            "target_q": [[1.0, 0.0], [0.0, 4.0]], "q_is_precision": False,
+            "target_q": [[1.0, 0.0], [0.0, 0.25]],
             "kernel": "bilinear", "a_matrix": [[1.0, 0.0], [0.0, 1.0]],
             "output_dir": str(tmp_path / "an")}))
         assert main(["analyze", str(path)]) == 0
@@ -445,3 +484,11 @@ def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
         ]
     assert [len(files) for files in outputs[1]] == [4, 4]
     assert outputs[2] == outputs[1]
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| key | default |"):].split("\n\n")[0].split("\n")[2:]
+    listed = [key for row in table for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {f.name for f in fields(ExperimentConfig)}

@@ -192,21 +192,6 @@ class TestMatrixFormAgainstLoops:
         ens = svgd_step(ParticleEnsemble.initialize(x0), cfg)
         assert np.allclose(ens.x, x0, atol=1e-14)
 
-    def test_alg2_literal_flag_moves_constant(self):
-        rng = np.random.default_rng(5)
-        target = gaussian_target(rng, 2)
-        kernel = GaussianKernel(0.5)
-        x0 = rng.standard_normal((4, 2))
-        base = SamplerConfig(kernel=kernel, target=target, tau=0.1)
-        lit = SamplerConfig(kernel=kernel, target=target, tau=0.1, alg2_literal=True)
-        x_base = svgd_step(ParticleEnsemble.initialize(x0), base).x
-        x_lit = svgd_step(ParticleEnsemble.initialize(x0), lit).x
-        k = np.exp(-((x0[:, None, :] - x0[None, :, :]) ** 2).sum(-1) / (2 * 0.5))
-        rep = k.sum(1)[:, None] * x0 - k @ x0
-        drive = k @ target.grad_all(x0)
-        assert np.allclose(x_base, x0 + (0.1 / 4) * (rep / 0.5 - drive), rtol=1e-12)
-        assert np.allclose(x_lit, x0 + (0.1 / 4) * (rep - drive / 0.5), rtol=1e-12)
-
     def test_plain_bilinear_small_kernel_limit(self):
         rng = np.random.default_rng(6)
         target = gaussian_target(rng, 2)

@@ -159,11 +159,9 @@ class TestBuiltins:
 
     def test_gauss_correlated_precision_interpretation(self):
         printed = np.array([[3.0, -2.0], [-2.0, 3.0]])
-        t = builtin("gauss-correlated")  # q_is_precision defaults to True
+        t = builtin("gauss-correlated")
         assert np.allclose(t.q_inv, printed, rtol=1e-12)
         assert np.array_equal(t.b, [0.0, 0.0])
-        t_cov = builtin("gauss-correlated", q_is_precision=False)
-        assert np.allclose(t_cov.q, printed, rtol=1e-15)
 
     def test_quartic_builtin(self):
         assert isinstance(builtin("quartic"), QuarticTarget)
