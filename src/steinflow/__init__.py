@@ -10,10 +10,8 @@ from .gaussian_flow import (
     asvgd_gaussian_rhs,
     closed_form_sigma,
     gamma_rate,
-    hamiltonian,
     integrate_rk4,
     kl_gaussians,
-    stein_gaussian_metric_inverse,
     svgd_gaussian_rhs,
 )
 from .kernels import (
@@ -37,11 +35,9 @@ from .samplers import (
     uld_step,
 )
 from .spectral import (
-    SpectralReport,
     asvgd_linearized_spectrum,
     asvgd_rates,
     eigs_1d,
-    euler_contraction_check,
     optimal_a_svgd,
     optimal_damping,
     svgd_linearized_matrix,

@@ -119,7 +119,7 @@ class ExperimentConfig:
             raise ConfigError(f"{key}: every entry must be a number")
         try:
             return np.array(value, dtype=float, ndmin=ndmin)
-        except ValueError as exc:  # a ragged list
+        except (ValueError, OverflowError) as exc:  # a ragged list, or an int too large for a float
             raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -141,6 +141,15 @@ def _is_numeric(value):
     return type(value) in (int, float) or (type(value) is list and all(map(_is_numeric, value)))
 
 
+def _fits_float(value):
+    """Whether ``float(value)`` does not overflow (an int may be too large for a float)."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
@@ -158,9 +167,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Unknown keys are rejected, and so are the tokens Infinity, -Infinity and
     NaN and float literals that overflow; every key is checked against the type
-    of its ``ExperimentConfig`` field (a JSON boolean is never a number), and
-    every numeric key is range-checked, with a key-specific message.  Only
-    ``target`` has no default.
+    of its ``ExperimentConfig`` field (a JSON boolean is never a number, and an
+    integer too large for a float is not a valid float key), and every numeric
+    key is range-checked, with a key-specific message.  Only ``target`` has no
+    default.
     """
     try:
         raw = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
@@ -173,6 +183,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in raw.items():
         kind, types = _JSON_TYPES[_FIELD_TYPES[key]]
         _require(type(value) in types, f"{key} must be {kind}, got {json.dumps(value)}")
+        _require(_FIELD_TYPES[key] != "float" or _fits_float(value),
+                 f"{key} must be {kind}, got an integer too large for a float")
 
     cfg = ExperimentConfig(**raw)
 

@@ -167,7 +167,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     accelerated = None
     if commuting:
         alpha = spectral.optimal_damping(a)
-        accelerated = spectral.asvgd_linearized_spectrum(a, q, alpha).to_dict()
+        accelerated = spectral.asvgd_linearized_spectrum(a, q, alpha)
         theta = float(np.linalg.eigvalsh(a).min())
         rho, h_star, kappa_tilde = spectral.asvgd_rates(q, theta)
         accelerated.update({"rho": rho, "h_star": h_star, "kappa_tilde": kappa_tilde})

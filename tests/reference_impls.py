@@ -7,14 +7,28 @@ deliberately avoiding the vectorized code paths it checks.  The
 pass in ``kernels`` replaced, as oracles that it must match bit for bit.
 ``point_potential`` writes each built-in target's potential out for one point;
 gradients are checked against ``central_diff_grad`` of it.
+
+The last part holds the checks of the analytic layer: the KL gradient and the
+inverse metric map whose composition must reproduce the plain moment flow, the
+Hamiltonian that the damped flow must dissipate, the assembled linearized
+matrix of the accelerated flow with the pairing check of its numeric spectrum
+against the closed form, and the measured contraction of explicit Euler steps.
 """
 
 import numpy as np
 import scipy.linalg
 
 from steinflow import kernels
+from steinflow.gaussian_flow import (
+    AcceleratedGaussianState,
+    GaussianState,
+    _kernel_bilinear,
+    _sym,
+    kl_gaussians,
+)
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, ParticleEnsemble
+from steinflow.spectral import sym_kron_sum
 from steinflow.targets import DoubleBananasTarget, GaussianTarget, QuarticTarget
 
 
@@ -321,3 +335,124 @@ def loop_marching_squares(grid, xs, ys, level):
             if len(pts) == 4:
                 segs.append((pts[2], pts[3]))
     return segs
+
+
+def kl_gradient(mu, sigma, b, q):
+    """Gradient of the KL above in (mu, Sigma): (Q^-1 (mu - b), 0.5 (Q^-1 - Sigma^-1))."""
+    q_inv = np.linalg.inv(q)
+    sigma_inv = np.linalg.inv(sigma)
+    return q_inv @ (mu - b), _sym(0.5 * (q_inv - sigma_inv))
+
+
+def stein_gaussian_metric_inverse(state: GaussianState, nu, s, a):
+    """Inverse metric map (nu, S) -> (dmu, dSigma) on the Gaussian family.
+
+    dmu    = 2 S Sigma A mu + (mu^T A mu + 1) nu
+    dSigma = 2 Sym(Sigma A (2 Sigma S + mu nu^T))
+    """
+    mu, sigma = state.mu, state.sigma
+    nu = np.asarray(nu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    dmu = 2.0 * s @ sigma @ a @ mu + _kernel_bilinear(a, mu, mu) * nu
+    dsigma = 2.0 * _sym(sigma @ a @ (2.0 * sigma @ s + np.outer(mu, nu)))
+    return dmu, dsigma
+
+
+def kinetic_energy(state: AcceleratedGaussianState, a) -> float:
+    """Half the metric pairing of (nu, S) with its image under the inverse metric."""
+    dmu, dsigma = stein_gaussian_metric_inverse(
+        GaussianState(state.mu, state.sigma), state.nu, state.s, a
+    )
+    return 0.5 * float(state.nu @ dmu + np.tensordot(state.s, dsigma))
+
+
+def hamiltonian(state: AcceleratedGaussianState, a, b, q) -> float:
+    """Total energy: nonnegative kinetic term plus the KL potential."""
+    return kinetic_energy(state, a) + kl_gaussians(state.mu, state.sigma, b, q)
+
+
+def asvgd_linearized_matrix(a, q, alpha):
+    """2 d^2 x 2 d^2 system matrix of the centered accelerated flow at damping alpha.
+
+        [[ 0,                       -(2 QAQ (+) I) ],
+         [ (Q^-1 kron Q^-1) / 2,     alpha I       ]]
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    d = q.shape[0]
+    q_inv = np.linalg.inv(q)
+    eye = np.eye(d)
+    top_right = -sym_kron_sum(2.0 * q @ a @ q, eye)
+    bottom_left = 0.5 * np.kron(q_inv, q_inv)
+    zero = np.zeros((d * d, d * d))
+    return np.block([[zero, top_right], [bottom_left, alpha * np.eye(d * d)]])
+
+
+def greedy_pair_check(closed, numeric, tol_scale=1e-8, defect_allowance=0.0):
+    """Nearest-pair matching at 1e-8 relative, plus a defectivity allowance.
+
+    At critical damping the system matrix has genuine Jordan blocks; a double
+    eigenvalue is then only determined to about sqrt(eps * |B|) by any floating
+    point route (the closed form splits it the same way), so that amount is
+    granted on top of the relative tolerance.
+    """
+    numeric = list(numeric)
+    for lam in closed:
+        dists = [abs(lam - z) for z in numeric]
+        j = int(np.argmin(dists))
+        if dists[j] > tol_scale * (1.0 + abs(lam)) + defect_allowance:
+            raise AssertionError(
+                f"closed-form eigenvalue {lam} has no numeric match within "
+                f"{tol_scale * (1.0 + abs(lam)) + defect_allowance:.3e} (closest: {numeric[j]})"
+            )
+        numeric.pop(j)
+
+
+def eigensolver_pair_check(report, a, q, alpha):
+    """``greedy_pair_check`` of a spectral report against a numeric eigensolve of the assembled matrix.
+
+    ``report`` is what ``asvgd_linearized_spectrum(a, q, alpha)`` returns; the
+    check grants the critical-damping defect allowance 2 sqrt(eps (1 + |B|_2)).
+    """
+    closed = np.array(report["eigenvalues"]) @ np.array([1.0, 1j])
+    b_matrix = asvgd_linearized_matrix(a, q, alpha)
+    allowance = 2.0 * np.sqrt(np.finfo(float).eps * (1.0 + np.linalg.norm(b_matrix, 2)))
+    greedy_pair_check(closed, np.linalg.eigvals(b_matrix), defect_allowance=allowance)
+
+
+def euler_contraction_check(b_matrix, h, k, x0=None, rng=None):
+    """Measured and predicted per-step contraction of x -> (I - h B) x.
+
+    Fits a geometric rate to the second half of the iterate norms (least-squares
+    slope in log space, robust to oscillating or defective modes) and compares
+    it with the spectral prediction max |1 - h lambda|.  When the prediction is
+    below one, the fitted rate must not exceed it by more than 1e-3; a prediction
+    at or above one is reported without the check.
+    """
+    b_matrix = np.asarray(b_matrix, dtype=float)
+    n = b_matrix.shape[0]
+    if x0 is None:
+        rng = np.random.default_rng(0) if rng is None else rng
+        x0 = rng.standard_normal(n)
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    step = np.eye(n) - h * b_matrix
+    # renormalize every step and accumulate log-norms to avoid under/overflow
+    log_norms = np.empty(k + 1)
+    log_norms[0] = 0.0
+    for i in range(k):
+        x = step @ x
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            predicted = float(np.abs(1.0 - h * np.linalg.eigvals(b_matrix)).max())
+            return 0.0, predicted
+        log_norms[i + 1] = log_norms[i] + np.log(norm)
+        x = x / norm
+    lo = k // 2
+    idx = np.arange(lo, k + 1, dtype=float)
+    slope = np.polyfit(idx, log_norms[lo:], 1)[0]
+    fitted = float(np.exp(slope))
+    predicted = float(np.abs(1.0 - h * np.linalg.eigvals(b_matrix)).max())
+    if predicted < 1.0 and fitted > predicted + 1e-3:
+        raise AssertionError(f"fitted rate {fitted} exceeds spectral prediction {predicted} + 1e-3")
+    return fitted, predicted

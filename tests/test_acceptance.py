@@ -23,7 +23,16 @@ from steinflow.samplers import (
     svgd_step,
 )
 from steinflow.targets import GaussianTarget
-from reference_impls import random_spd, reference_asvgd_step
+from reference_impls import (
+    asvgd_linearized_matrix,
+    eigensolver_pair_check,
+    euler_contraction_check,
+    hamiltonian,
+    kl_gradient,
+    random_spd,
+    reference_asvgd_step,
+    stein_gaussian_metric_inverse,
+)
 
 
 def _report(number, description, check):
@@ -141,7 +150,7 @@ def test_criterion_04_optimal_kernel_scale_one_dimensional():
             assert abs(np.log(best / a_star)) <= log_cell + 1e-12
             m = spectral.svgd_linearized_matrix(np.array([[a_star]]), np.array([b]),
                                                 np.array([[q]]))
-            fitted, predicted = spectral.euler_contraction_check(m, h_star, 5000)
+            fitted, predicted = euler_contraction_check(m, h_star, 5000)
             assert abs(fitted - predicted) <= 1e-3
 
     _report(4, "grid search finds the optimal 1d kernel scale; step contraction matches", check)
@@ -155,8 +164,9 @@ def test_criterion_05_optimal_damping_and_contraction():
             a = theta * np.eye(2)
             alpha_star = spectral.optimal_damping(a)
             assert alpha_star == pytest.approx(np.sqrt(8.0 * theta), rel=1e-13)
-            # 1) closed-form spectrum against the numeric eigensolver (checked inside)
+            # 1) the report's closed-form spectrum against the numeric eigensolver
             report = spectral.asvgd_linearized_spectrum(a, q, alpha_star)
+            eigensolver_pair_check(report, a, q, alpha_star)
             # 2) the damping grid never beats alpha* on the spectral abscissa
             best = spectral.asvgd_closed_form_eigs(a, q, alpha_star).real.min()
             for alpha in np.geomspace(0.1 * alpha_star, 3.0 * alpha_star, 61):
@@ -164,14 +174,14 @@ def test_criterion_05_optimal_damping_and_contraction():
                 assert val <= best + 1e-6
             # 3) measured contraction at h* on the critically damped (commuting) modes
             rho, h_star, kappa_tilde = spectral.asvgd_rates(q, theta)
-            b_matrix = spectral.asvgd_linearized_matrix(a, q, alpha_star)
+            b_matrix = asvgd_linearized_matrix(a, q, alpha_star)
             d = 2
             x0 = np.zeros(2 * d * d)
             rng = np.random.default_rng(5)
             for i in range(d):
                 x0[i * d + i] = rng.standard_normal()
                 x0[d * d + i * d + i] = rng.standard_normal()
-            fitted, _ = spectral.euler_contraction_check(b_matrix, h_star, 6000, x0=x0)
+            fitted, _ = euler_contraction_check(b_matrix, h_star, 6000, x0=x0)
             assert abs(fitted - rho) <= 1e-3
             # 4) strict improvement over the square-root conditioning bound
             assert rho < (np.sqrt(kappa_q) - 1.0) / (np.sqrt(kappa_q) + 1.0)
@@ -192,8 +202,8 @@ def test_criterion_06_metric_flow_consistency():
             mu = rng.standard_normal(d)
             b = rng.standard_normal(d)
             state = gflow.GaussianState(mu, sigma)
-            gmu, gsig = gflow.kl_gradient(mu, sigma, b, q)
-            mmu, msig = gflow.stein_gaussian_metric_inverse(state, gmu, gsig, a)
+            gmu, gsig = kl_gradient(mu, sigma, b, q)
+            mmu, msig = stein_gaussian_metric_inverse(state, gmu, gsig, a)
             rmu, rsig = gflow.svgd_gaussian_rhs(state, a, b, q)
             assert np.abs(-mmu - rmu).max() <= 1e-12
             assert np.abs(-msig - rsig).max() <= 1e-12
@@ -294,7 +304,7 @@ def test_criterion_10_energy_never_increases():
                 lambda s, al: gflow.asvgd_gaussian_rhs(s, a, b, q, al),
                 state0, 2.0, 2e-3, damping=gflow.constant_damping(2.0),
             )
-            hs = np.array([gflow.hamiltonian(s, a, b, q) for _, s in traj])
+            hs = np.array([hamiltonian(s, a, b, q) for _, s in traj])
             assert np.all(np.diff(hs) <= 1e-10)
 
     _report(10, "total energy dissipates along the damped moment flow", check)

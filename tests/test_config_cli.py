@@ -146,6 +146,8 @@ class TestParseConfig:
         ("output_dir", 7, "a string, got 7"),
         ("init_mean", 0.0, "a list or null, got 0.0"),
         ("target_q", {"q": 1}, 'a list or null, got {"q": 1}'),
+        ("tau", 10**400, "a number, got an integer too large for a float"),
+        ("sigma2", 10**400, "a number, got an integer too large for a float"),
     ])
     def test_every_key_is_type_checked(self, key, value, expected):
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{key} must be {expected}')}$"):
@@ -161,6 +163,7 @@ class TestParseConfig:
         ({"init_mean": ["a", "b"]}, "init_mean: every entry must be a number"),
         ({"init_mean": [0.0, None]}, "init_mean: every entry must be a number"),
         ({"init_cov": [[1.0, 0.0], [0.0]]}, "init_cov: setting an array element with a sequence"),
+        ({"init_mean": [10**400, 0.0]}, "init_mean: int too large to convert to float"),
         ({"kernel": "bilinear", "a_matrix": [[1, "y"], [0, 1]]}, "a_matrix: every entry must be a number"),
         ({"kernel": "bilinear", "a_matrix": [[1, True], [0, 1]]}, "a_matrix: every entry must be a number"),
         ({"target": "gaussian", "target_mean": [0, "x"], "target_q": [[1, 0], [0, 1]]},
@@ -430,6 +433,12 @@ class TestSweepAndCli:
         assert code == 0
         manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
+
+    def test_cli_override_on_non_object_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1]")
+        assert main(["run", str(path), "--override", "tau=1"]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     def test_cli_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
