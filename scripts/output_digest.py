@@ -3,19 +3,19 @@
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
 The calls are ``steinflow run`` on the grid 5 samplers x 2 kernels x 4
-built-in targets x 2 dampings, then ``mala`` with ``kl_method: "kde"`` on the
-two Gaussian targets (the only CLI runs that take a Gaussian target's
-log-normalizer), then three ``steinflow analyze`` calls with the bilinear
-kernel (the 2-D commuting ``gauss-correlated``; a centred 1-D ``gaussian``
-target, which sweeps the damping and adds the optimal 1-D kernel scale to the
-accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale and
-has no accelerated spectrum), and one two-value ``steinflow sweep --param
-tau``.  Every
-config has N = 60 particles, 12 steps, record_every 3 and eps = 0.1, and every
-call runs inside a temporary directory.  The script prints one
-``sha256  path`` line per output file and one ``name  error: ...`` line per
-failed call, with paths relative to that directory.  Run it on two checkouts
-and diff the outputs to check that a change leaves every CLI output
+built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
+1-nearest-neighbour KL estimate, on the two Gaussian targets (the only CLI
+runs that take a Gaussian target's log-normalizer), then three ``steinflow
+analyze`` calls with the bilinear kernel (the 2-D commuting
+``gauss-correlated``; a centred 1-D ``gaussian`` target, which sweeps the
+damping and adds the optimal 1-D kernel scale to the accelerated spectrum; an
+off-centre 1-D one, which sweeps the kernel scale and has no accelerated
+spectrum), and one two-value ``steinflow sweep --param tau``.  Every config
+has N = 60 particles, 12 steps, record_every 3 and eps = 0.1, and every call
+runs inside a temporary directory.  The script prints one ``sha256  path``
+line per output file and one ``name  error: ...`` line per failed call, with
+paths relative to that directory.  Run it on two checkouts and diff the
+outputs to check that a change leaves every CLI output
 byte-identical; ``--src`` names the directory that holds the ``steinflow``
 package to import (default: this checkout's ``src``).
 """
@@ -46,7 +46,7 @@ def _calls():
         yield (f"{sampler}-{kernel}-{target}-{damping}",
                {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping}, ["run"])
     for target in TARGETS[:2]:
-        yield f"mala-kde-{target}", {"sampler": "mala", "target": target, "kl_method": "kde"}, ["run"]
+        yield f"mala-knn-{target}", {"sampler": "mala", "target": target, "kl_method": "knn"}, ["run"]
     yield "analyze-bilinear-gauss-correlated", {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze"]
     for name, mean in (("centred", 0.0), ("offcentre", 0.5)):
         yield (f"analyze-bilinear-gaussian-1d-{name}",

@@ -14,13 +14,7 @@ from .gaussian_flow import (
     kl_gaussians,
     svgd_gaussian_rhs,
 )
-from .kernels import (
-    BilinearKernel,
-    GaussianKernel,
-    GramMatrix,
-    gram,
-    median_bandwidth,
-)
+from .kernels import BilinearKernel, GaussianKernel, GramMatrix, gram
 from .samplers import (
     ConstantDamping,
     ParticleEnsemble,

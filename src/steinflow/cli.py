@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, decode_int, load_json, parse_config
 from .experiment import analyze_spectrum, run_experiment, run_sweep
 
 __all__ = ["main"]
@@ -15,14 +15,14 @@ __all__ = ["main"]
 def _json_or_text(text):
     """A command-line value: ``text`` parsed as JSON if it parses, else the text itself."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=decode_int)
     except json.JSONDecodeError:
         return text
 
 
 def _load_config(path, overrides):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = load_json(fh.read())
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for item in overrides or []:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,11 +82,14 @@ class ExperimentConfig:
                 return ConstantDamping(self.beta)
             except ValueError as exc:
                 raise ConfigError(f"beta: {exc}") from exc
-        return RestartNesterov(
-            use_speed=self.use_speed_restart,
-            use_gradient=self.use_gradient_restart,
-            r=self.restart_offset,
-        )
+        try:
+            return RestartNesterov(
+                use_speed=self.use_speed_restart,
+                use_gradient=self.use_gradient_restart,
+                r=self.restart_offset,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"restart_offset: {exc}") from exc
 
     def build_sampler_config(self) -> SamplerConfig:
         target = self.build_target()
@@ -162,20 +166,34 @@ def _finite_float(token):
     return value
 
 
+def decode_int(token):
+    """The int of a JSON integer token; a ConfigError if it has too many digits for Python's int()."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"config integer of {len(token.lstrip('-'))} digits is too long "
+                          f"(limit {sys.get_int_max_str_digits()})") from None
+
+
+def load_json(text):
+    """The JSON value of ``text``, with every non-finite number and overlong integer a ConfigError."""
+    try:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float, parse_int=decode_int)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON configuration object.
 
     Unknown keys are rejected, and so are the tokens Infinity, -Infinity and
-    NaN and float literals that overflow; every key is checked against the type
-    of its ``ExperimentConfig`` field (a JSON boolean is never a number, and an
-    integer too large for a float is not a valid float key), and every numeric
-    key is range-checked, with a key-specific message.  Only ``target`` has no
-    default.
+    NaN, float literals that overflow and integers too long for ``int()``;
+    every key is checked against the type of its ``ExperimentConfig`` field (a
+    JSON boolean is never a number, and an integer too large for a float is not
+    a valid float key), and every numeric key is range-checked, with a
+    key-specific message.  Only ``target`` has no default.
     """
-    try:
-        raw = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = load_json(text)
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = sorted(raw.keys() - _FIELD_TYPES.keys())
     _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
@@ -208,7 +226,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(cfg.record_every >= 1, "record_every must be a positive integer")
     _require(0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
     _require(cfg.restart_offset >= 3.0, "restart_offset must be a number >= 3")
-    _require(cfg.kl_method in ("auto", "kde"), "kl_method must be auto or kde")
+    _require(cfg.kl_method in ("auto", "knn"), "kl_method must be auto or knn")
 
     # construction of the derived objects performs matrix-level validation
     sampler_cfg = cfg.build_sampler_config()

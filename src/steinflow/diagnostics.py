@@ -1,12 +1,13 @@
 """Run-time metrics: empirical moments, KL estimates, per-iteration records.
 
-Every metric takes the whole particle set: the KDE is evaluated at the
-particles themselves, and the target only through ``potential_all`` and
-``log_normalizer``.
+Every metric takes the whole particle set: the nearest-neighbour estimate
+reads the particles' distances to each other, and the target only through
+``potential_all`` and ``log_normalizer``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,45 +85,36 @@ def gaussian_fit_kl(x, target: GaussianTarget):
     return kl_gaussians(mean, cov, target.b, target.q), degenerate
 
 
-def _kde_log_density(x, bandwidth2):
-    """Log density of the isotropic Gaussian kernel density estimate of the rows of x, at those rows.
-
-    Runs the whole log-sum-exp on one block of rows at a time, so only the
-    length-N result outlives a block: no N x N array is held.
-    """
-    n, d = x.shape
-    log_norm = 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
-    out = np.empty(n)
-    for start, stop, log_kernel in kernels._sq_dist_blocks(x):
-        log_kernel /= -2.0 * bandwidth2
-        log_kernel -= log_norm
-        m = log_kernel.max(axis=1)
-        log_kernel -= m[:, None]
-        np.exp(log_kernel, out=log_kernel)
-        out[start:stop] = m + np.log(log_kernel.sum(axis=1)) - np.log(n)
-    return out
-
-
 def kl_estimate(x, target, method="gaussian-fit") -> float:
     """Sample estimate of the KL of the particle distribution from the target.
 
     "gaussian-fit" fits moments and evaluates the closed-form Gaussian KL
-    (Gaussian targets only).  "kde" is the particle mean of
-    log rho(x_i) + f(x_i), plus ``target.log_normalizer``, where rho is the
-    isotropic Gaussian kernel density estimate with the median-heuristic
-    bandwidth, evaluated at the particles only, and f is evaluated through
-    ``potential_all``; a target without ``log_normalizer`` raises ValueError.
+    (Gaussian targets only).  "knn" is the Kozachenko-Leonenko
+    1-nearest-neighbour estimate
+
+        mean f(x_i) + log Z - H_{N-1} - log c_d - (d/2) mean log r_i^2,
+
+    with r_i the distance from x_i to its nearest other particle, H_{N-1} =
+    psi(N) - psi(1) the (N - 1)-th harmonic number, c_d = pi^(d/2) / Gamma(d/2 + 1)
+    the volume of the unit d-ball, f evaluated through ``potential_all`` and
+    log Z = ``target.log_normalizer``.  It raises ValueError for fewer than two
+    particles, for two particles that coincide and for a target without
+    ``log_normalizer``.
     """
     x = np.asarray(x, dtype=float)
     if method == "gaussian-fit":
         value, _ = gaussian_fit_kl(x, target)
         return value
-    if method != "kde":
-        raise ValueError(f"unknown method {method!r} (valid: gaussian-fit, kde)")
+    if method != "knn":
+        raise ValueError(f"unknown method {method!r} (valid: gaussian-fit, knn)")
     log_z = getattr(target, "log_normalizer", None)
     if log_z is None:
-        raise ValueError(f"kde KL needs the target's log_normalizer, which {type(target).__name__} lacks")
-    bandwidth2 = kernels.median_bandwidth(x)
-    log_rho_x = _kde_log_density(x, bandwidth2)
-    f_x = target.potential_all(x)
-    return float((log_rho_x + f_x).mean() + log_z)
+        raise ValueError(f"knn KL needs the target's log_normalizer, which {type(target).__name__} lacks")
+    r2 = kernels.nearest_sq_dists(x)
+    if not r2.all():
+        raise ValueError("two particles coincide, so a nearest-neighbour distance is 0")
+    n, d = x.shape
+    harmonic = (1.0 / np.arange(1, n)).sum()
+    log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+    return float(target.potential_all(x).mean() + log_z - harmonic - log_unit_ball
+                 - 0.5 * d * np.log(r2).mean())

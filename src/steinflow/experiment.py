@@ -54,13 +54,13 @@ def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
 
 
 def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
-    method = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "kde"
+    method = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "knn"
     degenerate = False
     try:
         if method == "gaussian-fit":
             kl, degenerate = gaussian_fit_kl(x, scfg.target)
         else:
-            kl = kl_estimate(x, scfg.target, method="kde")
+            kl = kl_estimate(x, scfg.target, method="knn")
         mean, cov = empirical_moments(x)
     except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
         raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
@@ -150,10 +150,11 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     outdir.mkdir(parents=True, exist_ok=True)
 
     gamma, lower = gaussian_flow.gamma_rate(a, b, q)
+    alpha_star = spectral.optimal_damping(a)
     report = {
         "gamma": gamma,
         "gamma_lower_bound": lower,
-        "alpha_star": spectral.optimal_damping(a),
+        "alpha_star": alpha_star,
     }
     b_a = spectral.svgd_linearized_matrix(a, b, q)
     report["linearized_eigenvalues"] = [
@@ -164,21 +165,13 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         report["optimal_a_1d"] = a_s
         report["optimal_step_1d"] = h_s
 
-    accelerated = None
-    if commuting:
-        alpha = spectral.optimal_damping(a)
-        accelerated = spectral.asvgd_linearized_spectrum(a, q, alpha)
-        theta = float(np.linalg.eigvalsh(a).min())
-        rho, h_star, kappa_tilde = spectral.asvgd_rates(q, theta)
-        accelerated.update({"rho": rho, "h_star": h_star, "kappa_tilde": kappa_tilde})
-    report["accelerated"] = accelerated
+    report["accelerated"] = spectral.asvgd_linearized_spectrum(a, q, alpha_star) if commuting else None
     (outdir / "spectral_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                                  encoding="utf-8")
 
     if sweep_values is None:
         if param == "alpha":
-            center = spectral.optimal_damping(a)
-            sweep_values = np.geomspace(0.1 * center, 3.0 * center, 61)
+            sweep_values = np.geomspace(0.1 * alpha_star, 3.0 * alpha_star, 61)
         else:
             sweep_values = np.geomspace(1e-2, 1e2, 61)
     rows = []

@@ -18,12 +18,12 @@ The Gaussian kernel solves with the dense Gram matrix from ``gram`` through
 so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
 solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
-Every squared distance in the package -- the Gaussian Gram matrix, the median
-bandwidth and the KDE of ``diagnostics`` -- is between two particles of one
-set and comes from one loop, ``_sq_dist_blocks``, which hands out row blocks
-of the N x N distance matrix in a reused buffer of about ``_BLOCK_ENTRIES``
-entries (512 KB, inside a 2 MiB L2 cache), so no caller holds a distance
-matrix it does not return.
+Every squared distance in the package -- the Gaussian Gram matrix and the
+nearest-neighbour distances of the KL metric in ``diagnostics`` -- is between
+two particles of one set and comes from one loop, ``_sq_dist_blocks``, which
+hands out row blocks of the N x N distance matrix in a reused buffer of about
+``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB L2 cache), so no caller
+holds a distance matrix it does not return.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "BilinearKernel",
     "GramMatrix",
     "gram",
-    "median_bandwidth",
+    "nearest_sq_dists",
     "cholesky_inverse_apply",
     "woodbury_inverse_apply",
 ]
@@ -209,27 +209,22 @@ def gram(kernel, x) -> GramMatrix:
     return GramMatrix(k=k)
 
 
-def median_bandwidth(x) -> float:
-    """Squared bandwidth med^2 / (2 log(N + 1)) from the median pairwise distance.
+def nearest_sq_dists(x):
+    """Squared distance from each row of x to its nearest other row, for N >= 2 rows.
 
-    The N (N - 1) / 2 distances of the strict upper triangle are gathered
-    block by block into one vector, which the median then partitions in place.
+    Each distance block is partitioned in place: its smallest entry per row is
+    the exactly zero diagonal, so the second smallest is the nearest other
+    row, or 0 where another row coincides with it.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("median bandwidth needs at least two points")
-    upper = np.empty(n * (n - 1) // 2)
-    pos = 0
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError(f"nearest-neighbour distances need an N x d point array with N >= 2, "
+                         f"got shape {x.shape}")
+    out = np.empty(x.shape[0])
     for start, stop, block in _sq_dist_blocks(x):
-        for i in range(start, stop):
-            upper[pos : pos + n - 1 - i] = block[i - start, i + 1 :]
-            pos += n - 1 - i
-    np.sqrt(upper, out=upper)
-    med = float(np.median(upper, overwrite_input=True))
-    if med == 0.0:
-        raise ValueError("all points identical: median bandwidth undefined")
-    return med**2 / (2.0 * np.log(n + 1.0))
+        block.partition(1, axis=1)
+        out[start:stop] = block[:, 1]
+    return out
 
 
 def cholesky_inverse_apply(k, eps, y):

@@ -94,11 +94,18 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class RestartNesterov:
-    """Counter-based damping (count - 1) / (count + r - 1) with optional restarts."""
+    """Counter-based damping (count - 1) / (count + r - 1) with optional restarts; r >= 3.
+
+    A smaller r can make the denominator 0: at a counter of 1 when r = 0.
+    """
 
     use_speed: bool = True
     use_gradient: bool = True
     r: float = 3.0
+
+    def __post_init__(self):
+        if not self.r >= 3.0:
+            raise ValueError(f"r must be a number >= 3, got {self.r}")
 
 
 @dataclass(frozen=True)

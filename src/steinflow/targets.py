@@ -3,7 +3,7 @@
 A target has a ``dim`` and two batched methods, ``potential_all(x)`` and
 ``grad_all(x)``, which take the rows of an N x d array and return shapes (N,)
 and (N, d).  Every built-in target also has ``log_normalizer`` = log of the
-integral of exp(-f) over R^d, in closed form.  The KDE metric needs it and
+integral of exp(-f) over R^d, in closed form.  The knn KL metric needs it and
 rejects a target without it, such as a ``CustomTarget``.
 """
 
@@ -142,7 +142,7 @@ class DoubleBananasTarget:
 class CustomTarget:
     """Batched target from user-supplied per-point callables f(x) and grad_f(x), x of shape (d,).
 
-    It has no ``log_normalizer``, so the KDE metric rejects it.
+    It has no ``log_normalizer``, so the knn KL metric rejects it.
     """
 
     def __init__(self, f, grad_f, dim):

@@ -4,9 +4,12 @@ Everything here is written as plain per-particle / per-entry loops against the
 scalar kernel functions ``eval_kernel``, ``grad1`` and ``grad2`` defined below,
 deliberately avoiding the vectorized code paths it checks.  The
 ``unblocked_*`` functions keep the one-buffer forms that the blocked distance
-pass in ``kernels`` replaced, as oracles that it must match bit for bit.
-``point_potential`` writes each built-in target's potential out for one point;
-gradients are checked against ``central_diff_grad`` of it.
+pass in ``kernels`` replaced, and ``loop_nearest_sq_dists`` finds each
+point's nearest neighbour on its own, as oracles that the blocked pass must
+match bit for bit.  ``point_potential`` writes each built-in target's
+potential out for one point; gradients are checked against
+``central_diff_grad`` of it.  ``exact_samples`` draws independent samples of
+each built-in target, on which a KL estimate should read 0.
 
 The last part holds the checks of the analytic layer: the KL gradient and the
 inverse metric map whose composition must reproduce the plain moment flow, the
@@ -29,7 +32,7 @@ from steinflow.gaussian_flow import (
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, ParticleEnsemble
 from steinflow.spectral import sym_kron_sum
-from steinflow.targets import DoubleBananasTarget, GaussianTarget, QuarticTarget
+from steinflow.targets import DoubleBananasTarget, GaussianTarget, QuarticTarget, builtin
 
 
 def point_potential(target, x) -> float:
@@ -127,24 +130,40 @@ def unblocked_gaussian_gram(kernel, x):
     return k
 
 
-def unblocked_median_bandwidth(x):
-    """Median-heuristic squared bandwidth from the index-array upper triangle."""
-    n = x.shape[0]
-    sq = unblocked_sq_dists(x)
-    med = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
-    return med**2 / (2.0 * np.log(n + 1.0))
+def loop_nearest_sq_dists(x):
+    """Squared distance from each row of x to its nearest other row, one row at a time.
 
-
-def unblocked_kde_log_density(x, bandwidth2):
-    """Gaussian KDE log density of the rows of x at those rows, with one N x N buffer updated in place."""
+    Each squared distance sums its coordinates' squared differences in
+    coordinate order, the first square seeding the sum, as the blocked pass
+    does, so the two agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
     n, d = x.shape
-    log_kernel = unblocked_sq_dists(x)
-    log_kernel /= -2.0 * bandwidth2
-    log_kernel -= 0.5 * d * np.log(2.0 * np.pi * bandwidth2)
-    m = log_kernel.max(axis=1)
-    log_kernel -= m[:, None]
-    np.exp(log_kernel, out=log_kernel)
-    return m + np.log(log_kernel.sum(axis=1)) - np.log(n)
+    out = np.empty(n)
+    for i in range(n):
+        diff = x[i] - x
+        sq = diff[:, 0] * diff[:, 0]
+        for k in range(1, d):
+            sq = sq + diff[:, k] * diff[:, k]
+        out[i] = np.delete(sq, i).min()
+    return out
+
+
+def exact_samples(name, n, rng):
+    """n independent draws from the built-in target ``name``, an n x 2 array.
+
+    Gaussians directly; quartic by |x_k| = (4 G)^(1/4) with G ~ Gamma(1/4)
+    and a random sign per coordinate; double-bananas by
+    x1 ~ N(a, c1 / 2), x2 | x1 ~ N(x1^2, 1 / (2 c2)) and a random sign on x2.
+    """
+    target = builtin(name)
+    if isinstance(target, GaussianTarget):
+        return target.b + rng.standard_normal((n, target.dim)) @ np.linalg.cholesky(target.q).T
+    if isinstance(target, QuarticTarget):
+        return (4.0 * rng.gamma(0.25, size=(n, 2))) ** 0.25 * rng.choice([-1.0, 1.0], size=(n, 2))
+    x1 = rng.normal(target.a, np.sqrt(target.c1 / 2.0), n)
+    x2 = rng.normal(x1**2, np.sqrt(1.0 / (2.0 * target.c2)))
+    return np.stack([x1, x2 * rng.choice([-1.0, 1.0], n)], axis=1)
 
 
 def grid_log_normalizer(target, x1_range, x2_range, n=2001):

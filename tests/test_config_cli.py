@@ -1,13 +1,14 @@
 import json
 import os
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steinflow import experiment, kernels, samplers
+from steinflow import experiment, kernels, samplers, spectral
 from steinflow.cli import main
 from steinflow.config import ConfigError, ExperimentConfig, parse_config
 from steinflow.diagnostics import MetricRecord
@@ -110,11 +111,27 @@ class TestParseConfig:
             parse_config(json.dumps({"target": "gauss-correlated", key: False}))
 
     @pytest.mark.parametrize("target", ["gauss-aniso", "double-bananas"])
-    def test_kl_method_gaussian_fit_rejected(self, target):
-        # auto already takes the Gaussian fit on a Gaussian target
-        with pytest.raises(ConfigError, match="kl_method must be auto or kde"):
-            parse_config(json.dumps({"target": target, "kl_method": "gaussian-fit"}))
-        assert parse_config(json.dumps({"target": target, "kl_method": "kde"})).kl_method == "kde"
+    def test_kl_method_gaussian_fit_and_kde_rejected(self, target):
+        # auto already takes the Gaussian fit on a Gaussian target, and knn replaced the kde estimate
+        for method in ("gaussian-fit", "kde"):
+            with pytest.raises(ConfigError, match="kl_method must be auto or knn"):
+                parse_config(json.dumps({"target": target, "kl_method": method}))
+        assert parse_config(json.dumps({"target": target, "kl_method": "knn"})).kl_method == "knn"
+
+    @pytest.mark.parametrize("key", ["seed", "tau", "init_mean"])
+    def test_overlong_integer_is_a_config_error(self, key):
+        # Python's int() refuses strings of more than 4300 digits
+        value = "1" + "0" * 5000
+        text = f'{{"target": "quartic", "{key}": {f"[0, {value}]" if key == "init_mean" else value}}}'
+        with pytest.raises(ConfigError, match="config integer of 5001 digits is too long"):
+            parse_config(text)
+
+    def test_restart_offset_below_three(self):
+        with pytest.raises(ConfigError, match="restart_offset must be a number >= 3"):
+            parse_config('{"target": "quartic", "restart_offset": 0}')
+        # an ExperimentConfig built without parse_config reaches the damping's own check
+        with pytest.raises(ConfigError, match="restart_offset: r must be a number >= 3, got -1"):
+            ExperimentConfig(target="quartic", restart_offset=-1).build_damping()
 
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
@@ -219,6 +236,14 @@ class TestRunExperiment:
         assert main(["run", str(path)]) != 0
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
+    def test_coinciding_particles_fail_the_knn_metric_at_their_iteration(self, tmp_path):
+        cfg = make_cfg(tmp_path, target="quartic")
+        x = np.random.default_rng(0).standard_normal((20, 2))
+        x[5] = x[0]
+        message = "asvgd: knn KL metric failed at iteration 4: two particles coincide"
+        with pytest.raises(RuntimeError, match=message):
+            experiment._metric_for(cfg, cfg.build_sampler_config(), 4, x, 0.0, float("nan"))
+
     def test_determinism_byte_identical(self, tmp_path):
         # one output_dir in both configs, so the manifests may be compared too
         d1 = run_experiment(make_cfg(tmp_path), tmp_path / "a")
@@ -297,7 +322,7 @@ class TestRunExperiment:
         snapshot = np.array([[float(v) for v in line.split(",")] for line in text.split()])
         assert np.array_equal(snapshot, final.x)
 
-    def test_kde_metrics_for_non_gaussian_target(self, tmp_path):
+    def test_knn_metrics_for_non_gaussian_target(self, tmp_path):
         cfg = make_cfg(tmp_path, target="quartic", n_particles=30, n_steps=2, record_every=2)
         outdir = run_experiment(cfg)
         rows = (outdir / "metrics.csv").read_text().strip().split("\n")[2:]
@@ -315,10 +340,27 @@ class TestAnalyze:
         outdir = analyze_spectrum(cfg)
         report = json.loads((outdir / "spectral_report.json").read_text())
         assert report["alpha_star"] == pytest.approx(2.0)
-        assert report["accelerated"]["rho"] == pytest.approx(0.0, abs=1e-12)
-        assert report["accelerated"]["kappa_tilde"] == pytest.approx(1.0)
+        assert report["accelerated"]["contraction"] == pytest.approx(0.0, abs=1e-12)
+        assert report["accelerated"]["condition_number"] == pytest.approx(1.0)
         # round-trips through json
         assert json.loads(json.dumps(report)) == report
+
+    def test_report_has_one_contraction_for_non_scalar_a(self, tmp_path):
+        # A = diag(1, 2) and Q = diag(1, 4) commute; the spectrum's contraction
+        # is 0.340, where the rate formula for A = lambda_min(A) I gives 0.186
+        a, q = np.diag([1.0, 2.0]), np.diag([1.0, 4.0])
+        cfg = parse_config(json.dumps({
+            "target": "gaussian", "target_mean": [0.0, 0.0], "target_q": np.linalg.inv(q).tolist(),
+            "kernel": "bilinear", "a_matrix": a.tolist(), "output_dir": str(tmp_path / "spectral_out"),
+        }))
+        report = json.loads((analyze_spectrum(cfg) / "spectral_report.json").read_text())
+        accelerated = report["accelerated"]
+        assert sorted(accelerated) == ["condition_number", "contraction", "eigenvalues", "optimal_step",
+                                       "spectral_abscissa"]
+        spectrum = spectral.asvgd_linearized_spectrum(a, q, spectral.optimal_damping(a))
+        assert accelerated["contraction"] == spectrum["contraction"] == pytest.approx(0.34015, abs=5e-6)
+        assert accelerated["optimal_step"] == spectrum["optimal_step"]
+        assert report["alpha_star"] == spectral.optimal_damping(a)
 
     def test_scale_sweep_has_interior_minimum(self, tmp_path):
         cfg = parse_config(json.dumps({
@@ -440,6 +482,26 @@ class TestSweepAndCli:
         assert main(["run", str(path), "--override", "tau=1"]) == 1
         assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
+    def test_cli_overlong_integer(self, tmp_path, capsys):
+        # in the config file, in --override and in swept values
+        big = "1" + "0" * 5000
+        path = tmp_path / "cfg.json"
+        path.write_text('{"target": "quartic", "n_particles": 4, "n_steps": 1, "seed": ' + big + "}")
+        assert main(["run", str(path)]) == 1
+        path.write_text(json.dumps({"target": "quartic", "n_particles": 4, "n_steps": 1,
+                                    "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path), "--override", f"seed={big}"]) == 1
+        assert main(["sweep", str(path), "--param", "seed", "--values", f"1,{big}"]) == 1
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: config integer of 5001 digits is too long (limit {limit})\n" * 3
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_malformed_json_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+
     def test_cli_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"target": "quartic", "tau": -3}))
@@ -477,7 +539,7 @@ def test_float_formatting_17_significant_digits(tmp_path):
 
 
 def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
-    # the KDE metric of 300 particles spans 2 distance blocks; two worker
+    # the knn metric of 300 particles spans 2 distance blocks; two worker
     # threads must not share them
     monkeypatch.delenv("STEINFLOW_OUT", raising=False)
     outputs = {}

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln
 
 from steinflow.diagnostics import (
     CSV_SCHEMA_VERSION,
@@ -11,8 +12,8 @@ from steinflow.diagnostics import (
     kl_estimate,
 )
 from steinflow.gaussian_flow import kl_gaussians
-from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget
-from reference_impls import unblocked_kde_log_density, unblocked_median_bandwidth
+from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget, builtin, builtin_names
+from reference_impls import exact_samples, loop_nearest_sq_dists
 
 
 class TestEmpiricalMoments:
@@ -82,28 +83,50 @@ class TestKlEstimate:
         x = rng.standard_normal((200, 2))
         assert kl_estimate(x, target, method="gaussian-fit") == gaussian_fit_kl(x, target)[0]
 
-    def test_kde_close_to_gaussian_fit_on_gaussian_cloud(self):
+    def test_knn_close_to_gaussian_fit_on_gaussian_cloud(self):
         rng = np.random.default_rng(4)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = rng.standard_normal((500, 2))
         fit = kl_estimate(x, target, method="gaussian-fit")
-        kde = kl_estimate(x, target, method="kde")
-        assert abs(kde - fit) <= 0.1
+        knn = kl_estimate(x, target, method="knn")
+        assert abs(knn - fit) <= 0.1
 
     @pytest.mark.parametrize("target", [DoubleBananasTarget(), QuarticTarget(),
-                                        GaussianTarget(b=np.array([1.0, -1.0]), q=np.array([[2.0, 0.5], [0.5, 1.0]]))],
-                             ids=["double-bananas", "quartic", "gaussian"])
-    def test_kde_is_mean_log_density_ratio_plus_log_normalizer(self, target):
-        x = np.random.default_rng(7).standard_normal((300, 2))
-        bandwidth2 = unblocked_median_bandwidth(x)
-        expected = (unblocked_kde_log_density(x, bandwidth2) + target.potential_all(x)).mean()
-        assert kl_estimate(x, target, method="kde") == expected + target.log_normalizer
+                                        GaussianTarget(b=np.array([1.0, -1.0]), q=np.array([[2.0, 0.5], [0.5, 1.0]])),
+                                        GaussianTarget(b=np.array([0.5]), q=np.array([[2.0]]))],
+                             ids=["double-bananas", "quartic", "gaussian", "gaussian-1d"])
+    def test_knn_is_kozachenko_leonenko_entropy_plus_cross_entropy(self, target):
+        # -H + E[f] + log Z with the 1-NN entropy psi(N) - psi(1) + log c_d + d mean log r_i
+        n, d = 300, target.dim
+        x = np.random.default_rng(7).standard_normal((n, d))
+        log_unit_ball = 0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1.0)
+        entropy = (digamma(n) - digamma(1) + log_unit_ball
+                   + d * np.log(np.sqrt(loop_nearest_sq_dists(x))).mean())
+        expected = target.potential_all(x).mean() + target.log_normalizer - entropy
+        assert kl_estimate(x, target, method="knn") == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-    def test_kde_needs_log_normalizer(self):
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_knn_calibrated_on_exact_samples(self, name):
+        # the median-bandwidth KDE this estimate replaced read -0.94 on gauss-aniso
+        # and -0.80 on double-bananas here, where the true KL is 0
+        target = builtin(name)
+        values = np.array([kl_estimate(exact_samples(name, 200, np.random.default_rng(seed)), target, method="knn")
+                           for seed in range(20)])
+        se = values.std(ddof=1) / np.sqrt(values.size)
+        assert abs(values.mean()) <= 3.0 * se
+        assert abs(values.mean()) <= 0.1
+
+    def test_knn_needs_log_normalizer(self):
         target = CustomTarget(lambda x: 0.25 * (x**4).sum(), lambda x: x**3, dim=2)
         x = np.random.default_rng(8).standard_normal((50, 2))
         with pytest.raises(ValueError, match="log_normalizer.*CustomTarget"):
-            kl_estimate(x, target, method="kde")
+            kl_estimate(x, target, method="knn")
+
+    def test_knn_coinciding_particles(self):
+        x = np.random.default_rng(9).standard_normal((50, 2))
+        x[17] = x[3]
+        with pytest.raises(ValueError, match="two particles coincide"):
+            kl_estimate(x, QuarticTarget(), method="knn")
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -126,24 +149,25 @@ class TestKlEstimate:
             errs_big.append(abs(kl_estimate(big, target) - analytic))
         assert np.median(errs_big) <= np.median(errs_small)
 
-    def test_kde_peak_memory(self):
-        # the KDE of 500 particles at themselves runs block by block and
-        # holds no N x N array
+    def test_knn_peak_memory(self):
+        # the nearest-neighbour distances of 500 particles come block by block,
+        # and no N x N array (2 MB) is held
         rng = np.random.default_rng(6)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = rng.standard_normal((500, 2))
-        kl_estimate(x[:10], target, method="kde")  # first-call caches
+        kl_estimate(x[:10], target, method="knn")  # first-call caches
         tracemalloc.start()
         try:
-            kl_estimate(x, target, method="kde")
+            kl_estimate(x, target, method="knn")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8e6
+        assert peak <= 1.5e6
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            kl_estimate(np.zeros((5, 1)), GaussianTarget(b=np.zeros(1), q=np.eye(1)), method="bogus")
+    @pytest.mark.parametrize("method", ["bogus", "kde"])
+    def test_unknown_method(self, method):
+        with pytest.raises(ValueError, match="valid: gaussian-fit, knn"):
+            kl_estimate(np.zeros((5, 1)), GaussianTarget(b=np.zeros(1), q=np.eye(1)), method=method)
 
 
 class TestMetricRecord:

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from steinflow import kernels
-from steinflow.diagnostics import _kde_log_density
 from steinflow.kernels import (
     BilinearKernel,
     GaussianKernel,
     gram,
-    median_bandwidth,
+    nearest_sq_dists,
     woodbury_inverse_apply,
 )
 from reference_impls import (
@@ -16,11 +15,10 @@ from reference_impls import (
     grad1,
     grad2,
     loop_gram,
+    loop_nearest_sq_dists,
     loop_sq_dists,
     random_spd,
     unblocked_gaussian_gram,
-    unblocked_kde_log_density,
-    unblocked_median_bandwidth,
     unblocked_sq_dists,
 )
 
@@ -210,11 +208,12 @@ class TestBlockedDistancePass:
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
     @pytest.mark.parametrize("d", [1, 2, 10])
-    def test_sq_dists_and_kde(self, n, d):
+    def test_sq_dists_and_nearest(self, n, d):
         rng = np.random.default_rng(14 * n + d)
         x = rng.standard_normal((n, d))
         assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
-        assert np.array_equal(_kde_log_density(x, 0.3), unblocked_kde_log_density(x, 0.3))
+        if n >= 2:
+            assert np.array_equal(nearest_sq_dists(x), loop_nearest_sq_dists(x))
 
     def test_one_row_per_block(self, monkeypatch):
         # a row longer than the entry budget still makes a block of its own
@@ -224,39 +223,39 @@ class TestBlockedDistancePass:
         kernel = GaussianKernel(0.5)
         assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
         assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
-        assert np.array_equal(_kde_log_density(x, 0.3), unblocked_kde_log_density(x, 0.3))
-        assert median_bandwidth(x) == unblocked_median_bandwidth(x)
+        assert np.array_equal(nearest_sq_dists(x), loop_nearest_sq_dists(x))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 257, 700])
-    def test_median_bandwidth(self, n):
-        # odd and even pair counts take the median's one- and two-element branches
-        rng = np.random.default_rng(13 * n)
-        x = rng.standard_normal((n, 2))
-        assert median_bandwidth(x) == unblocked_median_bandwidth(x)
+    @pytest.mark.parametrize("block_entries", [1, 600, 2700, 1 << 16])
+    def test_nearest_across_block_sizes(self, monkeypatch, block_entries):
+        # 1, 2 and 9 rows per block at N = 300, and the default 218-row blocks with an 82-row tail
+        x = np.random.default_rng(block_entries).standard_normal((300, 3))
+        expected = loop_nearest_sq_dists(x)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+        assert np.array_equal(nearest_sq_dists(x), expected)
 
 
-class TestMedianBandwidth:
+class TestNearestSqDists:
     def test_two_points(self):
-        x = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert median_bandwidth(x) == pytest.approx(4.0 / (2.0 * np.log(3.0)), rel=1e-12)
+        x = np.array([[0.0, 0.0], [3.0, 4.0]])
+        assert np.array_equal(nearest_sq_dists(x), [25.0, 25.0])
 
-    def test_equilateral_distances(self):
-        # equilateral triangle: every pairwise distance is 1
-        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        assert median_bandwidth(x) == pytest.approx(1.0 / (2.0 * np.log(4.0)), rel=1e-12)
+    def test_points_on_a_line(self):
+        x = np.array([[0.0], [1.0], [3.0], [7.0]])
+        assert np.array_equal(nearest_sq_dists(x), [1.0, 1.0, 4.0, 16.0])
 
-    def test_scaling_homogeneity(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((12, 3))
-        assert median_bandwidth(3.0 * x) == pytest.approx(9.0 * median_bandwidth(x), rel=1e-12)
+    def test_coinciding_points_read_zero(self):
+        x = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
+        assert np.array_equal(nearest_sq_dists(x), [0.0, 5.0, 0.0])
 
-    def test_identical_points_error(self):
-        with pytest.raises(ValueError, match="identical"):
-            median_bandwidth(np.ones((5, 2)))
+    def test_input_left_intact(self):
+        x = np.random.default_rng(3).standard_normal((20, 2))
+        copy = x.copy()
+        nearest_sq_dists(x)
+        assert np.array_equal(x, copy)
 
     def test_single_point_error(self):
-        with pytest.raises(ValueError):
-            median_bandwidth(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="N >= 2"):
+            nearest_sq_dists(np.ones((1, 2)))
 
 
 class TestRegularizedInverse:

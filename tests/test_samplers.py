@@ -64,6 +64,12 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ConstantDamping(-0.1)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, 2.999, float("nan")])
+    def test_restart_offset_below_three_rejected(self, r):
+        # r = 0 makes the damping 0/0 at a counter of 1
+        with pytest.raises(ValueError, match="r must be a number >= 3"):
+            RestartNesterov(r=r)
+
     def test_sampler_config_validation(self):
         t = QuarticTarget()
         with pytest.raises(ValueError):
