@@ -1,21 +1,23 @@
-"""Digest of every file a fixed set of 86 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 88 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
 The calls are ``steinflow run`` on the grid 5 samplers x 2 kernels x 4
 built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
 1-nearest-neighbour KL estimate, on the two Gaussian targets (the only CLI
-runs that take a Gaussian target's log-normalizer), then three ``steinflow
-analyze`` calls with the bilinear kernel (the 2-D commuting
-``gauss-correlated``; a centred 1-D ``gaussian`` target, which sweeps the
-damping and adds the optimal 1-D kernel scale to the accelerated spectrum; an
-off-centre 1-D one, which sweeps the kernel scale and has no accelerated
-spectrum), and one two-value ``steinflow sweep --param tau``.  Every config
-has N = 60 particles, 12 steps, record_every 3 and eps = 0.1, and every call
-runs inside a temporary directory.  The script prints one ``sha256  path``
-line per output file and one ``name  error: ...`` line per failed call, with
-paths relative to that directory.  Run it on two checkouts and diff the
-outputs to check that a change leaves every CLI output
+runs that take a Gaussian target's log-normalizer), then ``mala`` with a
+bilinear ``a_matrix`` that is not positive definite (a Langevin run builds
+no kernel, and must still reject it), then four ``steinflow analyze`` calls
+with the bilinear kernel (the 2-D commuting ``gauss-correlated``, once with
+the default sampler and once with ``mala``; a centred 1-D ``gaussian``
+target, which sweeps the damping and adds the optimal 1-D kernel scale to the
+accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale
+and has no accelerated spectrum), and one two-value ``steinflow sweep
+--param tau``.  Every config has N = 60 particles, 12 steps, record_every 3
+and eps = 0.1, and every call runs inside a temporary directory.  The script
+prints one ``sha256  path`` line per output file and one ``name  error: ...``
+line per failed call, with paths relative to that directory.  Run it on two
+checkouts and diff the outputs to check that a change leaves every CLI output
 byte-identical; ``--src`` names the directory that holds the ``steinflow``
 package to import (default: this checkout's ``src``).
 """
@@ -47,7 +49,11 @@ def _calls():
                {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping}, ["run"])
     for target in TARGETS[:2]:
         yield f"mala-knn-{target}", {"sampler": "mala", "target": target, "kl_method": "knn"}, ["run"]
+    yield ("mala-bilinear-not-pd-quartic",
+           {"sampler": "mala", "kernel": "bilinear", "a_matrix": [[1, 0], [0, -1]], "target": "quartic"}, ["run"])
     yield "analyze-bilinear-gauss-correlated", {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze"]
+    yield ("analyze-bilinear-gauss-correlated-mala",
+           {"sampler": "mala", "kernel": "bilinear", "target": "gauss-correlated"}, ["analyze"])
     for name, mean in (("centred", 0.0), ("offcentre", 0.5)):
         yield (f"analyze-bilinear-gaussian-1d-{name}",
                {"kernel": "bilinear", "target": "gaussian", "target_mean": [mean], "target_q": [[2.0]]},

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import targets as targets_mod
 from .kernels import BilinearKernel, GaussianKernel
-from .samplers import ALGORITHMS, ConstantDamping, RestartNesterov, SamplerConfig
+from .samplers import ALGORITHMS, KERNEL_ALGORITHMS, ConstantDamping, RestartNesterov, SamplerConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
 
@@ -92,9 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"restart_offset: {exc}") from exc
 
     def build_sampler_config(self) -> SamplerConfig:
+        """The run's ``SamplerConfig``; a Langevin sampler gets no kernel, so it never loads scipy."""
         target = self.build_target()
         return SamplerConfig(
-            kernel=self.build_kernel(target.dim),
+            kernel=self.build_kernel(target.dim) if self.sampler in KERNEL_ALGORITHMS else None,
             target=target,
             tau=self.tau,
             eps=self.eps,
@@ -230,5 +231,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # construction of the derived objects performs matrix-level validation
     sampler_cfg = cfg.build_sampler_config()
+    if cfg.kernel == "bilinear" and sampler_cfg.kernel is None:
+        cfg.build_kernel(sampler_cfg.target.dim)  # checks a_matrix for a Langevin sampler too
     cfg.initial_distribution(sampler_cfg.target.dim)
     return cfg

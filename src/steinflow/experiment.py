@@ -137,7 +137,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         raise ConfigError("spectral analysis requires a Gaussian target")
     if cfg.kernel != "bilinear":
         raise ConfigError("spectral analysis requires the bilinear kernel (set kernel='bilinear')")
-    a, b, q = scfg.kernel.a, target.b, target.q
+    a, b, q = cfg.build_kernel(target.dim).a, target.b, target.q
     commuting = np.allclose(b, 0.0) and spectral.commutes(a, q)
     param = sweep_param or ("alpha" if commuting else "a")
     if param not in ("a", "alpha"):

@@ -14,7 +14,8 @@ A kernel is anything with the two step methods the samplers call:
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 The Gaussian kernel solves with the dense Gram matrix from ``gram`` through
-``cholesky_inverse_apply``.  The bilinear Gram matrix has rank at most d + 1,
+``cholesky_inverse_apply``, the package's only use of scipy, which loads with
+the first ``GaussianKernel``.  The bilinear Gram matrix has rank at most d + 1,
 so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
 solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "GaussianKernel",
@@ -53,6 +53,8 @@ class GaussianKernel:
     def __post_init__(self):
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be a positive real, got {self.sigma2}")
+        # the dense solve needs scipy: a run loads it here, in set-up, not in its first step
+        import scipy.linalg  # noqa: F401
 
     def accelerated_terms(self, x, y, g, eps, tau):
         """V, K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
@@ -233,6 +235,8 @@ def cholesky_inverse_apply(k, eps, y):
     Raises LinAlgError with the smallest singular value of K + eps I when the
     factorization fails.
     """
+    import scipy.linalg  # callers need not have made a GaussianKernel
+
     n = k.shape[0]
     k_eps = k.copy()
     k_eps.flat[:: n + 1] += eps

@@ -20,7 +20,8 @@ The kernel's ``accelerated_terms`` supplies V, K grad_f(X), the repulsion push
 and the restart statistic, and its ``plain_step`` the whole plain update, so
 ``asvgd_step`` and ``svgd_step`` never ask which kernel they run on; see
 ``kernels`` for how each kernel computes them.  ``SamplerConfig`` rejects a
-kernel without those two methods.
+kernel without those two methods for the two kernel samplers; the Langevin
+samplers never read the kernel and take ``kernel=None``.
 
 ``step`` is the one place the five samplers are told apart, and ``run`` is the
 one loop over it.  The Langevin samplers keep their state in the same
@@ -48,7 +49,8 @@ __all__ = [
     "run",
 ]
 
-ALGORITHMS = ("asvgd", "svgd", "ula", "mala", "uld")
+KERNEL_ALGORITHMS = ("asvgd", "svgd")
+ALGORITHMS = KERNEL_ALGORITHMS + ("ula", "mala", "uld")
 
 
 @dataclass
@@ -125,7 +127,7 @@ class ConstantDamping:
 
 @dataclass
 class SamplerConfig:
-    """Everything one sampling run depends on."""
+    """Everything one sampling run depends on; ``kernel`` may be None for a Langevin sampler."""
 
     kernel: object
     target: object
@@ -141,7 +143,8 @@ class SamplerConfig:
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         # the two methods the kernel samplers call; see the kernels module docstring
-        if not all(callable(getattr(self.kernel, m, None)) for m in ("accelerated_terms", "plain_step")):
+        methods = ("accelerated_terms", "plain_step")
+        if self.algorithm in KERNEL_ALGORITHMS and not all(callable(getattr(self.kernel, m, None)) for m in methods):
             raise TypeError(f"unsupported kernel {self.kernel!r}")
 
 

@@ -193,6 +193,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^" + message):
             parse_config(json.dumps({"target": "quartic", **raw}))
 
+    @pytest.mark.parametrize("sampler", ["ula", "mala"])
+    @pytest.mark.parametrize("a_matrix, message", [
+        ([[1, 0], [0, -1]], "a_matrix: A must be positive definite"),
+        ([[1, 2], [0, 1]], "a_matrix: A must be symmetric"),
+    ])
+    def test_langevin_sampler_checks_a_matrix(self, sampler, a_matrix, message):
+        # a Langevin run builds no kernel, but its bilinear a_matrix is checked all the same
+        raw = {"sampler": sampler, "kernel": "bilinear", "a_matrix": a_matrix, "target": "quartic"}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "bilinear"])
+    def test_langevin_sampler_config_has_no_kernel(self, kernel):
+        cfg = parse_config(json.dumps({"sampler": "mala", "kernel": kernel, "target": "quartic"}))
+        assert cfg.build_sampler_config().kernel is None
+
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999"])
     def test_non_finite_tokens_rejected(self, token):
         with pytest.raises(ConfigError, match=f"config value {token} is not a finite number"):
@@ -376,6 +392,15 @@ class TestAnalyze:
         a_star = 1.0 / (2.0 * 0.8 + 0.3**2)
         cell = np.log(rows[1, 0] / rows[0, 0])
         assert abs(np.log(rows[j, 0] / a_star)) <= cell + 1e-12
+
+    def test_report_does_not_depend_on_the_sampler(self, tmp_path):
+        raw = {"target": "gauss-correlated", "kernel": "bilinear", "a_matrix": [[0.5, 0.0], [0.0, 0.5]]}
+        files = {}
+        for sampler in ("asvgd", "mala"):
+            outdir = analyze_spectrum(parse_config(json.dumps(
+                {**raw, "sampler": sampler, "output_dir": str(tmp_path / sampler)})))
+            files[sampler] = [(outdir / name).read_bytes() for name in ("spectral_report.json", "rate_table.csv")]
+        assert files["mala"] == files["asvgd"]
 
     def test_requires_gaussian_target(self, tmp_path):
         cfg = make_cfg(tmp_path, target="quartic", kernel="bilinear")

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,43 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), f"duplicate names in steinflow.{name}.__all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"steinflow.{name}.__all__ names missing attributes: {missing}"
+
+
+# Run in a fresh interpreter: this test process has scipy loaded already.
+_IMPORT_CHECK = """
+import json, sys
+from pathlib import Path
+
+def check(where):
+    assert "scipy" not in sys.modules, f"scipy is loaded after {where}"
+
+import steinflow
+check("import steinflow")
+out = Path(sys.argv[1])
+base = {"target": "gauss-correlated", "n_particles": 20, "n_steps": 2, "record_every": 1}
+configs = {
+    "mala": {"sampler": "mala"},
+    "bilinear": {"kernel": "bilinear"},
+    "analyze": {"kernel": "bilinear", "sampler": "mala"},
+}
+parsed = {}
+for name, raw in configs.items():
+    parsed[name] = steinflow.parse_config(json.dumps({**base, **raw, "output_dir": str(out / name)}))
+    check(f"parse_config of the {name} config")
+for name in ("mala", "bilinear"):
+    steinflow.run_experiment(parsed[name])
+    check(f"run_experiment of the {name} config")
+steinflow.analyze_spectrum(parsed["analyze"])
+check("analyze_spectrum")
+steinflow.parse_config(json.dumps({**base, "kernel": "gaussian"}))
+assert "scipy.linalg" in sys.modules, "a Gaussian-kernel config should load scipy while it is parsed"
+"""
+
+
+def test_scipy_loads_only_with_the_gaussian_kernel(tmp_path):
+    src = str(Path(steinflow.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "STEINFLOW_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestEnsemble:
     def test_sampler_config_rejects_unknown_kernel(self):
         with pytest.raises(TypeError, match="unsupported kernel"):
             SamplerConfig(kernel=SimpleNamespace(sigma2=1.0), target=QuarticTarget(), tau=0.1)
+
+    @pytest.mark.parametrize("algorithm", ["asvgd", "svgd"])
+    def test_kernel_sampler_rejects_no_kernel(self, algorithm):
+        with pytest.raises(TypeError, match="unsupported kernel None"):
+            SamplerConfig(kernel=None, target=QuarticTarget(), tau=0.1, algorithm=algorithm)
 
     def test_bilinear_asvgd_step_needs_positive_eps(self):
         cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=QuarticTarget(), tau=0.1, eps=0.0)
@@ -515,6 +521,16 @@ class TestRun:
         assert [s[0] for s in seen] == list(range(6))
         assert all(s[1] == (4, 2) for s in seen)
         assert final.iteration == 5
+
+    @pytest.mark.parametrize("algorithm", ["ula", "mala", "uld"])
+    def test_langevin_run_takes_no_kernel(self, algorithm):
+        rng = np.random.default_rng(13)
+        cfg = self._cfg(algorithm, rng)
+        x0 = rng.standard_normal((6, 2))
+        with_kernel = run(cfg, x0, 8)
+        without = run(replace(cfg, kernel=None), x0, 8)
+        assert np.array_equal(with_kernel.x, without.x)
+        assert np.array_equal(with_kernel.y, without.y)
 
     def test_unknown_algorithm(self):
         rng = np.random.default_rng(12)
