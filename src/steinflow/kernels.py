@@ -13,9 +13,9 @@ A kernel is anything with the two step methods the samplers call:
   update and the gradient-restart statistic (NaN when the kernel has none);
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
-The Gaussian kernel solves with the dense Gram matrix from ``gram`` through
-``cholesky_inverse_apply``, the package's only use of scipy, which loads with
-the first ``GaussianKernel``.  The bilinear Gram matrix has rank at most d + 1,
+The Gaussian kernel factors the dense Gram matrix from ``gram`` in place with
+scipy's LAPACK and BLAS wrappers, the package's only use of scipy, which loads
+with the first ``GaussianKernel``.  The bilinear Gram matrix has rank at most d + 1,
 so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
 solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
@@ -39,7 +39,6 @@ __all__ = [
     "GramMatrix",
     "gram",
     "nearest_sq_dists",
-    "cholesky_inverse_apply",
     "woodbury_inverse_apply",
 ]
 
@@ -71,13 +70,37 @@ class GaussianKernel:
         cost O(N^2 (d^2 + 4d + 2)) instead of the O(N^3) of forming W, so they
         stop paying once d^2 approaches N (d of about 30 at N = 1000); every
         built-in target has d <= 10.
+
+        One N x N buffer holds K and its factor: ``gram`` writes K, and LAPACK
+        ``dpotrf`` factors K + eps I = U^T U in place over the upper triangle of
+        its Fortran-order transpose.  ``dpotrs`` on U gives V, and BLAS ``dsymm``
+        takes both products from the untouched strict triangle, less
+        diag(U_ii - 1) B for the pivots on its diagonal.  The step's peak is
+        about 1.15 N x N doubles at d = 2.
         """
+        from scipy.linalg import blas, lapack  # loaded with the kernel, in __post_init__
+
         n, d = x.shape
-        k = gram(self, x).k
-        v = cholesky_inverse_apply(k, eps, y)
+        buf = gram(self, x).k
+        buf.flat[:: n + 1] += eps
+        u, info = lapack.dpotrf(buf.T, lower=0, clean=0, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dpotrf rejected its argument {-info}")
+        if info > 0:
+            k_eps = np.tril(u, -1)  # the failed factorization overwrote the other triangle
+            k_eps += k_eps.T
+            k_eps.flat[:: n + 1] = 1.0 + eps
+            smin = np.linalg.svd(k_eps, compute_uv=False).min()
+            raise np.linalg.LinAlgError(f"regularized kernel matrix singular (smallest singular value {smin:.3e})")
+        v = n * lapack.dpotrs(u, y)[0]
+        pivot_excess = np.diagonal(u) - 1.0  # K's diagonal is exactly 1
+
+        def k_times(b):
+            return blas.dsymm(1.0, u, b, lower=1) - pivot_excess[:, None] * b
+
         # z[i, a*d + c] = V_ia X_ic
         z = (v[:, :, None] * x[:, None, :]).reshape(n, d * d)
-        p = k @ np.hstack([g, x, v, z, np.ones((n, 1))])
+        p = k_times(np.hstack([g, x, v, z, np.ones((n, 1))]))
         kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
         kz = p[:, 3 * d : -1].reshape(n, d, d)
         k1 = p[:, -1]
@@ -90,7 +113,7 @@ class GaussianKernel:
         grad_stat = -(drive + repulsion / self.sigma2) / n**2
         m = np.einsum("ia,iac->ic", v, kz)
         r = np.einsum("ia,ia->i", v, kv)
-        q = k @ np.hstack([m, r[:, None]])
+        q = k_times(np.hstack([m, r[:, None]]))
         w1 = n * k1 + (q[:, -1] - np.einsum("ia,ia->i", kv, kv))
         wx = n * kx + (q[:, :-1] - np.einsum("ia,iac->ic", kv, kz))
         push = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
@@ -227,31 +250,6 @@ def nearest_sq_dists(x):
         block.partition(1, axis=1)
         out[start:stop] = block[:, 1]
     return out
-
-
-def cholesky_inverse_apply(k, eps, y):
-    """N (K + eps I)^-1 y for the N x N matrix K by a Cholesky factorization; K itself is left intact.
-
-    Raises LinAlgError with the smallest singular value of K + eps I when the
-    factorization fails.
-    """
-    import scipy.linalg  # callers need not have made a GaussianKernel
-
-    n = k.shape[0]
-    k_eps = k.copy()
-    k_eps.flat[:: n + 1] += eps
-    try:
-        # K + eps I equals its transpose exactly, and the transpose is a
-        # Fortran-order view that LAPACK factors in place without a copy
-        factor = scipy.linalg.cho_factor(k_eps.T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        k_eps = k.copy()  # the failed factorization overwrote the buffer
-        k_eps.flat[:: n + 1] += eps
-        smin = np.linalg.svd(k_eps, compute_uv=False).min()
-        raise np.linalg.LinAlgError(
-            f"regularized kernel matrix singular (smallest singular value {smin:.3e})"
-        ) from None
-    return n * scipy.linalg.cho_solve(factor, y, check_finite=False)
 
 
 def woodbury_inverse_apply(u, eps, y):

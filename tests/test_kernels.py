@@ -259,7 +259,7 @@ class TestNearestSqDists:
 
 
 class TestRegularizedInverse:
-    """n (U U^T + eps I)^-1 y through the Woodbury identity on the low-rank factor U."""
+    """n (K + eps I)^-1 y: Woodbury on the bilinear factor U, an in-place Cholesky for the Gaussian K."""
 
     def test_identity_gram_eps_one(self):
         y = np.arange(8.0).reshape(4, 2)
@@ -283,3 +283,19 @@ class TestRegularizedInverse:
         v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y)
         resid = (loop_gram(kernel, x) + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("n, d", [(7, 1), (60, 2), (300, 5)])
+    def test_gaussian_factor_and_products_share_one_buffer(self, n, d):
+        # V comes from the factor written over one triangle of the Gram buffer,
+        # and K B from the other, untouched triangle with the pivots on its diagonal
+        rng = np.random.default_rng(23 + n)
+        kernel = GaussianKernel(float(rng.uniform(0.5, 2.0)))
+        x = rng.standard_normal((n, d))
+        y = rng.standard_normal((n, d))
+        b = rng.standard_normal((n, d))
+        eps = 0.1
+        v, kb, _, _ = kernel.accelerated_terms(x, y, b, eps, 0.05)
+        k = loop_gram(kernel, x)
+        dense_v = n * np.linalg.solve(k + eps * np.eye(n), y)
+        assert np.abs(v - dense_v).max() <= 1e-10 * np.abs(dense_v).max()
+        assert np.abs(kb - k @ b).max() <= 1e-13 * np.abs(k @ b).max()
