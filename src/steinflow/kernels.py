@@ -13,18 +13,20 @@ A kernel is anything with the two step methods the samplers call:
   update and the gradient-restart statistic (NaN when the kernel has none);
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
-The Gaussian kernel factors the dense Gram matrix from ``gram`` in place with
-scipy's LAPACK and BLAS wrappers, the package's only use of scipy, which loads
-with the first ``GaussianKernel``.  The bilinear Gram matrix has rank at most d + 1,
-so (K + eps I) is invertible only for eps > 0; that kernel never forms K and
-solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
+The Gaussian kernel's accelerated step has ``gram`` write one triangle of the
+dense Gram matrix, factors it in place and multiplies by K through the factor,
+with scipy's LAPACK and BLAS wrappers, the package's only use of scipy, which
+loads with the first ``GaussianKernel``.  The bilinear Gram matrix has rank at
+most d + 1, so (K + eps I) is invertible only for eps > 0; that kernel never
+forms K and solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in
+O(N d^2).
 
 Every squared distance in the package -- the Gaussian Gram matrix and the
 nearest-neighbour distances of the KL metric in ``diagnostics`` -- is between
 two particles of one set and comes from one loop, ``_sq_dist_blocks``, which
-hands out row blocks of the N x N distance matrix in a reused buffer of about
-``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB L2 cache), so no caller
-holds a distance matrix it does not return.
+hands out row blocks of the N x N distance matrix, or of its upper triangle,
+in a reused buffer of about ``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB
+L2 cache), so no caller holds a distance matrix it does not return.
 """
 
 from __future__ import annotations
@@ -60,50 +62,51 @@ class GaussianKernel:
 
         The momentum update needs the interaction matrix
         W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
-        is never formed.  With P = K [G | X | V | Z | 1] (G = grad_f(X),
-        Z[:, a d + c] = V_a X_c), M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
+        is never formed.  With P = K [G | X | Z | 1] (G = grad_f(X),
+        Z[:, a d + c] = V_a X_c), KV = N Y - eps V (as (K + eps I) V = N Y),
+        M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
 
             W 1 = N K1 + K r - rowsum(KV o KV),
             W X = N KX + K M - E,   E_ic = sum_a (KV)_ia (KZ)_i,ac,
 
         and the restart statistic reads KG, KX and K1 from P.  The two products
-        cost O(N^2 (d^2 + 4d + 2)) instead of the O(N^3) of forming W, so they
+        cost O(N^2 (d^2 + 3d + 2)) instead of the O(N^3) of forming W, so they
         stop paying once d^2 approaches N (d of about 30 at N = 1000); every
         built-in target has d <= 10.
 
-        One N x N buffer holds K and its factor: ``gram`` writes K, and LAPACK
-        ``dpotrf`` factors K + eps I = U^T U in place over the upper triangle of
-        its Fortran-order transpose.  ``dpotrs`` on U gives V, and BLAS ``dsymm``
-        takes both products from the untouched strict triangle, less
-        diag(U_ii - 1) B for the pivots on its diagonal.  The step's peak is
-        about 1.15 N x N doubles at d = 2.
+        One N x N buffer holds one triangle of K and then its factor: ``gram``
+        writes the upper triangle, which is the lower triangle of the buffer's
+        Fortran-order transpose, and LAPACK ``dpotrf`` factors K + eps I = L L^T
+        over it in place.  ``dpotrs`` on L gives V, and each product is taken
+        through the factor, K B = L (L^T B) - eps B, with two BLAS ``dtrmm``.
+        The step's peak is about 1.15 N x N doubles at d = 2.
         """
         from scipy.linalg import blas, lapack  # loaded with the kernel, in __post_init__
 
         n, d = x.shape
-        buf = gram(self, x).k
+        buf = gram(self, x, upper=True).k
         buf.flat[:: n + 1] += eps
-        u, info = lapack.dpotrf(buf.T, lower=0, clean=0, overwrite_a=1)
+        l, info = lapack.dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
         if info < 0:
             raise ValueError(f"dpotrf rejected its argument {-info}")
         if info > 0:
-            k_eps = np.tril(u, -1)  # the failed factorization overwrote the other triangle
-            k_eps += k_eps.T
-            k_eps.flat[:: n + 1] = 1.0 + eps
+            k_eps = gram(self, x).k  # the failed factorization overwrote the triangle it read
+            k_eps.flat[:: n + 1] += eps
             smin = np.linalg.svd(k_eps, compute_uv=False).min()
             raise np.linalg.LinAlgError(f"regularized kernel matrix singular (smallest singular value {smin:.3e})")
-        v = n * lapack.dpotrs(u, y)[0]
-        pivot_excess = np.diagonal(u) - 1.0  # K's diagonal is exactly 1
+        v = n * lapack.dpotrs(l, y, lower=1)[0]
 
         def k_times(b):
-            return blas.dsymm(1.0, u, b, lower=1) - pivot_excess[:, None] * b
+            lt_b = blas.dtrmm(1.0, l, b, lower=1, trans_a=1)
+            return blas.dtrmm(1.0, l, lt_b, lower=1, overwrite_b=1) - eps * b
 
         # z[i, a*d + c] = V_ia X_ic
         z = (v[:, :, None] * x[:, None, :]).reshape(n, d * d)
-        p = k_times(np.hstack([g, x, v, z, np.ones((n, 1))]))
-        kg, kx, kv = p[:, :d], p[:, d : 2 * d], p[:, 2 * d : 3 * d]
-        kz = p[:, 3 * d : -1].reshape(n, d, d)
+        p = k_times(np.hstack([g, x, z, np.ones((n, 1))]))
+        kg, kx = p[:, :d], p[:, d : 2 * d]
+        kz = p[:, 2 * d : -1].reshape(n, d, d)
         k1 = p[:, -1]
+        kv = n * y - eps * v
         # Dissipation -dE/dt in matrix form, negative when the energy is rising:
         # -(1/N^2) [tr(V^T K G) + tr(V^T (K - diag(K 1)) X) / sigma2], the matrix
         # form of the negated double sum (1/N^2) sum_ij <V_j, k(X_i, X_j)
@@ -188,38 +191,49 @@ class GramMatrix:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _sq_dist_blocks(x):
+def _sq_dist_blocks(x, upper=False):
     """Yield (start, stop, block): the squared distances of rows x[start:stop] to every row of x.
 
-    ``block`` is a view of one buffer of about ``_BLOCK_ENTRIES`` entries that
-    is overwritten by the next block, so a caller consumes it before asking for
-    more.  Each entry sums its coordinates' squared differences in coordinate
-    order, the first square seeding the sum, so a block row is bit-identical
-    for any block size, and the matrix is exactly symmetric with an exactly
-    zero diagonal.
+    With ``upper`` a block holds the distances to rows x[start:] only, so the
+    blocks cover the diagonal and the upper triangle of the distance matrix.
+    ``block`` is a contiguous (stop - start, columns) view of one buffer of
+    about ``_BLOCK_ENTRIES`` entries that is overwritten by the next block, so
+    a caller consumes it before asking for more.  Each entry sums its
+    coordinates' squared differences in coordinate order, the first square
+    seeding the sum, so an entry is bit-identical for any block size and in
+    either mode, and the matrix is exactly symmetric with an exactly zero
+    diagonal.
     """
     n, d = x.shape
     xt = np.ascontiguousarray(x.T)
     rows = max(1, min(n, _BLOCK_ENTRIES // max(n, 1)))
-    buf = np.empty((rows, n))
-    diff = np.empty((rows, n))
+    buf = np.empty(rows * n)
+    diff = np.empty(rows * n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        block, scratch = buf[: stop - start], diff[: stop - start]
-        np.subtract(x[start:stop, 0, None], xt[0], out=block)
+        first = start if upper else 0
+        shape = (stop - start, n - first)
+        # contiguous blocks: in-place ufuncs on a strided view of a wider buffer run
+        # about 1.7x slower, which cancels the saving of the upper mode
+        block = buf[: shape[0] * shape[1]].reshape(shape)
+        scratch = diff[: shape[0] * shape[1]].reshape(shape)
+        np.subtract(x[start:stop, 0, None], xt[0, first:], out=block)
         block *= block
         for k in range(1, d):
-            np.subtract(x[start:stop, k, None], xt[k], out=scratch)
+            np.subtract(x[start:stop, k, None], xt[k, first:], out=scratch)
             scratch *= scratch
             block += scratch
         yield start, stop, block
 
 
-def gram(kernel, x) -> GramMatrix:
+def gram(kernel, x, upper=False) -> GramMatrix:
     """Gaussian kernel matrix K with K[i, j] = k(x_i, x_j); symmetric with a unit diagonal.
 
     Each distance block is scaled and exponentiated straight into K, so K is
-    the only N x N array it allocates.
+    the only N x N array it allocates.  With ``upper`` only the diagonal and
+    the upper triangle are written, at about half the cost; the strict lower
+    triangle is left uninitialized.  Every entry written is bit-identical in
+    either mode.
     """
     if not isinstance(kernel, GaussianKernel):
         raise TypeError(f"gram builds dense Gaussian Gram matrices only, got {kernel!r}; "
@@ -227,10 +241,12 @@ def gram(kernel, x) -> GramMatrix:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"expected an N x d point array with N >= 1, got shape {x.shape}")
-    k = np.empty((x.shape[0], x.shape[0]))
-    for start, stop, block in _sq_dist_blocks(x):
+    n = x.shape[0]
+    k = np.empty((n, n))
+    for start, stop, block in _sq_dist_blocks(x, upper):
         block /= -2.0 * kernel.sigma2
-        np.exp(block, out=k[start:stop])  # unit diagonal: the distance diagonal is exactly zero
+        # unit diagonal: the distance diagonal is exactly zero
+        np.exp(block, out=k[start:stop, n - block.shape[1]:])
     return GramMatrix(k=k)
 
 

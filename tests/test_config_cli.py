@@ -316,9 +316,9 @@ class TestRunExperiment:
         calls = []
         gram = kernels.gram
 
-        def counting_gram(*args):
+        def counting_gram(*args, **kwargs):
             calls.append(args)
-            return gram(*args)
+            return gram(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "gram", counting_gram)
         cfg = make_cfg(tmp_path, sampler="asvgd", kernel="gaussian", n_steps=5, record_every=2)

@@ -204,14 +204,20 @@ class TestBlockedDistancePass:
         rng = np.random.default_rng(12 * n + d)
         x = rng.standard_normal((n, d))
         kernel = GaussianKernel(0.5 * d)
-        assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
+        full = gram(kernel, x).k
+        assert np.array_equal(full, unblocked_gaussian_gram(kernel, x))
+        assert np.array_equal(np.triu(gram(kernel, x, upper=True).k), np.triu(full))
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_sq_dists_and_nearest(self, n, d):
         rng = np.random.default_rng(14 * n + d)
         x = rng.standard_normal((n, d))
-        assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
+        full = unblocked_sq_dists(x)
+        assert np.array_equal(blocked_sq_dists(x), full)
+        for start, stop, block in kernels._sq_dist_blocks(x, upper=True):
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, full[start:stop, start:])
         if n >= 2:
             assert np.array_equal(nearest_sq_dists(x), loop_nearest_sq_dists(x))
 
@@ -222,7 +228,9 @@ class TestBlockedDistancePass:
         x = rng.standard_normal((7, 2))
         kernel = GaussianKernel(0.5)
         assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
-        assert np.array_equal(gram(kernel, x).k, unblocked_gaussian_gram(kernel, x))
+        expected = unblocked_gaussian_gram(kernel, x)
+        assert np.array_equal(gram(kernel, x).k, expected)
+        assert np.array_equal(np.triu(gram(kernel, x, upper=True).k), np.triu(expected))
         assert np.array_equal(nearest_sq_dists(x), loop_nearest_sq_dists(x))
 
     @pytest.mark.parametrize("block_entries", [1, 600, 2700, 1 << 16])
@@ -285,9 +293,9 @@ class TestRegularizedInverse:
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
     @pytest.mark.parametrize("n, d", [(7, 1), (60, 2), (300, 5)])
-    def test_gaussian_factor_and_products_share_one_buffer(self, n, d):
-        # V comes from the factor written over one triangle of the Gram buffer,
-        # and K B from the other, untouched triangle with the pivots on its diagonal
+    def test_gaussian_solve_and_products_through_the_factor(self, n, d):
+        # V comes from the Cholesky factor L of K + eps I, written over the
+        # triangle of the Gram buffer that holds K, and K B = L (L^T B) - eps B
         rng = np.random.default_rng(23 + n)
         kernel = GaussianKernel(float(rng.uniform(0.5, 2.0)))
         x = rng.standard_normal((n, d))
@@ -299,3 +307,23 @@ class TestRegularizedInverse:
         dense_v = n * np.linalg.solve(k + eps * np.eye(n), y)
         assert np.abs(v - dense_v).max() <= 1e-10 * np.abs(dense_v).max()
         assert np.abs(kb - k @ b).max() <= 1e-13 * np.abs(k @ b).max()
+
+    def test_step_reads_only_the_triangle_gram_writes(self, monkeypatch):
+        # NaN in the strict lower triangle of every K that gram returns must
+        # reach none of the step's outputs
+        rng = np.random.default_rng(24)
+        n, d = 300, 2
+        kernel = GaussianKernel(0.5)
+        x, y, g = (rng.standard_normal((n, d)) for _ in range(3))
+        clean = kernel.accelerated_terms(x, y, g, 0.1, 0.05)
+        unpoisoned = kernels.gram
+
+        def poisoned_gram(*args, **kwargs):
+            gm = unpoisoned(*args, **kwargs)
+            gm.k[np.tril_indices(gm.k.shape[0], -1)] = np.nan
+            return gm
+
+        monkeypatch.setattr(kernels, "gram", poisoned_gram)
+        poisoned = kernel.accelerated_terms(x, y, g, 0.1, 0.05)
+        for got, expected in zip(poisoned, clean):
+            assert np.array_equal(got, expected)
