@@ -23,9 +23,14 @@ and the restart statistic, and its ``plain_step`` the whole plain update, so
 kernel without those two methods for the two kernel samplers; the Langevin
 samplers never read the kernel and take ``kernel=None``.
 
-``step`` is the one place the five samplers are told apart, and ``run`` is the
-one loop over it.  The Langevin samplers keep their state in the same
-``ParticleEnsemble``: ULD's momentum lives in Y.
+All five samplers share one contract: ``name_step(ens, cfg, rng)`` returns
+the next ``ParticleEnsemble``, with its positions checked finite, its step
+lengths recorded and its iteration advanced by one.  The kernel samplers
+ignore ``rng``.  The Langevin samplers keep their state in the same ensemble:
+ULD's momentum lives in Y.  MALA returns no acceptance flags, since a rejected
+particle keeps its row bit for bit: the accepted rows are
+``np.any(new.x != ens.x, axis=1)``.  ``step`` picks the function by
+``cfg.algorithm``, and ``run`` is the one loop over it.
 """
 
 from __future__ import annotations
@@ -138,10 +143,12 @@ class SamplerConfig:
     algorithm: str = "asvgd"
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r} (valid: {', '.join(ALGORITHMS)})")
+        if not np.isfinite(self.tau) or self.tau <= 0:
+            raise ValueError(f"tau must be a positive real, got {self.tau}")
+        if not np.isfinite(self.eps) or self.eps < 0:
+            raise ValueError(f"eps must be a nonnegative real, got {self.eps}")
         # the two methods the kernel samplers call; see the kernels module docstring
         methods = ("accelerated_terms", "plain_step")
         if self.algorithm in KERNEL_ALGORITHMS and not all(callable(getattr(self.kernel, m, None)) for m in methods):
@@ -151,6 +158,17 @@ class SamplerConfig:
 def _check_finite(arr, iteration, what):
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
+
+
+def _moved(ens, x_new, what="positions", **fields):
+    """``ens`` one iteration on at positions ``x_new``, with their step lengths.
+
+    Raises FloatingPointError naming ``what`` if ``x_new`` is not finite, so a
+    diverging run stops at the step where it first left the floating-point range.
+    """
+    _check_finite(x_new, ens.iteration + 1, what)
+    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
 
 def _damping_vector(ens, cfg, step_norms, grad_stat):
@@ -175,58 +193,44 @@ def _damping_vector(ens, cfg, step_norms, grad_stat):
     return alpha, counts
 
 
-def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
+def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
     """One accelerated transport step (position, density momentum, damping, momentum).
 
     The kernel-specific terms come from ``cfg.kernel.accelerated_terms``; the
     bilinear kernel requires eps > 0 and raises ValueError otherwise.
     """
-    n = ens.n
     sqrt_tau = np.sqrt(cfg.tau)
-    x_new = ens.x + sqrt_tau * ens.y
-    _check_finite(x_new, ens.iteration + 1, "positions")
-    g = cfg.target.grad_all(x_new)
-    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    moved = _moved(ens, ens.x + sqrt_tau * ens.y)
+    g = cfg.target.grad_all(moved.x)
 
-    v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(x_new, ens.y, g, cfg.eps, cfg.tau)
-    alpha, counts = _damping_vector(ens, cfg, step_norms, grad_stat)
-    y_new = alpha[:, None] * ens.y - (sqrt_tau / n) * kg + push
+    v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
+    alpha, counts = _damping_vector(ens, cfg, moved.prev_step_norms, grad_stat)
+    y_new = alpha[:, None] * ens.y - (sqrt_tau / ens.n) * kg + push
 
-    _check_finite(y_new, ens.iteration + 1, "momentum update")
-    return ParticleEnsemble(
-        x=x_new,
-        y=y_new,
-        v=v_new,
-        restart_count=counts,
-        prev_step_norms=step_norms,
-        iteration=ens.iteration + 1,
-        grad_stat=grad_stat,
-    )
+    _check_finite(y_new, moved.iteration, "momentum update")
+    return replace(moved, y=y_new, v=v_new, restart_count=counts, grad_stat=grad_stat)
 
 
-def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig) -> ParticleEnsemble:
+def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
     """Plain kernel-transport step; the update itself is ``cfg.kernel.plain_step``."""
     g = cfg.target.grad_all(ens.x)
-    x_new = cfg.kernel.plain_step(ens.x, g, cfg.tau)
-    _check_finite(x_new, ens.iteration + 1, "position update")
-    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1)
+    return _moved(ens, cfg.kernel.plain_step(ens.x, g, cfg.tau), "position update")
 
 
-def ula_step(x, cfg: SamplerConfig, rng) -> np.ndarray:
+def ula_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
     """Unadjusted Langevin step x - tau grad_f(x) + sqrt(2 tau) xi, row-wise."""
-    x = np.asarray(x, dtype=float)
+    x = ens.x
     noise = rng.standard_normal(x.shape)
-    return x - cfg.tau * cfg.target.grad_all(x) + np.sqrt(2.0 * cfg.tau) * noise
+    return _moved(ens, x - cfg.tau * cfg.target.grad_all(x) + np.sqrt(2.0 * cfg.tau) * noise)
 
 
-def mala_step(x, cfg: SamplerConfig, rng):
-    """Metropolis-adjusted Langevin step; returns (new positions, acceptance flags).
+def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
+    """Metropolis-adjusted Langevin step; a rejected particle keeps its row bit for bit.
 
     The target is evaluated only through its batched ``potential_all`` and
     ``grad_all``, once each on the current and the proposed positions.
     """
-    x = np.asarray(x, dtype=float)
+    x = ens.x
     tau = cfg.tau
     g_x = cfg.target.grad_all(x)
     proposal = x - tau * g_x + np.sqrt(2.0 * tau) * rng.standard_normal(x.shape)
@@ -237,49 +241,29 @@ def mala_step(x, cfg: SamplerConfig, rng):
     bwd = ((x - proposal + tau * g_y) ** 2).sum(axis=1)
     log_ratio = f_x - f_y + (fwd - bwd) / (4.0 * tau)
     accept = np.log(rng.random(x.shape[0])) < log_ratio
-    x_new = np.where(accept[:, None], proposal, x)
-    return x_new, accept
+    return _moved(ens, np.where(accept[:, None], proposal, x))
 
 
-def uld_step(x, p, cfg: SamplerConfig, rng):
+def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
     """Euler-Maruyama step of underdamped Langevin with unit mass and friction.
 
-    P' = P - tau (grad_f(X) + P) + sqrt(2 tau) xi,  X' = X + tau P'.
+    P' = P - tau (grad_f(X) + P) + sqrt(2 tau) xi,  X' = X + tau P', with the
+    momentum P in ``ens.y``.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    x, p = ens.x, ens.y
     noise = rng.standard_normal(x.shape)
     p_new = p - cfg.tau * (cfg.target.grad_all(x) + p) + np.sqrt(2.0 * cfg.tau) * noise
-    x_new = x + cfg.tau * p_new
-    return x_new, p_new
-
-
-def _unknown_algorithm(name):
-    return ValueError(f"unknown algorithm {name!r} (valid: {', '.join(ALGORITHMS)})")
+    return _moved(ens, x + cfg.tau * p_new, y=p_new)
 
 
 def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
     """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``.
 
-    Every sampler raises FloatingPointError on non-finite positions, so a
-    diverging run stops at the step where it first left the floating-point range.
+    The table is built on each call, so a step function replaced on this
+    module (as a tracer does) is the one that runs.
     """
-    if cfg.algorithm == "asvgd":
-        return asvgd_step(ens, cfg)
-    if cfg.algorithm == "svgd":
-        return svgd_step(ens, cfg)
-    y = ens.y
-    if cfg.algorithm == "ula":
-        x = ula_step(ens.x, cfg, rng)
-    elif cfg.algorithm == "mala":
-        x, _ = mala_step(ens.x, cfg, rng)
-    elif cfg.algorithm == "uld":
-        x, y = uld_step(ens.x, ens.y, cfg, rng)
-    else:
-        raise _unknown_algorithm(cfg.algorithm)
-    _check_finite(x, ens.iteration + 1, "positions")
-    step_norms = np.linalg.norm(x - ens.x, axis=1)
-    return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=ens.iteration + 1)
+    steps = {"asvgd": asvgd_step, "svgd": svgd_step, "ula": ula_step, "mala": mala_step, "uld": uld_step}
+    return steps[cfg.algorithm](ens, cfg, rng)
 
 
 def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEnsemble:
@@ -291,8 +275,6 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEns
     unless the caller passes its own, so identical configurations produce
     identical trajectories.
     """
-    if cfg.algorithm not in ALGORITHMS:
-        raise _unknown_algorithm(cfg.algorithm)
     ens = ParticleEnsemble.initialize(x0)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     if recorder is not None:

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 from dataclasses import replace
@@ -6,9 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from steinflow import samplers
 from steinflow.diagnostics import empirical_moments
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import (
+    ALGORITHMS,
     ConstantDamping,
     ParticleEnsemble,
     RestartNesterov,
@@ -73,10 +76,12 @@ class TestEnsemble:
 
     def test_sampler_config_validation(self):
         t = QuarticTarget()
-        with pytest.raises(ValueError):
-            SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=0.1, eps=-1.0)
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=tau)
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                SamplerConfig(kernel=GaussianKernel(1.0), target=t, tau=0.1, eps=eps)
 
     def test_sampler_config_rejects_unknown_kernel(self):
         with pytest.raises(TypeError, match="unsupported kernel"):
@@ -385,21 +390,27 @@ class TestGradientRestartStat:
         assert np.isnan(asvgd_step(random_ensemble(rng, 5, 2), cfg).grad_stat)
 
 
+def langevin_ensemble(x, p=None):
+    ens = ParticleEnsemble.initialize(x)
+    return ens if p is None else replace(ens, y=np.array(p, dtype=float))
+
+
 class TestLangevin:
     def test_ula_zero_step_is_identity(self):
         cfg = SimpleNamespace(tau=0.0, target=QuarticTarget())
         x = np.random.default_rng(0).standard_normal((5, 2))
-        out = ula_step(x, cfg, np.random.default_rng(1))
-        assert np.array_equal(out, x)
+        out = ula_step(langevin_ensemble(x), cfg, np.random.default_rng(1))
+        assert np.array_equal(out.x, x)
+        assert out.iteration == 1 and np.all(out.prev_step_norms == 0.0)
 
     def test_ula_pure_diffusion_variance(self):
         zero_target = CustomTarget(lambda x: 0.0, lambda x: np.zeros_like(x), dim=1)
         cfg = SimpleNamespace(tau=0.05, target=zero_target)
         rng = np.random.default_rng(2)
-        x = np.zeros((100_000, 1))
+        ens = langevin_ensemble(np.zeros((100_000, 1)))
         for _ in range(10):
-            x = ula_step(x, cfg, rng)
-        var = x.var()
+            ens = ula_step(ens, cfg, rng)
+        var = ens.x.var()
         expect = 2.0 * cfg.tau * 10
         assert abs(var - expect) <= 0.05 * expect
 
@@ -409,18 +420,19 @@ class TestLangevin:
         tau = 0.05
         cfg = SimpleNamespace(tau=tau, target=target)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((40_000, 1))
+        ens = langevin_ensemble(rng.standard_normal((40_000, 1)))
         for _ in range(400):
-            x = ula_step(x, cfg, rng)
+            ens = ula_step(ens, cfg, rng)
         expect = q / (1.0 - tau / (2.0 * q))  # AR(1) fixed point
-        assert abs(x.var() - expect) <= 0.05 * expect
+        assert abs(ens.x.var() - expect) <= 0.05 * expect
 
     def test_mala_accepts_everything_for_constant_potential(self):
         flat = CustomTarget(lambda x: 1.0, lambda x: np.zeros_like(x), dim=2)
         cfg = SimpleNamespace(tau=0.3, target=flat)
         rng = np.random.default_rng(4)
-        _, accept = mala_step(rng.standard_normal((200, 2)), cfg, rng)
-        assert accept.all()
+        ens = langevin_ensemble(rng.standard_normal((200, 2)))
+        out = mala_step(ens, cfg, rng)
+        assert np.any(out.x != ens.x, axis=1).all()
 
     def test_mala_long_chain_mean(self):
         q = 1.3
@@ -428,29 +440,36 @@ class TestLangevin:
         target = GaussianTarget(b=np.array([b]), q=np.array([[q]]))
         cfg = SimpleNamespace(tau=0.2, target=target)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((4000, 1))
+        ens = langevin_ensemble(rng.standard_normal((4000, 1)))
         for _ in range(400):
-            x, _ = mala_step(x, cfg, rng)
+            ens = mala_step(ens, cfg, rng)
         stderr = np.sqrt(q / 4000)
-        assert abs(x.mean() - b) <= 3.0 * stderr
+        assert abs(ens.x.mean() - b) <= 3.0 * stderr
 
     def test_mala_rejects_on_steep_quartic(self):
         cfg = SimpleNamespace(tau=2.0, target=QuarticTarget())
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((500, 2)) * 2.0
+        ens = langevin_ensemble(rng.standard_normal((500, 2)) * 2.0)
         rates = []
         for _ in range(20):
-            x, accept = mala_step(x, cfg, rng)
-            rates.append(accept.mean())
-        assert np.mean(rates) < 1.0
+            # the proposal drawn from a copy of the generator in the step's own arithmetic
+            x, tau = ens.x, cfg.tau
+            proposal = (x - tau * cfg.target.grad_all(x)
+                        + np.sqrt(2.0 * tau) * copy.deepcopy(rng).standard_normal(x.shape))
+            out = mala_step(ens, cfg, rng)
+            accepted = np.any(out.x != x, axis=1)
+            assert np.array_equal(out.x[accepted], proposal[accepted])
+            rates.append(accepted.mean())
+            ens = out
+        assert np.mean(rates) < 1.0  # some rows kept their previous values exactly
 
     def test_uld_zero_step_identity(self):
         cfg = SimpleNamespace(tau=0.0, target=QuarticTarget())
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 2))
         p = rng.standard_normal((4, 2))
-        x2, p2 = uld_step(x, p, cfg, rng)
-        assert np.array_equal(x2, x) and np.array_equal(p2, p)
+        out = uld_step(langevin_ensemble(x, p), cfg, rng)
+        assert np.array_equal(out.x, x) and np.array_equal(out.y, p)
 
     def test_uld_momentum_decay_without_noise(self):
         class ZeroRng:
@@ -459,22 +478,20 @@ class TestLangevin:
 
         zero_target = CustomTarget(lambda x: 0.0, lambda x: np.zeros_like(x), dim=2)
         cfg = SimpleNamespace(tau=0.1, target=zero_target)
-        p = np.ones((3, 2))
-        x = np.zeros((3, 2))
+        ens = langevin_ensemble(np.zeros((3, 2)), np.ones((3, 2)))
         for k in range(5):
-            x, p = uld_step(x, p, cfg, ZeroRng())
-            assert np.allclose(p, (1.0 - cfg.tau) ** (k + 1), rtol=1e-12)
+            ens = uld_step(ens, cfg, ZeroRng())
+            assert np.allclose(ens.y, (1.0 - cfg.tau) ** (k + 1), rtol=1e-12)
 
     def test_uld_long_run_position_variance(self):
         q = 1.0
         target = GaussianTarget(b=np.zeros(1), q=np.array([[q]]))
         cfg = SimpleNamespace(tau=0.01, target=target)
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((20_000, 1))
-        p = np.zeros_like(x)
+        ens = langevin_ensemble(rng.standard_normal((20_000, 1)))
         for _ in range(3000):
-            x, p = uld_step(x, p, cfg, rng)
-        assert abs(x.var() - q) <= 0.1 * q
+            ens = uld_step(ens, cfg, rng)
+        assert abs(ens.x.var() - q) <= 0.1 * q
 
 
 class TestRun:
@@ -530,11 +547,25 @@ class TestRun:
         assert np.array_equal(with_kernel.y, without.y)
 
     def test_unknown_algorithm(self):
-        rng = np.random.default_rng(12)
-        cfg = self._cfg("asvgd", rng)
-        cfg.algorithm = "bogus"
-        with pytest.raises(ValueError, match="bogus"):
-            run(cfg, rng.standard_normal((3, 2)), 1)
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            SamplerConfig(kernel=GaussianKernel(0.5), target=QuarticTarget(), tau=0.1, algorithm="bogus")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_calls_the_module_step_function(self, algorithm, monkeypatch):
+        # a tracer times a sampler by replacing its step function on the module
+        rng = np.random.default_rng(15)
+        cfg = self._cfg(algorithm, rng)
+        name = f"{algorithm}_step"
+        original = getattr(samplers, name)
+        calls = []
+
+        def counting(ens, cfg, rng):
+            calls.append(ens.iteration)
+            return original(ens, cfg, rng)
+
+        monkeypatch.setattr(samplers, name, counting)
+        final = run(cfg, rng.standard_normal((5, 2)), 3)
+        assert calls == [0, 1, 2] and final.iteration == 3
 
     def test_step_error_carries_iteration(self):
         exploding = CustomTarget(lambda x: 0.0, lambda x: np.full_like(x, np.nan), dim=2)
