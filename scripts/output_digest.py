@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 88 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 89 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
@@ -12,10 +12,13 @@ with the bilinear kernel (the 2-D commuting ``gauss-correlated``, once with
 the default sampler and once with ``mala``; a centred 1-D ``gaussian``
 target, which sweeps the damping and adds the optimal 1-D kernel scale to the
 accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale
-and has no accelerated spectrum), and one two-value ``steinflow sweep
---param tau``.  Every config has N = 60 particles, 12 steps, record_every 3
-and eps = 0.1, and every call runs inside a temporary directory.  The script
-prints one ``sha256  path`` line per output file and one ``name  error: ...``
+and has no accelerated spectrum), and two two-value ``steinflow sweep
+--param tau`` calls: one of the default sampler, and one of ``mala`` on
+``double-bananas`` at N = 300, which draws only the first 100 paths of
+truncated snapshots and finds nearest neighbours over two distance blocks.
+Every config has 12 steps, record_every 3, eps = 0.1 and, unless it sets its
+own, N = 60 particles, and every call runs inside a temporary directory.  The
+script prints one ``sha256  path`` line per output file and one ``name  error: ...``
 line per failed call, with paths relative to that directory.  Run it on two
 checkouts and diff the outputs to check that a change leaves every CLI output
 byte-identical; ``--src`` names the directory that holds the ``steinflow``
@@ -39,7 +42,7 @@ SAMPLERS = ("asvgd", "svgd", "ula", "mala", "uld")
 KERNELS = ("gaussian", "bilinear")
 TARGETS = ("gauss-correlated", "gauss-aniso", "quartic", "double-bananas")
 DAMPINGS = ("restart", "constant")
-FIXED = {"n_particles": 60, "n_steps": 12, "record_every": 3, "eps": 0.1}
+FIXED = {"n_particles": 60, "n_steps": 12, "record_every": 3, "eps": 0.1}  # a call's config overrides these
 
 
 def _calls():
@@ -60,6 +63,9 @@ def _calls():
                ["analyze"])
     yield ("sweep-tau-gauss-correlated", {"target": "gauss-correlated"},
            ["sweep", "--param", "tau", "--values", "0.05,0.1"])
+    yield ("sweep-tau-mala-double-bananas-n300",
+           {"sampler": "mala", "target": "double-bananas", "n_particles": 300},
+           ["sweep", "--param", "tau", "--values", "0.01,0.02"])
 
 
 def main(argv=None):
@@ -77,7 +83,7 @@ def main(argv=None):
         try:
             for name, config, (command, *options) in _calls():
                 path = Path(f"{name}.json")
-                path.write_text(json.dumps({**config, "output_dir": name, **FIXED}), encoding="utf-8")
+                path.write_text(json.dumps({**FIXED, **config, "output_dir": name}), encoding="utf-8")
                 stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                     cli.main([command, str(path), *options])

@@ -67,15 +67,15 @@ def empirical_moments(x):
     return mean, 0.5 * (cov + cov.T)
 
 
-def gaussian_fit_kl(x, target: GaussianTarget):
-    """KL of the moment-fitted Gaussian from the Gaussian target.
+def gaussian_fit_kl(mean, cov, target: GaussianTarget):
+    """KL of the Gaussian with the fitted moments ``mean`` and ``cov`` from the Gaussian target.
 
-    A degenerate fitted covariance is regularized by adding 1e-8 I; the second
-    return value flags that this happened.
+    The moments are those of ``empirical_moments``, which a caller that also
+    records them computes once.  A degenerate fitted covariance is regularized
+    by adding 1e-8 I to a copy; the second return value flags that this happened.
     """
     if not isinstance(target, GaussianTarget):
         raise TypeError("gaussian-fit KL needs a Gaussian target")
-    mean, cov = empirical_moments(x)
     degenerate = False
     try:
         np.linalg.cholesky(cov)
@@ -103,7 +103,7 @@ def kl_estimate(x, target, method="gaussian-fit") -> float:
     """
     x = np.asarray(x, dtype=float)
     if method == "gaussian-fit":
-        value, _ = gaussian_fit_kl(x, target)
+        value, _ = gaussian_fit_kl(*empirical_moments(x), target)
         return value
     if method != "knn":
         raise ValueError(f"unknown method {method!r} (valid: gaussian-fit, knn)")

@@ -57,11 +57,11 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
     method = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "knn"
     degenerate = False
     try:
+        mean, cov = empirical_moments(x)
         if method == "gaussian-fit":
-            kl, degenerate = gaussian_fit_kl(x, scfg.target)
+            kl, degenerate = gaussian_fit_kl(mean, cov, scfg.target)
         else:
             kl = kl_estimate(x, scfg.target, method="knn")
-        mean, cov = empirical_moments(x)
     except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
         raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
     return MetricRecord(

@@ -26,7 +26,10 @@ nearest-neighbour distances of the KL metric in ``diagnostics`` -- is between
 two particles of one set and comes from one loop, ``_sq_dist_blocks``, which
 hands out row blocks of the N x N distance matrix, or of its upper triangle,
 in a reused buffer of about ``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB
-L2 cache), so no caller holds a distance matrix it does not return.
+L2 cache), so no caller holds a distance matrix it does not return.  The
+accelerated step's ``gram`` and ``nearest_sq_dists`` read only the upper
+triangle: the nearest-neighbour pass folds each block's row and column minima
+into the distances of both particles of every pair.
 """
 
 from __future__ import annotations
@@ -251,20 +254,24 @@ def gram(kernel, x, upper=False) -> GramMatrix:
 
 
 def nearest_sq_dists(x):
-    """Squared distance from each row of x to its nearest other row, for N >= 2 rows.
+    """Squared distance from each row of x to its nearest other row, for N >= 2 finite rows.
 
-    Each distance block is partitioned in place: its smallest entry per row is
-    the exactly zero diagonal, so the second smallest is the nearest other
-    row, or 0 where another row coincides with it.
+    One pass over the upper triangle of the distance matrix: each block of
+    rows start:stop holds their distances to rows start:, with every row's
+    distance to itself set to inf, so the block's row minima and column minima
+    fold into the nearest distances of both rows of each pair.  The minimum of
+    the same entries is the same float whatever the order, and a row that
+    another one coincides with reads 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"nearest-neighbour distances need an N x d point array with N >= 2, "
                          f"got shape {x.shape}")
-    out = np.empty(x.shape[0])
-    for start, stop, block in _sq_dist_blocks(x):
-        block.partition(1, axis=1)
-        out[start:stop] = block[:, 1]
+    out = np.full(x.shape[0], np.inf)
+    for start, stop, block in _sq_dist_blocks(x, upper=True):
+        np.fill_diagonal(block, np.inf)  # block[i, i] is row start + i against itself
+        np.minimum(out[start:stop], block.min(axis=1), out=out[start:stop])
+        np.minimum(out[start:], block.min(axis=0), out=out[start:])
     return out
 
 

@@ -29,7 +29,12 @@ lengths recorded and its iteration advanced by one.  The kernel samplers
 ignore ``rng``.  The Langevin samplers keep their state in the same ensemble:
 ULD's momentum lives in Y.  MALA returns no acceptance flags, since a rejected
 particle keeps its row bit for bit: the accepted rows are
-``np.any(new.x != ens.x, axis=1)``.  ``step`` picks the function by
+``np.any(new.x != ens.x, axis=1)``.  MALA evaluates the target once per step,
+at its proposal: the ensemble it returns carries f(X) and grad_f(X) of its
+positions in the fields ``f`` and ``grad_f``, which the next MALA step reads
+instead of evaluating the target again.  Every other step, and
+``ParticleEnsemble.initialize``, leaves them None, so no step reads values of
+positions the ensemble has left.  ``step`` picks the function by
 ``cfg.algorithm``, and ``run`` is the one loop over it.
 """
 
@@ -65,6 +70,9 @@ class ParticleEnsemble:
     ``prev_step_norms`` holds each particle's displacement in the last step, and
     ``grad_stat`` the gradient-restart statistic of the last accelerated step
     (NaN when no step computed one; of the two kernels only the Gaussian does).
+    ``f`` and ``grad_f`` hold the target's potential and gradient at ``x`` when
+    the step that produced the ensemble computed them (only ``mala_step``
+    does), and are None otherwise.
     """
 
     x: np.ndarray
@@ -74,6 +82,8 @@ class ParticleEnsemble:
     prev_step_norms: np.ndarray
     iteration: int = 0
     grad_stat: float = float("nan")
+    f: np.ndarray | None = None
+    grad_f: np.ndarray | None = None
 
     @classmethod
     def initialize(cls, x0):
@@ -163,11 +173,14 @@ def _check_finite(arr, iteration, what):
 def _moved(ens, x_new, what="positions", **fields):
     """``ens`` one iteration on at positions ``x_new``, with their step lengths.
 
-    Raises FloatingPointError naming ``what`` if ``x_new`` is not finite, so a
+    The target values ``f`` and ``grad_f`` are unset unless ``fields`` gives
+    them, so no step reads values of positions the ensemble has left.  Raises
+    FloatingPointError naming ``what`` if ``x_new`` is not finite, so a
     diverging run stops at the step where it first left the floating-point range.
     """
     _check_finite(x_new, ens.iteration + 1, what)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    fields = {"f": None, "grad_f": None, **fields}
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
 
@@ -228,20 +241,25 @@ def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsembl
     """Metropolis-adjusted Langevin step; a rejected particle keeps its row bit for bit.
 
     The target is evaluated only through its batched ``potential_all`` and
-    ``grad_all``, once each on the current and the proposed positions.
+    ``grad_all``, once each on the proposed positions.  The returned ensemble
+    carries f and grad_f at its positions (the proposal's values on accepted
+    rows, the current ones on rejected rows), so the next MALA step evaluates
+    the target at its proposal only; the current positions are evaluated only
+    when ``ens`` does not carry them.
     """
     x = ens.x
     tau = cfg.tau
-    g_x = cfg.target.grad_all(x)
+    g_x = cfg.target.grad_all(x) if ens.grad_f is None else ens.grad_f
+    f_x = cfg.target.potential_all(x) if ens.f is None else ens.f
     proposal = x - tau * g_x + np.sqrt(2.0 * tau) * rng.standard_normal(x.shape)
-    f_x = cfg.target.potential_all(x)
     f_y = cfg.target.potential_all(proposal)
     g_y = cfg.target.grad_all(proposal)
     fwd = ((proposal - x + tau * g_x) ** 2).sum(axis=1)
     bwd = ((x - proposal + tau * g_y) ** 2).sum(axis=1)
     log_ratio = f_x - f_y + (fwd - bwd) / (4.0 * tau)
     accept = np.log(rng.random(x.shape[0])) < log_ratio
-    return _moved(ens, np.where(accept[:, None], proposal, x))
+    return _moved(ens, np.where(accept[:, None], proposal, x),
+                  f=np.where(accept, f_y, f_x), grad_f=np.where(accept[:, None], g_y, g_x))
 
 
 def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:

@@ -1,7 +1,10 @@
 """Minimal SVG writer: polylines, markers and marching-squares level lines.
 
 No plotting dependency; output is a best-effort visual aid, the CSV files are
-the load-bearing artifacts.
+the load-bearing artifacts.  The writer works in array passes: numpy maps every
+coordinate to the canvas at once, and each kind of element is formatted by one
+``%`` template over a flat tuple, as ``experiment._csv_text`` writes the
+snapshots.
 """
 
 import numpy as np
@@ -12,48 +15,6 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 MAX_PATHS = 100  # particles drawn by render_trajectory_svg
 
 
-class SvgCanvas:
-    def __init__(self, width, height, xlim, ylim):
-        self.width = width
-        self.height = height
-        self.xlim = xlim
-        self.ylim = ylim
-        self.parts = []
-
-    def _map(self, x, y):
-        px = (x - self.xlim[0]) / (self.xlim[1] - self.xlim[0]) * self.width
-        py = (self.ylim[1] - y) / (self.ylim[1] - self.ylim[0]) * self.height
-        return px, py
-
-    def polyline(self, xs, ys, color, width=1.0, opacity=1.0):
-        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self._map(x, y) for x, y in zip(xs, ys)))
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}" stroke-opacity="{opacity}"/>'
-        )
-
-    def circle(self, x, y, radius, color):
-        px, py = self._map(x, y)
-        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" fill="{color}"/>')
-
-    def square(self, x, y, size, color):
-        px, py = self._map(x, y)
-        h = size / 2.0
-        self.parts.append(
-            f'<rect x="{px - h:.2f}" y="{py - h:.2f}" width="{size}" height="{size}" fill="{color}"/>'
-        )
-
-    def write(self, path):
-        body = "\n".join(self.parts)
-        doc = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n'
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-
-
 def marching_squares(grid, xs, ys, level):
     """Line segments of the iso-contour {grid == level} on a regular grid.
 
@@ -62,31 +23,43 @@ def marching_squares(grid, xs, ys, level):
     k + 1 (mod 4).  An edge is crossed where its end values lie strictly on
     either side of the level.  A cell with two or more crossings yields the
     segment between its first two, and one with four also the segment between
-    its last two.  Segments come in row-major cell order.
+    its last two.  Segments come in row-major cell order.  The corner values
+    come from four shifted slices of the grid; only the crossed edges are
+    looked up by index.
     """
     grid = np.asarray(grid, dtype=float)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    nx, ny = grid.shape
-    ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    ny = grid.shape[1]
     # one row per cell in row-major order: corners 0..3, then corner 0 again
-    i = ci.reshape(-1, 1) + [0, 1, 1, 0, 0]
-    j = cj.reshape(-1, 1) + [0, 0, 1, 1, 0]
-    v = grid[i, j]
-    crossed = (v[:, :4] - level) * (v[:, 1:] - level) < 0  # (cells, edges)
-    i0, i1 = i[:, :4][crossed], i[:, 1:][crossed]
-    j0, j1 = j[:, :4][crossed], j[:, 1:][crossed]
-    v0, v1 = grid[i0, j0], grid[i1, j1]
+    c0 = grid[:-1, :-1]
+    v = np.stack([c0, grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:], c0], axis=-1).reshape(-1, 5)
+    dv = v - level
+    cell, edge = np.nonzero(dv[:, :4] * dv[:, 1:] < 0)  # crossed edges, in cell order
+    v0, v1 = v[cell, edge], v[cell, edge + 1]
+    # corner k sits at (i + di[k], j + dj[k])
+    di, dj = np.array([0, 1, 1, 0, 0]), np.array([0, 0, 1, 1, 0])
+    ci, cj = np.divmod(cell, ny - 1)
+    x0, x1 = xs[ci + di[edge]], xs[ci + di[edge + 1]]
+    y0, y1 = ys[cj + dj[edge]], ys[cj + dj[edge + 1]]
     t = (level - v0) / (v1 - v0)  # v1 != v0 on a crossed edge
-    px = xs[i0] + t * (xs[i1] - xs[i0])
-    py = ys[j0] + t * (ys[j1] - ys[j0])
+    px = x0 + t * (x1 - x0)
+    py = y0 + t * (y1 - y0)
     # the crossings of a cell are contiguous, in edge order
-    count = crossed.sum(axis=1)
-    first = np.cumsum(count) - count
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    count = np.diff(first, append=cell.size)
     start = np.sort(np.concatenate([first[count >= 2], first[count == 4] + 2]))
     p0 = zip(px[start].tolist(), py[start].tolist())
     p1 = zip(px[start + 1].tolist(), py[start + 1].tolist())
     return list(zip(p0, p1))
+
+
+def _elements(templates, values):
+    """The templates, one per line, filled from the flat array ``values`` by one ``%``.
+
+    ``%.2f`` prints a float64 with the same digits as ``f"{v:.2f}"``.
+    """
+    return "\n".join(templates) % tuple(values.ravel().tolist())
 
 
 def render_trajectory_svg(path, snapshots, target=None):
@@ -96,7 +69,9 @@ def render_trajectory_svg(path, snapshots, target=None):
     with the in-between path as a thin colored line per particle.  Only the
     first ``MAX_PATHS`` particles are drawn, and the first and last snapshots
     set the plot limits, so the snapshots in between need only those rows.
+    The level lines come from one ``marching_squares`` call per level.
     """
+    width = height = 640
     first, last = snapshots[0], snapshots[-1]
     allpts = np.vstack([first, last])
     lo = allpts.min(axis=0)
@@ -104,8 +79,15 @@ def render_trajectory_svg(path, snapshots, target=None):
     pad = 0.15 * np.maximum(hi - lo, 1e-6)
     xlim = (lo[0] - pad[0], hi[0] + pad[0])
     ylim = (lo[1] - pad[1], hi[1] + pad[1])
-    canvas = SvgCanvas(640, 640, xlim, ylim)
 
+    def to_canvas(pts):
+        """Canvas coordinates of an (..., 2) array of points, y pointing down."""
+        out = np.empty(pts.shape)
+        out[..., 0] = (pts[..., 0] - xlim[0]) / (xlim[1] - xlim[0]) * width
+        out[..., 1] = (ylim[1] - pts[..., 1]) / (ylim[1] - ylim[0]) * height
+        return out
+
+    parts = []
     if target is not None and target.dim == 2:
         xs = np.linspace(xlim[0], xlim[1], 60)
         ys = np.linspace(ylim[0], ylim[1], 60)
@@ -113,17 +95,23 @@ def render_trajectory_svg(path, snapshots, target=None):
         # grid[i, j] = f(xs[i], ys[j])
         grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
         levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
-        for level in np.unique(levels):
-            for (x0, y0), (x1, y1) in marching_squares(grid, xs, ys, level):
-                canvas.polyline([x0, x1], [y0, y1], color="black", width=0.6, opacity=0.6)
+        segs = [seg for level in np.unique(levels) for seg in marching_squares(grid, xs, ys, level)]
+        if segs:
+            line = ('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="black" '
+                    'stroke-width="0.6" stroke-opacity="0.6"/>')
+            parts.append(_elements([line] * len(segs), to_canvas(np.array(segs))))
 
-    shown = range(min(first.shape[0], MAX_PATHS))
-    for idx in shown:
-        xs = [snap[idx, 0] for snap in snapshots]
-        ys = [snap[idx, 1] for snap in snapshots]
-        canvas.polyline(xs, ys, color=_PALETTE[idx % len(_PALETTE)], width=0.8, opacity=0.5)
-    for idx in shown:
-        canvas.circle(first[idx, 0], first[idx, 1], 3.0, "#1f4fd0")
-    for idx in shown:
-        canvas.square(last[idx, 0], last[idx, 1], 5.0, "#d62728")
-    canvas.write(path)
+    shown = min(first.shape[0], MAX_PATHS)
+    # paths[i, s] = particle i in snapshot s
+    paths = to_canvas(np.stack([snap[:shown] for snap in snapshots], axis=1))
+    points = " ".join(["%.2f,%.2f"] * len(snapshots))
+    parts.append(_elements([f'<polyline points="{points}" fill="none" stroke="{_PALETTE[idx % len(_PALETTE)]}" '
+                            'stroke-width="0.8" stroke-opacity="0.5"/>' for idx in range(shown)], paths))
+    parts.append(_elements(['<circle cx="%.2f" cy="%.2f" r="3.0" fill="#1f4fd0"/>'] * shown, paths[:, 0]))
+    parts.append(_elements(['<rect x="%.2f" y="%.2f" width="5.0" height="5.0" fill="#d62728"/>'] * shown,
+                           paths[:, -1] - 2.5))
+    body = "\n".join(parts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height}" viewBox="0 0 {width} {height}">\n'
+                 f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n')

@@ -4,12 +4,15 @@ Everything here is written as plain per-particle / per-entry loops against the
 scalar kernel functions ``eval_kernel``, ``grad1`` and ``grad2`` defined below,
 deliberately avoiding the vectorized code paths it checks.  The
 ``unblocked_*`` functions keep the one-buffer forms that the blocked distance
-pass in ``kernels`` replaced, and ``loop_nearest_sq_dists`` finds each
-point's nearest neighbour on its own, as oracles that the blocked pass must
-match bit for bit.  ``point_potential`` writes each built-in target's
-potential out for one point; gradients are checked against
-``central_diff_grad`` of it.  ``exact_samples`` draws independent samples of
-each built-in target, on which a KL estimate should read 0.
+pass in ``kernels`` replaced, ``loop_nearest_sq_dists`` finds each point's
+nearest neighbour on its own and ``partition_nearest_sq_dists`` keeps the
+full-row pass that the one-triangle pass replaced, as oracles that the
+blocked pass must match bit for bit.  ``loop_trajectory_svg`` is the
+per-point SVG renderer, which the array renderer must match byte for byte.
+``point_potential`` writes each built-in target's potential out for one
+point; gradients are checked against ``central_diff_grad`` of it.
+``exact_samples`` draws independent samples of each built-in target, on which
+a KL estimate should read 0.
 
 The last part holds the checks of the analytic layer: the KL gradient and the
 inverse metric map whose composition must reproduce the plain moment flow, the
@@ -146,6 +149,21 @@ def loop_nearest_sq_dists(x):
         for k in range(1, d):
             sq = sq + diff[:, k] * diff[:, k]
         out[i] = np.delete(sq, i).min()
+    return out
+
+
+def partition_nearest_sq_dists(x):
+    """Nearest-neighbour squared distances from full rows of the blocked distance pass.
+
+    The pass ``kernels.nearest_sq_dists`` made before it read one triangle:
+    each full-row block is partitioned in place, its smallest entry per row is
+    the exactly zero diagonal, so the second smallest is the nearest other row.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[0])
+    for start, stop, block in kernels._sq_dist_blocks(x):
+        block.partition(1, axis=1)
+        out[start:stop] = block[:, 1]
     return out
 
 
@@ -354,6 +372,88 @@ def loop_marching_squares(grid, xs, ys, level):
             if len(pts) == 4:
                 segs.append((pts[2], pts[3]))
     return segs
+
+
+_PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
+            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
+
+
+class _LoopSvgCanvas:
+    """The original SVG writer: each point mapped and formatted on its own."""
+
+    def __init__(self, width, height, xlim, ylim):
+        self.width = width
+        self.height = height
+        self.xlim = xlim
+        self.ylim = ylim
+        self.parts = []
+
+    def _map(self, x, y):
+        px = (x - self.xlim[0]) / (self.xlim[1] - self.xlim[0]) * self.width
+        py = (self.ylim[1] - y) / (self.ylim[1] - self.ylim[0]) * self.height
+        return px, py
+
+    def polyline(self, xs, ys, color, width=1.0, opacity=1.0):
+        pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (self._map(x, y) for x, y in zip(xs, ys)))
+        self.parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}" stroke-opacity="{opacity}"/>'
+        )
+
+    def circle(self, x, y, radius, color):
+        px, py = self._map(x, y)
+        self.parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" fill="{color}"/>')
+
+    def square(self, x, y, size, color):
+        px, py = self._map(x, y)
+        h = size / 2.0
+        self.parts.append(
+            f'<rect x="{px - h:.2f}" y="{py - h:.2f}" width="{size}" height="{size}" fill="{color}"/>'
+        )
+
+    def text(self):
+        body = "\n".join(self.parts)
+        return (
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n'
+        )
+
+
+def loop_trajectory_svg(snapshots, target=None, max_paths=100):
+    """Text of ``svg.render_trajectory_svg``'s plot, one point and one element at a time.
+
+    The original renderer, with ``loop_marching_squares`` for the level lines.
+    """
+    first, last = snapshots[0], snapshots[-1]
+    allpts = np.vstack([first, last])
+    lo = allpts.min(axis=0)
+    hi = allpts.max(axis=0)
+    pad = 0.15 * np.maximum(hi - lo, 1e-6)
+    xlim = (lo[0] - pad[0], hi[0] + pad[0])
+    ylim = (lo[1] - pad[1], hi[1] + pad[1])
+    canvas = _LoopSvgCanvas(640, 640, xlim, ylim)
+
+    if target is not None and target.dim == 2:
+        xs = np.linspace(xlim[0], xlim[1], 60)
+        ys = np.linspace(ylim[0], ylim[1], 60)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
+        levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
+        for level in np.unique(levels):
+            for (x0, y0), (x1, y1) in loop_marching_squares(grid, xs, ys, level):
+                canvas.polyline([x0, x1], [y0, y1], color="black", width=0.6, opacity=0.6)
+
+    shown = range(min(first.shape[0], max_paths))
+    for idx in shown:
+        xs = [snap[idx, 0] for snap in snapshots]
+        ys = [snap[idx, 1] for snap in snapshots]
+        canvas.polyline(xs, ys, color=_PALETTE[idx % len(_PALETTE)], width=0.8, opacity=0.5)
+    for idx in shown:
+        canvas.circle(first[idx, 0], first[idx, 1], 3.0, "#1f4fd0")
+    for idx in shown:
+        canvas.square(last[idx, 0], last[idx, 1], 5.0, "#d62728")
+    return canvas.text()
 
 
 def kl_gradient(mu, sigma, b, q):

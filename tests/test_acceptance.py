@@ -251,7 +251,7 @@ def test_criterion_08_accelerated_beats_plain_on_reference_target():
             ens = ParticleEnsemble.initialize(x0)
             for k in range(1, steps + 1):
                 ens = asvgd_step(ens, cfg) if algorithm == "asvgd" else svgd_step(ens, cfg)
-                kl, _ = gaussian_fit_kl(ens.x, target)
+                kl, _ = gaussian_fit_kl(*empirical_moments(ens.x), target)
                 if kl <= thresh:
                     return k
             return steps + 1  # censored: never reached

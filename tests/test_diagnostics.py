@@ -29,6 +29,13 @@ class TestEmpiricalMoments:
         assert np.array_equal(mean, [0.0, 0.0])
         assert np.array_equal(cov, np.diag([2.0, 0.0]))  # divisor N - 1 = 1
 
+    def test_knn_coinciding_particles_in_different_distance_blocks(self):
+        x = np.random.default_rng(10).standard_normal((500, 2))
+        x[450] = x[2]
+        with pytest.raises(ValueError) as info:
+            kl_estimate(x, QuarticTarget(), method="knn")
+        assert str(info.value) == "two particles coincide, so a nearest-neighbour distance is 0"
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 3))
@@ -50,7 +57,7 @@ class TestGaussianFitKl:
         x = np.array([[-1.0], [1.0], [0.0], [np.sqrt(1.5)], [-np.sqrt(1.5)]])
         mean, cov = empirical_moments(x)
         scaled = (x - mean) / np.sqrt(cov[0, 0])
-        val, flag = gaussian_fit_kl(scaled, target)
+        val, flag = gaussian_fit_kl(*empirical_moments(scaled), target)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert not flag
 
@@ -59,20 +66,20 @@ class TestGaussianFitKl:
         x = np.sqrt(2.0) * rng.standard_normal((10_000, 1))
         target = GaussianTarget(b=np.zeros(1), q=np.eye(1))
         analytic = 0.5 * (2.0 - 1.0 + np.log(0.5))
-        val, _ = gaussian_fit_kl(x, target)
+        val, _ = gaussian_fit_kl(*empirical_moments(x), target)
         assert abs(val - analytic) <= 0.02
 
     def test_degenerate_covariance_flagged(self):
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # rank-deficient spread
-        val, flag = gaussian_fit_kl(x, target)
+        val, flag = gaussian_fit_kl(*empirical_moments(x), target)
         assert flag and np.isfinite(val)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         for _ in range(20):
-            val, _ = gaussian_fit_kl(rng.standard_normal((30, 2)), target)
+            val, _ = gaussian_fit_kl(*empirical_moments(rng.standard_normal((30, 2))), target)
             assert val >= 0.0
 
 
@@ -81,7 +88,8 @@ class TestKlEstimate:
         rng = np.random.default_rng(3)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x = rng.standard_normal((200, 2))
-        assert kl_estimate(x, target, method="gaussian-fit") == gaussian_fit_kl(x, target)[0]
+        fit, _ = gaussian_fit_kl(*empirical_moments(x), target)
+        assert kl_estimate(x, target, method="gaussian-fit") == fit
 
     def test_knn_close_to_gaussian_fit_on_gaussian_cloud(self):
         rng = np.random.default_rng(4)

@@ -17,6 +17,7 @@ from reference_impls import (
     loop_gram,
     loop_nearest_sq_dists,
     loop_sq_dists,
+    partition_nearest_sq_dists,
     random_spd,
     unblocked_gaussian_gram,
     unblocked_sq_dists,
@@ -264,6 +265,34 @@ class TestNearestSqDists:
     def test_single_point_error(self):
         with pytest.raises(ValueError, match="N >= 2"):
             nearest_sq_dists(np.ones((1, 2)))
+
+
+class TestNearestFromOneTriangle:
+    """The one-triangle nearest-neighbour pass against the full-row partition pass, bit for bit."""
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (500, 2), (2000, 10)])
+    def test_matches_partition_pass(self, n, d):
+        x = np.random.default_rng(n + d).standard_normal((n, d))
+        got = nearest_sq_dists(x)
+        assert np.array_equal(got.view(np.uint64), partition_nearest_sq_dists(x).view(np.uint64))
+
+    def test_four_blocks_at_n500(self):
+        # 131 rows per upper block: the distances of rows 393:500 fill a last, partial block
+        x = np.random.default_rng(1).standard_normal((500, 2))
+        bounds = [(start, stop) for start, stop, _ in kernels._sq_dist_blocks(x, upper=True)]
+        assert bounds == [(0, 131), (131, 262), (262, 393), (393, 500)]
+
+    def test_coincident_rows_read_zero(self):
+        # pairs inside one block, across two blocks, and in the last block
+        x = np.random.default_rng(2).standard_normal((500, 2))
+        pairs = [(3, 7), (10, 480), (140, 300), (498, 499)]
+        for i, j in pairs:
+            x[j] = x[i]
+        got = nearest_sq_dists(x)
+        assert np.array_equal(got, partition_nearest_sq_dists(x))
+        zero = np.zeros(500, dtype=bool)
+        zero[np.ravel(pairs)] = True
+        assert np.all(got[zero] == 0.0) and np.all(got[~zero] > 0.0)
 
 
 class TestRegularizedInverse:

@@ -7,8 +7,8 @@ import pytest
 
 from steinflow import experiment, svg
 from steinflow.config import parse_config
-from steinflow.targets import builtin
-from reference_impls import loop_csv_text, loop_marching_squares
+from steinflow.targets import CustomTarget, builtin
+from reference_impls import loop_csv_text, loop_marching_squares, loop_trajectory_svg
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0,
                   -2.0 / 3.0, 1.0, -7.0, 42.0, 1e16, 123456789.0, 0.1, -1.5e-7]
@@ -106,3 +106,56 @@ class TestTrajectorySvg:
         assert np.any(last[svg.MAX_PATHS:].max(axis=0) > last[:svg.MAX_PATHS].max(axis=0))
         svg.render_trajectory_svg(tmp_path / "full.svg", snaps, target=builtin("gauss-correlated"))
         assert (outdir / "trajectory.svg").read_bytes() == (tmp_path / "full.svg").read_bytes()
+
+    def assert_matches_loop_renderer(self, snaps, target, tmp_path):
+        svg.render_trajectory_svg(tmp_path / "t.svg", snaps, target=target)
+        got = (tmp_path / "t.svg").read_bytes()
+        assert got == loop_trajectory_svg(snaps, target, max_paths=svg.MAX_PATHS).encode("utf-8")
+        return got.decode("utf-8")
+
+    def test_truncated_middle_snapshots(self, tmp_path):
+        # the snapshots run_experiment passes: full first and last records, MAX_PATHS rows between
+        rng = np.random.default_rng(21)
+        n = 3 * svg.MAX_PATHS + 7
+        snaps = [rng.standard_normal((n, 2))]
+        snaps += [rng.standard_normal((n, 2))[: svg.MAX_PATHS] * 1.5 for _ in range(4)]
+        snaps.append(rng.standard_normal((n, 2)) * [2.0, 0.5] + [1.0, 0.0])
+        text = self.assert_matches_loop_renderer(snaps, builtin("double-bananas"), tmp_path)
+        assert text.count("<circle") == svg.MAX_PATHS
+
+    def test_fewer_particles_than_paths(self, tmp_path):
+        rng = np.random.default_rng(22)
+        snaps = [rng.standard_normal((17, 2)) + 0.1 * k for k in range(5)]
+        text = self.assert_matches_loop_renderer(snaps, builtin("gauss-aniso"), tmp_path)
+        assert text.count("<rect x=") == 17
+
+    def test_no_target(self, tmp_path):
+        rng = np.random.default_rng(23)
+        snaps = [rng.standard_normal((40, 2)) for _ in range(3)]
+        text = self.assert_matches_loop_renderer(snaps, None, tmp_path)
+        assert 'stroke="black"' not in text
+
+    def test_constant_potential_draws_no_level_line(self, tmp_path):
+        flat = CustomTarget(lambda x: 1.0, lambda x: np.zeros_like(x), dim=2)
+        rng = np.random.default_rng(24)
+        snaps = [rng.standard_normal((30, 2)) for _ in range(3)]
+        text = self.assert_matches_loop_renderer(snaps, flat, tmp_path)
+        assert 'stroke="black"' not in text
+
+    def test_negative_zero_coordinates(self, tmp_path):
+        # a middle point just left of and above the plot limits maps to about -0.003
+        rng = np.random.default_rng(25)
+        first, last = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
+        pts = np.vstack([first, last])
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pad = 0.15 * (hi - lo)
+        middle = first.copy()
+        middle[0] = [lo[0] - pad[0] - 0.003 * (hi[0] - lo[0] + 2 * pad[0]) / 640,
+                     hi[1] + pad[1] + 0.003 * (hi[1] - lo[1] + 2 * pad[1]) / 640]
+        text = self.assert_matches_loop_renderer([first, middle, last], builtin("quartic"), tmp_path)
+        assert " -0.00,-0.00 " in text
+
+    def test_identical_particles_use_the_minimum_pad(self, tmp_path):
+        snaps = [np.full((8, 2), 0.25) for _ in range(3)]
+        text = self.assert_matches_loop_renderer(snaps, builtin("gauss-correlated"), tmp_path)
+        assert text.count('cx="320.00" cy="320.00"') == 8

@@ -494,6 +494,67 @@ class TestLangevin:
         assert abs(ens.x.var() - q) <= 0.1 * q
 
 
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class CountingTarget:
+    """A target that counts its batched evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = {"potential_all": 0, "grad_all": 0}
+
+    def potential_all(self, x):
+        self.calls["potential_all"] += 1
+        return self.inner.potential_all(x)
+
+    def grad_all(self, x):
+        self.calls["grad_all"] += 1
+        return self.inner.grad_all(x)
+
+
+class TestMalaTargetValues:
+    """MALA carries f and grad_f of its positions into the next step."""
+
+    @pytest.mark.parametrize("target", [GaussianTarget(b=[0.5, -0.2], q=[[1.0, 0.3], [0.3, 0.5]]),
+                                        QuarticTarget(), DoubleBananasTarget()],
+                             ids=["gaussian", "quartic", "double-bananas"])
+    def test_carried_values_change_no_bit(self, target):
+        cfg = SimpleNamespace(tau=0.08, target=target)
+        rng = np.random.default_rng(17)
+        ens = langevin_ensemble(rng.standard_normal((300, 2)))
+        assert ens.f is None and ens.grad_f is None
+        for _ in range(6):
+            ens = mala_step(ens, cfg, rng)
+            assert_bits_equal(ens.f, target.potential_all(ens.x))
+            assert_bits_equal(ens.grad_f, target.grad_all(ens.x))
+            carried = mala_step(ens, cfg, copy.deepcopy(rng))
+            fresh = mala_step(replace(ens, f=None, grad_f=None), cfg, copy.deepcopy(rng))
+            for field in ("x", "f", "grad_f", "prev_step_norms"):
+                assert_bits_equal(getattr(carried, field), getattr(fresh, field))
+
+    def test_one_evaluation_per_step_after_the_first(self):
+        target = CountingTarget(DoubleBananasTarget())
+        cfg = SimpleNamespace(tau=0.05, target=target)
+        rng = np.random.default_rng(18)
+        ens = langevin_ensemble(rng.standard_normal((50, 2)))
+        ens = mala_step(ens, cfg, rng)
+        assert target.calls == {"potential_all": 2, "grad_all": 2}
+        for k in range(1, 5):
+            ens = mala_step(ens, cfg, rng)
+            assert target.calls == {"potential_all": 2 + k, "grad_all": 2 + k}
+
+    @pytest.mark.parametrize("step", [ula_step, uld_step])
+    def test_other_steps_leave_the_values_unset(self, step):
+        cfg = SimpleNamespace(tau=0.05, target=QuarticTarget())
+        rng = np.random.default_rng(19)
+        ens = mala_step(langevin_ensemble(rng.standard_normal((10, 2))), cfg, rng)
+        out = step(ens, cfg, rng)
+        assert out.f is None and out.grad_f is None
+
+
 class TestRun:
     def _cfg(self, algorithm, rng, **kw):
         target = gaussian_target(rng, 2)
