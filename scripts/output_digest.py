@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 89 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 90 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] > digest.txt
 
@@ -15,9 +15,12 @@ accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale
 and has no accelerated spectrum), and two two-value ``steinflow sweep
 --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
-truncated snapshots and finds nearest neighbours over two distance blocks.
-Every config has 12 steps, record_every 3, eps = 0.1 and, unless it sets its
-own, N = 60 particles, and every call runs inside a temporary directory.  The
+truncated snapshots and finds nearest neighbours over two distance blocks;
+last, one ``asvgd`` run with the bilinear kernel and constant damping on
+``gauss-correlated`` at N = 5000, so the Woodbury solve also runs at a size
+where BLAS may block its products differently.  Every config has 12 steps,
+record_every 3, eps = 0.1 and, unless it sets its own, N = 60 particles, and
+every call runs inside a temporary directory.  The
 script prints one ``sha256  path`` line per output file and one ``name  error: ...``
 line per failed call, with paths relative to that directory.  Run it on two
 checkouts and diff the outputs to check that a change leaves every CLI output
@@ -66,6 +69,9 @@ def _calls():
     yield ("sweep-tau-mala-double-bananas-n300",
            {"sampler": "mala", "target": "double-bananas", "n_particles": 300},
            ["sweep", "--param", "tau", "--values", "0.01,0.02"])
+    yield ("asvgd-bilinear-gauss-correlated-constant-n5000",
+           {"kernel": "bilinear", "target": "gauss-correlated", "damping": "constant", "n_particles": 5000},
+           ["run"])
 
 
 def main(argv=None):

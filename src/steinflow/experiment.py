@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -18,11 +17,6 @@ from .svg import MAX_PATHS, render_trajectory_svg
 from .targets import GaussianTarget
 
 __all__ = ["run_experiment", "analyze_spectrum", "run_sweep", "manifest_hash"]
-
-
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    override = os.environ.get("STEINFLOW_OUT")
-    return Path(override) if override else Path(cfg.output_dir)
 
 
 def manifest_hash(resolved: dict) -> str:
@@ -75,12 +69,11 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
     )
 
 
-def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
+def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run one configured experiment; returns the output directory.
 
     Writes metrics.csv, snapshots/particles_<iter>.csv, trajectory.svg and
-    manifest.json into ``outdir``, which defaults to $STEINFLOW_OUT when set
-    and to cfg.output_dir otherwise.  Fully deterministic for a fixed
+    manifest.json into cfg.output_dir.  Fully deterministic for a fixed
     configuration (the seed drives the initial draw and all sampler noise).
     metrics.csv is written one row per record, so a run that fails keeps the
     rows recorded before the failure.
@@ -88,7 +81,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> Path:
     scfg = cfg.build_sampler_config()
     dim = scfg.target.dim
     mean0, _, chol0 = cfg.initial_distribution(dim)
-    outdir = _output_dir(cfg) if outdir is None else Path(outdir)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg)
 
@@ -146,7 +139,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         raise ConfigError("alpha sweep requires b = 0 and commuting A, Q")
     if param == "a" and target.dim != 1:
         raise ConfigError("the kernel-scale sweep is one-dimensional")
-    outdir = _output_dir(cfg)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     gamma, lower = gaussian_flow.gamma_rate(a, b, q)
@@ -191,23 +184,20 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
 def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=4):
     """Fan out independent runs over a parameter grid.
 
-    Each run gets its own subdirectory and seed (base seed + index, or the
-    swept value when ``param`` is ``seed``) and executes on a worker thread
-    with a private ensemble.  The base directory is resolved once, here, and
-    each run is handed its subdirectory explicitly.
+    Run i gets the seed base seed + i (or the swept value when ``param`` is
+    ``seed``) and the output directory <output_dir>/sweep_<i>, both written
+    into its config, and executes on a worker thread with a private ensemble.
     """
-    base = _output_dir(cfg)
     if param not in cfg.resolved():
         raise ConfigError(f"unknown sweep key {param!r}")
     if param == "output_dir":
         raise ConfigError("output_dir cannot be swept: run i of a sweep writes to sweep_<i> under it")
-    jobs, outdirs = [], []
+    jobs = []
     for i, value in enumerate(values):
         raw = cfg.resolved()
         raw[param] = value
         raw["seed"] = value if param == "seed" else cfg.seed + i
-        raw["output_dir"] = str(base / f"sweep_{i}")
+        raw["output_dir"] = str(Path(cfg.output_dir) / f"sweep_{i}")
         jobs.append(parse_config(json.dumps(raw)))  # re-validate the swept value
-        outdirs.append(base / f"sweep_{i}")
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_experiment, jobs, outdirs))
+        return list(pool.map(run_experiment, jobs))

@@ -9,8 +9,9 @@ A kernel is anything with the two step methods the samplers call:
 
 * ``accelerated_terms(x, y, g, eps, tau)`` returns, for the accelerated step
   at positions X with momenta Y and G = grad_f(X), the density momenta
-  V = N (K + eps I)^-1 Y, the drive K G, the repulsion push of the momentum
-  update and the gradient-restart statistic (NaN when the kernel has none);
+  V = N (K + eps I)^-1 Y, the drive K G and the repulsion push of the
+  momentum update, as arrays of its own that the step may overwrite, and the
+  gradient-restart statistic (NaN when the kernel has none);
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 The Gaussian kernel's accelerated step has ``gram`` write one triangle of the
@@ -154,7 +155,10 @@ class BilinearKernel:
     def low_rank_factor(self, x):
         """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T."""
         x = np.asarray(x, dtype=float)
-        return np.hstack([x @ self.chol_a, np.ones((x.shape[0], 1))])
+        u = np.empty((x.shape[0], self.dim + 1))
+        np.matmul(x, self.chol_a, out=u[:, :-1])
+        u[:, -1] = 1.0
+        return u
 
     def accelerated_terms(self, x, y, g, eps, tau):
         """V, K grad_f(X) and repulsion push of the accelerated step at X; no restart statistic.
@@ -165,12 +169,13 @@ class BilinearKernel:
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
-        n = x.shape[0]
         u = self.low_rank_factor(x)
         v = woodbury_inverse_apply(u, eps, y)
         kg = u @ (u.T @ g)
-        scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
-        return v, kg, np.sqrt(tau) * scale * (x @ self.a), float("nan")
+        scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / x.shape[0] ** 2
+        push = x @ self.a
+        push *= np.sqrt(tau) * scale
+        return v, kg, push, float("nan")
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
@@ -277,5 +282,7 @@ def nearest_sq_dists(x):
 
 def woodbury_inverse_apply(u, eps, y):
     """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system."""
-    cap = eps * np.eye(u.shape[1]) + u.T @ u
-    return (u.shape[0] / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))
+    out = u @ np.linalg.solve(eps * np.eye(u.shape[1]) + u.T @ u, u.T @ y)
+    np.subtract(y, out, out=out)
+    out *= u.shape[0] / eps
+    return out

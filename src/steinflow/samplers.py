@@ -179,7 +179,8 @@ def _moved(ens, x_new, what="positions", **fields):
     diverging run stops at the step where it first left the floating-point range.
     """
     _check_finite(x_new, ens.iteration + 1, what)
-    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    dx = x_new - ens.x
+    step_norms = np.sqrt(np.einsum("ij,ij->i", dx, dx))
     fields = {"f": None, "grad_f": None, **fields}
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
@@ -192,7 +193,7 @@ def _damping_vector(ens, cfg, step_norms, grad_stat):
     """
     damping = cfg.damping
     if isinstance(damping, ConstantDamping):
-        return np.full(ens.n, damping.beta), ens.restart_count.copy()
+        return np.full(ens.n, damping.beta), ens.restart_count
     counts = ens.restart_count.copy()
     if damping.use_speed:
         slower = step_norms < ens.prev_step_norms
@@ -218,7 +219,10 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
 
     v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
     alpha, counts = _damping_vector(ens, cfg, moved.prev_step_norms, grad_stat)
-    y_new = alpha[:, None] * ens.y - (sqrt_tau / ens.n) * kg + push
+    # (alpha Y - (sqrt(tau) / N) K grad_f) + push, built in place in that order
+    y_new = alpha[:, None] * ens.y
+    y_new -= np.multiply(kg, sqrt_tau / ens.n, out=kg)
+    y_new += push
 
     _check_finite(y_new, moved.iteration, "momentum update")
     return replace(moved, y=y_new, v=v_new, restart_count=counts, grad_stat=grad_stat)

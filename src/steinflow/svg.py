@@ -16,14 +16,15 @@ MAX_PATHS = 100  # particles drawn by render_trajectory_svg
 
 
 def marching_squares(grid, xs, ys, level):
-    """Line segments of the iso-contour {grid == level} on a regular grid.
+    """Line segments of the iso-contour {grid == level} on a regular grid, as a (k, 2, 2) array.
 
     Cell (i, j) has the corners (xs[i], ys[j]), (xs[i+1], ys[j]),
     (xs[i+1], ys[j+1]) and (xs[i], ys[j+1]); edge k joins corner k to corner
     k + 1 (mod 4).  An edge is crossed where its end values lie strictly on
     either side of the level.  A cell with two or more crossings yields the
     segment between its first two, and one with four also the segment between
-    its last two.  Segments come in row-major cell order.  The corner values
+    its last two.  Row s of the result is segment s, [[x0, y0], [x1, y1]], and
+    the segments come in row-major cell order.  The corner values
     come from four shifted slices of the grid; only the crossed edges are
     looked up by index.
     """
@@ -49,9 +50,7 @@ def marching_squares(grid, xs, ys, level):
     first = np.flatnonzero(np.diff(cell, prepend=-1))
     count = np.diff(first, append=cell.size)
     start = np.sort(np.concatenate([first[count >= 2], first[count == 4] + 2]))
-    p0 = zip(px[start].tolist(), py[start].tolist())
-    p1 = zip(px[start + 1].tolist(), py[start + 1].tolist())
-    return list(zip(p0, p1))
+    return np.stack([px[start], py[start], px[start + 1], py[start + 1]], axis=-1).reshape(-1, 2, 2)
 
 
 def _elements(templates, values):
@@ -95,11 +94,11 @@ def render_trajectory_svg(path, snapshots, target=None):
         # grid[i, j] = f(xs[i], ys[j])
         grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
         levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
-        segs = [seg for level in np.unique(levels) for seg in marching_squares(grid, xs, ys, level)]
-        if segs:
+        segs = np.concatenate([marching_squares(grid, xs, ys, level) for level in np.unique(levels)])
+        if len(segs):
             line = ('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="black" '
                     'stroke-width="0.6" stroke-opacity="0.6"/>')
-            parts.append(_elements([line] * len(segs), to_canvas(np.array(segs))))
+            parts.append(_elements([line] * len(segs), to_canvas(segs)))
 
     shown = min(first.shape[0], MAX_PATHS)
     # paths[i, s] = particle i in snapshot s

@@ -9,6 +9,9 @@ nearest neighbour on its own and ``partition_nearest_sq_dists`` keeps the
 full-row pass that the one-triangle pass replaced, as oracles that the
 blocked pass must match bit for bit.  ``loop_trajectory_svg`` is the
 per-point SVG renderer, which the array renderer must match byte for byte.
+``unfused_bilinear_terms`` and ``unfused_bilinear_step`` keep the bilinear
+step with one temporary array per operation, which the in-place step must
+match bit for bit.
 ``point_potential`` writes each built-in target's potential out for one
 point; gradients are checked against ``central_diff_grad`` of it.
 ``exact_samples`` draws independent samples of each built-in target, on which
@@ -20,6 +23,8 @@ Hamiltonian that the damped flow must dissipate, the assembled linearized
 matrix of the accelerated flow with the pairing check of its numeric spectrum
 against the closed form, and the measured contraction of explicit Euler steps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -284,6 +289,46 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
         x=x_new, y=y_new, v=v_new, restart_count=counts,
         prev_step_norms=step_norms, iteration=ens.iteration + 1,
     )
+
+
+def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
+    """V, K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
+
+    The expressions the step used before it filled its arrays in place; the
+    step must match them bit for bit.
+    """
+    n = x.shape[0]
+    u = np.hstack([x @ kernel.chol_a, np.ones((n, 1))])
+    cap = eps * np.eye(u.shape[1]) + u.T @ u
+    v = (n / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))
+    kg = u @ (u.T @ g)
+    scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
+    return v, kg, np.sqrt(tau) * scale * (x @ kernel.a)
+
+
+def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
+    """One bilinear-kernel ``asvgd`` or ``svgd`` step (``cfg.algorithm``) in the unfused form.
+
+    The step lengths come from ``np.linalg.norm``, the counters are copied and
+    the momentum is (alpha Y - (sqrt(tau) / N) K grad_f) + push.
+    """
+    n = ens.n
+    if cfg.algorithm == "svgd":
+        g = cfg.target.grad_all(ens.x)
+        u = np.hstack([ens.x @ cfg.kernel.chol_a, np.ones((n, 1))])
+        kg = u @ (u.T @ g)
+        x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
+        return replace(ens, x=x_new, prev_step_norms=np.linalg.norm(x_new - ens.x, axis=1),
+                       iteration=ens.iteration + 1)
+    st = np.sqrt(cfg.tau)
+    x_new = ens.x + st * ens.y
+    g = cfg.target.grad_all(x_new)
+    v_new, kg, push = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
+    step_norms = np.linalg.norm(x_new - ens.x, axis=1)
+    alpha, counts = reference_damping(ens, cfg, step_norms, False)
+    y_new = alpha[:, None] * ens.y - (st / n) * kg + push
+    return replace(ens, x=x_new, y=y_new, v=v_new, restart_count=counts, prev_step_norms=step_norms,
+                   iteration=ens.iteration + 1, grad_stat=float("nan"))
 
 
 def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=True) -> ParticleEnsemble:

@@ -260,10 +260,15 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=message):
             experiment._metric_for(cfg, cfg.build_sampler_config(), 4, x, 0.0, float("nan"))
 
-    def test_determinism_byte_identical(self, tmp_path):
-        # one output_dir in both configs, so the manifests may be compared too
-        d1 = run_experiment(make_cfg(tmp_path), tmp_path / "a")
-        d2 = run_experiment(make_cfg(tmp_path), tmp_path / "b")
+    def test_determinism_byte_identical(self, tmp_path, monkeypatch):
+        # one relative output_dir, run from two directories, so the manifests may be compared too
+        cfg = make_cfg(tmp_path, output_dir="out")
+        dirs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            dirs.append(run_experiment(cfg).resolve())
+        d1, d2 = dirs
         files = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(d2) for p in d2.rglob("*") if p.is_file())
         assert {"metrics.csv", "manifest.json", "trajectory.svg", "snapshots/particles_0.csv"} <= {
@@ -297,14 +302,6 @@ class TestRunExperiment:
         assert base == same
         changed = make_cfg(tmp_path, tau=0.2)
         assert manifest_hash(changed.resolved()) != base
-
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        cfg = make_cfg(tmp_path)
-        override = tmp_path / "env_out"
-        monkeypatch.setenv("STEINFLOW_OUT", str(override))
-        outdir = run_experiment(cfg)
-        assert outdir == override
-        assert (override / "metrics.csv").exists()
 
     @pytest.mark.parametrize("sampler", ["svgd", "ula", "mala", "uld"])
     def test_all_samplers_run(self, tmp_path, sampler):
@@ -441,7 +438,8 @@ class TestSweepAndCli:
         outdirs = run_sweep(cfg, "seed", [7, 8], max_workers=2)
         manifests = [json.loads((d / "manifest.json").read_text()) for d in outdirs]
         assert [m["config"]["seed"] for m in manifests] == [7, 8]
-        single = run_experiment(make_cfg(tmp_path, n_steps=2, n_particles=10, seed=8), tmp_path / "single")
+        single = run_experiment(make_cfg(tmp_path, n_steps=2, n_particles=10, seed=8,
+                                         output_dir=str(tmp_path / "single")))
         assert (outdirs[1] / "metrics.csv").read_bytes() == (single / "metrics.csv").read_bytes()
 
     def test_sweep_rejects_output_dir(self, tmp_path):
@@ -466,21 +464,41 @@ class TestSweepAndCli:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_leaves_environment_alone(self, tmp_path, monkeypatch):
-        base = tmp_path / "env_out"
-        monkeypatch.setenv("STEINFLOW_OUT", str(base))
+        before = dict(os.environ)
         seen = []
         real_run = experiment.run_experiment
 
         def spy(*args, **kwargs):
-            seen.append(os.environ.get("STEINFLOW_OUT"))
+            seen.append(dict(os.environ))
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "run_experiment", spy)
         cfg = make_cfg(tmp_path, n_steps=1, n_particles=8)
         outdirs = run_sweep(cfg, "tau", [0.05, 0.1], max_workers=2)
-        assert seen == [str(base), str(base)]
-        assert outdirs == [base / "sweep_0", base / "sweep_1"]
+        assert seen == [before, before] and dict(os.environ) == before
+        assert outdirs == [tmp_path / "out" / "sweep_0", tmp_path / "out" / "sweep_1"]
         assert all((d / "metrics.csv").exists() for d in outdirs)
+
+    def test_output_dir_alone_decides_where_runs_write(self, tmp_path, monkeypatch):
+        # STEINFLOW_OUT names a directory that no command may write to
+        other = tmp_path / "elsewhere"
+        monkeypatch.setenv("STEINFLOW_OUT", str(other))
+        path = tmp_path / "cfg.json"
+        for command, config, options in (
+                ("run", {"target": "gauss-correlated"}, []),
+                ("analyze", {"target": "gauss-correlated", "kernel": "bilinear"}, []),
+                ("sweep", {"target": "gauss-correlated"}, ["--param", "tau", "--values", "0.05,0.1"])):
+            outdir = tmp_path / command
+            path.write_text(json.dumps({**config, "n_particles": 8, "n_steps": 2, "record_every": 1,
+                                        "output_dir": str(outdir)}))
+            assert main([command, str(path), *options]) == 0
+            manifests = list(outdir.rglob("manifest.json"))
+            assert len(manifests) == {"run": 1, "analyze": 0, "sweep": 2}[command]
+            for manifest in manifests:
+                assert json.loads(manifest.read_text())["config"]["output_dir"] == str(manifest.parent)
+                assert (manifest.parent / "metrics.csv").exists()
+        assert (tmp_path / "analyze" / "spectral_report.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["analyze", "cfg.json", "run", "sweep"]
 
     def test_cli_run_and_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -563,10 +581,9 @@ def test_float_formatting_17_significant_digits(tmp_path):
     assert "," in row and "." in value
 
 
-def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
+def test_threaded_sweep_matches_serial(tmp_path):
     # the knn metric of 300 particles spans 2 distance blocks; two worker
     # threads must not share them
-    monkeypatch.delenv("STEINFLOW_OUT", raising=False)
     outputs = {}
     for workers in (1, 2):
         cfg = make_cfg(tmp_path, sampler="mala", target="double-bananas", n_particles=300,

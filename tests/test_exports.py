@@ -54,7 +54,7 @@ assert "scipy.linalg" in sys.modules, "a Gaussian-kernel config should load scip
 
 def test_scipy_loads_only_with_the_gaussian_kernel(tmp_path):
     src = str(Path(steinflow.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "STEINFLOW_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)

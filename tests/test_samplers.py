@@ -31,6 +31,8 @@ from reference_impls import (
     random_spd,
     reference_asvgd_step,
     reference_damping,
+    unfused_bilinear_step,
+    unfused_bilinear_terms,
 )
 
 
@@ -553,6 +555,30 @@ class TestMalaTargetValues:
         ens = mala_step(langevin_ensemble(rng.standard_normal((10, 2))), cfg, rng)
         out = step(ens, cfg, rng)
         assert out.f is None and out.grad_f is None
+
+
+class TestBilinearStepInPlace:
+    """The bilinear step fills its arrays in place and changes no bit of the unfused form."""
+
+    @pytest.mark.parametrize("damping", [ConstantDamping(0.9), RestartNesterov()], ids=["constant", "restart"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [2, 257, 5000])
+    def test_matches_the_unfused_step_bit_for_bit(self, n, d, damping):
+        rng = np.random.default_rng(n + 10 * d)
+        kernel = BilinearKernel(random_spd(rng, d))
+        ens = random_ensemble(rng, n, d)
+        g = rng.standard_normal((n, d))
+        for got, expected in zip(kernel.accelerated_terms(ens.x, ens.y, g, 0.1, 0.05)[:3],
+                                 unfused_bilinear_terms(kernel, ens.x, ens.y, g, 0.1, 0.05)):
+            assert_bits_equal(got, expected)
+        for algorithm, step in (("asvgd", asvgd_step), ("svgd", svgd_step)):
+            cfg = SamplerConfig(kernel=kernel, target=gaussian_target(rng, d), tau=0.05, eps=0.1,
+                                damping=damping, algorithm=algorithm)
+            got, expected = step(ens, cfg), unfused_bilinear_step(ens, cfg)
+            for name in ("x", "y", "v", "prev_step_norms"):
+                assert_bits_equal(getattr(got, name), getattr(expected, name))
+            assert np.array_equal(got.restart_count, expected.restart_count)
+            assert got.iteration == expected.iteration and np.isnan(got.grad_stat)
 
 
 class TestRun:
