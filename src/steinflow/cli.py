@@ -59,7 +59,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--override", action="append", metavar="KEY=VAL")
-    p_sweep.add_argument("--workers", type=int, default=4)
+    p_sweep.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
     try:

@@ -44,7 +44,7 @@ def _csv_text(rows) -> str:
 
 
 def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
-    (snapdir / f"particles_{iteration}.csv").write_text(_csv_text(x), encoding="utf-8")
+    np.save(snapdir / f"particles_{iteration}.npy", x, allow_pickle=False)
 
 
 def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
@@ -72,11 +72,11 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run one configured experiment; returns the output directory.
 
-    Writes metrics.csv, snapshots/particles_<iter>.csv, trajectory.svg and
-    manifest.json into cfg.output_dir.  Fully deterministic for a fixed
-    configuration (the seed drives the initial draw and all sampler noise).
-    metrics.csv is written one row per record, so a run that fails keeps the
-    rows recorded before the failure.
+    Writes metrics.csv, snapshots/particles_<iter>.npy (each record's exact
+    float64 N x d ensemble), trajectory.svg and manifest.json into
+    cfg.output_dir.  Fully deterministic for a fixed configuration (the seed
+    drives the initial draw and all sampler noise).  A metrics row and a
+    snapshot are written per record, so a failed run keeps its earlier records.
     """
     scfg = cfg.build_sampler_config()
     dim = scfg.target.dim
@@ -181,7 +181,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     return outdir
 
 
-def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=4):
+def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=1):
     """Fan out independent runs over a parameter grid.
 
     Run i gets the seed base seed + i (or the swept value when ``param`` is

@@ -1,10 +1,10 @@
 """Minimal SVG writer: polylines, markers and marching-squares level lines.
 
-No plotting dependency; output is a best-effort visual aid, the CSV files are
-the load-bearing artifacts.  The writer works in array passes: numpy maps every
-coordinate to the canvas at once, and each kind of element is formatted by one
-``%`` template over a flat tuple, as ``experiment._csv_text`` writes the
-snapshots.
+No plotting dependency; output is a best-effort visual aid, metrics.csv and the
+.npy snapshots are the load-bearing artifacts.  The writer works in array
+passes: numpy maps every coordinate to the canvas at once, and each kind of
+element is formatted by one ``%`` template over a flat tuple, as
+``experiment._csv_text`` writes rate_table.csv.
 """
 
 import numpy as np

@@ -235,6 +235,12 @@ class TestRunExperiment:
         lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
         assert lines[:2] == ["# steinflow-metrics-v1", MetricRecord.csv_header(2)]
         assert [line.split(",")[0] for line in lines[2:]] == ["0", "3", "6", "9"]
+        snapdir = tmp_path / "out" / "snapshots"
+        assert sorted(p.name for p in snapdir.iterdir()) == [f"particles_{it}.npy" for it in (0, 3, 6, 9)]
+        for it in (0, 3, 6, 9):
+            snap = np.load(snapdir / f"particles_{it}.npy")
+            assert snap.shape == (60, 2) and np.isfinite(snap).all()
+        assert not (snapdir / "particles_12.npy").exists()
 
     def test_failed_metric_names_its_iteration(self, tmp_path, capsys):
         # the particles diverge and their moment fit stops being positive definite
@@ -271,7 +277,7 @@ class TestRunExperiment:
         d1, d2 = dirs
         files = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(d2) for p in d2.rglob("*") if p.is_file())
-        assert {"metrics.csv", "manifest.json", "trajectory.svg", "snapshots/particles_0.csv"} <= {
+        assert {"metrics.csv", "manifest.json", "trajectory.svg", "snapshots/particles_0.npy"} <= {
             str(f) for f in files}
         for f in files:
             assert (d1 / f).read_bytes() == (d2 / f).read_bytes(), f
@@ -282,9 +288,9 @@ class TestRunExperiment:
         assert (outdir / "metrics.csv").exists()
         assert (outdir / "manifest.json").exists()
         assert (outdir / "trajectory.svg").exists()
-        assert (outdir / "snapshots" / "particles_0.csv").exists()
-        assert (outdir / "snapshots" / "particles_5.csv").exists()
-        snap = np.loadtxt(outdir / "snapshots" / "particles_0.csv", delimiter=",")
+        assert (outdir / "snapshots" / "particles_0.npy").exists()
+        assert (outdir / "snapshots" / "particles_5.npy").exists()
+        snap = np.load(outdir / "snapshots" / "particles_0.npy")
         assert snap.shape == (20, 2)
 
     def test_metrics_header_golden(self, tmp_path):
@@ -331,8 +337,7 @@ class TestRunExperiment:
         rng = np.random.default_rng(cfg.seed)
         x0 = mean0 + rng.standard_normal((cfg.n_particles, dim)) @ chol0.T
         final = samplers.run(cfg.build_sampler_config(), x0, cfg.n_steps, rng=rng)
-        text = (outdir / "snapshots" / f"particles_{cfg.n_steps}.csv").read_text()
-        snapshot = np.array([[float(v) for v in line.split(",")] for line in text.split()])
+        snapshot = np.load(outdir / "snapshots" / f"particles_{cfg.n_steps}.npy")
         assert np.array_equal(snapshot, final.x)
 
     def test_knn_metrics_for_non_gaussian_target(self, tmp_path):

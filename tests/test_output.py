@@ -14,16 +14,35 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0
                   -2.0 / 3.0, 1.0, -7.0, 42.0, 1e16, 123456789.0, 0.1, -1.5e-7]
 
 
+def special_grid(d):
+    """SPECIAL_VALUES and 40 random magnitudes, every value in every one of d columns."""
+    rng = np.random.default_rng(d)
+    values = np.concatenate([SPECIAL_VALUES, rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40)])
+    return np.column_stack([np.roll(values, j) for j in range(d)])
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_npy_round_trips_every_bit(self, d, tmp_path):
+        x = special_grid(d)
+        experiment._write_snapshot(tmp_path, 7, x)
+        got = np.load(tmp_path / "particles_7.npy")
+        assert got.dtype == np.float64 and got.shape == x.shape == (len(x), d)
+        assert np.array_equal(got, x)
+        assert np.array_equal(got.view(np.uint64), x.view(np.uint64))  # every bit, signs of zeros too
+        assert (np.signbit(got) & (got == 0.0)).any(axis=0).all()  # -0.0 in every column
+        for v in (5e-324, 1e300, -1e300):
+            assert (got == v).any(axis=0).all()
+        first = (tmp_path / "particles_7.npy").read_bytes()
+        experiment._write_snapshot(tmp_path, 7, x.copy())
+        assert (tmp_path / "particles_7.npy").read_bytes() == first
+
+
 class TestCsvText:
     @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_snapshot_bytes_equal_per_value_fstrings(self, d, tmp_path):
-        rng = np.random.default_rng(d)
-        values = np.concatenate([SPECIAL_VALUES, rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40)])
-        x = np.resize(values, (values.size, d))  # every value in every column
-        experiment._write_snapshot(tmp_path, 7, x)
-        got = (tmp_path / "particles_7.csv").read_bytes()
-        assert got == loop_csv_text(x).encode("utf-8")
-        assert np.array_equal(np.loadtxt(tmp_path / "particles_7.csv", delimiter=",", ndmin=2), x)
+    def test_bytes_equal_per_value_fstrings(self, d):
+        x = special_grid(d)
+        assert experiment._csv_text(x) == loop_csv_text(x)
 
     def test_rate_table_rows(self):
         rows = [(0.1, -1.0 / 3.0, 12.5), (1e-300, 5e-324, 1e300)]
@@ -95,8 +114,7 @@ class TestTrajectorySvg:
             "record_every": 2, "tau": 0.05, "seed": 4, "init_mean": [2.0, 2.0],
             "init_cov": [[0.01, 0.0], [0.0, 0.01]], "output_dir": str(tmp_path / "run")}))
         outdir = experiment.run_experiment(cfg)
-        snaps = [np.loadtxt(outdir / "snapshots" / f"particles_{it}.csv", delimiter=",")
-                 for it in (0, 2, 4, 6)]
+        snaps = [np.load(outdir / "snapshots" / f"particles_{it}.npy") for it in (0, 2, 4, 6)]
         assert all(s.shape == (n, 2) for s in snaps)
         last = snaps[-1]
         assert np.any(last[svg.MAX_PATHS:].max(axis=0) > last[:svg.MAX_PATHS].max(axis=0))
