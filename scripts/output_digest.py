@@ -1,6 +1,6 @@
 """Digest of every file a fixed set of 90 steinflow CLI calls writes.
 
-    python3 scripts/output_digest.py [--src DIR] > digest.txt
+    python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
 The calls are ``steinflow run`` on the grid 5 samplers x 2 kernels x 4
 built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
@@ -26,6 +26,20 @@ line per failed call, with paths relative to that directory.  Run it on two
 checkouts and diff the outputs to check that a change leaves every CLI output
 byte-identical; ``--src`` names the directory that holds the ``steinflow``
 package to import (default: this checkout's ``src``).
+
+``--keep DIR`` runs the calls in DIR, which must not exist yet, instead of a
+temporary directory, and leaves the output tree there.  ``--against DIR``
+compares each output file with the file of the same path under DIR, a tree
+kept by an earlier ``--keep`` run, and writes one line to stderr for each
+file whose bytes differ: ``max-rel-dev R  path``, with R the largest
+relative deviation |a - b| / max(|a|, |b|) over its numbers (the array of a
+``.npy`` file, the numeric columns of a CSV file; a NaN equals a NaN), or
+``differs  path`` for a file with no numbers to compare, or ``missing  path``
+for a file DIR lacks.  So one command measures how far a change of
+arithmetic moved each output:
+
+    python3 scripts/output_digest.py --src OLD/src --keep /tmp/old > old.txt
+    python3 scripts/output_digest.py --against /tmp/old > new.txt
 """
 
 from __future__ import annotations
@@ -40,6 +54,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SAMPLERS = ("asvgd", "svgd", "ula", "mala", "uld")
 KERNELS = ("gaussian", "bilinear")
@@ -74,17 +90,72 @@ def _calls():
            ["run"])
 
 
+def _numbers(path):
+    """The numbers of an output file as named float arrays, or None for a file without them.
+
+    A ``.npy`` file gives its array, a CSV file each column whose values all
+    parse as floats, keyed by its header; ``#`` lines are skipped.
+    """
+    if path.suffix == ".npy":
+        return {"": np.load(path, allow_pickle=False)}
+    if path.suffix != ".csv":
+        return None
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    columns = {}
+    for j, name in enumerate(lines[0].split(",")):
+        try:
+            columns[name] = np.array([float(row[j]) for row in rows])
+        except ValueError:
+            continue
+    return columns
+
+
+def _max_rel_dev(a, b):
+    """Largest |a - b| / max(|a|, |b|) over equal-shape arrays; inf for a shape or non-finite mismatch."""
+    if a.shape != b.shape:
+        return float("inf")
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(all="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf)).max(initial=0.0))
+
+
+def _deviation(out, old):
+    """The stderr line for output file ``out`` against ``old``, or None if their bytes are equal."""
+    if not old.is_file():
+        return f"missing  {out.as_posix()}"
+    if old.read_bytes() == out.read_bytes():
+        return None
+    new_numbers, old_numbers = _numbers(out), _numbers(old)
+    if not new_numbers or not old_numbers:
+        return f"differs  {out.as_posix()}"
+    if new_numbers.keys() != old_numbers.keys():
+        return f"max-rel-dev inf  {out.as_posix()}"
+    dev = max(_max_rel_dev(new_numbers[k], old_numbers[k]) for k in new_numbers)
+    return f"max-rel-dev {dev:.3g}  {out.as_posix()}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="directory holding the steinflow package")
+    parser.add_argument("--keep", metavar="DIR", help="run in DIR, which must not exist, and keep the outputs")
+    parser.add_argument("--against", metavar="DIR",
+                        help="report on stderr how far each differing output deviates from DIR's")
     args = parser.parse_args(argv)
+    against = Path(args.against).resolve() if args.against else None
     sys.path.insert(0, str(Path(args.src).resolve()))
     from steinflow import cli
 
     lines = []
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.keep:
+        Path(args.keep).mkdir(parents=True)
+        workdir = contextlib.nullcontext(str(Path(args.keep).resolve()))
+    else:
+        workdir = tempfile.TemporaryDirectory()
+    with workdir as tmp:
         os.chdir(tmp)  # output_dir stays relative, so manifest.json does not name the temp dir
         try:
             for name, config, (command, *options) in _calls():
@@ -97,6 +168,9 @@ def main(argv=None):
                           if line.startswith("error:")]
                 for out in sorted(p for p in Path(name).rglob("*") if p.is_file()):
                     lines.append(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {out.as_posix()}")
+                    deviation = None if against is None else _deviation(out, against / out)
+                    if deviation:
+                        print(deviation, file=sys.stderr)
         finally:
             os.chdir(cwd)
     print("\n".join(lines))

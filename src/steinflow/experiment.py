@@ -44,7 +44,8 @@ def _csv_text(rows) -> str:
 
 
 def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
-    np.save(snapdir / f"particles_{iteration}.npy", x, allow_pickle=False)
+    # a C-order copy of the column-major ensemble: the file reads fortran_order False
+    np.save(snapdir / f"particles_{iteration}.npy", np.ascontiguousarray(x), allow_pickle=False)
 
 
 def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
@@ -187,7 +188,10 @@ def run_sweep(cfg: ExperimentConfig, param: str, values, max_workers=1):
     Run i gets the seed base seed + i (or the swept value when ``param`` is
     ``seed``) and the output directory <output_dir>/sweep_<i>, both written
     into its config, and executes on a worker thread with a private ensemble.
+    ``max_workers`` below 1 is rejected before any job is parsed.
     """
+    if max_workers < 1:
+        raise ConfigError(f"a sweep needs at least 1 worker, got {max_workers}")
     if param not in cfg.resolved():
         raise ConfigError(f"unknown sweep key {param!r}")
     if param == "output_dir":

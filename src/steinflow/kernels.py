@@ -22,6 +22,14 @@ most d + 1, so (K + eps I) is invertible only for eps > 0; that kernel never
 forms K and solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in
 O(N d^2).
 
+The samplers hand every N x d array over column-major (see ``samplers``),
+and each kernel returns its N x d results column-major too.  The product of
+an N-row array with a small matrix is written as ``_matmul_f(x, a)`` =
+(A^T X^T)^T, which BLAS writes as length-N columns; ``x @ a`` would return C
+order.  The bilinear factor U alone stays row-major: BLAS sums U^T B over
+the particles in another order when U is column-major, and keeping its
+order keeps every bit of the bilinear steps.
+
 Every squared distance in the package -- the Gaussian Gram matrix and the
 nearest-neighbour distances of the KL metric in ``diagnostics`` -- is between
 two particles of one set and comes from one loop, ``_sq_dist_blocks``, which
@@ -94,9 +102,10 @@ class GaussianKernel:
         if info < 0:
             raise ValueError(f"dpotrf rejected its argument {-info}")
         if info > 0:
-            k_eps = gram(self, x).k  # the failed factorization overwrote the triangle it read
+            k_eps = gram(self, x, upper=True).k  # the failed factorization overwrote the triangle it read
             k_eps.flat[:: n + 1] += eps
-            smin = np.linalg.svd(k_eps, compute_uv=False).min()
+            # K + eps I is symmetric: its singular values are the |eigenvalues|
+            smin = np.abs(np.linalg.eigvalsh(k_eps, UPLO="U")).min()
             raise np.linalg.LinAlgError(f"regularized kernel matrix singular (smallest singular value {smin:.3e})")
         v = n * lapack.dpotrs(l, y, lower=1)[0]
 
@@ -130,7 +139,8 @@ class GaussianKernel:
         """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ]."""
         k = gram(self, x).k
         repulsion = k.sum(axis=1)[:, None] * x - k @ x
-        return x + (tau / x.shape[0]) * (repulsion / self.sigma2 - k @ g)
+        # K X and K G come back in C order; copying the N x d result is cheap next to K
+        return np.asfortranarray(x + (tau / x.shape[0]) * (repulsion / self.sigma2 - k @ g))
 
 
 class BilinearKernel:
@@ -153,7 +163,10 @@ class BilinearKernel:
         return f"BilinearKernel(a={self.a.tolist()})"
 
     def low_rank_factor(self, x):
-        """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T."""
+        """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T.
+
+        U is row-major (see the module docstring), whatever the layout of x.
+        """
         x = np.asarray(x, dtype=float)
         u = np.empty((x.shape[0], self.dim + 1))
         np.matmul(x, self.chol_a, out=u[:, :-1])
@@ -171,9 +184,9 @@ class BilinearKernel:
                              "its Gram matrix has rank at most d + 1")
         u = self.low_rank_factor(x)
         v = woodbury_inverse_apply(u, eps, y)
-        kg = u @ (u.T @ g)
+        kg = _matmul_f(u, u.T @ g)
         scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / x.shape[0] ** 2
-        push = x @ self.a
+        push = _matmul_f(x, self.a)
         push *= np.sqrt(tau) * scale
         return v, kg, push, float("nan")
 
@@ -184,8 +197,13 @@ class BilinearKernel:
         direction of the underlying flow.
         """
         u = self.low_rank_factor(x)
-        kg = u @ (u.T @ g)
-        return x + tau * (x @ self.a - kg / x.shape[0])
+        kg = _matmul_f(u, u.T @ g)
+        return x + tau * (_matmul_f(x, self.a) - kg / x.shape[0])
+
+
+def _matmul_f(x, a):
+    """x @ a for an N-row x and a small a, computed as (a^T x^T)^T, so the result is column-major."""
+    return (a.T @ x.T).T
 
 
 @dataclass
@@ -213,7 +231,7 @@ def _sq_dist_blocks(x, upper=False):
     diagonal.
     """
     n, d = x.shape
-    xt = np.ascontiguousarray(x.T)
+    xt = np.ascontiguousarray(x.T)  # a free view of a column-major x
     rows = max(1, min(n, _BLOCK_ENTRIES // max(n, 1)))
     buf = np.empty(rows * n)
     diff = np.empty(rows * n)
@@ -281,8 +299,11 @@ def nearest_sq_dists(x):
 
 
 def woodbury_inverse_apply(u, eps, y):
-    """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system."""
-    out = u @ np.linalg.solve(eps * np.eye(u.shape[1]) + u.T @ u, u.T @ y)
+    """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system.
+
+    The result is column-major.
+    """
+    out = _matmul_f(u, np.linalg.solve(eps * np.eye(u.shape[1]) + u.T @ u, u.T @ y))
     np.subtract(y, out, out=out)
     out *= u.shape[0] / eps
     return out

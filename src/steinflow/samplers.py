@@ -36,6 +36,16 @@ instead of evaluating the target again.  Every other step, and
 ``ParticleEnsemble.initialize``, leaves them None, so no step reads values of
 positions the ensemble has left.  ``step`` picks the function by
 ``cfg.algorithm``, and ``run`` is the one loop over it.
+
+Every N x d array of a run is column-major (Fortran order), so each
+coordinate is one contiguous length-N vector: ``ParticleEnsemble.initialize``
+copies the initial positions that way, and every step keeps it.  Elementwise
+arithmetic gives the same bits in either layout; the kernels and the built-in
+targets write their thin products so that the results stay column-major (see
+``kernels``).  A target gradient that comes back in C order, as a
+``CustomTarget``'s does, and the Langevin noise, which the generator fills
+row by row, are copied to column-major before they are used, so a seed gives
+the same particles whatever layout a target returns.
 """
 
 from __future__ import annotations
@@ -67,6 +77,8 @@ ALGORITHMS = KERNEL_ALGORITHMS + ("ula", "mala", "uld")
 class ParticleEnsemble:
     """Positions, momenta and restart bookkeeping for one particle system.
 
+    ``x``, ``y``, ``v`` and ``grad_f`` are N x d arrays in column-major order
+    (see the module docstring).
     ``prev_step_norms`` holds each particle's displacement in the last step, and
     ``grad_stat`` the gradient-restart statistic of the last accelerated step
     (NaN when no step computed one; of the two kernels only the Gaussian does).
@@ -87,7 +99,7 @@ class ParticleEnsemble:
 
     @classmethod
     def initialize(cls, x0):
-        x0 = np.array(x0, dtype=float)
+        x0 = np.array(x0, dtype=float, order="F")
         if x0.ndim != 2:
             raise ValueError(f"initial positions must be N x d, got shape {x0.shape}")
         n = x0.shape[0]
@@ -165,6 +177,16 @@ class SamplerConfig:
             raise TypeError(f"unsupported kernel {self.kernel!r}")
 
 
+def _grad(cfg, x):
+    """grad_f at the rows of x, column-major (a copy only for a target that returns C order)."""
+    return np.asfortranarray(cfg.target.grad_all(x))
+
+
+def _noise(rng, x):
+    """Standard normal draws shaped like x, column-major; the generator fills them row by row."""
+    return np.asfortranarray(rng.standard_normal(x.shape))
+
+
 def _check_finite(arr, iteration, what):
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
@@ -185,15 +207,18 @@ def _moved(ens, x_new, what="positions", **fields):
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
 
-def _damping_vector(ens, cfg, step_norms, grad_stat):
-    """Per-particle damping for step 3; also returns the updated counters.
+def _damping(ens, cfg, step_norms, grad_stat):
+    """Damping for step 3, as a factor of Y, and the updated counters.
+
+    Constant damping is the scalar beta; the counter schedule gives one alpha
+    per particle, as an N x 1 column.
 
     A negative ``grad_stat`` fires the global gradient restart; NaN (no
     statistic on this kernel's path) never does.
     """
     damping = cfg.damping
     if isinstance(damping, ConstantDamping):
-        return np.full(ens.n, damping.beta), ens.restart_count
+        return damping.beta, ens.restart_count
     counts = ens.restart_count.copy()
     if damping.use_speed:
         slower = step_norms < ens.prev_step_norms
@@ -204,7 +229,7 @@ def _damping_vector(ens, cfg, step_norms, grad_stat):
     if damping.use_gradient and grad_stat < 0.0:
         counts[:] = 1
     alpha = (counts - 1.0) / (counts + damping.r - 1.0)
-    return alpha, counts
+    return alpha[:, None], counts
 
 
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
@@ -215,12 +240,12 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
     """
     sqrt_tau = np.sqrt(cfg.tau)
     moved = _moved(ens, ens.x + sqrt_tau * ens.y)
-    g = cfg.target.grad_all(moved.x)
+    g = _grad(cfg, moved.x)
 
     v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
-    alpha, counts = _damping_vector(ens, cfg, moved.prev_step_norms, grad_stat)
+    alpha, counts = _damping(ens, cfg, moved.prev_step_norms, grad_stat)
     # (alpha Y - (sqrt(tau) / N) K grad_f) + push, built in place in that order
-    y_new = alpha[:, None] * ens.y
+    y_new = alpha * ens.y
     y_new -= np.multiply(kg, sqrt_tau / ens.n, out=kg)
     y_new += push
 
@@ -230,15 +255,15 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
 
 def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
     """Plain kernel-transport step; the update itself is ``cfg.kernel.plain_step``."""
-    g = cfg.target.grad_all(ens.x)
+    g = _grad(cfg, ens.x)
     return _moved(ens, cfg.kernel.plain_step(ens.x, g, cfg.tau), "position update")
 
 
 def ula_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
     """Unadjusted Langevin step x - tau grad_f(x) + sqrt(2 tau) xi, row-wise."""
     x = ens.x
-    noise = rng.standard_normal(x.shape)
-    return _moved(ens, x - cfg.tau * cfg.target.grad_all(x) + np.sqrt(2.0 * cfg.tau) * noise)
+    noise = _noise(rng, x)
+    return _moved(ens, x - cfg.tau * _grad(cfg, x) + np.sqrt(2.0 * cfg.tau) * noise)
 
 
 def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
@@ -253,11 +278,11 @@ def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsembl
     """
     x = ens.x
     tau = cfg.tau
-    g_x = cfg.target.grad_all(x) if ens.grad_f is None else ens.grad_f
+    g_x = _grad(cfg, x) if ens.grad_f is None else ens.grad_f
     f_x = cfg.target.potential_all(x) if ens.f is None else ens.f
-    proposal = x - tau * g_x + np.sqrt(2.0 * tau) * rng.standard_normal(x.shape)
+    proposal = x - tau * g_x + np.sqrt(2.0 * tau) * _noise(rng, x)
     f_y = cfg.target.potential_all(proposal)
-    g_y = cfg.target.grad_all(proposal)
+    g_y = _grad(cfg, proposal)
     fwd = ((proposal - x + tau * g_x) ** 2).sum(axis=1)
     bwd = ((x - proposal + tau * g_y) ** 2).sum(axis=1)
     log_ratio = f_x - f_y + (fwd - bwd) / (4.0 * tau)
@@ -273,8 +298,8 @@ def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble
     momentum P in ``ens.y``.
     """
     x, p = ens.x, ens.y
-    noise = rng.standard_normal(x.shape)
-    p_new = p - cfg.tau * (cfg.target.grad_all(x) + p) + np.sqrt(2.0 * cfg.tau) * noise
+    noise = _noise(rng, x)
+    p_new = p - cfg.tau * (_grad(cfg, x) + p) + np.sqrt(2.0 * cfg.tau) * noise
     return _moved(ens, x + cfg.tau * p_new, y=p_new)
 
 

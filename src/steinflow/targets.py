@@ -2,9 +2,11 @@
 
 A target has a ``dim`` and two batched methods, ``potential_all(x)`` and
 ``grad_all(x)``, which take the rows of an N x d array and return shapes (N,)
-and (N, d).  Every built-in target also has ``log_normalizer`` = log of the
-integral of exp(-f) over R^d, in closed form.  The knn KL metric needs it and
-rejects a target without it, such as a ``CustomTarget``.
+and (N, d).  The samplers pass column-major rows, and the built-in targets
+return column-major gradients (see ``samplers``).  Every built-in target
+also has ``log_normalizer`` = log of the integral of exp(-f) over R^d, in
+closed form.  The knn KL metric needs it and rejects a target without it,
+such as a ``CustomTarget``.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ class GaussianTarget:
 
     def potential_all(self, x):
         r = np.asarray(x, dtype=float) - self.b
-        return 0.5 * np.einsum("ij,ij->i", r @ self.q_inv, r)
+        return 0.5 * np.einsum("ij,ij->i", (self.q_inv.T @ r.T).T, r)
 
     def grad_all(self, x):
-        return (np.asarray(x, dtype=float) - self.b) @ self.q_inv
+        # R Q^-1, written (Q^-T R^T)^T so that it comes out column-major
+        return (self.q_inv.T @ (np.asarray(x, dtype=float) - self.b).T).T
 
 
 class QuarticTarget:
@@ -136,7 +139,8 @@ class DoubleBananasTarget:
         w2 = 1.0 - w1
         g11, g12 = self._warp_grad(x1, x2)
         g21, g22 = self._warp_grad(x1, -x2)
-        return np.stack([_weigh(w1, g11) + _weigh(w2, g21), _weigh(w1, g12) - _weigh(w2, g22)], axis=1)
+        # stacked as rows and transposed: column-major, like the samplers' arrays
+        return np.stack([_weigh(w1, g11) + _weigh(w2, g21), _weigh(w1, g12) - _weigh(w2, g22)]).T
 
 
 class CustomTarget:

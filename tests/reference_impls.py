@@ -10,8 +10,8 @@ full-row pass that the one-triangle pass replaced, as oracles that the
 blocked pass must match bit for bit.  ``loop_trajectory_svg`` is the
 per-point SVG renderer, which the array renderer must match byte for byte.
 ``unfused_bilinear_terms`` and ``unfused_bilinear_step`` keep the bilinear
-step with one temporary array per operation, which the in-place step must
-match bit for bit.
+step with one temporary array per operation, in the step's product order,
+which the in-place step must match bit for bit.
 ``point_potential`` writes each built-in target's potential out for one
 point; gradients are checked against ``central_diff_grad`` of it.
 ``exact_samples`` draws independent samples of each built-in target, on which
@@ -295,15 +295,16 @@ def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
     """V, K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
 
     The expressions the step used before it filled its arrays in place; the
-    step must match them bit for bit.
+    step must match them bit for bit.  U is row-major, and a product of an
+    N-row array B with a small S is taken as (S^T B^T)^T, as the step takes it.
     """
     n = x.shape[0]
     u = np.hstack([x @ kernel.chol_a, np.ones((n, 1))])
     cap = eps * np.eye(u.shape[1]) + u.T @ u
-    v = (n / eps) * (y - u @ np.linalg.solve(cap, u.T @ y))
-    kg = u @ (u.T @ g)
+    v = (n / eps) * (y - (np.linalg.solve(cap, u.T @ y).T @ u.T).T)
+    kg = ((u.T @ g).T @ u.T).T
     scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
-    return v, kg, np.sqrt(tau) * scale * (x @ kernel.a)
+    return v, kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T
 
 
 def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
@@ -316,8 +317,8 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     if cfg.algorithm == "svgd":
         g = cfg.target.grad_all(ens.x)
         u = np.hstack([ens.x @ cfg.kernel.chol_a, np.ones((n, 1))])
-        kg = u @ (u.T @ g)
-        x_new = ens.x + cfg.tau * (ens.x @ cfg.kernel.a - kg / n)
+        kg = ((u.T @ g).T @ u.T).T
+        x_new = ens.x + cfg.tau * ((cfg.kernel.a.T @ ens.x.T).T - kg / n)
         return replace(ens, x=x_new, prev_step_norms=np.linalg.norm(x_new - ens.x, axis=1),
                        iteration=ens.iteration + 1)
     st = np.sqrt(cfg.tau)

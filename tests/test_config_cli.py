@@ -468,6 +468,17 @@ class TestSweepAndCli:
         assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_sweep_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
+        # checked before the jobs are parsed: the swept Infinity would fail parse_config
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "gauss-correlated", "n_particles": 8, "n_steps": 1,
+                                    "output_dir": str(tmp_path / "out")}))
+        argv = ["sweep", str(path), "--param", "tau", "--values", "0.1,Infinity", "--workers", str(workers)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: a sweep needs at least 1 worker, got {workers}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_leaves_environment_alone(self, tmp_path, monkeypatch):
         before = dict(os.environ)
         seen = []

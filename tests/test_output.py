@@ -1,5 +1,6 @@
 """The output layer against its per-value and per-cell loop oracles."""
 
+import io
 import json
 
 import numpy as np
@@ -36,6 +37,32 @@ class TestSnapshot:
         first = (tmp_path / "particles_7.npy").read_bytes()
         experiment._write_snapshot(tmp_path, 7, x.copy())
         assert (tmp_path / "particles_7.npy").read_bytes() == first
+
+
+    def test_column_major_ensemble_writes_c_order_file(self, tmp_path):
+        x = np.asfortranarray(special_grid(2))
+        experiment._write_snapshot(tmp_path, 7, x)
+        expected = io.BytesIO()
+        np.save(expected, np.ascontiguousarray(x), allow_pickle=False)
+        assert (tmp_path / "particles_7.npy").read_bytes() == expected.getvalue()
+        with open(tmp_path / "particles_7.npy", "rb") as fh:
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh)[1] is False  # fortran_order
+
+
+    @pytest.mark.parametrize("sampler", ["asvgd", "svgd", "ula", "mala", "uld"])
+    def test_every_snapshot_of_a_run_is_a_c_order_file(self, sampler, tmp_path):
+        cfg = parse_config(json.dumps({"sampler": sampler, "target": "gauss-correlated", "n_particles": 30,
+                                       "n_steps": 3, "record_every": 1, "output_dir": str(tmp_path / "out")}))
+        snapshots = sorted((experiment.run_experiment(cfg) / "snapshots").iterdir())
+        assert len(snapshots) == 4
+        for path in snapshots:
+            with open(path, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                assert np.lib.format.read_array_header_1_0(fh)[1] is False  # fortran_order
+            expected = io.BytesIO()
+            np.save(expected, np.ascontiguousarray(np.load(path)), allow_pickle=False)
+            assert path.read_bytes() == expected.getvalue()
 
 
 class TestCsvText:

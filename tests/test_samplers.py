@@ -43,8 +43,8 @@ def gaussian_target(rng, d):
 def random_ensemble(rng, n, d, momentum=True):
     ens = ParticleEnsemble.initialize(rng.standard_normal((n, d)))
     if momentum:
-        ens.y = 0.3 * rng.standard_normal((n, d))
-        ens.v = 0.5 * rng.standard_normal((n, d))
+        ens.y = np.asfortranarray(0.3 * rng.standard_normal((n, d)))  # column-major, as a run keeps them
+        ens.v = np.asfortranarray(0.5 * rng.standard_normal((n, d)))
         ens.restart_count = rng.integers(1, 6, size=n)
         ens.prev_step_norms = rng.uniform(0.0, 0.2, size=n)
         ens.iteration = 3
@@ -579,6 +579,72 @@ class TestBilinearStepInPlace:
                 assert_bits_equal(getattr(got, name), getattr(expected, name))
             assert np.array_equal(got.restart_count, expected.restart_count)
             assert got.iteration == expected.iteration and np.isnan(got.grad_stat)
+
+    @pytest.mark.parametrize("damping", [ConstantDamping(0.9), RestartNesterov()], ids=["constant", "restart"])
+    def test_stays_close_to_the_c_order_expressions(self, damping):
+        # the step as written before the ensemble was column-major, on C-order copies
+        n, d = 5000, 2
+        rng = np.random.default_rng(37)
+        kernel = BilinearKernel(random_spd(rng, d))
+        ens = random_ensemble(rng, n, d)
+        cfg = SamplerConfig(kernel=kernel, target=gaussian_target(rng, d), tau=0.05, eps=0.1, damping=damping)
+        got = asvgd_step(ens, cfg)
+        x, y = np.ascontiguousarray(ens.x), np.ascontiguousarray(ens.y)
+        st = np.sqrt(cfg.tau)
+        x_new = x + st * y
+        g = (x_new - cfg.target.b) @ cfg.target.q_inv
+        u = np.hstack([x_new @ kernel.chol_a, np.ones((n, 1))])
+        v = (n / cfg.eps) * (y - u @ np.linalg.solve(cfg.eps * np.eye(d + 1) + u.T @ u, u.T @ y))
+        kg = u @ (u.T @ g)
+        push = np.sqrt(cfg.tau) * (1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2) * (x_new @ kernel.a)
+        alpha, _ = reference_damping(ens, cfg, np.linalg.norm(x_new - x, axis=1), False)
+        y_new = alpha[:, None] * y - (st / n) * kg + push
+        for new, old in ((got.x, x_new), (got.v, v), (got.y, y_new)):
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+class FortranGradTarget(CustomTarget):
+    """A CustomTarget whose gradients come back column-major; a CustomTarget's come back in C order."""
+
+    def grad_all(self, x):
+        return np.asfortranarray(super().grad_all(x))
+
+
+# (algorithm, kernel) of every step: both kernels for the kernel samplers
+LAYOUT_CASES = [pytest.param(a, k, id=f"{a}-{type(k).__name__}")
+                for a in ALGORITHMS for k in (GaussianKernel(0.5), BilinearKernel(np.eye(2)))
+                if a in ("asvgd", "svgd") or isinstance(k, GaussianKernel)]
+
+
+class TestColumnMajorLayout:
+    """Every N x d array of a run is column-major, whatever layout the caller and the target hand in."""
+
+    @staticmethod
+    def _cfg(algorithm, kernel, target):
+        return SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.1, damping=RestartNesterov(),
+                             seed=4, algorithm=algorithm)
+
+    @pytest.mark.parametrize("start", ["c-order", "nested-list"])
+    @pytest.mark.parametrize("algorithm, kernel", LAYOUT_CASES)
+    def test_run_keeps_every_array_column_major(self, algorithm, kernel, start):
+        rng = np.random.default_rng(38)
+        x0 = np.ascontiguousarray(rng.standard_normal((40, 2)))
+        ens = run(self._cfg(algorithm, kernel, gaussian_target(rng, 2)),
+                  x0.tolist() if start == "nested-list" else x0, 3)
+        assert ens.iteration == 3 and (ens.grad_f is not None) == (algorithm == "mala")
+        arrays = [ens.x, ens.y, ens.v] + ([ens.grad_f] if algorithm == "mala" else [])
+        assert all(arr.flags.f_contiguous for arr in arrays)
+
+    @pytest.mark.parametrize("algorithm, kernel", LAYOUT_CASES)
+    def test_target_layout_moves_no_bit(self, algorithm, kernel):
+        precision = np.array([[3.0, -2.0], [-2.0, 3.0]])
+        args = (lambda p: 0.5 * p @ precision @ p, lambda p: precision @ p, 2)
+        x0 = np.random.default_rng(39).standard_normal((40, 2))
+        c_order, f_order = CustomTarget(*args), FortranGradTarget(*args)
+        assert c_order.grad_all(x0).flags.c_contiguous and f_order.grad_all(x0).flags.f_contiguous
+        got = [run(self._cfg(algorithm, kernel, t), x0, 3) for t in (c_order, f_order)]
+        assert_bits_equal(got[0].x, got[1].x)
+        assert got[0].x.flags.f_contiguous
 
 
 class TestRun:

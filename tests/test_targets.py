@@ -88,6 +88,17 @@ class TestPotentialAll:
         assert got[0] == pytest.approx(f(x[0]), rel=1e-14, abs=0.0)
 
 
+class TestColumnMajor:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_grad_all_of_column_major_rows_is_column_major(self, name):
+        # the samplers hand every target column-major positions
+        t = builtin(name)
+        x = np.random.default_rng(30).uniform(-2.0, 2.0, size=(200, t.dim))
+        got = t.grad_all(np.asfortranarray(x))
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, t.grad_all(np.ascontiguousarray(x)))
+
+
 class TestHotPathsAreBatched:
     def test_svg_grid_equals_per_point_loop(self, tmp_path, monkeypatch):
         grids = []
