@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 90 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 91 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -16,9 +16,12 @@ and has no accelerated spectrum), and two two-value ``steinflow sweep
 --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
-last, one ``asvgd`` run with the bilinear kernel and constant damping on
+then one ``asvgd`` run with the bilinear kernel and constant damping on
 ``gauss-correlated`` at N = 5000, so the Woodbury solve also runs at a size
-where BLAS may block its products differently.  Every config has 12 steps,
+where BLAS may block its products differently; last, one ``svgd`` run with
+the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram matrix
+spans several distance blocks and whose symmetric product K [X | grad_f | 1]
+BLAS blocks too.  Every config has 12 steps,
 record_every 3, eps = 0.1 and, unless it sets its own, N = 60 particles, and
 every call runs inside a temporary directory.  The
 script prints one ``sha256  path`` line per output file and one ``name  error: ...``
@@ -88,6 +91,8 @@ def _calls():
     yield ("asvgd-bilinear-gauss-correlated-constant-n5000",
            {"kernel": "bilinear", "target": "gauss-correlated", "damping": "constant", "n_particles": 5000},
            ["run"])
+    yield ("svgd-gaussian-gauss-correlated-n600",
+           {"sampler": "svgd", "target": "gauss-correlated", "n_particles": 600}, ["run"])
 
 
 def _numbers(path):

@@ -111,6 +111,9 @@ class ExperimentConfig:
             raise ConfigError(f"init_mean must have {dim} entries, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise ConfigError(f"init_cov must be {dim}x{dim}, got {cov.shape}")
+        # cholesky reads one triangle, so it would draw from another covariance than the manifest records
+        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
+            raise ConfigError("init_cov must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:

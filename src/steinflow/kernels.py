@@ -14,31 +14,30 @@ A kernel is anything with the two step methods the samplers call:
   gradient-restart statistic (NaN when the kernel has none);
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
-The Gaussian kernel's accelerated step has ``gram`` write one triangle of the
-dense Gram matrix, factors it in place and multiplies by K through the factor,
-with scipy's LAPACK and BLAS wrappers, the package's only use of scipy, which
-loads with the first ``GaussianKernel``.  The bilinear Gram matrix has rank at
-most d + 1, so (K + eps I) is invertible only for eps > 0; that kernel never
-forms K and solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in
-O(N d^2).
+``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
+matrix, and every Gaussian step reads that triangle alone, with scipy's LAPACK
+and BLAS wrappers, the package's only use of scipy, which loads with the first
+``GaussianKernel``: the accelerated step factors it in place and multiplies by
+K through the factor, and the plain step multiplies by K with one symmetric
+BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
+(K + eps I) is invertible only for eps > 0; that kernel never forms K and
+solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
 
 The samplers hand every N x d array over column-major (see ``samplers``),
-and each kernel returns its N x d results column-major too.  The product of
-an N-row array with a small matrix is written as ``_matmul_f(x, a)`` =
-(A^T X^T)^T, which BLAS writes as length-N columns; ``x @ a`` would return C
-order.  The bilinear factor U alone stays row-major: BLAS sums U^T B over
-the particles in another order when U is column-major, and keeping its
-order keeps every bit of the bilinear steps.
+and each kernel returns its N x d results, and builds the bilinear factor U,
+column-major too.  The product of an N-row array with a small matrix is
+written as ``_matmul_f(x, a)`` = (A^T X^T)^T, which BLAS writes as length-N
+columns; ``x @ a`` would return C order.
 
 Every squared distance in the package -- the Gaussian Gram matrix and the
 nearest-neighbour distances of the KL metric in ``diagnostics`` -- is between
 two particles of one set and comes from one loop, ``_sq_dist_blocks``, which
-hands out row blocks of the N x N distance matrix, or of its upper triangle,
-in a reused buffer of about ``_BLOCK_ENTRIES`` entries (512 KB, inside a 2 MiB
-L2 cache), so no caller holds a distance matrix it does not return.  The
-accelerated step's ``gram`` and ``nearest_sq_dists`` read only the upper
-triangle: the nearest-neighbour pass folds each block's row and column minima
-into the distances of both particles of every pair.
+hands out row blocks of the diagonal and upper triangle of the N x N
+distance matrix in a reused buffer of about ``_BLOCK_ENTRIES`` entries
+(512 KB, inside a 2 MiB L2 cache), so no caller holds a distance matrix it
+does not return: ``gram`` exponentiates the blocks into its triangle, and the
+nearest-neighbour pass folds each block's row and column minima into the
+distances of both particles of every pair.
 """
 
 from __future__ import annotations
@@ -96,13 +95,13 @@ class GaussianKernel:
         from scipy.linalg import blas, lapack  # loaded with the kernel, in __post_init__
 
         n, d = x.shape
-        buf = gram(self, x, upper=True).k
+        buf = gram(self, x).k
         buf.flat[:: n + 1] += eps
         l, info = lapack.dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
         if info < 0:
             raise ValueError(f"dpotrf rejected its argument {-info}")
         if info > 0:
-            k_eps = gram(self, x, upper=True).k  # the failed factorization overwrote the triangle it read
+            k_eps = gram(self, x).k  # the failed factorization overwrote the triangle it read
             k_eps.flat[:: n + 1] += eps
             # K + eps I is symmetric: its singular values are the |eigenvalues|
             smin = np.abs(np.linalg.eigvalsh(k_eps, UPLO="U")).min()
@@ -136,11 +135,17 @@ class GaussianKernel:
         return v, kg, push, grad_stat
 
     def plain_step(self, x, g, tau):
-        """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ]."""
-        k = gram(self, x).k
-        repulsion = k.sum(axis=1)[:, None] * x - k @ x
-        # K X and K G come back in C order; copying the N x d result is cheap next to K
-        return np.asfortranarray(x + (tau / x.shape[0]) * (repulsion / self.sigma2 - k @ g))
+        """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
+
+        K [X | G | 1] is one BLAS ``dsymm`` on the triangle ``gram`` writes,
+        which is the lower triangle of the buffer's Fortran-order transpose, as
+        in ``accelerated_terms``; the product comes back column-major.
+        """
+        from scipy.linalg import blas  # loaded with the kernel, in __post_init__
+
+        n, d = x.shape
+        p = blas.dsymm(1.0, gram(self, x).k.T, np.hstack([x, g, np.ones((n, 1))]), lower=1)
+        return x + (tau / n) * ((p[:, -1:] * x - p[:, :d]) / self.sigma2 - p[:, d:-1])
 
 
 class BilinearKernel:
@@ -165,11 +170,11 @@ class BilinearKernel:
     def low_rank_factor(self, x):
         """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T.
 
-        U is row-major (see the module docstring), whatever the layout of x.
+        U is column-major, like every N-row array of a run.
         """
         x = np.asarray(x, dtype=float)
-        u = np.empty((x.shape[0], self.dim + 1))
-        np.matmul(x, self.chol_a, out=u[:, :-1])
+        u = np.empty((x.shape[0], self.dim + 1), order="F")
+        np.matmul(self.chol_a.T, x.T, out=u.T[:-1])  # X L as (L^T X^T)^T, written into U's first columns
         u[:, -1] = 1.0
         return u
 
@@ -208,7 +213,7 @@ def _matmul_f(x, a):
 
 @dataclass
 class GramMatrix:
-    """Dense kernel matrix K."""
+    """Dense Gaussian kernel matrix: ``k`` holds K's diagonal and upper triangle; the rest is undefined."""
 
     k: np.ndarray
 
@@ -217,18 +222,16 @@ class GramMatrix:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _sq_dist_blocks(x, upper=False):
-    """Yield (start, stop, block): the squared distances of rows x[start:stop] to every row of x.
+def _sq_dist_blocks(x):
+    """Yield (start, stop, block): the squared distances of rows x[start:stop] to rows x[start:].
 
-    With ``upper`` a block holds the distances to rows x[start:] only, so the
-    blocks cover the diagonal and the upper triangle of the distance matrix.
-    ``block`` is a contiguous (stop - start, columns) view of one buffer of
-    about ``_BLOCK_ENTRIES`` entries that is overwritten by the next block, so
-    a caller consumes it before asking for more.  Each entry sums its
-    coordinates' squared differences in coordinate order, the first square
-    seeding the sum, so an entry is bit-identical for any block size and in
-    either mode, and the matrix is exactly symmetric with an exactly zero
-    diagonal.
+    The blocks cover the diagonal and the upper triangle of the distance
+    matrix.  ``block`` is a contiguous (stop - start, n - start) view of one
+    buffer of about ``_BLOCK_ENTRIES`` entries that is overwritten by the next
+    block, so a caller consumes it before asking for more.  Each entry sums
+    its coordinates' squared differences in coordinate order, the first square
+    seeding the sum, so an entry is bit-identical for any block size, and the
+    diagonal is exactly zero.
     """
     n, d = x.shape
     xt = np.ascontiguousarray(x.T)  # a free view of a column-major x
@@ -237,29 +240,27 @@ def _sq_dist_blocks(x, upper=False):
     diff = np.empty(rows * n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        first = start if upper else 0
-        shape = (stop - start, n - first)
+        shape = (stop - start, n - start)
         # contiguous blocks: in-place ufuncs on a strided view of a wider buffer run
-        # about 1.7x slower, which cancels the saving of the upper mode
+        # about 1.7x slower, which cancels the saving of reading one triangle
         block = buf[: shape[0] * shape[1]].reshape(shape)
         scratch = diff[: shape[0] * shape[1]].reshape(shape)
-        np.subtract(x[start:stop, 0, None], xt[0, first:], out=block)
+        np.subtract(x[start:stop, 0, None], xt[0, start:], out=block)
         block *= block
         for k in range(1, d):
-            np.subtract(x[start:stop, k, None], xt[k, first:], out=scratch)
+            np.subtract(x[start:stop, k, None], xt[k, start:], out=scratch)
             scratch *= scratch
             block += scratch
         yield start, stop, block
 
 
-def gram(kernel, x, upper=False) -> GramMatrix:
-    """Gaussian kernel matrix K with K[i, j] = k(x_i, x_j); symmetric with a unit diagonal.
+def gram(kernel, x) -> GramMatrix:
+    """Gaussian kernel matrix K with K[i, j] = k(x_i, x_j): its unit diagonal and upper triangle.
 
     Each distance block is scaled and exponentiated straight into K, so K is
-    the only N x N array it allocates.  With ``upper`` only the diagonal and
-    the upper triangle are written, at about half the cost; the strict lower
-    triangle is left uninitialized.  Every entry written is bit-identical in
-    either mode.
+    the only N x N array it allocates.  Only the diagonal and the upper
+    triangle are written; the strict lower triangle of ``.k`` is left
+    uninitialized, and every caller reads the triangle alone.
     """
     if not isinstance(kernel, GaussianKernel):
         raise TypeError(f"gram builds dense Gaussian Gram matrices only, got {kernel!r}; "
@@ -269,10 +270,10 @@ def gram(kernel, x, upper=False) -> GramMatrix:
         raise ValueError(f"expected an N x d point array with N >= 1, got shape {x.shape}")
     n = x.shape[0]
     k = np.empty((n, n))
-    for start, stop, block in _sq_dist_blocks(x, upper):
+    for start, stop, block in _sq_dist_blocks(x):
         block /= -2.0 * kernel.sigma2
         # unit diagonal: the distance diagonal is exactly zero
-        np.exp(block, out=k[start:stop, n - block.shape[1]:])
+        np.exp(block, out=k[start:stop, start:])
     return GramMatrix(k=k)
 
 
@@ -291,7 +292,7 @@ def nearest_sq_dists(x):
         raise ValueError(f"nearest-neighbour distances need an N x d point array with N >= 2, "
                          f"got shape {x.shape}")
     out = np.full(x.shape[0], np.inf)
-    for start, stop, block in _sq_dist_blocks(x, upper=True):
+    for start, stop, block in _sq_dist_blocks(x):
         np.fill_diagonal(block, np.inf)  # block[i, i] is row start + i against itself
         np.minimum(out[start:stop], block.min(axis=1), out=out[start:stop])
         np.minimum(out[start:], block.min(axis=0), out=out[start:])
@@ -301,9 +302,17 @@ def nearest_sq_dists(x):
 def woodbury_inverse_apply(u, eps, y):
     """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system.
 
-    The result is column-major.
+    Raises LinAlgError naming the condition number of the capacitance matrix
+    eps I + U^T U when it is at least 1 / machine epsilon, where the solve has
+    no correct digit left.  The result is column-major.
     """
-    out = _matmul_f(u, np.linalg.solve(eps * np.eye(u.shape[1]) + u.T @ u, u.T @ y))
+    cap = eps * np.eye(u.shape[1]) + u.T @ u
+    sv = np.abs(np.linalg.eigvalsh(cap))  # cap is symmetric: its singular values are the |eigenvalues|
+    if not sv.max() * np.finfo(float).eps < sv.min():
+        with np.errstate(divide="ignore"):
+            raise np.linalg.LinAlgError("capacitance matrix eps I + U^T U ill-conditioned "
+                                        f"(condition number {sv.max() / sv.min():.3e})")
+    out = _matmul_f(u, np.linalg.solve(cap, u.T @ y))
     np.subtract(y, out, out=out)
     out *= u.shape[0] / eps
     return out

@@ -29,7 +29,6 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from steinflow import kernels
 from steinflow.gaussian_flow import (
     AcceleratedGaussianState,
     GaussianState,
@@ -158,18 +157,15 @@ def loop_nearest_sq_dists(x):
 
 
 def partition_nearest_sq_dists(x):
-    """Nearest-neighbour squared distances from full rows of the blocked distance pass.
+    """Nearest-neighbour squared distances from full rows of the unblocked distance matrix.
 
     The pass ``kernels.nearest_sq_dists`` made before it read one triangle:
-    each full-row block is partitioned in place, its smallest entry per row is
-    the exactly zero diagonal, so the second smallest is the nearest other row.
+    each full row is partitioned in place, its smallest entry is the exactly
+    zero diagonal, so the second smallest is the nearest other row.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[0])
-    for start, stop, block in kernels._sq_dist_blocks(x):
-        block.partition(1, axis=1)
-        out[start:stop] = block[:, 1]
-    return out
+    sq = unblocked_sq_dists(x)
+    sq.partition(1, axis=1)
+    return sq[:, 1].copy()
 
 
 def exact_samples(name, n, rng):
@@ -295,11 +291,11 @@ def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
     """V, K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
 
     The expressions the step used before it filled its arrays in place; the
-    step must match them bit for bit.  U is row-major, and a product of an
+    step must match them bit for bit.  U is column-major, and a product of an
     N-row array B with a small S is taken as (S^T B^T)^T, as the step takes it.
     """
     n = x.shape[0]
-    u = np.hstack([x @ kernel.chol_a, np.ones((n, 1))])
+    u = np.asfortranarray(np.hstack([(kernel.chol_a.T @ x.T).T, np.ones((n, 1))]))
     cap = eps * np.eye(u.shape[1]) + u.T @ u
     v = (n / eps) * (y - (np.linalg.solve(cap, u.T @ y).T @ u.T).T)
     kg = ((u.T @ g).T @ u.T).T
@@ -316,7 +312,7 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     n = ens.n
     if cfg.algorithm == "svgd":
         g = cfg.target.grad_all(ens.x)
-        u = np.hstack([ens.x @ cfg.kernel.chol_a, np.ones((n, 1))])
+        u = np.asfortranarray(np.hstack([(cfg.kernel.chol_a.T @ ens.x.T).T, np.ones((n, 1))]))
         kg = ((u.T @ g).T @ u.T).T
         x_new = ens.x + cfg.tau * ((cfg.kernel.a.T @ ens.x.T).T - kg / n)
         return replace(ens, x=x_new, prev_step_norms=np.linalg.norm(x_new - ens.x, axis=1),
@@ -346,7 +342,7 @@ def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=Tr
     sigma2 = cfg.kernel.sigma2
     x_new = ens.x + st * ens.y
     g = cfg.target.grad_all(x_new)
-    k = kernels.gram(cfg.kernel, x_new).k
+    k = unblocked_gaussian_gram(cfg.kernel, x_new)
     v_new = n * scipy.linalg.cho_solve(scipy.linalg.cho_factor(k + cfg.eps * np.eye(n)), ens.y)
     kg = k @ g
     k1 = k.sum(axis=1)

@@ -137,6 +137,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="init_cov"):
             parse_config('{"target": "quartic", "init_cov": [[1.0, 2.0], [2.0, 1.0]]}')
 
+    def test_init_cov_must_be_symmetric(self):
+        # the Cholesky factor reads one triangle: [[1, 5], [0, 1]] would draw from the identity
+        with pytest.raises(ConfigError, match="^init_cov must be symmetric$"):
+            parse_config('{"target": "quartic", "init_cov": [[1, 5], [0, 1]]}')
+        near = [[1, 1e-13], [0, 1]]  # within 1e-12 relative
+        assert parse_config(json.dumps({"target": "quartic", "init_cov": near})).init_cov == near
+
     def test_n_particles_at_least_two(self):
         # both KL metrics need two particles, so one particle would fail at the first record
         with pytest.raises(ConfigError, match="n_particles must be an integer >= 2"):
@@ -227,10 +234,12 @@ class TestRunExperiment:
         assert lines[2].startswith("0,")
 
     def test_failed_run_keeps_its_metric_rows(self, tmp_path):
-        # diverges at iteration 11, after the records at iterations 0, 3, 6 and 9
+        # diverges at iteration 10, where the Woodbury capacitance matrix is too
+        # ill-conditioned to solve, after the records at iterations 0, 3, 6 and 9
         cfg = make_cfg(tmp_path, target="gauss-aniso", kernel="bilinear", damping="constant",
                        beta=0.8, n_particles=60, n_steps=12, record_every=3, tau=0.02, seed=0)
-        with pytest.raises(RuntimeError, match="iteration 11"):
+        message = "iteration 10: capacitance matrix eps I + U^T U ill-conditioned"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
             run_experiment(cfg)
         lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
         assert lines[:2] == ["# steinflow-metrics-v1", MetricRecord.csv_header(2)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,18 +26,23 @@ from reference_impls import (
 )
 
 
+def symmetric_from_upper(a):
+    """The symmetric matrix with the diagonal and upper triangle of a; its strict lower triangle is not read."""
+    return np.triu(a) + np.triu(a, 1).T
+
+
 def blocked_sq_dists(x):
-    """The N x N squared-distance matrix assembled from the blocks of ``kernels._sq_dist_blocks``."""
+    """The N x N squared-distance matrix symmetrized from the triangle blocks of ``kernels._sq_dist_blocks``."""
     out = np.empty((x.shape[0], x.shape[0]))
     for start, stop, block in kernels._sq_dist_blocks(x):
-        out[start:stop] = block
-    return out
+        out[start:stop, start:] = block
+    return symmetric_from_upper(out)
 
 
 def dense_gram(kernel, x):
-    """K from ``gram`` for the Gaussian kernel, U U^T from the low-rank factor for the bilinear one."""
+    """K symmetrized from the triangle ``gram`` writes for the Gaussian kernel, U U^T for the bilinear one."""
     if isinstance(kernel, GaussianKernel):
-        return gram(kernel, x).k
+        return symmetric_from_upper(gram(kernel, x).k)
     u = kernel.low_rank_factor(x)
     return u @ u.T
 
@@ -113,8 +120,7 @@ class TestGram:
 
     def test_identical_rows_all_ones(self):
         x = np.array([[0.5, -1.0], [0.5, -1.0]])
-        gm = gram(GaussianKernel(0.3), x)
-        assert np.array_equal(gm.k, np.ones((2, 2)))
+        assert np.array_equal(dense_gram(GaussianKernel(0.3), x), np.ones((2, 2)))
 
     def test_bilinear_standard_basis(self):
         u = BilinearKernel(np.eye(2)).low_rank_factor(np.eye(2))
@@ -140,8 +146,8 @@ class TestGram:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((15, 2))
         shift = np.array([3.7, -11.0])
-        k1 = gram(GaussianKernel(0.5), x).k
-        k2 = gram(GaussianKernel(0.5), x + shift).k
+        k1 = dense_gram(GaussianKernel(0.5), x)
+        k2 = dense_gram(GaussianKernel(0.5), x + shift)
         assert np.allclose(k1, k2, atol=1e-12)
 
     def test_bilinear_rank(self):
@@ -167,7 +173,7 @@ class TestPairwiseSqDists:
                 assert np.allclose(sq, loop_sq_dists(x), rtol=1e-14, atol=1e-15)
                 assert np.array_equal(sq, unblocked_sq_dists(x))
                 kernel = GaussianKernel(0.37)
-                assert np.allclose(gram(kernel, x).k, loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
+                assert np.allclose(dense_gram(kernel, x), loop_gram(kernel, x), rtol=1e-14, atol=1e-15)
 
     def test_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -181,7 +187,7 @@ class TestPairwiseSqDists:
     def test_gaussian_gram_unit_diagonal(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((15, 4))
-        k = gram(GaussianKernel(1.3), x).k
+        k = dense_gram(GaussianKernel(1.3), x)
         assert np.array_equal(k, k.T)
         assert np.array_equal(np.diag(k), np.ones(15))
 
@@ -192,7 +198,7 @@ class TestPairwiseSqDists:
         assert np.array_equal(blocked_sq_dists(x), blocked_sq_dists(contiguous))
         k = gram(GaussianKernel(0.5), x).k
         assert k.shape == (10, 10)
-        assert np.array_equal(k, gram(GaussianKernel(0.5), contiguous).k)
+        assert np.array_equal(np.triu(k), np.triu(gram(GaussianKernel(0.5), contiguous).k))
 
 
 class TestBlockedDistancePass:
@@ -205,9 +211,7 @@ class TestBlockedDistancePass:
         rng = np.random.default_rng(12 * n + d)
         x = rng.standard_normal((n, d))
         kernel = GaussianKernel(0.5 * d)
-        full = gram(kernel, x).k
-        assert np.array_equal(full, unblocked_gaussian_gram(kernel, x))
-        assert np.array_equal(np.triu(gram(kernel, x, upper=True).k), np.triu(full))
+        assert np.array_equal(np.triu(gram(kernel, x).k), np.triu(unblocked_gaussian_gram(kernel, x)))
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
     @pytest.mark.parametrize("d", [1, 2, 10])
@@ -216,7 +220,7 @@ class TestBlockedDistancePass:
         x = rng.standard_normal((n, d))
         full = unblocked_sq_dists(x)
         assert np.array_equal(blocked_sq_dists(x), full)
-        for start, stop, block in kernels._sq_dist_blocks(x, upper=True):
+        for start, stop, block in kernels._sq_dist_blocks(x):
             assert block.flags.c_contiguous
             assert np.array_equal(block, full[start:stop, start:])
         if n >= 2:
@@ -229,9 +233,7 @@ class TestBlockedDistancePass:
         x = rng.standard_normal((7, 2))
         kernel = GaussianKernel(0.5)
         assert np.array_equal(blocked_sq_dists(x), unblocked_sq_dists(x))
-        expected = unblocked_gaussian_gram(kernel, x)
-        assert np.array_equal(gram(kernel, x).k, expected)
-        assert np.array_equal(np.triu(gram(kernel, x, upper=True).k), np.triu(expected))
+        assert np.array_equal(np.triu(gram(kernel, x).k), np.triu(unblocked_gaussian_gram(kernel, x)))
         assert np.array_equal(nearest_sq_dists(x), loop_nearest_sq_dists(x))
 
     @pytest.mark.parametrize("block_entries", [1, 600, 2700, 1 << 16])
@@ -279,7 +281,7 @@ class TestNearestFromOneTriangle:
     def test_four_blocks_at_n500(self):
         # 131 rows per upper block: the distances of rows 393:500 fill a last, partial block
         x = np.random.default_rng(1).standard_normal((500, 2))
-        bounds = [(start, stop) for start, stop, _ in kernels._sq_dist_blocks(x, upper=True)]
+        bounds = [(start, stop) for start, stop, _ in kernels._sq_dist_blocks(x)]
         assert bounds == [(0, 131), (131, 262), (262, 393), (393, 500)]
 
     def test_coincident_rows_read_zero(self):
@@ -311,6 +313,14 @@ class TestRegularizedInverse:
         dense = 5.0 * np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
         assert np.allclose(fast, dense, rtol=1e-8)
 
+    def test_woodbury_rejects_an_ill_conditioned_capacitance_matrix(self):
+        # eps I + U^T U has the eigenvalues eps and about 5e19: a condition number past 1 / 2^-52
+        u = np.column_stack([np.full(50, 1e9), np.ones(50)])
+        with pytest.raises(np.linalg.LinAlgError, match="capacitance matrix") as info:
+            woodbury_inverse_apply(u, 0.1, np.ones((50, 2)))
+        cond = float(re.search(r"condition number (\S+)\)", str(info.value)).group(1))
+        assert cond >= 1.0 / np.finfo(float).eps
+
     def test_bilinear_residual(self):
         rng = np.random.default_rng(22)
         kernel = BilinearKernel(random_spd(rng, 3))
@@ -337,14 +347,17 @@ class TestRegularizedInverse:
         assert np.abs(v - dense_v).max() <= 1e-10 * np.abs(dense_v).max()
         assert np.abs(kb - k @ b).max() <= 1e-13 * np.abs(k @ b).max()
 
-    def test_step_reads_only_the_triangle_gram_writes(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["accelerated_terms", "plain_step"])
+    def test_step_reads_only_the_triangle_gram_writes(self, monkeypatch, method):
         # NaN in the strict lower triangle of every K that gram returns must
         # reach none of the step's outputs
         rng = np.random.default_rng(24)
         n, d = 300, 2
         kernel = GaussianKernel(0.5)
         x, y, g = (rng.standard_normal((n, d)) for _ in range(3))
-        clean = kernel.accelerated_terms(x, y, g, 0.1, 0.05)
+        step = {"accelerated_terms": lambda: kernel.accelerated_terms(x, y, g, 0.1, 0.05),
+                "plain_step": lambda: (kernel.plain_step(x, g, 0.05),)}[method]
+        clean = step()
         unpoisoned = kernels.gram
 
         def poisoned_gram(*args, **kwargs):
@@ -353,6 +366,6 @@ class TestRegularizedInverse:
             return gm
 
         monkeypatch.setattr(kernels, "gram", poisoned_gram)
-        poisoned = kernel.accelerated_terms(x, y, g, 0.1, 0.05)
+        poisoned = step()
         for got, expected in zip(poisoned, clean):
             assert np.array_equal(got, expected)

@@ -646,6 +646,11 @@ class TestColumnMajorLayout:
         assert_bits_equal(got[0].x, got[1].x)
         assert got[0].x.flags.f_contiguous
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_low_rank_factor_is_column_major(self, order):
+        x = np.asarray(np.random.default_rng(40).standard_normal((40, 2)), order=order)
+        assert BilinearKernel(np.array([[2.0, 0.3], [0.3, 1.0]])).low_rank_factor(x).flags.f_contiguous
+
 
 class TestRun:
     def _cfg(self, algorithm, rng, **kw):
