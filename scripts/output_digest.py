@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 91 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 92 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -18,12 +18,14 @@ and has no accelerated spectrum), and two two-value ``steinflow sweep
 truncated snapshots and finds nearest neighbours over two distance blocks;
 then one ``asvgd`` run with the bilinear kernel and constant damping on
 ``gauss-correlated`` at N = 5000, so the Woodbury solve also runs at a size
-where BLAS may block its products differently; last, one ``svgd`` run with
+where BLAS may block its products differently; then one ``svgd`` run with
 the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram matrix
 spans several distance blocks and whose symmetric product K [X | grad_f | 1]
-BLAS blocks too.  Every config has 12 steps,
-record_every 3, eps = 0.1 and, unless it sets its own, N = 60 particles, and
-every call runs inside a temporary directory.  The
+BLAS blocks too; last, one ``ula`` run on ``double-bananas`` with record_every 1,
+whose ``knn`` KL reading overflows at iteration 5, so the run fails there on
+a non-finite metric.  Every config has 12 steps, eps = 0.1 and, unless it
+sets its own, record_every 3 and N = 60 particles, and every call runs
+inside a temporary directory.  The
 script prints one ``sha256  path`` line per output file and one ``name  error: ...``
 line per failed call, with paths relative to that directory.  Run it on two
 checkouts and diff the outputs to check that a change leaves every CLI output
@@ -93,6 +95,8 @@ def _calls():
            ["run"])
     yield ("svgd-gaussian-gauss-correlated-n600",
            {"sampler": "svgd", "target": "gauss-correlated", "n_particles": 600}, ["run"])
+    yield ("ula-double-bananas-every-record",
+           {"sampler": "ula", "target": "double-bananas", "record_every": 1}, ["run"])
 
 
 def _numbers(path):

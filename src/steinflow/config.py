@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import targets as targets_mod
+from .gaussian_flow import spd_cholesky
 from .kernels import BilinearKernel, GaussianKernel
 from .samplers import ALGORITHMS, KERNEL_ALGORITHMS, ConstantDamping, RestartNesterov, SamplerConfig
 
@@ -58,8 +59,10 @@ class ExperimentConfig:
             if self.target_mean is None or self.target_q is None:
                 raise ConfigError("target 'gaussian' requires target_mean and target_q")
             b, q = self._array("target_mean"), self._array("target_q", ndmin=2)
-            try:  # np.linalg.LinAlgError is a ValueError
-                return targets_mod.GaussianTarget(b=b, q=np.linalg.inv(q))
+            try:
+                spd_cholesky(q, "precision")
+                cov = np.linalg.inv(q)  # symmetric only to about cond(target_q) eps: take its symmetric part
+                return targets_mod.GaussianTarget(b=b, q=0.5 * (cov + cov.T))
             except ValueError as exc:
                 raise ConfigError(f"target_q: {exc}") from exc
         return targets_mod.builtin(self.target)
@@ -111,13 +114,10 @@ class ExperimentConfig:
             raise ConfigError(f"init_mean must have {dim} entries, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise ConfigError(f"init_cov must be {dim}x{dim}, got {cov.shape}")
-        # cholesky reads one triangle, so it would draw from another covariance than the manifest records
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
-            raise ConfigError("init_cov must be symmetric")
         try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ConfigError("init_cov must be positive definite") from None
+            cov, chol = spd_cholesky(cov, "init_cov")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return mean, cov, chol
 
     def _array(self, key, ndmin=1):

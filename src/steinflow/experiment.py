@@ -32,17 +32,6 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig):
                                           encoding="utf-8")
 
 
-def _csv_text(rows) -> str:
-    """CSV text of an n x d float array: ``%.17g`` values, one line per row.
-
-    One ``%`` over a row template repeated n times formats every value in C;
-    the digits are those of ``f"{v:.17g}"``, so every float round-trips.
-    """
-    rows = np.asarray(rows, dtype=float)
-    n, d = rows.shape
-    return ((",".join(["%.17g"] * d) + "\n") * n) % tuple(rows.ravel().tolist())
-
-
 def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
     # a C-order copy of the column-major ensemble: the file reads fortran_order False
     np.save(snapdir / f"particles_{iteration}.npy", np.ascontiguousarray(x), allow_pickle=False)
@@ -57,6 +46,8 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
             kl, degenerate = gaussian_fit_kl(mean, cov, scfg.target)
         else:
             kl = kl_estimate(x, scfg.target, method="knn")
+        if not np.isfinite(kl):
+            raise FloatingPointError(f"non-finite KL estimate {kl}")
     except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
         raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
     return MetricRecord(
@@ -177,8 +168,8 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         else:
             lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
             rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
-    header = f"{param},spectral_abscissa,condition_number\n"
-    (outdir / "rate_table.csv").write_text(header + _csv_text(np.reshape(rows, (-1, 3))), encoding="utf-8")
+    np.savetxt(outdir / "rate_table.csv", np.reshape(rows, (-1, 3)), fmt="%.17g", delimiter=",",
+               header=f"{param},spectral_abscissa,condition_number", comments="")
     return outdir
 
 

@@ -36,15 +36,25 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def _check_spd(m, name):
+def spd_cholesky(m, name):
+    """``m`` as a float 2-D array and its lower Cholesky factor, or a ValueError naming ``name``.
+
+    The package's one test of a symmetric positive-definite input: square,
+    finite, symmetric to 1e-12 max(1, max|m_ij|) with no relative term (the
+    factor reads one triangle, so an asymmetric m would have another matrix's
+    factor), and a Cholesky factorization that succeeds.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if not np.allclose(m, m.T, atol=1e-10 * max(1.0, np.abs(m).max())):
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.abs(m).max(initial=1.0)):
         raise ValueError(f"{name} must be symmetric")
     try:
-        np.linalg.cholesky(m)
+        return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
-    return m
 
 
 @dataclass
@@ -56,7 +66,7 @@ class GaussianState:
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.sigma = _check_spd(self.sigma, "sigma")
+        self.sigma, _ = spd_cholesky(self.sigma, "sigma")
 
     @property
     def dim(self):
@@ -84,7 +94,7 @@ class AcceleratedGaussianState:
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.sigma = _check_spd(self.sigma, "sigma")
+        self.sigma, _ = spd_cholesky(self.sigma, "sigma")
         d = self.mu.size
         self.nu = np.zeros(d) if self.nu is None else np.atleast_1d(np.asarray(self.nu, dtype=float))
         self.s = np.zeros((d, d)) if self.s is None else _sym(np.atleast_2d(np.asarray(self.s, dtype=float)))
@@ -114,11 +124,9 @@ def kl_gaussians(mu, sigma, nu, q) -> float:
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    sigma = _check_spd(sigma, "sigma")
-    q = _check_spd(q, "q")
+    sigma, chol_s = spd_cholesky(sigma, "sigma")
+    q, chol_q = spd_cholesky(q, "q")
     d = mu.size
-    chol_q = np.linalg.cholesky(q)
-    chol_s = np.linalg.cholesky(sigma)
     logdet_q = 2.0 * np.log(np.diag(chol_q)).sum()
     logdet_s = 2.0 * np.log(np.diag(chol_s)).sum()
     q_inv = np.linalg.inv(q)
@@ -185,8 +193,8 @@ def closed_form_sigma(t, sigma0, q, a):
     commute pairwise (checked to 1e-10 relative); A is exponentiated in the
     common eigenbasis.
     """
-    sigma0 = _check_spd(sigma0, "sigma0")
-    q = _check_spd(q, "q")
+    sigma0, _ = spd_cholesky(sigma0, "sigma0")
+    q, _ = spd_cholesky(q, "q")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     for m1, m2, names in ((sigma0, q, "sigma0, q"), (a, q, "a, q"), (a, sigma0, "a, sigma0")):
         if not commutes(m1, m2):
@@ -260,7 +268,7 @@ def gamma_rate(a, b, q):
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    q = _check_spd(q, "q")
+    q, _ = spd_cholesky(q, "q")
     d = b.size
     q_vals, q_vecs = np.linalg.eigh(q)
     q_inv_half = (q_vecs / np.sqrt(q_vals)) @ q_vecs.T

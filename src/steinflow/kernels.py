@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_flow import spd_cholesky
+
 __all__ = [
     "GaussianKernel",
     "BilinearKernel",
@@ -152,17 +154,9 @@ class BilinearKernel:
     """Affine kernel x^T A y + 1 with A symmetric positive definite."""
 
     def __init__(self, a):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got shape {a.shape}")
-        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-            raise ValueError("A must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0:
-            raise ValueError("A must be positive definite")
-        self.a = a
-        self.dim = a.shape[0]
-        # lower Cholesky factor, cached for the rank-(d+1) Gram factorization
-        self.chol_a = np.linalg.cholesky(a)
+        # the lower Cholesky factor is cached for the rank-(d+1) Gram factorization
+        self.a, self.chol_a = spd_cholesky(a, "A")
+        self.dim = self.a.shape[0]
 
     def __repr__(self):
         return f"BilinearKernel(a={self.a.tolist()})"

@@ -3,8 +3,7 @@
 No plotting dependency; output is a best-effort visual aid, metrics.csv and the
 .npy snapshots are the load-bearing artifacts.  The writer works in array
 passes: numpy maps every coordinate to the canvas at once, and each kind of
-element is formatted by one ``%`` template over a flat tuple, as
-``experiment._csv_text`` writes rate_table.csv.
+element is formatted by one ``%`` template over a flat tuple.
 """
 
 import numpy as np

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .gaussian_flow import spd_cholesky
+
 __all__ = [
     "GaussianTarget",
     "QuarticTarget",
@@ -28,9 +30,10 @@ __all__ = [
 class GaussianTarget:
     """Quadratic potential 0.5 (x - b)^T Q^-1 (x - b) for a normal target N(b, Q).
 
-    Q is the target covariance; its inverse and log-determinant are cached via
-    a Cholesky factorization at construction, and with them the log-normalizer
-    (d log 2 pi + log det Q) / 2.
+    Q is the target covariance, checked by ``spd_cholesky``.  Its
+    log-determinant comes from that Cholesky factor and Q^-1 from
+    ``np.linalg.inv`` (symmetrized); both are cached at construction, with the
+    log-normalizer (d log 2 pi + log det Q) / 2.
     """
 
     def __init__(self, b, q):
@@ -38,13 +41,7 @@ class GaussianTarget:
         q = np.atleast_2d(np.asarray(q, dtype=float))
         if q.shape != (self.b.size, self.b.size):
             raise ValueError(f"covariance shape {q.shape} does not match mean of size {self.b.size}")
-        if not np.allclose(q, q.T, atol=1e-12 * max(1.0, np.abs(q).max())):
-            raise ValueError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(q)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        self.q = q
+        self.q, chol = spd_cholesky(q, "covariance")
         self.q_inv = np.linalg.inv(q)
         self.q_inv = 0.5 * (self.q_inv + self.q_inv.T)
         self.log_det_q = 2.0 * float(np.log(np.diag(chol)).sum())

@@ -385,7 +385,7 @@ def central_diff_grad(f, x, step=1e-6):
 
 
 def loop_csv_text(rows):
-    """CSV text of a 2-D array, one f-string per value: the oracle of ``experiment._csv_text``."""
+    """CSV text of a 2-D array, one f-string per value: the oracle of rate_table.csv."""
     lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 

@@ -144,6 +144,15 @@ class TestParseConfig:
         near = [[1, 1e-13], [0, 1]]  # within 1e-12 relative
         assert parse_config(json.dumps({"target": "quartic", "init_cov": near})).init_cov == near
 
+    def test_ill_conditioned_precision_is_accepted(self):
+        # np.linalg.inv of the 6 x 6 Hilbert matrix (condition number 1.5e7) is
+        # symmetric only to 1.7e-12 relative; the target's covariance is its symmetric part
+        hilbert = 1.0 / (np.arange(6)[:, None] + np.arange(6) + 1)
+        raw = {"target": "gaussian", "target_mean": [0] * 6, "target_q": hilbert.tolist()}
+        cov = parse_config(json.dumps(raw)).build_target().q
+        assert np.array_equal(cov, cov.T)
+        assert np.allclose(cov @ hilbert, np.eye(6), atol=1e-6)
+
     def test_n_particles_at_least_two(self):
         # both KL metrics need two particles, so one particle would fail at the first record
         with pytest.raises(ConfigError, match="n_particles must be an integer >= 2"):
@@ -192,9 +201,12 @@ class TestParseConfig:
         ({"kernel": "bilinear", "a_matrix": [[1, True], [0, 1]]}, "a_matrix: every entry must be a number"),
         ({"target": "gaussian", "target_mean": [0, "x"], "target_q": [[1, 0], [0, 1]]},
          "target_mean: every entry must be a number"),
-        ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 1], [1, 1]]}, "target_q: Singular matrix"),
+        ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 1], [1, 1]]},
+         "target_q: precision must be positive definite"),
         ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 0, 0], [0, 1, 0]]},
-         "target_q: Last 2 dimensions of the array must be square"),
+         "target_q: precision must be square, got shape"),
+        ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 1.000001], [1, 3]]},
+         "target_q: precision must be symmetric"),
     ])
     def test_list_keys_name_themselves(self, raw, message):
         with pytest.raises(ConfigError, match="^" + message):
@@ -204,6 +216,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("a_matrix, message", [
         ([[1, 0], [0, -1]], "a_matrix: A must be positive definite"),
         ([[1, 2], [0, 1]], "a_matrix: A must be symmetric"),
+        ([[1, 1.000001], [1, 1.5]], "a_matrix: A must be symmetric"),
     ])
     def test_langevin_sampler_checks_a_matrix(self, sampler, a_matrix, message):
         # a Langevin run builds no kernel, but its bilinear a_matrix is checked all the same
@@ -251,20 +264,35 @@ class TestRunExperiment:
             assert snap.shape == (60, 2) and np.isfinite(snap).all()
         assert not (snapdir / "particles_12.npy").exists()
 
-    def test_failed_metric_names_its_iteration(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw, message, kept", [
         # the particles diverge and their moment fit stops being positive definite
         # at the record of iteration 6, after the records at 0 and 3
-        cfg = make_cfg(tmp_path, sampler="svgd", kernel="bilinear", target="gauss-aniso", n_particles=60,
-                       n_steps=12, record_every=3, eps=0.1, seed=0)
-        message = "svgd: gaussian-fit KL metric failed at iteration 6: sigma must be positive definite"
-        with pytest.raises(RuntimeError, match=message):
-            run_experiment(cfg)
+        ({"sampler": "svgd", "kernel": "bilinear", "target": "gauss-aniso", "n_steps": 12, "record_every": 3,
+          "eps": 0.1},
+         "svgd: gaussian-fit KL metric failed at iteration 6: sigma must be positive definite", range(0, 6, 3)),
+        # the positions stay finite, but from iteration 87 their squares overflow the moment fit
+        ({"sampler": "ula", "target": "gauss-aniso", "tau": 3, "n_steps": 200, "record_every": 1},
+         "ula: gaussian-fit KL metric failed at iteration 87: sigma must be finite", range(87)),
+        # the knn metric's potential_all overflows at iteration 5
+        ({"sampler": "ula", "target": "double-bananas", "n_steps": 12, "record_every": 1},
+         "ula: knn KL metric failed at iteration 5: non-finite KL estimate inf", range(5)),
+    ], ids=["svgd-not-pd", "ula-fit-overflow", "ula-knn-overflow"])
+    def test_failed_metric_names_its_iteration(self, tmp_path, capsys, raw, message, kept):
+        cfg = make_cfg(tmp_path, n_particles=60, seed=0, **raw)
+        with np.errstate(all="ignore"):  # the runs overflow on purpose
+            with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+                run_experiment(cfg)
         lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
-        assert [line.split(",")[0] for line in lines[2:]] == ["0", "3"]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        assert rows[:, 0].tolist() == list(kept)
+        # every reading is finite; grad_restart_stat is NaN for a sampler that has none
+        readings = [j for j, name in enumerate(lines[1].split(",")) if name != "grad_restart_stat"]
+        assert np.isfinite(rows[:, readings]).all()
 
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.resolved()))
-        assert main(["run", str(path)]) != 0
+        with np.errstate(all="ignore"):
+            assert main(["run", str(path)]) != 0
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
     def test_coinciding_particles_fail_the_knn_metric_at_their_iteration(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steinflow.config import ExperimentConfig
 from steinflow.gaussian_flow import (
     AcceleratedGaussianState,
     GaussianState,
@@ -12,6 +13,8 @@ from steinflow.gaussian_flow import (
     kl_gaussians,
     svgd_gaussian_rhs,
 )
+from steinflow.kernels import BilinearKernel
+from steinflow.targets import GaussianTarget
 from reference_impls import (
     hamiltonian,
     kinetic_energy,
@@ -170,6 +173,26 @@ class TestKl:
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError):
             kl_gaussians(np.zeros(2), -np.eye(2), np.zeros(2), np.eye(2))
+
+
+# callers of spd_cholesky, each as a function of a 2 x 2 input matrix
+SPD_INPUTS = {
+    "BilinearKernel": BilinearKernel,
+    "GaussianTarget": lambda m: GaussianTarget(np.zeros(2), m),
+    "GaussianState": lambda m: GaussianState(np.zeros(2), m),
+    "kl_gaussians": lambda m: kl_gaussians(np.zeros(2), m, np.zeros(2), np.eye(2)),
+    "initial_distribution": lambda m: ExperimentConfig(target="quartic", init_cov=m.tolist()).initial_distribution(2),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("build", SPD_INPUTS.values(), ids=SPD_INPUTS.keys())
+def test_non_finite_matrix_rejected(build, value):
+    # np.linalg.cholesky factors [[inf, 0], [0, 1]] without raising
+    m = np.eye(2)
+    m[0, 0] = value
+    with pytest.raises(ValueError, match="must be finite$"):
+        build(m)
 
 
 class TestClosedForm:

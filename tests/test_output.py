@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from steinflow import experiment, svg
+from steinflow import experiment, spectral, svg
 from steinflow.config import parse_config
 from steinflow.targets import CustomTarget, builtin
 from reference_impls import loop_csv_text, loop_marching_squares, loop_trajectory_svg
@@ -65,15 +65,20 @@ class TestSnapshot:
             assert path.read_bytes() == expected.getvalue()
 
 
-class TestCsvText:
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_bytes_equal_per_value_fstrings(self, d):
-        x = special_grid(d)
-        assert experiment._csv_text(x) == loop_csv_text(x)
-
-    def test_rate_table_rows(self):
-        rows = [(0.1, -1.0 / 3.0, 12.5), (1e-300, 5e-324, 1e300)]
-        assert experiment._csv_text(np.reshape(rows, (-1, 3))) == loop_csv_text(rows)
+class TestRateTable:
+    def test_bytes_equal_per_value_fstrings(self, tmp_path):
+        cfg = parse_config(json.dumps({"target": "gauss-correlated", "kernel": "bilinear",
+                                       "output_dir": str(tmp_path / "an")}))
+        alphas = [0.1, 1.0 / 3.0, 2.0, 1e3]
+        outdir = experiment.analyze_spectrum(cfg, sweep_values=alphas)
+        a, q = cfg.build_kernel(2).a, cfg.build_target().q
+        rows = []
+        for alpha in alphas:
+            eigs = spectral.asvgd_closed_form_eigs(a, q, alpha)
+            mags = np.abs(eigs)
+            rows.append((alpha, eigs.real.min(), mags.max() / mags.min()))
+        expected = "alpha,spectral_abscissa,condition_number\n" + loop_csv_text(rows)
+        assert (outdir / "rate_table.csv").read_bytes() == expected.encode()
 
 
 def assert_same_segments(grid, xs, ys, level):
