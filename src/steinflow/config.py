@@ -59,8 +59,10 @@ class ExperimentConfig:
             if self.target_mean is None or self.target_q is None:
                 raise ConfigError("target 'gaussian' requires target_mean and target_q")
             b, q = self._array("target_mean"), self._array("target_q", ndmin=2)
+            _require(b.ndim == 1, f"target_mean must be a flat list of numbers, got shape {b.shape}")
+            _require(q.shape[0] == b.size, f"target_q must be {b.size}x{b.size} to match target_mean, got {q.shape}")
             try:
-                spd_cholesky(q, "precision")
+                spd_cholesky(q, "precision")  # rejects a q that is not square
                 cov = np.linalg.inv(q)  # symmetric only to about cond(target_q) eps: take its symmetric part
                 return targets_mod.GaussianTarget(b=b, q=0.5 * (cov + cov.T))
             except ValueError as exc:
@@ -74,6 +76,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"sigma2: {exc}") from exc
         a = np.eye(dim) if self.a_matrix is None else self._array("a_matrix")
+        _require(a.shape == (dim, dim), f"a_matrix must be {dim}x{dim}, got shape {a.shape}")
         try:
             return BilinearKernel(a)
         except ValueError as exc:
@@ -110,10 +113,8 @@ class ExperimentConfig:
     def initial_distribution(self, dim):
         mean = np.zeros(dim) if self.init_mean is None else self._array("init_mean")
         cov = np.eye(dim) if self.init_cov is None else self._array("init_cov", ndmin=2)
-        if mean.shape != (dim,):
-            raise ConfigError(f"init_mean must have {dim} entries, got {mean.shape}")
-        if cov.shape != (dim, dim):
-            raise ConfigError(f"init_cov must be {dim}x{dim}, got {cov.shape}")
+        _require(mean.shape == (dim,), f"init_mean must have {dim} entries, got {mean.shape}")
+        _require(cov.shape == (dim, dim), f"init_cov must be {dim}x{dim}, got {cov.shape}")
         try:
             cov, chol = spd_cholesky(cov, "init_cov")
         except ValueError as exc:

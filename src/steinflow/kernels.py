@@ -8,10 +8,10 @@ Two kernel families are supported:
 A kernel is anything with the two step methods the samplers call:
 
 * ``accelerated_terms(x, y, g, eps, tau)`` returns, for the accelerated step
-  at positions X with momenta Y and G = grad_f(X), the density momenta
-  V = N (K + eps I)^-1 Y, the drive K G and the repulsion push of the
-  momentum update, as arrays of its own that the step may overwrite, and the
-  gradient-restart statistic (NaN when the kernel has none);
+  at positions X with momenta Y and G = grad_f(X), the drive K G and the
+  repulsion push of the momentum update, as arrays of its own that the step
+  may overwrite, and the gradient-restart statistic (NaN when the kernel has
+  none); both read V = N (K + eps I)^-1 Y, which stays inside the call;
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
@@ -20,8 +20,8 @@ and BLAS wrappers, the package's only use of scipy, which loads with the first
 ``GaussianKernel``: the accelerated step factors it in place and multiplies by
 K through the factor, and the plain step multiplies by K with one symmetric
 BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
-(K + eps I) is invertible only for eps > 0; that kernel never forms K and
-solves on its rank-(d+1) factor with ``woodbury_inverse_apply`` in O(N d^2).
+(K + eps I) is invertible only for eps > 0; that kernel forms neither K nor V,
+and solves only the (d+1) x d capacitance system, ``capacitance_solve``.
 
 The samplers hand every N x d array over column-major (see ``samplers``),
 and each kernel returns its N x d results, and builds the bilinear factor U,
@@ -54,7 +54,7 @@ __all__ = [
     "GramMatrix",
     "gram",
     "nearest_sq_dists",
-    "woodbury_inverse_apply",
+    "capacitance_solve",
 ]
 
 
@@ -71,7 +71,7 @@ class GaussianKernel:
         import scipy.linalg  # noqa: F401
 
     def accelerated_terms(self, x, y, g, eps, tau):
-        """V, K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
+        """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
 
         The momentum update needs the interaction matrix
         W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
@@ -134,7 +134,7 @@ class GaussianKernel:
         w1 = n * k1 + (q[:, -1] - np.einsum("ia,ia->i", kv, kv))
         wx = n * kx + (q[:, :-1] - np.einsum("ia,iac->ic", kv, kz))
         push = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
-        return v, kg, push, grad_stat
+        return kg, push, grad_stat
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
@@ -173,21 +173,21 @@ class BilinearKernel:
         return u
 
     def accelerated_terms(self, x, y, g, eps, tau):
-        """V, K grad_f(X) and repulsion push of the accelerated step at X; no restart statistic.
+        """K grad_f(X) and repulsion push of the accelerated step at X; no restart statistic.
 
-        Needs eps > 0: the Gram matrix has rank at most d + 1, so K + eps I is
-        singular at eps = 0 as soon as N > d + 1.
+        The push is sqrt(tau) (1 + |U^T V|^2 / N^2) X A with U^T V = N C, C from
+        ``capacitance_solve``.  Needs eps > 0: K has rank at most d + 1, so
+        K + eps I is singular at eps = 0 as soon as N > d + 1.
         """
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
         u = self.low_rank_factor(x)
-        v = woodbury_inverse_apply(u, eps, y)
+        c = capacitance_solve(u, eps, y)
         kg = _matmul_f(u, u.T @ g)
-        scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / x.shape[0] ** 2
         push = _matmul_f(x, self.a)
-        push *= np.sqrt(tau) * scale
-        return v, kg, push, float("nan")
+        push *= np.sqrt(tau) * (1.0 + np.linalg.norm(c) ** 2)
+        return kg, push, float("nan")
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
@@ -293,12 +293,12 @@ def nearest_sq_dists(x):
     return out
 
 
-def woodbury_inverse_apply(u, eps, y):
-    """N (U U^T + eps I)^-1 y for the N-row factor U via the (d+1) x (d+1) capacitance system.
+def capacitance_solve(u, eps, y):
+    """C = (eps I + U^T U)^-1 U^T y, the (d+1) x (d+1) capacitance solve on the N-row factor U.
 
-    Raises LinAlgError naming the condition number of the capacitance matrix
-    eps I + U^T U when it is at least 1 / machine epsilon, where the solve has
-    no correct digit left.  The result is column-major.
+    N (U U^T + eps I)^-1 y = (N / eps) (y - U C) by Woodbury.  Raises LinAlgError
+    naming the condition number of eps I + U^T U when it is at least
+    1 / machine epsilon, where the solve has no correct digit left.
     """
     cap = eps * np.eye(u.shape[1]) + u.T @ u
     sv = np.abs(np.linalg.eigvalsh(cap))  # cap is symmetric: its singular values are the |eigenvalues|
@@ -306,7 +306,4 @@ def woodbury_inverse_apply(u, eps, y):
         with np.errstate(divide="ignore"):
             raise np.linalg.LinAlgError("capacitance matrix eps I + U^T U ill-conditioned "
                                         f"(condition number {sv.max() / sv.min():.3e})")
-    out = _matmul_f(u, np.linalg.solve(cap, u.T @ y))
-    np.subtract(y, out, out=out)
-    out *= u.shape[0] / eps
-    return out
+    return np.linalg.solve(cap, u.T @ y)

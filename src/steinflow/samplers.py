@@ -2,21 +2,21 @@
 transport, and the Langevin baselines (ULA, MALA, ULD), plus restart logic.
 
 State layout for the kernel samplers: positions X, particle momenta Y (the
-discrete velocities), density-space momenta V with row i approximating
-grad Phi(X_i), and per-particle restart counters driving the damping schedule
-alpha_i = (count_i - 1) / (count_i + r - 1).
+discrete velocities) and per-particle restart counters driving the damping
+schedule alpha_i = (count_i - 1) / (count_i + r - 1).  The density-space
+momenta V are not state: each accelerated step derives them from Y.
 
 One accelerated step runs
 
 1. X <- X + sqrt(tau) Y
-2. V <- N (K + eps I)^-1 Y
+2. V = N (K + eps I)^-1 Y, row i approximating grad Phi(X_i)
 3. per-particle speed restart, global gradient restart (when the kernel
    supplies a restart statistic), damping alpha from the counters (or a
    constant beta)
-4. Y <- alpha Y - (sqrt(tau) / N) K grad_f(X) + push.
+4. Y <- alpha Y - (sqrt(tau) / N) K grad_f(X) + push, the push built from V.
 
 Steps 1 and 3 and the combination of step 4 are the same for every kernel.
-The kernel's ``accelerated_terms`` supplies V, K grad_f(X), the repulsion push
+The kernel's ``accelerated_terms`` supplies K grad_f(X), the repulsion push
 and the restart statistic, and its ``plain_step`` the whole plain update, so
 ``asvgd_step`` and ``svgd_step`` never ask which kernel they run on; see
 ``kernels`` for how each kernel computes them.  ``SamplerConfig`` rejects a
@@ -77,7 +77,7 @@ ALGORITHMS = KERNEL_ALGORITHMS + ("ula", "mala", "uld")
 class ParticleEnsemble:
     """Positions, momenta and restart bookkeeping for one particle system.
 
-    ``x``, ``y``, ``v`` and ``grad_f`` are N x d arrays in column-major order
+    ``x``, ``y`` and ``grad_f`` are N x d arrays in column-major order
     (see the module docstring).
     ``prev_step_norms`` holds each particle's displacement in the last step, and
     ``grad_stat`` the gradient-restart statistic of the last accelerated step
@@ -89,7 +89,6 @@ class ParticleEnsemble:
 
     x: np.ndarray
     y: np.ndarray
-    v: np.ndarray
     restart_count: np.ndarray
     prev_step_norms: np.ndarray
     iteration: int = 0
@@ -106,7 +105,6 @@ class ParticleEnsemble:
         return cls(
             x=x0,
             y=np.zeros_like(x0),
-            v=np.zeros_like(x0),
             restart_count=np.ones(n, dtype=np.int64),
             prev_step_norms=np.zeros(n),
             iteration=0,
@@ -233,7 +231,7 @@ def _damping(ens, cfg, step_norms, grad_stat):
 
 
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
-    """One accelerated transport step (position, density momentum, damping, momentum).
+    """One accelerated transport step (position, damping, momentum).
 
     The kernel-specific terms come from ``cfg.kernel.accelerated_terms``; the
     bilinear kernel requires eps > 0 and raises ValueError otherwise.
@@ -242,7 +240,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
     moved = _moved(ens, ens.x + sqrt_tau * ens.y)
     g = _grad(cfg, moved.x)
 
-    v_new, kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
+    kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
     alpha, counts = _damping(ens, cfg, moved.prev_step_norms, grad_stat)
     # (alpha Y - (sqrt(tau) / N) K grad_f) + push, built in place in that order
     y_new = alpha * ens.y
@@ -250,7 +248,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
     y_new += push
 
     _check_finite(y_new, moved.iteration, "momentum update")
-    return replace(moved, y=y_new, v=v_new, restart_count=counts, grad_stat=grad_stat)
+    return replace(moved, y=y_new, restart_count=counts, grad_stat=grad_stat)
 
 
 def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:

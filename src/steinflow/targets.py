@@ -39,8 +39,8 @@ class GaussianTarget:
     def __init__(self, b, q):
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        if q.shape != (self.b.size, self.b.size):
-            raise ValueError(f"covariance shape {q.shape} does not match mean of size {self.b.size}")
+        if self.b.ndim != 1 or q.shape != (self.b.size, self.b.size):
+            raise ValueError(f"need a d-vector mean and a d x d covariance, got shapes {self.b.shape} and {q.shape}")
         self.q, chol = spd_cholesky(q, "covariance")
         self.q_inv = np.linalg.inv(q)
         self.q_inv = 0.5 * (self.q_inv + self.q_inv.T)

@@ -282,25 +282,27 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
                 )
         y_new[j] = alpha[j] * ens.y[j] + (st / n) * energy + (st / n**2) * interaction
     return ParticleEnsemble(
-        x=x_new, y=y_new, v=v_new, restart_count=counts,
+        x=x_new, y=y_new, restart_count=counts,
         prev_step_norms=step_norms, iteration=ens.iteration + 1,
     )
 
 
 def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
-    """V, K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
+    """K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
 
     The expressions the step used before it filled its arrays in place; the
     step must match them bit for bit.  U is column-major, and a product of an
     N-row array B with a small S is taken as (S^T B^T)^T, as the step takes it.
+    The push scale 1 + |U^T V|^2 / N^2 is 1 + |C|^2 with C the capacitance
+    solve, since U^T V = N C.
     """
     n = x.shape[0]
     u = np.asfortranarray(np.hstack([(kernel.chol_a.T @ x.T).T, np.ones((n, 1))]))
     cap = eps * np.eye(u.shape[1]) + u.T @ u
-    v = (n / eps) * (y - (np.linalg.solve(cap, u.T @ y).T @ u.T).T)
+    c = np.linalg.solve(cap, u.T @ y)
     kg = ((u.T @ g).T @ u.T).T
-    scale = 1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2
-    return v, kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T
+    scale = 1.0 + np.linalg.norm(c) ** 2
+    return kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T
 
 
 def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
@@ -320,11 +322,11 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     st = np.sqrt(cfg.tau)
     x_new = ens.x + st * ens.y
     g = cfg.target.grad_all(x_new)
-    v_new, kg, push = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
+    kg, push = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     alpha, counts = reference_damping(ens, cfg, step_norms, False)
     y_new = alpha[:, None] * ens.y - (st / n) * kg + push
-    return replace(ens, x=x_new, y=y_new, v=v_new, restart_count=counts, prev_step_norms=step_norms,
+    return replace(ens, x=x_new, y=y_new, restart_count=counts, prev_step_norms=step_norms,
                    iteration=ens.iteration + 1, grad_stat=float("nan"))
 
 
@@ -362,9 +364,28 @@ def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=Tr
         + (st / (n**2 * sigma2)) * (w.sum(axis=1)[:, None] * x_new - w @ x_new)
     )
     return ParticleEnsemble(
-        x=x_new, y=y_new, v=v_new, restart_count=counts,
+        x=x_new, y=y_new, restart_count=counts,
         prev_step_norms=step_norms, iteration=ens.iteration + 1, grad_stat=grad_stat,
     )
+
+
+def longdouble_solve(m, b):
+    """m^-1 b for a small square m by Gaussian elimination without pivoting, in np.longdouble.
+
+    On x86-64 the long double carries 64 mantissa bits, 11 more than a double,
+    so the solve of a well-conditioned m is a reference for a float64 one.
+    """
+    m, b = np.array(m, dtype=np.longdouble), np.array(b, dtype=np.longdouble)
+    k = m.shape[0]
+    for j in range(k):
+        for i in range(j + 1, k):
+            f = m[i, j] / m[j, j]
+            m[i] -= f * m[j]
+            b[i] -= f * b[j]
+    out = np.zeros_like(b)
+    for j in reversed(range(k)):
+        out[j] = (b[j] - m[j, j + 1 :] @ out[j + 1 :]) / m[j, j]
+    return out
 
 
 def random_spd(rng, d, lo=0.3, hi=1.5):

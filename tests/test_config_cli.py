@@ -208,6 +208,15 @@ class TestParseConfig:
          "target_q: precision must be square, got shape"),
         ({"target": "gaussian", "target_mean": [0, 0], "target_q": [[1, 1.000001], [1, 3]]},
          "target_q: precision must be symmetric"),
+        ({"target": "gaussian", "target_mean": [[0], [1]], "target_q": [[2, 0], [0, 1]]},
+         "target_mean must be a flat list of numbers, got shape"),
+        ({"target": "gaussian", "target_mean": [0, 0], "target_q": np.eye(3).tolist()},
+         "target_q must be 2x2 to match target_mean, got"),
+        ({"kernel": "bilinear", "a_matrix": np.eye(3).tolist()}, "a_matrix must be 2x2, got shape"),
+        ({"sampler": "mala", "kernel": "bilinear", "a_matrix": np.eye(3).tolist()},
+         "a_matrix must be 2x2, got shape"),
+        ({"target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]], "kernel": "bilinear",
+          "a_matrix": np.eye(2).tolist()}, "a_matrix must be 1x1, got shape"),
     ])
     def test_list_keys_name_themselves(self, raw, message):
         with pytest.raises(ConfigError, match="^" + message):

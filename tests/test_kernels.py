@@ -7,9 +7,9 @@ from steinflow import kernels
 from steinflow.kernels import (
     BilinearKernel,
     GaussianKernel,
+    capacitance_solve,
     gram,
     nearest_sq_dists,
-    woodbury_inverse_apply,
 )
 from reference_impls import (
     central_diff_grad,
@@ -17,6 +17,7 @@ from reference_impls import (
     grad1,
     grad2,
     loop_gram,
+    longdouble_solve,
     loop_nearest_sq_dists,
     loop_sq_dists,
     partition_nearest_sq_dists,
@@ -298,38 +299,57 @@ class TestNearestFromOneTriangle:
 
 
 class TestRegularizedInverse:
-    """n (K + eps I)^-1 y: Woodbury on the bilinear factor U, an in-place Cholesky for the Gaussian K."""
+    """n (K + eps I)^-1 y: a capacitance solve on the bilinear factor U, an in-place Cholesky for the Gaussian K."""
 
     def test_identity_gram_eps_one(self):
+        # U = I: C = (I + I)^-1 y
         y = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(woodbury_inverse_apply(np.eye(4), 1.0, y), 2.0 * y, rtol=1e-14)
+        assert np.allclose(capacitance_solve(np.eye(4), 1.0, y), 0.5 * y, rtol=1e-14)
 
-    def test_woodbury_matches_dense(self):
+    def test_capacitance_solve_matches_dense(self):
+        # (eps I + U^T U)^-1 U^T = U^T (U U^T + eps I)^-1, and U U^T is the Gram matrix
         rng = np.random.default_rng(21)
         kernel = BilinearKernel(random_spd(rng, 2))
         x = rng.standard_normal((5, 2))
         y = rng.standard_normal((5, 2))
-        fast = woodbury_inverse_apply(kernel.low_rank_factor(x), 0.1, y)
-        dense = 5.0 * np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
-        assert np.allclose(fast, dense, rtol=1e-8)
+        u = kernel.low_rank_factor(x)
+        dense = u.T @ np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
+        assert np.allclose(capacitance_solve(u, 0.1, y), dense, rtol=1e-8)
 
-    def test_woodbury_rejects_an_ill_conditioned_capacitance_matrix(self):
+    def test_capacitance_solve_rejects_an_ill_conditioned_capacitance_matrix(self):
         # eps I + U^T U has the eigenvalues eps and about 5e19: a condition number past 1 / 2^-52
         u = np.column_stack([np.full(50, 1e9), np.ones(50)])
         with pytest.raises(np.linalg.LinAlgError, match="capacitance matrix") as info:
-            woodbury_inverse_apply(u, 0.1, np.ones((50, 2)))
+            capacitance_solve(u, 0.1, np.ones((50, 2)))
         cond = float(re.search(r"condition number (\S+)\)", str(info.value)).group(1))
         assert cond >= 1.0 / np.finfo(float).eps
 
     def test_bilinear_residual(self):
+        # V = (N / eps) (y - U C) solves (K + eps I) V / N = y
         rng = np.random.default_rng(22)
         kernel = BilinearKernel(random_spd(rng, 3))
         x = rng.standard_normal((12, 3))
         y = rng.standard_normal((12, 3))
         eps = 0.05
-        v = woodbury_inverse_apply(kernel.low_rank_factor(x), eps, y)
+        u = kernel.low_rank_factor(x)
+        v = (12.0 / eps) * (y - u @ capacitance_solve(u, eps, y))
         resid = (loop_gram(kernel, x) + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
+
+    def test_bilinear_push_scale_matches_a_long_double_solve(self):
+        # Y in the span of U, as on a Gaussian target, where Y - U C cancels:
+        # the scale 1 + |U^T V|^2 / N^2 read from V = (N / eps) (Y - U C) errs
+        # by about 2e-12 here, and read from C as 1 + |C|^2 by about 2e-16
+        n, eps = 2000, 0.1
+        rng = np.random.default_rng(0)
+        kernel = BilinearKernel(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        x = np.asfortranarray(rng.standard_normal((n, 2)) @ np.array([[1.0, 0.4], [0.0, 0.7]]) + [0.5, -1.0])
+        y = np.asfortranarray(-0.3 * x @ np.array([[1.2, 0.2], [0.2, 0.8]]) + [0.1, 0.05])
+        u = kernel.low_rank_factor(x).astype(np.longdouble)
+        c = longdouble_solve(eps * np.eye(3, dtype=np.longdouble) + u.T @ u, u.T @ y.astype(np.longdouble))
+        expected = (1 + (c**2).sum()) * (kernel.a.T @ x.T).T.astype(np.longdouble)
+        _, push, _ = kernel.accelerated_terms(x, y, np.zeros((n, 2)), eps, 1.0)
+        assert np.abs(push - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n, d", [(7, 1), (60, 2), (300, 5)])
     def test_gaussian_solve_and_products_through_the_factor(self, n, d):
@@ -341,10 +361,13 @@ class TestRegularizedInverse:
         y = rng.standard_normal((n, d))
         b = rng.standard_normal((n, d))
         eps = 0.1
-        v, kb, _, _ = kernel.accelerated_terms(x, y, b, eps, 0.05)
+        kb, _, stat = kernel.accelerated_terms(x, y, b, eps, 0.05)
         k = loop_gram(kernel, x)
         dense_v = n * np.linalg.solve(k + eps * np.eye(n), y)
-        assert np.abs(v - dense_v).max() <= 1e-10 * np.abs(dense_v).max()
+        # the restart statistic is -<V, T> / N^2 with T = K G + (K X - diag(K 1) X) / sigma2, so
+        # V within 1e-10 max|V| of the dense solve puts it within 1e-10 max|V| sum|T| / N^2
+        t = k @ b + (k @ x - k.sum(axis=1)[:, None] * x) / kernel.sigma2
+        assert abs(stat + np.tensordot(dense_v, t) / n**2) <= 1e-10 * np.abs(dense_v).max() * np.abs(t).sum() / n**2
         assert np.abs(kb - k @ b).max() <= 1e-13 * np.abs(k @ b).max()
 
     @pytest.mark.parametrize("method", ["accelerated_terms", "plain_step"])

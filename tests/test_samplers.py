@@ -1,7 +1,7 @@
 import copy
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +27,7 @@ from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget,
 from reference_impls import (
     dense_asvgd_step_gaussian,
     loop_double_sum_stat,
+    loop_gram,
     loop_svgd_direction_gaussian,
     random_spd,
     reference_asvgd_step,
@@ -40,11 +41,17 @@ def gaussian_target(rng, d):
     return GaussianTarget(b=rng.standard_normal(d), q=random_spd(rng, d, 0.5, 1.5))
 
 
+def dense_density_momenta(kernel, x, y, eps):
+    """V = N (K + eps I)^-1 Y, the density momenta of a step at positions x, by a dense solve."""
+    n = x.shape[0]
+    return n * np.linalg.solve(loop_gram(kernel, x) + eps * np.eye(n), y)
+
+
 def random_ensemble(rng, n, d, momentum=True):
     ens = ParticleEnsemble.initialize(rng.standard_normal((n, d)))
     if momentum:
         ens.y = np.asfortranarray(0.3 * rng.standard_normal((n, d)))  # column-major, as a run keeps them
-        ens.v = np.asfortranarray(0.5 * rng.standard_normal((n, d)))
+        rng.standard_normal((n, d))  # unused draw: keeps the seeded ensembles the tests were written against
         ens.restart_count = rng.integers(1, 6, size=n)
         ens.prev_step_norms = rng.uniform(0.0, 0.2, size=n)
         ens.iteration = 3
@@ -54,7 +61,8 @@ def random_ensemble(rng, n, d, momentum=True):
 class TestEnsemble:
     def test_initialize(self):
         ens = ParticleEnsemble.initialize(np.ones((4, 2)))
-        assert np.all(ens.y == 0.0) and np.all(ens.v == 0.0)
+        assert np.all(ens.y == 0.0)
+        assert "v" not in {f.name for f in fields(ParticleEnsemble)}  # V is a per-step local, not state
         assert np.all(ens.restart_count == 1)
         assert ens.iteration == 0
 
@@ -182,7 +190,6 @@ class TestMatrixFormAgainstLoops:
             ref = reference_asvgd_step(ens, cfg)
             scale = max(1.0, np.abs(ref.y).max())
             assert np.abs(got.x - ref.x).max() <= 1e-10
-            assert np.abs(got.v - ref.v).max() <= 1e-9 * max(1.0, np.abs(ref.v).max())
             assert np.abs(got.y - ref.y).max() <= 1e-10 * scale
             assert np.array_equal(got.restart_count, ref.restart_count)
 
@@ -353,8 +360,9 @@ class TestGradientRestartStat:
         rng = np.random.default_rng(11)
         target = gaussian_target(rng, 2)
         cfg = SamplerConfig(kernel=GaussianKernel(0.5), target=target, tau=0.05, eps=0.1)
-        out = asvgd_step(ParticleEnsemble.initialize(rng.standard_normal((5, 2))), cfg)
-        assert np.all(out.v == 0.0)
+        ens = ParticleEnsemble.initialize(rng.standard_normal((5, 2)))
+        out = asvgd_step(ens, cfg)
+        assert np.all(dense_density_momenta(cfg.kernel, out.x, ens.y, cfg.eps) == 0.0)
         assert out.grad_stat == 0.0
 
     def test_single_particle_at_centered_mean(self):
@@ -364,7 +372,7 @@ class TestGradientRestartStat:
         ens = ParticleEnsemble.initialize(-(np.sqrt(cfg.tau) * y0))
         ens.y = y0
         out = asvgd_step(ens, cfg)  # the position step lands exactly on the mean
-        assert np.all(out.x == 0.0) and np.all(out.v != 0.0)
+        assert np.all(out.x == 0.0) and np.all(dense_density_momenta(cfg.kernel, out.x, y0, cfg.eps) != 0.0)
         assert out.grad_stat == pytest.approx(0.0, abs=1e-15)
 
     def test_matrix_form_matches_double_sum(self):
@@ -372,15 +380,17 @@ class TestGradientRestartStat:
         target = gaussian_target(rng, 2)
         kernel = GaussianKernel(1.0)
         cfg = SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.1)
-        out = asvgd_step(random_ensemble(rng, 4, 2), cfg)
+        ens = random_ensemble(rng, 4, 2)
+        out = asvgd_step(ens, cfg)
         got = out.grad_stat
-        loop = loop_double_sum_stat(kernel, out.x, out.v, target)
+        v = dense_density_momenta(kernel, out.x, ens.y, cfg.eps)
+        loop = loop_double_sum_stat(kernel, out.x, v, target)
         assert got == pytest.approx(-loop, rel=1e-10)
         # the raw trace form is the same quantity scaled by -(N^2 sigma2) at sigma2 = 1
         n = 4
         k = np.exp(-((out.x[:, None, :] - out.x[None, :, :]) ** 2).sum(-1) / 2.0)
         g = target.grad_all(out.x)
-        trace_form = np.tensordot(out.v, k @ g + k @ out.x - k.sum(1)[:, None] * out.x)
+        trace_form = np.tensordot(v, k @ g + k @ out.x - k.sum(1)[:, None] * out.x)
         assert trace_form == pytest.approx(n**2 * loop, rel=1e-10)
         assert np.sign(trace_form) == -np.sign(got)
 
@@ -568,14 +578,14 @@ class TestBilinearStepInPlace:
         kernel = BilinearKernel(random_spd(rng, d))
         ens = random_ensemble(rng, n, d)
         g = rng.standard_normal((n, d))
-        for got, expected in zip(kernel.accelerated_terms(ens.x, ens.y, g, 0.1, 0.05)[:3],
+        for got, expected in zip(kernel.accelerated_terms(ens.x, ens.y, g, 0.1, 0.05)[:2],
                                  unfused_bilinear_terms(kernel, ens.x, ens.y, g, 0.1, 0.05)):
             assert_bits_equal(got, expected)
         for algorithm, step in (("asvgd", asvgd_step), ("svgd", svgd_step)):
             cfg = SamplerConfig(kernel=kernel, target=gaussian_target(rng, d), tau=0.05, eps=0.1,
                                 damping=damping, algorithm=algorithm)
             got, expected = step(ens, cfg), unfused_bilinear_step(ens, cfg)
-            for name in ("x", "y", "v", "prev_step_norms"):
+            for name in ("x", "y", "prev_step_norms"):
                 assert_bits_equal(getattr(got, name), getattr(expected, name))
             assert np.array_equal(got.restart_count, expected.restart_count)
             assert got.iteration == expected.iteration and np.isnan(got.grad_stat)
@@ -594,12 +604,12 @@ class TestBilinearStepInPlace:
         x_new = x + st * y
         g = (x_new - cfg.target.b) @ cfg.target.q_inv
         u = np.hstack([x_new @ kernel.chol_a, np.ones((n, 1))])
-        v = (n / cfg.eps) * (y - u @ np.linalg.solve(cfg.eps * np.eye(d + 1) + u.T @ u, u.T @ y))
+        c = np.linalg.solve(cfg.eps * np.eye(d + 1) + u.T @ u, u.T @ y)
         kg = u @ (u.T @ g)
-        push = np.sqrt(cfg.tau) * (1.0 + np.linalg.norm(u.T @ v) ** 2 / n**2) * (x_new @ kernel.a)
+        push = np.sqrt(cfg.tau) * (1.0 + np.linalg.norm(c) ** 2) * (x_new @ kernel.a)
         alpha, _ = reference_damping(ens, cfg, np.linalg.norm(x_new - x, axis=1), False)
         y_new = alpha[:, None] * y - (st / n) * kg + push
-        for new, old in ((got.x, x_new), (got.v, v), (got.y, y_new)):
+        for new, old in ((got.x, x_new), (got.y, y_new)):
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
@@ -632,7 +642,7 @@ class TestColumnMajorLayout:
         ens = run(self._cfg(algorithm, kernel, gaussian_target(rng, 2)),
                   x0.tolist() if start == "nested-list" else x0, 3)
         assert ens.iteration == 3 and (ens.grad_f is not None) == (algorithm == "mala")
-        arrays = [ens.x, ens.y, ens.v] + ([ens.grad_f] if algorithm == "mala" else [])
+        arrays = [ens.x, ens.y] + ([ens.grad_f] if algorithm == "mala" else [])
         assert all(arr.flags.f_contiguous for arr in arrays)
 
     @pytest.mark.parametrize("algorithm, kernel", LAYOUT_CASES)
@@ -778,7 +788,7 @@ class TestPermutationEquivariance:
         ens = random_ensemble(rng, 6, d)
         perm = rng.permutation(6)
         permuted = ParticleEnsemble(
-            x=ens.x[perm], y=ens.y[perm], v=ens.v[perm],
+            x=ens.x[perm], y=ens.y[perm],
             restart_count=ens.restart_count[perm],
             prev_step_norms=ens.prev_step_norms[perm], iteration=ens.iteration,
         )

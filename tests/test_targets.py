@@ -241,6 +241,8 @@ class TestDoubleBananas:
             GaussianTarget(b=np.zeros(2), q=np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
         with pytest.raises(ValueError):
             GaussianTarget(b=np.zeros(3), q=np.eye(2))
+        with pytest.raises(ValueError, match="need a d-vector mean"):
+            GaussianTarget(b=[[0.0], [1.0]], q=np.eye(2))
         # Q^-1 reads the whole matrix and log det Q its Cholesky factor's one triangle
         with pytest.raises(ValueError, match="^covariance must be symmetric$"):
             GaussianTarget(b=np.zeros(2), q=[[1.0, 1.0 + 1e-6], [1.0, 3.0]])
