@@ -17,7 +17,7 @@ and has no accelerated spectrum), and two two-value ``steinflow sweep
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
 then one ``asvgd`` run with the bilinear kernel and constant damping on
-``gauss-correlated`` at N = 5000, so the Woodbury solve also runs at a size
+``gauss-correlated`` at N = 5000, so the capacitance solve also runs at a size
 where BLAS may block its products differently; then one ``svgd`` run with
 the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram matrix
 spans several distance blocks and whose symmetric product K [X | grad_f | 1]
@@ -38,9 +38,11 @@ compares each output file with the file of the same path under DIR, a tree
 kept by an earlier ``--keep`` run, and writes one line to stderr for each
 file whose bytes differ: ``max-rel-dev R  path``, with R the largest
 relative deviation |a - b| / max(|a|, |b|) over its numbers (the array of a
-``.npy`` file, the numeric columns of a CSV file; a NaN equals a NaN), or
-``differs  path`` for a file with no numbers to compare, or ``missing  path``
-for a file DIR lacks.  So one command measures how far a change of
+``.npy`` file, the numeric columns of a CSV file; a NaN equals a NaN, and a
+NaN against a number deviates by inf), followed for a CSV file by
+``  (column)``, the first column that deviates by R; or ``differs  path``
+for a file with no numbers to compare, or ``missing  path`` for a file DIR
+lacks.  So one command measures how far a change of
 arithmetic moved each output:
 
     python3 scripts/output_digest.py --src OLD/src --keep /tmp/old > old.txt
@@ -141,8 +143,10 @@ def _deviation(out, old):
         return f"differs  {out.as_posix()}"
     if new_numbers.keys() != old_numbers.keys():
         return f"max-rel-dev inf  {out.as_posix()}"
-    dev = max(_max_rel_dev(new_numbers[k], old_numbers[k]) for k in new_numbers)
-    return f"max-rel-dev {dev:.3g}  {out.as_posix()}"
+    devs = {k: _max_rel_dev(new_numbers[k], old_numbers[k]) for k in new_numbers}
+    column = max(devs, key=devs.get)  # the first of the largest; "" for a .npy array
+    line = f"max-rel-dev {devs[column]:.3g}  {out.as_posix()}"
+    return f"{line}  ({column})" if column else line
 
 
 def main(argv=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .gaussian_flow import kl_gaussians
+from .gaussian_flow import _kl_gaussians_factored, spd_cholesky
 from .targets import GaussianTarget
 
 __all__ = [
@@ -73,16 +73,17 @@ def gaussian_fit_kl(mean, cov, target: GaussianTarget):
     The moments are those of ``empirical_moments``, which a caller that also
     records them computes once.  A degenerate fitted covariance is regularized
     by adding 1e-8 I to a copy; the second return value flags that this happened.
+    It factors the covariance once and reads the target's cached Q^-1 and ln det Q.
     """
     if not isinstance(target, GaussianTarget):
         raise TypeError("gaussian-fit KL needs a Gaussian target")
     degenerate = False
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        cov = cov + 1e-8 * np.eye(cov.shape[0])
+        cov, chol = spd_cholesky(cov, "sigma")
+    except ValueError:  # not positive definite; any other ValueError recurs on the copy
+        cov, chol = spd_cholesky(cov + 1e-8 * np.eye(cov.shape[0]), "sigma")
         degenerate = True
-    return kl_gaussians(mean, cov, target.b, target.q), degenerate
+    return _kl_gaussians_factored(mean, cov, chol, target.b, target.q_inv, target.log_det_q), degenerate
 
 
 def kl_estimate(x, target, method="gaussian-fit") -> float:

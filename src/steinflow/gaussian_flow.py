@@ -122,16 +122,18 @@ def kl_gaussians(mu, sigma, nu, q) -> float:
     0.5 * (tr(Q^-1 Sigma) - d + (nu - mu)^T Q^-1 (nu - mu) + ln det Q - ln det Sigma);
     nonnegative, zero exactly at (mu, sigma) = (nu, q).
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
     sigma, chol_s = spd_cholesky(sigma, "sigma")
     q, chol_q = spd_cholesky(q, "q")
-    d = mu.size
-    logdet_q = 2.0 * np.log(np.diag(chol_q)).sum()
+    return _kl_gaussians_factored(mu, sigma, chol_s, nu, np.linalg.inv(q), 2.0 * np.log(np.diag(chol_q)).sum())
+
+
+def _kl_gaussians_factored(mu, sigma, chol_s, nu, q_inv, logdet_q) -> float:
+    """``kl_gaussians`` from Sigma's lower Cholesky factor, Q^-1 and ln det Q, with no check."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
     logdet_s = 2.0 * np.log(np.diag(chol_s)).sum()
-    q_inv = np.linalg.inv(q)
     diff = nu - mu
-    return 0.5 * float(np.trace(q_inv @ sigma) - d + diff @ q_inv @ diff + logdet_q - logdet_s)
+    return 0.5 * float(np.trace(q_inv @ sigma) - mu.size + diff @ q_inv @ diff + logdet_q - logdet_s)
 
 
 def _kernel_bilinear(a, x, y):

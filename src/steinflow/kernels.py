@@ -10,8 +10,8 @@ A kernel is anything with the two step methods the samplers call:
 * ``accelerated_terms(x, y, g, eps, tau)`` returns, for the accelerated step
   at positions X with momenta Y and G = grad_f(X), the drive K G and the
   repulsion push of the momentum update, as arrays of its own that the step
-  may overwrite, and the gradient-restart statistic (NaN when the kernel has
-  none); both read V = N (K + eps I)^-1 Y, which stays inside the call;
+  may overwrite, and the gradient-restart statistic; the push and the
+  statistic read V = N (K + eps I)^-1 Y, which stays inside the call;
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
@@ -173,21 +173,26 @@ class BilinearKernel:
         return u
 
     def accelerated_terms(self, x, y, g, eps, tau):
-        """K grad_f(X) and repulsion push of the accelerated step at X; no restart statistic.
+        """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
 
-        The push is sqrt(tau) (1 + |U^T V|^2 / N^2) X A with U^T V = N C, C from
-        ``capacitance_solve``.  Needs eps > 0: K has rank at most d + 1, so
-        K + eps I is singular at eps = 0 as soon as N > d + 1.
+        Both read V only through U^T V = N C, C from ``capacitance_solve``: the
+        push is sqrt(tau) (1 + |C|^2) X A, and with grad2_k(x, y) = A x and
+        X A = U[:, :d] L^T the statistic is -(1/N^2) [tr(V^T K G) - N tr(V^T X A)]
+        = -(1/N) [<C, U^T G> - N <C[:d], L^T>].  Needs eps > 0: K has rank at
+        most d + 1, so K + eps I is singular at eps = 0 as soon as N > d + 1.
         """
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
+        n = x.shape[0]
         u = self.low_rank_factor(x)
         c = capacitance_solve(u, eps, y)
-        kg = _matmul_f(u, u.T @ g)
+        utg = u.T @ g
+        kg = _matmul_f(u, utg)
+        grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], self.chol_a.T)) / n
         push = _matmul_f(x, self.a)
         push *= np.sqrt(tau) * (1.0 + np.linalg.norm(c) ** 2)
-        return kg, push, float("nan")
+        return kg, push, grad_stat
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.

@@ -10,9 +10,8 @@ One accelerated step runs
 
 1. X <- X + sqrt(tau) Y
 2. V = N (K + eps I)^-1 Y, row i approximating grad Phi(X_i)
-3. per-particle speed restart, global gradient restart (when the kernel
-   supplies a restart statistic), damping alpha from the counters (or a
-   constant beta)
+3. per-particle speed restart, global gradient restart, damping alpha from
+   the counters (or a constant beta)
 4. Y <- alpha Y - (sqrt(tau) / N) K grad_f(X) + push, the push built from V.
 
 Steps 1 and 3 and the combination of step 4 are the same for every kernel.
@@ -81,7 +80,7 @@ class ParticleEnsemble:
     (see the module docstring).
     ``prev_step_norms`` holds each particle's displacement in the last step, and
     ``grad_stat`` the gradient-restart statistic of the last accelerated step
-    (NaN when no step computed one; of the two kernels only the Gaussian does).
+    (NaN until an accelerated step has run, so in every run of another sampler).
     ``f`` and ``grad_f`` hold the target's potential and gradient at ``x`` when
     the step that produced the ensemble computed them (only ``mala_step``
     does), and are None otherwise.
@@ -211,8 +210,7 @@ def _damping(ens, cfg, step_norms, grad_stat):
     Constant damping is the scalar beta; the counter schedule gives one alpha
     per particle, as an N x 1 column.
 
-    A negative ``grad_stat`` fires the global gradient restart; NaN (no
-    statistic on this kernel's path) never does.
+    A negative ``grad_stat`` fires the global gradient restart.
     """
     damping = cfg.damping
     if isinstance(damping, ConstantDamping):

@@ -260,9 +260,7 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     g = cfg.target.grad_all(x_new)
 
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    restart = False
-    if isinstance(cfg.kernel, GaussianKernel):
-        restart = -loop_double_sum_stat(cfg.kernel, x_new, v_new, cfg.target) < 0.0
+    restart = -loop_double_sum_stat(cfg.kernel, x_new, v_new, cfg.target) < 0.0
     alpha, counts = reference_damping(ens, cfg, step_norms, restart)
 
     y_new = np.empty_like(ens.y)
@@ -288,21 +286,24 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
 
 
 def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
-    """K grad_f(X) and push of the bilinear accelerated step, one temporary per operation.
+    """Drive, push and restart statistic of the bilinear accelerated step, one temporary per operation.
 
     The expressions the step used before it filled its arrays in place; the
     step must match them bit for bit.  U is column-major, and a product of an
     N-row array B with a small S is taken as (S^T B^T)^T, as the step takes it.
     The push scale 1 + |U^T V|^2 / N^2 is 1 + |C|^2 with C the capacitance
-    solve, since U^T V = N C.
+    solve, since U^T V = N C, and the statistic is the step's expression in C
+    and U^T G; ``loop_double_sum_stat`` checks it independently.
     """
     n = x.shape[0]
     u = np.asfortranarray(np.hstack([(kernel.chol_a.T @ x.T).T, np.ones((n, 1))]))
     cap = eps * np.eye(u.shape[1]) + u.T @ u
     c = np.linalg.solve(cap, u.T @ y)
-    kg = ((u.T @ g).T @ u.T).T
+    utg = u.T @ g
+    kg = (utg.T @ u.T).T
+    grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], kernel.chol_a.T)) / n
     scale = 1.0 + np.linalg.norm(c) ** 2
-    return kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T
+    return kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T, grad_stat
 
 
 def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
@@ -322,12 +323,12 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     st = np.sqrt(cfg.tau)
     x_new = ens.x + st * ens.y
     g = cfg.target.grad_all(x_new)
-    kg, push = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
+    kg, push, grad_stat = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
-    alpha, counts = reference_damping(ens, cfg, step_norms, False)
+    alpha, counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
     y_new = alpha[:, None] * ens.y - (st / n) * kg + push
     return replace(ens, x=x_new, y=y_new, restart_count=counts, prev_step_norms=step_norms,
-                   iteration=ens.iteration + 1, grad_stat=float("nan"))
+                   iteration=ens.iteration + 1, grad_stat=grad_stat)
 
 
 def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=True) -> ParticleEnsemble:

@@ -75,6 +75,28 @@ class TestGaussianFitKl:
         val, flag = gaussian_fit_kl(*empirical_moments(x), target)
         assert flag and np.isfinite(val)
 
+    @pytest.mark.parametrize("name", ["gauss-aniso", "gauss-correlated"])
+    def test_one_factorization_per_record(self, name, monkeypatch):
+        # the target's cached Q^-1 and ln det Q replace kl_gaussians' checks and inverse of Q
+        target = builtin(name)
+        mean, cov = empirical_moments(np.random.default_rng(5).standard_normal((60, 2)))
+        calls = []
+
+        def counted(fn):
+            original = getattr(np.linalg, fn)
+
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for fn in ("cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, fn, counted(fn))
+        val, flag = gaussian_fit_kl(mean, cov, target)
+        assert calls == ["cholesky"] and not flag
+        monkeypatch.undo()
+        assert val == pytest.approx(kl_gaussians(mean, cov, target.b, target.q), rel=1e-15)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))

@@ -1,20 +1,26 @@
-"""scripts/output_digest.py run twice: every CLI output of its fixed calls is deterministic."""
+"""scripts/output_digest.py: two runs write identical outputs, and ``--against`` says how far and in which column a file moved."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import steinflow
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 
 
-def _call_names():
+def _script():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [name for name, _, _ in module._calls()]
+    return module
+
+
+def _call_names():
+    return [name for name, _, _ in _script()._calls()]
 
 
 def _digest(*options):
@@ -36,3 +42,17 @@ def test_a_second_run_reproduces_every_output(tmp_path):
              for line in first.stdout.splitlines()}
     calls = _call_names()
     assert len(calls) == 92 and names == set(calls)
+
+
+def test_a_deviation_names_its_column(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("iteration,kl_estimate,grad_restart_stat,note\n0,0.5,nan,a\n3,0.25,nan,a\n", encoding="utf-8")
+    new.write_text("iteration,kl_estimate,grad_restart_stat,note\n0,0.5,nan,b\n3,0.2,nan,b\n", encoding="utf-8")
+    deviation = _script()._deviation
+    assert deviation(new, old) == f"max-rel-dev 0.2  {new.as_posix()}  (kl_estimate)"
+    new.write_text("iteration,kl_estimate,grad_restart_stat,note\n0,0.5,nan,a\n3,0.25,-1,a\n", encoding="utf-8")
+    assert deviation(new, old) == f"max-rel-dev inf  {new.as_posix()}  (grad_restart_stat)"
+    old, new = old.with_suffix(".npy"), new.with_suffix(".npy")
+    np.save(old, np.ones(3))
+    np.save(new, np.array([1.0, 1.0, 0.5]))
+    assert deviation(new, old) == f"max-rel-dev 0.5  {new.as_posix()}"  # an array has no column to name

@@ -65,6 +65,7 @@ class TestEnsemble:
         assert "v" not in {f.name for f in fields(ParticleEnsemble)}  # V is a per-step local, not state
         assert np.all(ens.restart_count == 1)
         assert ens.iteration == 0
+        assert np.isnan(ens.grad_stat)  # no accelerated step has run
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -332,11 +333,11 @@ class TestRestartLogic:
         # counts increment to (2, 3, 6); alpha = (c-1)/(c+2) applied to the old (zero) momentum
         assert np.array_equal(out.restart_count, [2, 3, 6])
 
-    def test_gradient_restart_resets_all(self):
+    @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), BilinearKernel(np.eye(2))], ids=["gaussian", "bilinear"])
+    def test_gradient_restart_resets_all(self, kernel):
         # a momentum field pointing against the descent direction rises in energy
         rng = np.random.default_rng(10)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
-        kernel = GaussianKernel(1.0)
         x0 = rng.standard_normal((6, 2)) + np.array([3.0, 0.0])
         ens = ParticleEnsemble.initialize(x0)
         ens.restart_count = np.full(6, 4)
@@ -354,7 +355,7 @@ class TestRestartLogic:
 
 
 class TestGradientRestartStat:
-    """The statistic the accelerated Gaussian-kernel step stores in ``grad_stat``."""
+    """The statistic the accelerated step stores in ``grad_stat``."""
 
     def test_zero_momentum_gives_zero(self):
         rng = np.random.default_rng(11)
@@ -375,10 +376,11 @@ class TestGradientRestartStat:
         assert np.all(out.x == 0.0) and np.all(dense_density_momenta(cfg.kernel, out.x, y0, cfg.eps) != 0.0)
         assert out.grad_stat == pytest.approx(0.0, abs=1e-15)
 
-    def test_matrix_form_matches_double_sum(self):
+    @pytest.mark.parametrize("kernel_kind", ["gaussian", "bilinear"])
+    def test_matrix_form_matches_double_sum(self, kernel_kind):
         rng = np.random.default_rng(12)
         target = gaussian_target(rng, 2)
-        kernel = GaussianKernel(1.0)
+        kernel = GaussianKernel(1.0) if kernel_kind == "gaussian" else BilinearKernel(random_spd(rng, 2))
         cfg = SamplerConfig(kernel=kernel, target=target, tau=0.05, eps=0.1)
         ens = random_ensemble(rng, 4, 2)
         out = asvgd_step(ens, cfg)
@@ -386,20 +388,19 @@ class TestGradientRestartStat:
         v = dense_density_momenta(kernel, out.x, ens.y, cfg.eps)
         loop = loop_double_sum_stat(kernel, out.x, v, target)
         assert got == pytest.approx(-loop, rel=1e-10)
-        # the raw trace form is the same quantity scaled by -(N^2 sigma2) at sigma2 = 1
+        # the raw trace form tr(V^T K G) - sum_j <V_j, sum_i grad2_k(X_j, X_i)> is N^2 times the
+        # double sum: grad2_k(x, y) is (x - y) k(x, y) at sigma2 = 1, and A x for the bilinear kernel
         n = 4
-        k = np.exp(-((out.x[:, None, :] - out.x[None, :, :]) ** 2).sum(-1) / 2.0)
         g = target.grad_all(out.x)
-        trace_form = np.tensordot(v, k @ g + k @ out.x - k.sum(1)[:, None] * out.x)
+        if kernel_kind == "gaussian":
+            k = np.exp(-((out.x[:, None, :] - out.x[None, :, :]) ** 2).sum(-1) / 2.0)
+            repulsion = k @ out.x - k.sum(1)[:, None] * out.x
+        else:
+            k = out.x @ kernel.a @ out.x.T + 1.0
+            repulsion = -n * out.x @ kernel.a
+        trace_form = np.tensordot(v, k @ g + repulsion)
         assert trace_form == pytest.approx(n**2 * loop, rel=1e-10)
         assert np.sign(trace_form) == -np.sign(got)
-
-    def test_bilinear_step_leaves_it_unset(self):
-        rng = np.random.default_rng(15)
-        target = gaussian_target(rng, 2)
-        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=target, tau=0.05, eps=0.1)
-        assert np.isnan(ParticleEnsemble.initialize(np.zeros((3, 2))).grad_stat)
-        assert np.isnan(asvgd_step(random_ensemble(rng, 5, 2), cfg).grad_stat)
 
 
 def langevin_ensemble(x, p=None):
@@ -578,9 +579,9 @@ class TestBilinearStepInPlace:
         kernel = BilinearKernel(random_spd(rng, d))
         ens = random_ensemble(rng, n, d)
         g = rng.standard_normal((n, d))
-        for got, expected in zip(kernel.accelerated_terms(ens.x, ens.y, g, 0.1, 0.05)[:2],
+        for got, expected in zip(kernel.accelerated_terms(ens.x, ens.y, g, 0.1, 0.05),
                                  unfused_bilinear_terms(kernel, ens.x, ens.y, g, 0.1, 0.05)):
-            assert_bits_equal(got, expected)
+            assert_bits_equal(np.asarray(got), np.asarray(expected))
         for algorithm, step in (("asvgd", asvgd_step), ("svgd", svgd_step)):
             cfg = SamplerConfig(kernel=kernel, target=gaussian_target(rng, d), tau=0.05, eps=0.1,
                                 damping=damping, algorithm=algorithm)
@@ -588,7 +589,8 @@ class TestBilinearStepInPlace:
             for name in ("x", "y", "prev_step_norms"):
                 assert_bits_equal(getattr(got, name), getattr(expected, name))
             assert np.array_equal(got.restart_count, expected.restart_count)
-            assert got.iteration == expected.iteration and np.isnan(got.grad_stat)
+            assert got.iteration == expected.iteration
+            assert_bits_equal(np.asarray(got.grad_stat), np.asarray(expected.grad_stat))
 
     @pytest.mark.parametrize("damping", [ConstantDamping(0.9), RestartNesterov()], ids=["constant", "restart"])
     def test_stays_close_to_the_c_order_expressions(self, damping):
@@ -607,7 +609,8 @@ class TestBilinearStepInPlace:
         c = np.linalg.solve(cfg.eps * np.eye(d + 1) + u.T @ u, u.T @ y)
         kg = u @ (u.T @ g)
         push = np.sqrt(cfg.tau) * (1.0 + np.linalg.norm(c) ** 2) * (x_new @ kernel.a)
-        alpha, _ = reference_damping(ens, cfg, np.linalg.norm(x_new - x, axis=1), False)
+        grad_stat = -(np.tensordot(c, u.T @ g) - n * np.tensordot(c[:d], kernel.chol_a.T)) / n
+        alpha, _ = reference_damping(ens, cfg, np.linalg.norm(x_new - x, axis=1), grad_stat < 0.0)
         y_new = alpha[:, None] * y - (st / n) * kg + push
         for new, old in ((got.x, x_new), (got.y, y_new)):
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
