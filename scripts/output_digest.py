@@ -40,10 +40,12 @@ file whose bytes differ: ``max-rel-dev R  path``, with R the largest
 relative deviation |a - b| / max(|a|, |b|) over its numbers (the array of a
 ``.npy`` file, the numeric columns of a CSV file; a NaN equals a NaN, and a
 NaN against a number deviates by inf), followed for a CSV file by
-``  (column)``, the first column that deviates by R; or ``differs  path``
-for a file with no numbers to compare, or ``missing  path`` for a file DIR
-lacks.  So one command measures how far a change of
-arithmetic moved each output:
+``  (column)``, the first column that deviates by R.  When R is inf and a
+finite deviation is not 0, the line goes on with ``  finite F``, F the
+largest finite deviation, which the inf would hide, followed for a CSV file
+by its column.  A file with no numbers to compare gives ``differs  path``,
+and one that DIR lacks ``missing  path``.  So one command measures how far
+a change of arithmetic moved each output:
 
     python3 scripts/output_digest.py --src OLD/src --keep /tmp/old > old.txt
     python3 scripts/output_digest.py --against /tmp/old > new.txt
@@ -122,14 +124,18 @@ def _numbers(path):
     return columns
 
 
-def _max_rel_dev(a, b):
-    """Largest |a - b| / max(|a|, |b|) over equal-shape arrays; inf for a shape or non-finite mismatch."""
+def _max_rel_devs(a, b):
+    """The largest and the largest finite |a - b| / max(|a|, |b|) over equal-shape arrays.
+
+    A non-finite mismatch deviates by inf, and a shape mismatch gives (inf, 0).
+    """
     if a.shape != b.shape:
-        return float("inf")
+        return float("inf"), 0.0
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(all="ignore"):
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf)).max(initial=0.0))
+    dev = np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf))
+    return float(dev.max(initial=0.0)), float(dev[np.isfinite(dev)].max(initial=0.0))
 
 
 def _deviation(out, old):
@@ -143,10 +149,14 @@ def _deviation(out, old):
         return f"differs  {out.as_posix()}"
     if new_numbers.keys() != old_numbers.keys():
         return f"max-rel-dev inf  {out.as_posix()}"
-    devs = {k: _max_rel_dev(new_numbers[k], old_numbers[k]) for k in new_numbers}
-    column = max(devs, key=devs.get)  # the first of the largest; "" for a .npy array
-    line = f"max-rel-dev {devs[column]:.3g}  {out.as_posix()}"
-    return f"{line}  ({column})" if column else line
+    devs = {k: _max_rel_devs(new_numbers[k], old_numbers[k]) for k in new_numbers}
+    # the first column of the largest deviation, and of the largest finite one; "" for a .npy array
+    column = max(devs, key=lambda k: devs[k][0])
+    finite = max(devs, key=lambda k: devs[k][1])
+    line = f"max-rel-dev {devs[column][0]:.3g}  {out.as_posix()}" + (f"  ({column})" if column else "")
+    if np.isinf(devs[column][0]) and devs[finite][1] > 0.0:
+        line += f"  finite {devs[finite][1]:.3g}" + (f"  ({finite})" if finite else "")
+    return line
 
 
 def main(argv=None):

@@ -7,11 +7,12 @@ Two kernel families are supported:
 
 A kernel is anything with the two step methods the samplers call:
 
-* ``accelerated_terms(x, y, g, eps, tau)`` returns, for the accelerated step
-  at positions X with momenta Y and G = grad_f(X), the drive K G and the
-  repulsion push of the momentum update, as arrays of its own that the step
-  may overwrite, and the gradient-restart statistic; the push and the
-  statistic read V = N (K + eps I)^-1 Y, which stays inside the call;
+* ``accelerated_terms(x, y, g, eps, tau, work=None)`` returns, for the
+  accelerated step at positions X with momenta Y and G = grad_f(X), the drive
+  K G and the repulsion push of the momentum update, as arrays that the step
+  may overwrite and that the next call with the same ``work`` overwrites, and
+  the gradient-restart statistic; the push and the statistic read
+  V = N (K + eps I)^-1 Y, which stays inside the call;
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
@@ -22,6 +23,16 @@ K through the factor, and the plain step multiplies by K with one symmetric
 BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
 (K + eps I) is invertible only for eps > 0; that kernel forms neither K nor V,
 and solves only the (d+1) x d capacitance system, ``capacitance_solve``.
+
+``work`` is the run's workspace, a dict that ``samplers.run`` makes once per
+run (see ``samplers``).  The bilinear step keeps its three N-row arrays there:
+the factor U and its two N x d results, K G and the push.  At N = 50 000 a
+fresh copy of each on every step lands at the top of the heap, which glibc
+trims and faults in again on the next step; with the workspace the step
+allocates only the arrays the new ensemble keeps.  The Gaussian step leaves
+its N x N buffer out of the workspace: keeping that buffer across steps
+raised the minor page faults of a 60-step N = 1000 run from 33-39 to 272-279
+per step (fresh process, one BLAS thread).
 
 The samplers hand every N x d array over column-major (see ``samplers``),
 and each kernel returns its N x d results, and builds the bilinear factor U,
@@ -70,14 +81,15 @@ class GaussianKernel:
         # the dense solve needs scipy: a run loads it here, in set-up, not in its first step
         import scipy.linalg  # noqa: F401
 
-    def accelerated_terms(self, x, y, g, eps, tau):
+    def accelerated_terms(self, x, y, g, eps, tau, work=None):
         """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
 
-        The momentum update needs the interaction matrix
-        W = N K + K ((V V^T) o K) - K o ((K V) V^T) only through W 1 and W X, so W
-        is never formed.  With P = K [G | X | Z | 1] (G = grad_f(X),
-        Z[:, a d + c] = V_a X_c), KV = N Y - eps V (as (K + eps I) V = N Y),
-        M_ic = sum_a V_ia (KZ)_i,ac and r = rowsum(V o KV),
+        ``work`` is not read (see the module docstring).  The momentum update
+        needs the interaction matrix W = N K + K ((V V^T) o K) - K o ((K V) V^T)
+        only through W 1 and W X, so W is never formed.  With
+        P = K [G | X | Z | 1] (G = grad_f(X), Z[:, a d + c] = V_a X_c),
+        KV = N Y - eps V (as (K + eps I) V = N Y), M_ic = sum_a V_ia (KZ)_i,ac
+        and r = rowsum(V o KV),
 
             W 1 = N K1 + K r - rowsum(KV o KV),
             W X = N KX + K M - E,   E_ic = sum_a (KV)_ia (KZ)_i,ac,
@@ -161,18 +173,19 @@ class BilinearKernel:
     def __repr__(self):
         return f"BilinearKernel(a={self.a.tolist()})"
 
-    def low_rank_factor(self, x):
+    def low_rank_factor(self, x, out=None):
         """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T.
 
-        U is column-major, like every N-row array of a run.
+        U is column-major, like every N-row array of a run; it is written into
+        ``out``, a column-major N x (d+1) array, when one is given.
         """
         x = np.asarray(x, dtype=float)
-        u = np.empty((x.shape[0], self.dim + 1), order="F")
+        u = np.empty((x.shape[0], self.dim + 1), order="F") if out is None else out
         np.matmul(self.chol_a.T, x.T, out=u.T[:-1])  # X L as (L^T X^T)^T, written into U's first columns
         u[:, -1] = 1.0
         return u
 
-    def accelerated_terms(self, x, y, g, eps, tau):
+    def accelerated_terms(self, x, y, g, eps, tau, work=None):
         """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
 
         Both read V only through U^T V = N C, C from ``capacitance_solve``: the
@@ -180,17 +193,24 @@ class BilinearKernel:
         X A = U[:, :d] L^T the statistic is -(1/N^2) [tr(V^T K G) - N tr(V^T X A)]
         = -(1/N) [<C, U^T G> - N <C[:d], L^T>].  Needs eps > 0: K has rank at
         most d + 1, so K + eps I is singular at eps = 0 as soon as N > d + 1.
+
+        U, K G and the push are written into the arrays that ``work`` keeps
+        under "u", "kg" and "push", allocated on the first call with a fresh
+        ``work``, so the steps of one run reuse them (see the module docstring).
         """
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
-        n = x.shape[0]
-        u = self.low_rank_factor(x)
+        work = {} if work is None else work
+        n, d = x.shape
+        u = self.low_rank_factor(x, out=_scratch(work, "u", (n, d + 1)))
         c = capacitance_solve(u, eps, y)
         utg = u.T @ g
-        kg = _matmul_f(u, utg)
+        kg, push = _scratch(work, "kg", (n, d)), _scratch(work, "push", (n, d))
+        # (S^T B^T)^T written into column-major results, as in _matmul_f
+        np.matmul(utg.T, u.T, out=kg.T)
         grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], self.chol_a.T)) / n
-        push = _matmul_f(x, self.a)
+        np.matmul(self.a.T, x.T, out=push.T)
         push *= np.sqrt(tau) * (1.0 + np.linalg.norm(c) ** 2)
         return kg, push, grad_stat
 
@@ -208,6 +228,14 @@ class BilinearKernel:
 def _matmul_f(x, a):
     """x @ a for an N-row x and a small a, computed as (a^T x^T)^T, so the result is column-major."""
     return (a.T @ x.T).T
+
+
+def _scratch(work, key, shape):
+    """The column-major float array that ``work`` keeps under ``key``, allocated when absent or of another shape."""
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape, order="F")
+    return buf
 
 
 @dataclass
@@ -305,10 +333,26 @@ def capacitance_solve(u, eps, y):
     naming the condition number of eps I + U^T U when it is at least
     1 / machine epsilon, where the solve has no correct digit left.
     """
-    cap = eps * np.eye(u.shape[1]) + u.T @ u
+    cap = eps * np.eye(u.shape[1]) + _column_gram(u)
     sv = np.abs(np.linalg.eigvalsh(cap))  # cap is symmetric: its singular values are the |eigenvalues|
     if not sv.max() * np.finfo(float).eps < sv.min():
         with np.errstate(divide="ignore"):
             raise np.linalg.LinAlgError("capacitance matrix eps I + U^T U ill-conditioned "
                                         f"(condition number {sv.max() / sv.min():.3e})")
     return np.linalg.solve(cap, u.T @ y)
+
+
+def _column_gram(u):
+    """U^T U for an N-row U with a few columns, one dot product per pair of columns.
+
+    numpy takes ``u.T @ u`` as BLAS ``dsyrk``, which is slow for (d+1)-column
+    products of N rows (about 0.3 ms at N = 50 000, d = 2, five times these
+    dot products) and less accurate than them.  A column of a column-major U
+    is contiguous.
+    """
+    m = u.shape[1]
+    utu = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            utu[i, j] = utu[j, i] = np.dot(u[:, i], u[:, j])
+    return utu

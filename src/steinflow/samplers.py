@@ -22,19 +22,28 @@ and the restart statistic, and its ``plain_step`` the whole plain update, so
 kernel without those two methods for the two kernel samplers; the Langevin
 samplers never read the kernel and take ``kernel=None``.
 
-All five samplers share one contract: ``name_step(ens, cfg, rng)`` returns
-the next ``ParticleEnsemble``, with its positions checked finite, its step
-lengths recorded and its iteration advanced by one.  The kernel samplers
-ignore ``rng``.  The Langevin samplers keep their state in the same ensemble:
-ULD's momentum lives in Y.  MALA returns no acceptance flags, since a rejected
-particle keeps its row bit for bit: the accepted rows are
-``np.any(new.x != ens.x, axis=1)``.  MALA evaluates the target once per step,
-at its proposal: the ensemble it returns carries f(X) and grad_f(X) of its
-positions in the fields ``f`` and ``grad_f``, which the next MALA step reads
-instead of evaluating the target again.  Every other step, and
+All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
+returns the next ``ParticleEnsemble``, with its positions checked finite, its
+step lengths recorded and its iteration advanced by one.  The kernel samplers
+ignore ``rng``, and every sampler but ``asvgd`` ignores ``work``.  The
+Langevin samplers keep their state in the same ensemble: ULD's momentum lives
+in Y.  MALA returns no acceptance flags, since a rejected particle keeps its
+row bit for bit: the accepted rows are ``np.any(new.x != ens.x, axis=1)``.
+MALA evaluates the target once per step, at its proposal: the ensemble it
+returns carries f(X) and grad_f(X) of its positions in the fields ``f`` and
+``grad_f``, which the next MALA step reads instead of evaluating the target
+again.  Every other step, and
 ``ParticleEnsemble.initialize``, leaves them None, so no step reads values of
 positions the ensemble has left.  ``step`` picks the function by
 ``cfg.algorithm``, and ``run`` is the one loop over it.
+
+``work`` is the run's workspace: a dict that ``run`` makes once and hands to
+every step, in which the kernel keeps the N-row scratch arrays of the
+accelerated step between steps (see ``kernels``), so that a large run does not
+allocate, fault in and free them again on every step.  It belongs to one run:
+never to the ensemble, the kernel or the module, because a sweep runs its jobs
+on threads, and no array of it ends up in an ensemble, which a recorder may
+keep.  A step called without it gets a fresh one, with the same bits.
 
 Every N x d array of a run is column-major (Fortran order), so each
 coordinate is one contiguous length-N vector: ``ParticleEnsemble.initialize``
@@ -199,7 +208,8 @@ def _moved(ens, x_new, what="positions", **fields):
     """
     _check_finite(x_new, ens.iteration + 1, what)
     dx = x_new - ens.x
-    step_norms = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+    step_norms = np.einsum("ij,ij->i", dx, dx)
+    np.sqrt(step_norms, out=step_norms)
     fields = {"f": None, "grad_f": None, **fields}
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
@@ -228,17 +238,21 @@ def _damping(ens, cfg, step_norms, grad_stat):
     return alpha[:, None], counts
 
 
-def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
+def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
     """One accelerated transport step (position, damping, momentum).
 
-    The kernel-specific terms come from ``cfg.kernel.accelerated_terms``; the
-    bilinear kernel requires eps > 0 and raises ValueError otherwise.
+    The kernel-specific terms come from ``cfg.kernel.accelerated_terms``, which
+    keeps its scratch arrays in ``work``; the bilinear kernel requires eps > 0
+    and raises ValueError otherwise.
     """
     sqrt_tau = np.sqrt(cfg.tau)
-    moved = _moved(ens, ens.x + sqrt_tau * ens.y)
+    # X + sqrt(tau) Y in the one array the new ensemble keeps
+    x_new = np.multiply(ens.y, sqrt_tau)
+    x_new += ens.x
+    moved = _moved(ens, x_new)
     g = _grad(cfg, moved.x)
 
-    kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau)
+    kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau, work)
     alpha, counts = _damping(ens, cfg, moved.prev_step_norms, grad_stat)
     # (alpha Y - (sqrt(tau) / N) K grad_f) + push, built in place in that order
     y_new = alpha * ens.y
@@ -249,20 +263,20 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleE
     return replace(moved, y=y_new, restart_count=counts, grad_stat=grad_stat)
 
 
-def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None) -> ParticleEnsemble:
+def svgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
     """Plain kernel-transport step; the update itself is ``cfg.kernel.plain_step``."""
     g = _grad(cfg, ens.x)
     return _moved(ens, cfg.kernel.plain_step(ens.x, g, cfg.tau), "position update")
 
 
-def ula_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
+def ula_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:
     """Unadjusted Langevin step x - tau grad_f(x) + sqrt(2 tau) xi, row-wise."""
     x = ens.x
     noise = _noise(rng, x)
     return _moved(ens, x - cfg.tau * _grad(cfg, x) + np.sqrt(2.0 * cfg.tau) * noise)
 
 
-def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
+def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:
     """Metropolis-adjusted Langevin step; a rejected particle keeps its row bit for bit.
 
     The target is evaluated only through its batched ``potential_all`` and
@@ -287,7 +301,7 @@ def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsembl
                   f=np.where(accept, f_y, f_x), grad_f=np.where(accept[:, None], g_y, g_x))
 
 
-def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
+def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:
     """Euler-Maruyama step of underdamped Langevin with unit mass and friction.
 
     P' = P - tau (grad_f(X) + P) + sqrt(2 tau) xi,  X' = X + tau P', with the
@@ -299,14 +313,14 @@ def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble
     return _moved(ens, x + cfg.tau * p_new, y=p_new)
 
 
-def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng) -> ParticleEnsemble:
-    """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``.
+def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:
+    """One step of ``cfg.algorithm``; the Langevin noise comes from ``rng``, the scratch arrays from ``work``.
 
     The table is built on each call, so a step function replaced on this
     module (as a tracer does) is the one that runs.
     """
     steps = {"asvgd": asvgd_step, "svgd": svgd_step, "ula": ula_step, "mala": mala_step, "uld": uld_step}
-    return steps[cfg.algorithm](ens, cfg, rng)
+    return steps[cfg.algorithm](ens, cfg, rng, work)
 
 
 def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEnsemble:
@@ -316,15 +330,17 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEns
     initial state and once after every step; it must not mutate the ensemble.
     The Langevin noise comes from ``rng``, a generator seeded with cfg.seed
     unless the caller passes its own, so identical configurations produce
-    identical trajectories.
+    identical trajectories.  One workspace serves every step of the run (see
+    the module docstring).
     """
     ens = ParticleEnsemble.initialize(x0)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    work = {}
     if recorder is not None:
         recorder(ens)
     for _ in range(n_steps):
         try:
-            ens = step(ens, cfg, rng)
+            ens = step(ens, cfg, rng, work)
         except Exception as exc:
             raise RuntimeError(f"{cfg.algorithm} failed at iteration {ens.iteration + 1}: {exc}") from exc
         if recorder is not None:

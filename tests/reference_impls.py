@@ -297,7 +297,9 @@ def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
     """
     n = x.shape[0]
     u = np.asfortranarray(np.hstack([(kernel.chol_a.T @ x.T).T, np.ones((n, 1))]))
-    cap = eps * np.eye(u.shape[1]) + u.T @ u
+    # U^T U from one dot product per pair of columns, as the step forms it
+    m = u.shape[1]
+    cap = eps * np.eye(m) + np.array([[np.dot(u[:, i], u[:, j]) for j in range(m)] for i in range(m)])
     c = np.linalg.solve(cap, u.T @ y)
     utg = u.T @ g
     kg = (utg.T @ u.T).T

@@ -52,7 +52,13 @@ def test_a_deviation_names_its_column(tmp_path):
     assert deviation(new, old) == f"max-rel-dev 0.2  {new.as_posix()}  (kl_estimate)"
     new.write_text("iteration,kl_estimate,grad_restart_stat,note\n0,0.5,nan,a\n3,0.25,-1,a\n", encoding="utf-8")
     assert deviation(new, old) == f"max-rel-dev inf  {new.as_posix()}  (grad_restart_stat)"
+    # an inf names the largest finite deviation too, which it would hide
+    new.write_text("iteration,kl_estimate,grad_restart_stat,note\n0,0.5,nan,a\n3,0.2,-1,a\n", encoding="utf-8")
+    assert deviation(new, old) == (f"max-rel-dev inf  {new.as_posix()}  (grad_restart_stat)"
+                                   "  finite 0.2  (kl_estimate)")
     old, new = old.with_suffix(".npy"), new.with_suffix(".npy")
     np.save(old, np.ones(3))
     np.save(new, np.array([1.0, 1.0, 0.5]))
     assert deviation(new, old) == f"max-rel-dev 0.5  {new.as_posix()}"  # an array has no column to name
+    np.save(new, np.array([np.nan, 1.0, 0.5]))
+    assert deviation(new, old) == f"max-rel-dev inf  {new.as_posix()}  finite 0.5"

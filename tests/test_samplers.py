@@ -616,6 +616,73 @@ class TestBilinearStepInPlace:
             assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
+class TestBilinearWorkspace:
+    """The bilinear step's N-row scratch arrays live in the run's workspace, and none escapes into an ensemble."""
+
+    @staticmethod
+    def _cfg(rng, d, damping):
+        return SamplerConfig(kernel=BilinearKernel(random_spd(rng, d)), target=gaussian_target(rng, d),
+                             tau=0.01, eps=0.1, damping=damping)
+
+    def test_steps_after_the_first_allocate_at_most_four_arrays(self):
+        # constant damping, as in the large bilinear benchmark run; the counter
+        # schedule adds the new counters and an N x 1 damping column
+        n, d = 20_000, 2
+        rng = np.random.default_rng(41)
+        cfg = self._cfg(rng, d, ConstantDamping(0.9))
+        x0 = rng.standard_normal((n, d))
+        run(cfg, x0[:10], 1)  # first-call imports and caches
+        peaks = []
+
+        def record(ens):
+            current, peak = tracemalloc.get_traced_memory()
+            if ens.iteration > 0:
+                peaks.append(peak - record.start)
+            record.start = current
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            run(cfg, x0, 6, recorder=record)
+        finally:
+            tracemalloc.stop()
+        # the first step allocates the workspace; every later one only the new
+        # ensemble's x, y and step lengths (2.5 arrays) and its short-lived temporaries
+        assert max(peaks[1:]) <= 4 * 8 * n * d, [p / (8 * n * d) for p in peaks]
+
+    def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        cfg = self._cfg(rng, 2, RestartNesterov())
+        workspaces = []
+        original = samplers.asvgd_step
+
+        def keep_workspace(ens, cfg, rng, work):
+            workspaces.append(work)
+            return original(ens, cfg, rng, work)
+
+        monkeypatch.setattr(samplers, "asvgd_step", keep_workspace)
+        kept = []
+        run(cfg, rng.standard_normal((300, 2)), 10, recorder=lambda ens: kept.append((ens, copy.deepcopy(ens))))
+        assert len(kept) == 11 and workspaces[0]
+        scratch = list(workspaces[0].values())
+        for ens, snapshot in kept:
+            for name in ("x", "y", "prev_step_norms"):
+                assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
+                assert not any(np.shares_memory(getattr(ens, name), buf) for buf in scratch)
+
+    def test_a_direct_step_matches_the_step_inside_run(self):
+        rng = np.random.default_rng(43)
+        cfg = self._cfg(rng, 2, RestartNesterov())
+        kept = []
+        run(cfg, rng.standard_normal((300, 2)), 10, recorder=kept.append)
+        for before, after in zip(kept, kept[1:]):
+            direct = asvgd_step(before, cfg)
+            for name in ("x", "y", "prev_step_norms"):
+                assert_bits_equal(getattr(direct, name), getattr(after, name))
+            assert np.array_equal(direct.restart_count, after.restart_count)
+            assert_bits_equal(np.asarray(direct.grad_stat), np.asarray(after.grad_stat))
+
+
 class FortranGradTarget(CustomTarget):
     """A CustomTarget whose gradients come back column-major; a CustomTarget's come back in C order."""
 
@@ -728,15 +795,18 @@ class TestRun:
         cfg = self._cfg(algorithm, rng)
         name = f"{algorithm}_step"
         original = getattr(samplers, name)
-        calls = []
+        calls, workspaces = [], []
 
-        def counting(ens, cfg, rng):
+        def counting(ens, cfg, rng, work):
             calls.append(ens.iteration)
-            return original(ens, cfg, rng)
+            workspaces.append(work)
+            return original(ens, cfg, rng, work)
 
         monkeypatch.setattr(samplers, name, counting)
         final = run(cfg, rng.standard_normal((5, 2)), 3)
         assert calls == [0, 1, 2] and final.iteration == 3
+        # one workspace for the whole run, handed through ``step``
+        assert all(work is workspaces[0] for work in workspaces)
 
     def test_step_error_carries_iteration(self):
         exploding = CustomTarget(lambda x: 0.0, lambda x: np.full_like(x, np.nan), dim=2)
