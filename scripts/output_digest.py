@@ -26,11 +26,15 @@ whose ``knn`` KL reading overflows at iteration 5, so the run fails there on
 a non-finite metric.  Every config has 12 steps, eps = 0.1 and, unless it
 sets its own, record_every 3 and N = 60 particles, and every call runs
 inside a temporary directory.  The
-script prints one ``sha256  path`` line per output file and one ``name  error: ...``
-line per failed call, with paths relative to that directory.  Run it on two
-checkouts and diff the outputs to check that a change leaves every CLI output
-byte-identical; ``--src`` names the directory that holds the ``steinflow``
-package to import (default: this checkout's ``src``).
+script prints first the BLAS thread setting, ``blas-threads  T  (SOURCE)``:
+the value of ``OPENBLAS_NUM_THREADS``, else of ``OMP_NUM_THREADS``, else the
+core count, as OpenBLAS picks it, since another thread count may move the
+last bits.  Then it prints one ``sha256  path`` line per output file and one
+``name  error: ...`` line per failed call, with paths relative to that
+directory.  Run it on two checkouts at one thread setting and diff the
+outputs to check that a change leaves every CLI output byte-identical;
+``--src`` names the directory that holds the ``steinflow`` package to import
+(default: this checkout's ``src``).
 
 ``--keep DIR`` runs the calls in DIR, which must not exist yet, instead of a
 temporary directory, and leaves the output tree there.  ``--against DIR``
@@ -103,6 +107,14 @@ def _calls():
            {"sampler": "ula", "target": "double-bananas", "record_every": 1}, ["run"])
 
 
+def _blas_threads(environ):
+    """``T  (SOURCE)``: the BLAS thread count that ``environ`` sets and the variable that sets it, or the core count."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if environ.get(name):
+            return f"{environ[name]}  ({name})"
+    return f"{os.cpu_count()}  (cores)"
+
+
 def _numbers(path):
     """The numbers of an output file as named float arrays, or None for a file without them.
 
@@ -171,7 +183,7 @@ def main(argv=None):
     sys.path.insert(0, str(Path(args.src).resolve()))
     from steinflow import cli
 
-    lines = []
+    lines = [f"blas-threads  {_blas_threads(os.environ)}"]
     cwd = os.getcwd()
     if args.keep:
         Path(args.keep).mkdir(parents=True)

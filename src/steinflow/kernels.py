@@ -8,11 +8,11 @@ Two kernel families are supported:
 A kernel is anything with the two step methods the samplers call:
 
 * ``accelerated_terms(x, y, g, eps, tau, work=None)`` returns, for the
-  accelerated step at positions X with momenta Y and G = grad_f(X), the drive
-  K G and the repulsion push of the momentum update, as arrays that the step
-  may overwrite and that the next call with the same ``work`` overwrites, and
-  the gradient-restart statistic; the push and the statistic read
-  V = N (K + eps I)^-1 Y, which stays inside the call;
+  accelerated step at positions X with momenta Y and G = grad_f(X), the
+  kernel force F = push - (sqrt(tau) / N) K G of the momentum update
+  Y <- alpha Y + F, as a fresh N x d array that the step keeps as the new
+  momentum, and the gradient-restart statistic; the repulsion push and the
+  statistic read V = N (K + eps I)^-1 Y, which stays inside the call;
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
@@ -25,14 +25,16 @@ BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
 and solves only the (d+1) x d capacitance system, ``capacitance_solve``.
 
 ``work`` is the run's workspace, a dict that ``samplers.run`` makes once per
-run (see ``samplers``).  The bilinear step keeps its three N-row arrays there:
-the factor U and its two N x d results, K G and the push.  At N = 50 000 a
-fresh copy of each on every step lands at the top of the heap, which glibc
-trims and faults in again on the next step; with the workspace the step
-allocates only the arrays the new ensemble keeps.  The Gaussian step leaves
-its N x N buffer out of the workspace: keeping that buffer across steps
-raised the minor page faults of a 60-step N = 1000 run from 33-39 to 272-279
-per step (fresh process, one BLAS thread).
+run (see ``samplers``).  The bilinear step keeps its one N-row scratch array
+there, the factor U, whose constant column is written once, when the array
+is allocated; its force is the one product U S, whose fresh output the new
+ensemble keeps.  At N = 50 000 a fresh N-row temporary on every step lands
+at the top of the heap, which glibc trims and faults in again on the next
+step; with the workspace the kernel allocates only the force, which the new
+ensemble keeps.  The Gaussian step leaves its N x N buffer out of the
+workspace: keeping that buffer across steps raised the minor page faults of
+a 60-step N = 1000 run from 33-39 to 272-279 per step (fresh process, one
+BLAS thread).
 
 The samplers hand every N x d array over column-major (see ``samplers``),
 and each kernel returns its N x d results, and builds the bilinear factor U,
@@ -82,7 +84,7 @@ class GaussianKernel:
         import scipy.linalg  # noqa: F401
 
     def accelerated_terms(self, x, y, g, eps, tau, work=None):
-        """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
+        """Kernel force push - (sqrt(tau) / N) K grad_f(X) and restart statistic of the accelerated step at X.
 
         ``work`` is not read (see the module docstring).  The momentum update
         needs the interaction matrix W = N K + K ((V V^T) o K) - K o ((K V) V^T)
@@ -145,8 +147,9 @@ class GaussianKernel:
         q = k_times(np.hstack([m, r[:, None]]))
         w1 = n * k1 + (q[:, -1] - np.einsum("ia,ia->i", kv, kv))
         wx = n * kx + (q[:, :-1] - np.einsum("ia,iac->ic", kv, kz))
-        push = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
-        return kg, push, grad_stat
+        force = (np.sqrt(tau) / (n**2 * self.sigma2)) * (w1[:, None] * x - wx)
+        force -= (np.sqrt(tau) / n) * kg
+        return force, grad_stat
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) [ (diag(K 1) - K) X / sigma2 - K grad_f(X) ].
@@ -173,46 +176,47 @@ class BilinearKernel:
     def __repr__(self):
         return f"BilinearKernel(a={self.a.tolist()})"
 
-    def low_rank_factor(self, x, out=None):
+    def low_rank_factor(self, x, work=None):
         """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T.
 
-        U is column-major, like every N-row array of a run; it is written into
-        ``out``, a column-major N x (d+1) array, when one is given.
+        U is column-major, like every N-row array of a run.  With a ``work``
+        dict, U is the array kept there under "u": its constant column is
+        written when that array is allocated, and X L on every call.
         """
         x = np.asarray(x, dtype=float)
-        u = np.empty((x.shape[0], self.dim + 1), order="F") if out is None else out
+        u, fresh = workspace_array({} if work is None else work, "u", (x.shape[0], self.dim + 1))
+        if fresh:
+            u[:, -1] = 1.0
         np.matmul(self.chol_a.T, x.T, out=u.T[:-1])  # X L as (L^T X^T)^T, written into U's first columns
-        u[:, -1] = 1.0
         return u
 
     def accelerated_terms(self, x, y, g, eps, tau, work=None):
-        """K grad_f(X), repulsion push and restart statistic of the accelerated step at X.
+        """Kernel force push - (sqrt(tau) / N) K grad_f(X) and restart statistic of the accelerated step at X.
 
         Both read V only through U^T V = N C, C from ``capacitance_solve``: the
         push is sqrt(tau) (1 + |C|^2) X A, and with grad2_k(x, y) = A x and
         X A = U[:, :d] L^T the statistic is -(1/N^2) [tr(V^T K G) - N tr(V^T X A)]
-        = -(1/N) [<C, U^T G> - N <C[:d], L^T>].  Needs eps > 0: K has rank at
-        most d + 1, so K + eps I is singular at eps = 0 as soon as N > d + 1.
+        = -(1/N) [<C, U^T G> - N <C[:d], L^T>].  As K G = U (U^T G), the force
+        is one product U S with the (d+1) x d matrix
+        S = -(sqrt(tau) / N) U^T G + sqrt(tau) (1 + |C|^2) [L^T; 0].  Needs
+        eps > 0: K has rank at most d + 1, so K + eps I is singular at eps = 0
+        as soon as N > d + 1.
 
-        U, K G and the push are written into the arrays that ``work`` keeps
-        under "u", "kg" and "push", allocated on the first call with a fresh
-        ``work``, so the steps of one run reuse them (see the module docstring).
+        U lives in ``work`` (see ``low_rank_factor``); the force is a fresh
+        array, which the step keeps as the new momentum.
         """
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
-        work = {} if work is None else work
-        n, d = x.shape
-        u = self.low_rank_factor(x, out=_scratch(work, "u", (n, d + 1)))
+        n = x.shape[0]
+        u = self.low_rank_factor(x, work)
         c = capacitance_solve(u, eps, y)
         utg = u.T @ g
-        kg, push = _scratch(work, "kg", (n, d)), _scratch(work, "push", (n, d))
-        # (S^T B^T)^T written into column-major results, as in _matmul_f
-        np.matmul(utg.T, u.T, out=kg.T)
         grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], self.chol_a.T)) / n
-        np.matmul(self.a.T, x.T, out=push.T)
-        push *= np.sqrt(tau) * (1.0 + np.linalg.norm(c) ** 2)
-        return kg, push, grad_stat
+        sqrt_tau = np.sqrt(tau)
+        s = utg * (-sqrt_tau / n)
+        s[:-1] += (sqrt_tau * (1.0 + np.linalg.norm(c) ** 2)) * self.chol_a.T
+        return _matmul_f(u, s), grad_stat
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
@@ -225,17 +229,21 @@ class BilinearKernel:
         return x + tau * (_matmul_f(x, self.a) - kg / x.shape[0])
 
 
+def workspace_array(work, key, shape):
+    """The column-major float array that the workspace ``work`` keeps under ``key``, and whether this call allocated it.
+
+    A new array replaces one that is absent or of another shape.
+    """
+    buf = work.get(key)
+    if buf is not None and buf.shape == shape:
+        return buf, False
+    buf = work[key] = np.empty(shape, order="F")
+    return buf, True
+
+
 def _matmul_f(x, a):
     """x @ a for an N-row x and a small a, computed as (a^T x^T)^T, so the result is column-major."""
     return (a.T @ x.T).T
-
-
-def _scratch(work, key, shape):
-    """The column-major float array that ``work`` keeps under ``key``, allocated when absent or of another shape."""
-    buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = work[key] = np.empty(shape, order="F")
-    return buf
 
 
 @dataclass

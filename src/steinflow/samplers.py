@@ -12,15 +12,17 @@ One accelerated step runs
 2. V = N (K + eps I)^-1 Y, row i approximating grad Phi(X_i)
 3. per-particle speed restart, global gradient restart, damping alpha from
    the counters (or a constant beta)
-4. Y <- alpha Y - (sqrt(tau) / N) K grad_f(X) + push, the push built from V.
+4. Y <- alpha Y + F, with the kernel force F = push - (sqrt(tau) / N) K grad_f(X)
+   and the push built from V.
 
 Steps 1 and 3 and the combination of step 4 are the same for every kernel.
-The kernel's ``accelerated_terms`` supplies K grad_f(X), the repulsion push
-and the restart statistic, and its ``plain_step`` the whole plain update, so
-``asvgd_step`` and ``svgd_step`` never ask which kernel they run on; see
-``kernels`` for how each kernel computes them.  ``SamplerConfig`` rejects a
-kernel without those two methods for the two kernel samplers; the Langevin
-samplers never read the kernel and take ``kernel=None``.
+The kernel's ``accelerated_terms`` supplies the force F, as a fresh array that
+becomes the new momentum, and the restart statistic, and its ``plain_step``
+the whole plain update, so ``asvgd_step`` and ``svgd_step`` never ask which
+kernel they run on; see ``kernels`` for how each kernel computes them.
+``SamplerConfig`` rejects a kernel without those two methods for the two
+kernel samplers; the Langevin samplers never read the kernel and take
+``kernel=None``.
 
 All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
 returns the next ``ParticleEnsemble``, with its positions checked finite, its
@@ -38,12 +40,14 @@ positions the ensemble has left.  ``step`` picks the function by
 ``cfg.algorithm``, and ``run`` is the one loop over it.
 
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
-every step, in which the kernel keeps the N-row scratch arrays of the
-accelerated step between steps (see ``kernels``), so that a large run does not
-allocate, fault in and free them again on every step.  It belongs to one run:
-never to the ensemble, the kernel or the module, because a sweep runs its jobs
-on threads, and no array of it ends up in an ensemble, which a recorder may
-keep.  A step called without it gets a fresh one, with the same bits.
+every step, which holds the accelerated step's N-row scratch arrays: the
+kernel's (see ``kernels``) and alpha Y under "alpha_y".  So a large run does
+not allocate, fault in and free them again on every step; the kernel's fresh
+force becomes the new momentum, so the momentum update allocates nothing
+else.  The workspace belongs to one run: never to the ensemble, the kernel or
+the module, because a sweep runs its jobs on threads, and no array of it ends
+up in an ensemble, which a recorder may keep.  A step called without it gets
+a fresh one, with the same bits.
 
 Every N x d array of a run is column-major (Fortran order), so each
 coordinate is one contiguous length-N vector: ``ParticleEnsemble.initialize``
@@ -61,6 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .kernels import workspace_array
 
 __all__ = [
     "ParticleEnsemble",
@@ -225,39 +231,40 @@ def _damping(ens, cfg, step_norms, grad_stat):
     damping = cfg.damping
     if isinstance(damping, ConstantDamping):
         return damping.beta, ens.restart_count
-    counts = ens.restart_count.copy()
+    counts = ens.restart_count + 1
     if damping.use_speed:
-        slower = step_norms < ens.prev_step_norms
-        counts[slower] = 1
-        counts[~slower] += 1
-    else:
-        counts += 1
+        counts[step_norms < ens.prev_step_norms] = 1
     if damping.use_gradient and grad_stat < 0.0:
         counts[:] = 1
-    alpha = (counts - 1.0) / (counts + damping.r - 1.0)
+    # (counts - 1.0) / (counts + r - 1.0) in two N-float arrays; the float r
+    # keeps the denominator float when r is an integer
+    alpha = counts - 1.0
+    denominator = counts + float(damping.r)
+    denominator -= 1.0
+    alpha /= denominator
     return alpha[:, None], counts
 
 
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
     """One accelerated transport step (position, damping, momentum).
 
-    The kernel-specific terms come from ``cfg.kernel.accelerated_terms``, which
+    The kernel force comes from ``cfg.kernel.accelerated_terms``, which
     keeps its scratch arrays in ``work``; the bilinear kernel requires eps > 0
     and raises ValueError otherwise.
     """
-    sqrt_tau = np.sqrt(cfg.tau)
+    work = {} if work is None else work
     # X + sqrt(tau) Y in the one array the new ensemble keeps
-    x_new = np.multiply(ens.y, sqrt_tau)
+    x_new = np.multiply(ens.y, np.sqrt(cfg.tau))
     x_new += ens.x
     moved = _moved(ens, x_new)
-    g = _grad(cfg, moved.x)
-
-    kg, push, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau, work)
+    # grad_f(X) is freed when the kernel returns
+    force, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, _grad(cfg, moved.x),
+                                                    cfg.eps, cfg.tau, work)
     alpha, counts = _damping(ens, cfg, moved.prev_step_norms, grad_stat)
-    # (alpha Y - (sqrt(tau) / N) K grad_f) + push, built in place in that order
-    y_new = alpha * ens.y
-    y_new -= np.multiply(kg, sqrt_tau / ens.n, out=kg)
-    y_new += push
+    # F + alpha Y in the force array, which the new ensemble keeps as its momentum
+    alpha_y, _ = workspace_array(work, "alpha_y", ens.y.shape)
+    y_new = force
+    y_new += np.multiply(ens.y, alpha, out=alpha_y)
 
     _check_finite(y_new, moved.iteration, "momentum update")
     return replace(moved, y=y_new, restart_count=counts, grad_stat=grad_stat)

@@ -12,6 +12,30 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 MAX_PATHS = 100  # particles drawn by render_trajectory_svg
+_LEVEL_QUANTILES = np.array([0.05, 0.15, 0.3, 0.5, 0.7, 0.85])  # of the potential on the plot grid
+
+
+def _quantiles(values, q):
+    """``np.quantile(values, q)`` with its default ``linear`` method, for q in [0, 1].
+
+    One sort and numpy's own interpolation: the value at virtual index
+    (n - 1) q, with a NaN anywhere giving NaN.  The result has numpy's bits,
+    but for the sign of a zero among tied zeros.  ``np.quantile`` and
+    ``np.unique`` import ``numpy.ma`` on their first call, which costs a
+    fresh process 10-30 ms.
+    """
+    v = np.sort(values, axis=None)
+    if np.isnan(v[-1]):
+        return np.full(q.shape, v[-1])
+    virtual = (v.size - 1) * q
+    below = np.floor(virtual)
+    t = virtual - below
+    lo = below.astype(np.intp)
+    a, b = v[lo], v[np.minimum(lo + 1, v.size - 1)]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def marching_squares(grid, xs, ys, level):
@@ -71,9 +95,9 @@ def render_trajectory_svg(path, snapshots, target=None):
     """
     width = height = 640
     first, last = snapshots[0], snapshots[-1]
-    allpts = np.vstack([first, last])
-    lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
+    # the bounds of both snapshots, without a copy of them
+    lo = np.minimum(first.min(axis=0), last.min(axis=0))
+    hi = np.maximum(first.max(axis=0), last.max(axis=0))
     pad = 0.15 * np.maximum(hi - lo, 1e-6)
     xlim = (lo[0] - pad[0], hi[0] + pad[0])
     ylim = (lo[1] - pad[1], hi[1] + pad[1])
@@ -92,8 +116,10 @@ def render_trajectory_svg(path, snapshots, target=None):
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         # grid[i, j] = f(xs[i], ys[j])
         grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
-        levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
-        segs = np.concatenate([marching_squares(grid, xs, ys, level) for level in np.unique(levels)])
+        levels = np.sort(_quantiles(grid, _LEVEL_QUANTILES))
+        # the distinct levels in order, as np.unique gives them: a NaN level crosses no edge
+        levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
+        segs = np.concatenate([marching_squares(grid, xs, ys, level) for level in levels])
         if len(segs):
             line = ('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="black" '
                     'stroke-width="0.6" stroke-opacity="0.6"/>')

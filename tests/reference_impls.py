@@ -10,7 +10,8 @@ full-row pass that the one-triangle pass replaced, as oracles that the
 blocked pass must match bit for bit.  ``loop_trajectory_svg`` is the
 per-point SVG renderer, which the array renderer must match byte for byte.
 ``unfused_bilinear_terms`` and ``unfused_bilinear_step`` keep the bilinear
-step with one temporary array per operation, in the step's product order,
+step, whose momentum update is one product of its factor U with a small
+matrix, with one temporary array per operation, in the step's product order,
 which the in-place step must match bit for bit.
 ``point_potential`` writes each built-in target's potential out for one
 point; gradients are checked against ``central_diff_grad`` of it.
@@ -286,14 +287,17 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
 
 
 def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
-    """Drive, push and restart statistic of the bilinear accelerated step, one temporary per operation.
+    """Force and restart statistic of the bilinear accelerated step, one temporary per operation.
 
-    The expressions the step used before it filled its arrays in place; the
-    step must match them bit for bit.  U is column-major, and a product of an
-    N-row array B with a small S is taken as (S^T B^T)^T, as the step takes it.
-    The push scale 1 + |U^T V|^2 / N^2 is 1 + |C|^2 with C the capacitance
-    solve, since U^T V = N C, and the statistic is the step's expression in C
-    and U^T G; ``loop_double_sum_stat`` checks it independently.
+    The expressions the step fills its arrays from; the step must match them
+    bit for bit.  U is column-major, and a product of an N-row array B with a
+    small S is taken as (S^T B^T)^T, as the step takes it.  The force
+    push - (sqrt(tau) / N) K G is U S with
+    S = -(sqrt(tau) / N) U^T G + sqrt(tau) (1 + |C|^2) [L^T; 0], since
+    K G = U (U^T G) and the push is sqrt(tau) (1 + |U^T V|^2 / N^2) X A with
+    X A = U[:, :d] L^T and U^T V = N C, C the capacitance solve.  The
+    statistic is the step's expression in C and U^T G;
+    ``loop_double_sum_stat`` checks it independently.
     """
     n = x.shape[0]
     u = np.asfortranarray(np.hstack([(kernel.chol_a.T @ x.T).T, np.ones((n, 1))]))
@@ -302,17 +306,18 @@ def unfused_bilinear_terms(kernel, x, y, g, eps, tau):
     cap = eps * np.eye(m) + np.array([[np.dot(u[:, i], u[:, j]) for j in range(m)] for i in range(m)])
     c = np.linalg.solve(cap, u.T @ y)
     utg = u.T @ g
-    kg = (utg.T @ u.T).T
     grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], kernel.chol_a.T)) / n
-    scale = 1.0 + np.linalg.norm(c) ** 2
-    return kg, np.sqrt(tau) * scale * (kernel.a.T @ x.T).T, grad_stat
+    push_scale = np.sqrt(tau) * (1.0 + np.linalg.norm(c) ** 2)
+    s = utg * (-np.sqrt(tau) / n)
+    s[:-1] = s[:-1] + push_scale * kernel.chol_a.T
+    return (s.T @ u.T).T, grad_stat
 
 
 def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     """One bilinear-kernel ``asvgd`` or ``svgd`` step (``cfg.algorithm``) in the unfused form.
 
     The step lengths come from ``np.linalg.norm``, the counters are copied and
-    the momentum is (alpha Y - (sqrt(tau) / N) K grad_f) + push.
+    the momentum is F + alpha Y, F the kernel force.
     """
     n = ens.n
     if cfg.algorithm == "svgd":
@@ -322,13 +327,12 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
         x_new = ens.x + cfg.tau * ((cfg.kernel.a.T @ ens.x.T).T - kg / n)
         return replace(ens, x=x_new, prev_step_norms=np.linalg.norm(x_new - ens.x, axis=1),
                        iteration=ens.iteration + 1)
-    st = np.sqrt(cfg.tau)
-    x_new = ens.x + st * ens.y
+    x_new = ens.x + np.sqrt(cfg.tau) * ens.y
     g = cfg.target.grad_all(x_new)
-    kg, push, grad_stat = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
+    force, grad_stat = unfused_bilinear_terms(cfg.kernel, x_new, ens.y, g, cfg.eps, cfg.tau)
     step_norms = np.linalg.norm(x_new - ens.x, axis=1)
     alpha, counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
-    y_new = alpha[:, None] * ens.y - (st / n) * kg + push
+    y_new = force + alpha[:, None] * ens.y
     return replace(ens, x=x_new, y=y_new, restart_count=counts, prev_step_norms=step_norms,
                    iteration=ens.iteration + 1, grad_stat=grad_stat)
 

@@ -28,6 +28,8 @@ from pathlib import Path
 
 def check(where):
     assert "scipy" not in sys.modules, f"scipy is loaded after {where}"
+    # np.unique and np.quantile import numpy.ma on their first call
+    assert "numpy.ma" not in sys.modules, f"numpy.ma is loaded after {where}"
 
 import steinflow
 check("import steinflow")

@@ -358,7 +358,8 @@ class TestRegularizedInverse:
         u = kernel.low_rank_factor(x).astype(np.longdouble)
         c = longdouble_solve(eps * np.eye(3, dtype=np.longdouble) + u.T @ u, u.T @ y.astype(np.longdouble))
         expected = (1 + (c**2).sum()) * (kernel.a.T @ x.T).T.astype(np.longdouble)
-        _, push, _ = kernel.accelerated_terms(x, y, np.zeros((n, 2)), eps, 1.0)
+        # at G = 0 the force is the push alone
+        push, _ = kernel.accelerated_terms(x, y, np.zeros((n, 2)), eps, 1.0)
         assert np.abs(push - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n, d", [(7, 1), (60, 2), (300, 5)])
@@ -371,7 +372,12 @@ class TestRegularizedInverse:
         y = rng.standard_normal((n, d))
         b = rng.standard_normal((n, d))
         eps = 0.1
-        kb, _, stat = kernel.accelerated_terms(x, y, b, eps, 0.05)
+        _, stat = kernel.accelerated_terms(x, y, b, eps, 0.05)
+        # the force is push - (sqrt(tau) / N) K b, linear in b; at 2^20 b, an exact scaling, the
+        # push's rounding is lost in K b's, so force(0) - force(2^20 b) gives K b to its last bits
+        scale = 2.0**20 * np.sqrt(0.05) / n
+        kb = (kernel.accelerated_terms(x, y, np.zeros((n, d)), eps, 0.05)[0]
+              - kernel.accelerated_terms(x, y, 2.0**20 * b, eps, 0.05)[0]) / scale
         k = loop_gram(kernel, x)
         dense_v = n * np.linalg.solve(k + eps * np.eye(n), y)
         # the restart statistic is -<V, T> / N^2 with T = K G + (K X - diag(K 1) X) / sigma2, so

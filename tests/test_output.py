@@ -137,6 +137,26 @@ class TestMarchingSquares:
         assert len(assert_same_segments(grid, xs, ys, 1.0)) == 0
 
 
+class TestLevelQuantiles:
+    """The plot's level quantiles come from one sort, with numpy's ``linear`` quantile bit for bit."""
+
+    @pytest.mark.parametrize("q", [svg._LEVEL_QUANTILES, np.linspace(0.0, 1.0, 41)], ids=["levels", "grid"])
+    def test_matches_np_quantile(self, q):
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            grid = rng.standard_normal(rng.integers(1, 70, size=2)) * 10.0 ** rng.uniform(-5, 5)
+            if k % 3 == 0:
+                grid = np.round(grid, 1)  # ties
+            if k % 5 == 0:
+                grid.flat[rng.integers(grid.size)] = (np.inf, -np.inf, np.nan)[k % 3]
+            with np.errstate(invalid="ignore"):  # inf - inf in both interpolations
+                got, expected = svg._quantiles(grid, q), np.quantile(grid, q)
+            # equal floats have equal bits, but for the sign of a zero, which a sort and
+            # numpy's partition may pick differently among tied zeros and no level line sees
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected, equal_nan=True), (k, got, expected)
+
+
 class TestTrajectorySvg:
     def test_run_with_more_particles_than_paths_draws_full_records(self, tmp_path):
         # a tight initial cloud that MALA spreads out: the last record sets the plot limits

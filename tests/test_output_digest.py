@@ -1,6 +1,7 @@
 """scripts/output_digest.py: two runs write identical outputs, and ``--against`` says how far and in which column a file moved."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,11 +38,20 @@ def test_a_second_run_reproduces_every_output(tmp_path):
     assert second.returncode == 0, second.stderr
     assert second.stderr == ""  # no output file differs from the kept one
     assert second.stdout == first.stdout
+    header, *lines = first.stdout.splitlines()
+    assert header == f"blas-threads  {_script()._blas_threads(os.environ)}"
     # each line is "sha256  name/file" or "name  error: ...": every call wrote a file or failed
     names = {line.split("  ", 1)[1].split("/")[0] if "  error: " not in line else line.split("  ", 1)[0]
-             for line in first.stdout.splitlines()}
+             for line in lines}
     calls = _call_names()
     assert len(calls) == 92 and names == set(calls)
+
+
+def test_the_thread_setting_names_its_source():
+    blas_threads = _script()._blas_threads
+    assert blas_threads({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}) == "1  (OPENBLAS_NUM_THREADS)"
+    assert blas_threads({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}) == "2  (OMP_NUM_THREADS)"
+    assert blas_threads({}) == f"{os.cpu_count()}  (cores)"
 
 
 def test_a_deviation_names_its_column(tmp_path):

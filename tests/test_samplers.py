@@ -1,6 +1,7 @@
 import copy
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from steinflow import samplers
+from steinflow.config import parse_config
 from steinflow.diagnostics import empirical_moments
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import (
@@ -333,6 +335,25 @@ class TestRestartLogic:
         # counts increment to (2, 3, 6); alpha = (c-1)/(c+2) applied to the old (zero) momentum
         assert np.array_equal(out.restart_count, [2, 3, 6])
 
+    @pytest.mark.parametrize("damping", [
+        RestartNesterov(r=4),
+        parse_config('{"target": "quartic", "restart_offset": 4}').build_damping(),
+        RestartNesterov(use_speed=False, r=3.7),
+    ], ids=["python-int", "json-int", "float"])
+    @pytest.mark.parametrize("grad_stat", [0.5, -0.5])
+    def test_damping_matches_the_reference_bit_for_bit(self, damping, grad_stat):
+        # an integer r (a JSON integer is kept as one) must give a float damping, not an integer array
+        rng = np.random.default_rng(11)
+        cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=gaussian_target(rng, 2), tau=0.01, eps=0.1,
+                            damping=damping)
+        ens = random_ensemble(rng, 257, 2)
+        step_norms = rng.uniform(0.0, 0.2, size=ens.n)
+        alpha, counts = samplers._damping(ens, cfg, step_norms, grad_stat)
+        expected_alpha, expected_counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
+        assert_bits_equal(alpha[:, 0], expected_alpha)
+        assert np.array_equal(counts, expected_counts)
+        assert asvgd_step(ens, cfg).iteration == ens.iteration + 1
+
     @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), BilinearKernel(np.eye(2))], ids=["gaussian", "bilinear"])
     def test_gradient_restart_resets_all(self, kernel):
         # a momentum field pointing against the descent direction rises in energy
@@ -624,12 +645,12 @@ class TestBilinearWorkspace:
         return SamplerConfig(kernel=BilinearKernel(random_spd(rng, d)), target=gaussian_target(rng, d),
                              tau=0.01, eps=0.1, damping=damping)
 
-    def test_steps_after_the_first_allocate_at_most_four_arrays(self):
-        # constant damping, as in the large bilinear benchmark run; the counter
-        # schedule adds the new counters and an N x 1 damping column
+    @staticmethod
+    def _steady_peaks(damping):
+        """tracemalloc peak of each step after the first of a bilinear run at N = 20 000, d = 2, in N x d arrays."""
         n, d = 20_000, 2
         rng = np.random.default_rng(41)
-        cfg = self._cfg(rng, d, ConstantDamping(0.9))
+        cfg = TestBilinearWorkspace._cfg(rng, d, damping)
         x0 = rng.standard_normal((n, d))
         run(cfg, x0[:10], 1)  # first-call imports and caches
         peaks = []
@@ -637,7 +658,7 @@ class TestBilinearWorkspace:
         def record(ens):
             current, peak = tracemalloc.get_traced_memory()
             if ens.iteration > 0:
-                peaks.append(peak - record.start)
+                peaks.append((peak - record.start) / (8 * n * d))
             record.start = current
             tracemalloc.reset_peak()
 
@@ -646,9 +667,21 @@ class TestBilinearWorkspace:
             run(cfg, x0, 6, recorder=record)
         finally:
             tracemalloc.stop()
-        # the first step allocates the workspace; every later one only the new
-        # ensemble's x, y and step lengths (2.5 arrays) and its short-lived temporaries
-        assert max(peaks[1:]) <= 4 * 8 * n * d, [p / (8 * n * d) for p in peaks]
+        # the first step allocates the workspace
+        return peaks[1:]
+
+    def test_steps_after_the_first_allocate_at_most_four_arrays(self):
+        # constant damping, as in the large bilinear benchmark run: each step
+        # allocates the new ensemble's x, y and step lengths (2.5 arrays) and
+        # its short-lived temporaries
+        peaks = self._steady_peaks(ConstantDamping(0.9))
+        assert max(peaks) <= 4, peaks
+
+    def test_restart_damped_steps_allocate_at_most_four_and_a_half_arrays(self):
+        # the counter schedule adds the new counters and an N x 1 damping column,
+        # built in place
+        peaks = self._steady_peaks(RestartNesterov())
+        assert max(peaks) <= 4.5, peaks
 
     def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -833,6 +866,22 @@ class TestRun:
             run(cfg, x0, 3)
         smin = float(re.search(r"smallest singular value (\S+)\)", str(info.value)).group(1))
         assert smin <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_raise_without_a_warning(self, bad):
+        # the positions are checked before a step length is formed from them
+        rng = np.random.default_rng(16)
+        ens = random_ensemble(rng, 6, 2)
+        ens.y[2, 1] = bad
+        cfg = self._cfg("asvgd", rng)
+        target = CustomTarget(lambda x: 0.0, lambda x: np.where(x > 0.5, bad, x), dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"^non-finite positions at iteration 4$"):
+                asvgd_step(ens, cfg)
+            with pytest.raises(RuntimeError) as info:
+                run(replace(self._cfg("ula", rng), target=target), ens.x, 3)
+        assert str(info.value) == "ula failed at iteration 1: non-finite positions at iteration 1"
 
     def test_diverging_langevin_run_fails_at_first_non_finite_position(self):
         # the steinflow-run config {"sampler": "ula", "target": "double-bananas",
