@@ -73,17 +73,17 @@ def gaussian_fit_kl(mean, cov, target: GaussianTarget):
     The moments are those of ``empirical_moments``, which a caller that also
     records them computes once.  A degenerate fitted covariance is regularized
     by adding 1e-8 I to a copy; the second return value flags that this happened.
-    It factors the covariance once and reads the target's cached Q^-1 and ln det Q.
+    It factors the covariance once, to check it, and reads the target's cached
+    Cholesky factor of Q.
     """
     if not isinstance(target, GaussianTarget):
         raise TypeError("gaussian-fit KL needs a Gaussian target")
-    degenerate = False
     try:
-        cov, chol = spd_cholesky(cov, "sigma")
+        cov, _ = spd_cholesky(cov, "sigma")
+        return _kl_gaussians_factored(mean, cov, target.b, target.q, target.chol_q), False
     except ValueError:  # not positive definite; any other ValueError recurs on the copy
-        cov, chol = spd_cholesky(cov + 1e-8 * np.eye(cov.shape[0]), "sigma")
-        degenerate = True
-    return _kl_gaussians_factored(mean, cov, chol, target.b, target.q_inv, target.log_det_q), degenerate
+        cov, _ = spd_cholesky(cov + 1e-8 * np.eye(cov.shape[0]), "sigma")
+        return _kl_gaussians_factored(mean, cov, target.b, target.q, target.chol_q), True
 
 
 def kl_estimate(x, target, method="gaussian-fit") -> float:

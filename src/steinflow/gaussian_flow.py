@@ -120,20 +120,26 @@ def kl_gaussians(mu, sigma, nu, q) -> float:
     """KL divergence of N(mu, sigma) from N(nu, q).
 
     0.5 * (tr(Q^-1 Sigma) - d + (nu - mu)^T Q^-1 (nu - mu) + ln det Q - ln det Sigma);
-    nonnegative, zero exactly at (mu, sigma) = (nu, q).
+    nonnegative, zero exactly at (mu, sigma) = (nu, q); computed as ``_kl_gaussians_factored``.
     """
-    sigma, chol_s = spd_cholesky(sigma, "sigma")
+    sigma, _ = spd_cholesky(sigma, "sigma")
     q, chol_q = spd_cholesky(q, "q")
-    return _kl_gaussians_factored(mu, sigma, chol_s, nu, np.linalg.inv(q), 2.0 * np.log(np.diag(chol_q)).sum())
+    return _kl_gaussians_factored(mu, sigma, nu, q, chol_q)
 
 
-def _kl_gaussians_factored(mu, sigma, chol_s, nu, q_inv, logdet_q) -> float:
-    """``kl_gaussians`` from Sigma's lower Cholesky factor, Q^-1 and ln det Q, with no check."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    logdet_s = 2.0 * np.log(np.diag(chol_s)).sum()
-    diff = nu - mu
-    return 0.5 * float(np.trace(q_inv @ sigma) - mu.size + diff @ q_inv @ diff + logdet_q - logdet_s)
+def _kl_gaussians_factored(mu, sigma, nu, q, chol_q) -> float:
+    """``kl_gaussians`` from Q's lower Cholesky factor L, with no check; a KL near 0 keeps its digits.
+
+    0.5 * (sum_i (x_i - log1p(x_i)) + |L^-1 (nu - mu)|^2), x_i the eigenvalues of
+    L^-1 (Sigma - Q) L^-T, cancels no terms of order 1.  An x_i <= -1 (Sigma not
+    positive definite to working precision) raises ValueError.
+    """
+    m = np.linalg.solve(chol_q, np.linalg.solve(chol_q, sigma - q).T)  # L^-1 (Sigma - Q) L^-T, transposed
+    x = np.linalg.eigvalsh(0.5 * (m + m.T))
+    if not x.min() > -1.0:
+        raise ValueError("sigma must be positive definite, relative to q, to working precision")
+    z = np.linalg.solve(chol_q, np.atleast_1d(np.subtract(nu, mu, dtype=float)))
+    return 0.5 * float((x - np.log1p(x)).sum() + z @ z)
 
 
 def _kernel_bilinear(a, x, y):

@@ -10,44 +10,40 @@ One accelerated step runs
 
 1. X <- X + sqrt(tau) Y
 2. V = N (K + eps I)^-1 Y, row i approximating grad Phi(X_i)
-3. per-particle speed restart, global gradient restart, damping alpha from
-   the counters (or a constant beta)
+3. the damping's ``factor``: per-particle speed restart, global gradient
+   restart and alpha from the counters, or a constant beta
 4. Y <- alpha Y + F, with the kernel force F = push - (sqrt(tau) / N) K grad_f(X)
    and the push built from V.
 
 Steps 1 and 3 and the combination of step 4 are the same for every kernel.
 The kernel's ``accelerated_terms`` supplies the force F, as a fresh array that
 becomes the new momentum, and the restart statistic, and its ``plain_step``
-the whole plain update, so ``asvgd_step`` and ``svgd_step`` never ask which
-kernel they run on; see ``kernels`` for how each kernel computes them.
+the whole plain update; the damping's ``factor`` supplies alpha and the new
+counters.  So ``asvgd_step`` and ``svgd_step`` never ask which kernel or
+damping they run with; see ``kernels`` for how each kernel computes its terms.
 ``SamplerConfig`` rejects a kernel without those two methods for the two
-kernel samplers; the Langevin samplers never read the kernel and take
-``kernel=None``.
+kernel samplers, and a damping without ``factor`` for ``asvgd``; the Langevin
+samplers never read the kernel and take ``kernel=None``.
 
 All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
 returns the next ``ParticleEnsemble``, with its positions checked finite, its
 step lengths recorded and its iteration advanced by one.  The kernel samplers
-ignore ``rng``, and every sampler but ``asvgd`` ignores ``work``.  The
+ignore ``rng``, and only ``asvgd`` and ``mala`` read ``work``.  The
 Langevin samplers keep their state in the same ensemble: ULD's momentum lives
 in Y.  MALA returns no acceptance flags, since a rejected particle keeps its
 row bit for bit: the accepted rows are ``np.any(new.x != ens.x, axis=1)``.
-MALA evaluates the target once per step, at its proposal: the ensemble it
-returns carries f(X) and grad_f(X) of its positions in the fields ``f`` and
-``grad_f``, which the next MALA step reads instead of evaluating the target
-again.  Every other step, and
-``ParticleEnsemble.initialize``, leaves them None, so no step reads values of
-positions the ensemble has left.  ``step`` picks the function by
-``cfg.algorithm``, and ``run`` is the one loop over it.
+``step`` picks the function by ``cfg.algorithm``, and ``run`` is the one loop
+over it.
 
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
-every step, which holds the accelerated step's N-row scratch arrays: the
-kernel's (see ``kernels``) and alpha Y under "alpha_y".  So a large run does
-not allocate, fault in and free them again on every step; the kernel's fresh
-force becomes the new momentum, so the momentum update allocates nothing
-else.  The workspace belongs to one run: never to the ensemble, the kernel or
-the module, because a sweep runs its jobs on threads, and no array of it ends
-up in an ensemble, which a recorder may keep.  A step called without it gets
-a fresh one, with the same bits.
+every step.  It holds the accelerated step's N-row scratch arrays (the
+kernel's, see ``kernels``, and alpha Y under "alpha_y"), so a large run does
+not allocate, fault in and free them on every step, and, under "mala", f and
+grad_f at the positions MALA returned, so MALA evaluates the target once per
+step (see ``mala_step``).  The workspace belongs to one run, never to the
+ensemble, the kernel or the module, because a sweep runs its jobs on threads;
+no scratch array of it ends up in an ensemble, which a recorder may keep.  A
+step called without it gets a fresh one, with the same bits.
 
 Every N x d array of a run is column-major (Fortran order), so each
 coordinate is one contiguous length-N vector: ``ParticleEnsemble.initialize``
@@ -91,14 +87,11 @@ ALGORITHMS = KERNEL_ALGORITHMS + ("ula", "mala", "uld")
 class ParticleEnsemble:
     """Positions, momenta and restart bookkeeping for one particle system.
 
-    ``x``, ``y`` and ``grad_f`` are N x d arrays in column-major order
-    (see the module docstring).
-    ``prev_step_norms`` holds each particle's displacement in the last step, and
-    ``grad_stat`` the gradient-restart statistic of the last accelerated step
-    (NaN until an accelerated step has run, so in every run of another sampler).
-    ``f`` and ``grad_f`` hold the target's potential and gradient at ``x`` when
-    the step that produced the ensemble computed them (only ``mala_step``
-    does), and are None otherwise.
+    ``x`` and ``y`` are N x d arrays in column-major order (see the module
+    docstring).  ``prev_step_norms`` holds each particle's displacement in the
+    last step, and ``grad_stat`` the gradient-restart statistic of the last
+    accelerated step (NaN until an accelerated step has run, so in every run
+    of another sampler).
     """
 
     x: np.ndarray
@@ -107,8 +100,6 @@ class ParticleEnsemble:
     prev_step_norms: np.ndarray
     iteration: int = 0
     grad_stat: float = float("nan")
-    f: np.ndarray | None = None
-    grad_f: np.ndarray | None = None
 
     @classmethod
     def initialize(cls, x0):
@@ -148,6 +139,25 @@ class RestartNesterov:
         if not self.r >= 3.0:
             raise ValueError(f"r must be a number >= 3, got {self.r}")
 
+    def factor(self, ens, step_norms, grad_stat):
+        """alpha = (c - 1) / (c + r - 1) as an N x 1 column, and the counters c after this step's restarts.
+
+        A step shorter than the last restarts that particle's counter, and a
+        negative ``grad_stat`` every counter.
+        """
+        counts = ens.restart_count + 1
+        if self.use_speed:
+            counts[step_norms < ens.prev_step_norms] = 1
+        if self.use_gradient and grad_stat < 0.0:
+            counts[:] = 1
+        # (counts - 1.0) / (counts + r - 1.0) in two N-float arrays; the float r
+        # keeps the denominator float when r is an integer
+        alpha = counts - 1.0
+        denominator = counts + float(self.r)
+        denominator -= 1.0
+        alpha /= denominator
+        return alpha[:, None], counts
+
 
 @dataclass(frozen=True)
 class ConstantDamping:
@@ -162,6 +172,10 @@ class ConstantDamping:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+
+    def factor(self, ens, step_norms, grad_stat):
+        """The scalar beta and the unchanged counters; no restart applies."""
+        return self.beta, ens.restart_count
 
 
 @dataclass
@@ -187,6 +201,8 @@ class SamplerConfig:
         methods = ("accelerated_terms", "plain_step")
         if self.algorithm in KERNEL_ALGORITHMS and not all(callable(getattr(self.kernel, m, None)) for m in methods):
             raise TypeError(f"unsupported kernel {self.kernel!r}")
+        if self.algorithm == "asvgd" and not callable(getattr(self.damping, "factor", None)):
+            raise TypeError(f"unsupported damping {self.damping!r}")
 
 
 def _grad(cfg, x):
@@ -207,42 +223,14 @@ def _check_finite(arr, iteration, what):
 def _moved(ens, x_new, what="positions", **fields):
     """``ens`` one iteration on at positions ``x_new``, with their step lengths.
 
-    The target values ``f`` and ``grad_f`` are unset unless ``fields`` gives
-    them, so no step reads values of positions the ensemble has left.  Raises
-    FloatingPointError naming ``what`` if ``x_new`` is not finite, so a
+    Raises FloatingPointError naming ``what`` if ``x_new`` is not finite, so a
     diverging run stops at the step where it first left the floating-point range.
     """
     _check_finite(x_new, ens.iteration + 1, what)
     dx = x_new - ens.x
     step_norms = np.einsum("ij,ij->i", dx, dx)
     np.sqrt(step_norms, out=step_norms)
-    fields = {"f": None, "grad_f": None, **fields}
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
-
-
-def _damping(ens, cfg, step_norms, grad_stat):
-    """Damping for step 3, as a factor of Y, and the updated counters.
-
-    Constant damping is the scalar beta; the counter schedule gives one alpha
-    per particle, as an N x 1 column.
-
-    A negative ``grad_stat`` fires the global gradient restart.
-    """
-    damping = cfg.damping
-    if isinstance(damping, ConstantDamping):
-        return damping.beta, ens.restart_count
-    counts = ens.restart_count + 1
-    if damping.use_speed:
-        counts[step_norms < ens.prev_step_norms] = 1
-    if damping.use_gradient and grad_stat < 0.0:
-        counts[:] = 1
-    # (counts - 1.0) / (counts + r - 1.0) in two N-float arrays; the float r
-    # keeps the denominator float when r is an integer
-    alpha = counts - 1.0
-    denominator = counts + float(damping.r)
-    denominator -= 1.0
-    alpha /= denominator
-    return alpha[:, None], counts
 
 
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
@@ -260,7 +248,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -
     # grad_f(X) is freed when the kernel returns
     force, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, _grad(cfg, moved.x),
                                                     cfg.eps, cfg.tau, work)
-    alpha, counts = _damping(ens, cfg, moved.prev_step_norms, grad_stat)
+    alpha, counts = cfg.damping.factor(ens, moved.prev_step_norms, grad_stat)
     # F + alpha Y in the force array, which the new ensemble keeps as its momentum
     alpha_y, _ = workspace_array(work, "alpha_y", ens.y.shape)
     y_new = force
@@ -286,17 +274,21 @@ def ula_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> Parti
 def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:
     """Metropolis-adjusted Langevin step; a rejected particle keeps its row bit for bit.
 
-    The target is evaluated only through its batched ``potential_all`` and
-    ``grad_all``, once each on the proposed positions.  The returned ensemble
-    carries f and grad_f at its positions (the proposal's values on accepted
-    rows, the current ones on rejected rows), so the next MALA step evaluates
-    the target at its proposal only; the current positions are evaluated only
-    when ``ens`` does not carry them.
+    The target is evaluated through its batched ``potential_all`` and
+    ``grad_all``, once each on the proposal.  The step puts a new entry
+    ``work["mala"]`` = (returned positions, f and grad_f there), writing no
+    array in place, and reads the current values from it only when its
+    positions are the very array ``ens.x``; otherwise it evaluates them too.
     """
+    work = {} if work is None else work
     x = ens.x
     tau = cfg.tau
-    g_x = _grad(cfg, x) if ens.grad_f is None else ens.grad_f
-    f_x = cfg.target.potential_all(x) if ens.f is None else ens.f
+    cached = work.get("mala")
+    if cached is not None and cached[0] is x:
+        _, f_x, g_x = cached
+    else:
+        g_x = _grad(cfg, x)
+        f_x = cfg.target.potential_all(x)
     proposal = x - tau * g_x + np.sqrt(2.0 * tau) * _noise(rng, x)
     f_y = cfg.target.potential_all(proposal)
     g_y = _grad(cfg, proposal)
@@ -304,8 +296,9 @@ def mala_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> Part
     bwd = ((x - proposal + tau * g_y) ** 2).sum(axis=1)
     log_ratio = f_x - f_y + (fwd - bwd) / (4.0 * tau)
     accept = np.log(rng.random(x.shape[0])) < log_ratio
-    return _moved(ens, np.where(accept[:, None], proposal, x),
-                  f=np.where(accept, f_y, f_x), grad_f=np.where(accept[:, None], g_y, g_x))
+    moved = _moved(ens, np.where(accept[:, None], proposal, x))
+    work["mala"] = (moved.x, np.where(accept, f_y, f_x), np.where(accept[:, None], g_y, g_x))
+    return moved
 
 
 def uld_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleEnsemble:

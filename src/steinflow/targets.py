@@ -30,9 +30,9 @@ __all__ = [
 class GaussianTarget:
     """Quadratic potential 0.5 (x - b)^T Q^-1 (x - b) for a normal target N(b, Q).
 
-    Q is the target covariance, checked by ``spd_cholesky``.  Its
-    log-determinant comes from that Cholesky factor and Q^-1 from
-    ``np.linalg.inv`` (symmetrized); both are cached at construction, with the
+    Q is the target covariance, checked by ``spd_cholesky``.  Its lower
+    Cholesky factor ``chol_q``, the log-determinant from it and Q^-1 from
+    ``np.linalg.inv`` (symmetrized) are cached at construction, with the
     log-normalizer (d log 2 pi + log det Q) / 2.
     """
 
@@ -41,10 +41,10 @@ class GaussianTarget:
         q = np.atleast_2d(np.asarray(q, dtype=float))
         if self.b.ndim != 1 or q.shape != (self.b.size, self.b.size):
             raise ValueError(f"need a d-vector mean and a d x d covariance, got shapes {self.b.shape} and {q.shape}")
-        self.q, chol = spd_cholesky(q, "covariance")
+        self.q, self.chol_q = spd_cholesky(q, "covariance")
         self.q_inv = np.linalg.inv(q)
         self.q_inv = 0.5 * (self.q_inv + self.q_inv.T)
-        self.log_det_q = 2.0 * float(np.log(np.diag(chol)).sum())
+        self.log_det_q = 2.0 * float(np.log(np.diag(self.chol_q)).sum())
         self.dim = self.b.size
         self.log_normalizer = 0.5 * (self.dim * math.log(2.0 * math.pi) + self.log_det_q)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -75,9 +76,17 @@ class TestGaussianFitKl:
         val, flag = gaussian_fit_kl(*empirical_moments(x), target)
         assert flag and np.isfinite(val)
 
+    def test_covariance_singular_relative_to_q_is_flagged(self):
+        # diag(1, 1e-20) has a Cholesky factor, but Sigma - Q rounds to diag(0, -1)
+        target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
+        val, flag = gaussian_fit_kl(np.zeros(2), np.diag([1.0, 1e-20]), target)
+        assert flag and np.isfinite(val)
+        with pytest.raises(ValueError, match="relative to q"):
+            kl_gaussians(np.zeros(2), np.diag([1.0, 1e-20]), np.zeros(2), np.eye(2))
+
     @pytest.mark.parametrize("name", ["gauss-aniso", "gauss-correlated"])
     def test_one_factorization_per_record(self, name, monkeypatch):
-        # the target's cached Q^-1 and ln det Q replace kl_gaussians' checks and inverse of Q
+        # the target's cached Cholesky factor of Q replaces kl_gaussians' check and factor of Q
         target = builtin(name)
         mean, cov = empirical_moments(np.random.default_rng(5).standard_normal((60, 2)))
         calls = []
@@ -96,6 +105,29 @@ class TestGaussianFitKl:
         assert calls == ["cholesky"] and not flag
         monkeypatch.undo()
         assert val == pytest.approx(kl_gaussians(mean, cov, target.b, target.q), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-8])
+    def test_scaled_covariance_keeps_its_digits(self, delta):
+        # Sigma = Q (1 + delta): KL = (d / 2) (delta - ln(1 + delta)), about d delta^2 / 4
+        target = builtin("gauss-correlated")
+        exact = float(Decimal(target.dim) / 2 * (Decimal(delta) - (1 + Decimal(delta)).ln()))
+        val, flag = gaussian_fit_kl(target.b, target.q * (1.0 + delta), target)
+        assert not flag and val == pytest.approx(exact, rel=1e-6)
+        assert kl_gaussians(target.b, target.q * (1.0 + delta), target.b, target.q) == pytest.approx(exact, rel=1e-6)
+
+    def test_small_mean_offset_keeps_its_digits(self):
+        target = builtin("gauss-correlated")
+        offset = np.array([1e-9, 0.0])
+        exact = 0.5 * 1e-18 * target.q_inv[0, 0]
+        val, _ = gaussian_fit_kl(target.b + offset, target.q, target)
+        assert val == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["gauss-aniso", "gauss-correlated"])
+    def test_exact_moments_read_zero(self, name):
+        target = builtin(name)
+        val, flag = gaussian_fit_kl(target.b, target.q, target)
+        assert not flag and abs(val) <= 1e-30
+        assert abs(kl_gaussians(target.b, target.q, target.b, target.q)) <= 1e-30
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)

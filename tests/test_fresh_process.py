@@ -1,0 +1,94 @@
+"""Properties of a run that only a fresh interpreter shows: its BLAS thread count and its page faults.
+
+Each run is a child process that imports the package from this checkout's
+``src``; the child's environment is a copy, so no test changes ``os.environ``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import steinflow
+
+SRC = str(Path(steinflow.__file__).resolve().parents[1])
+
+
+def _run_child(script, *args, env_update=()):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_update)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# runs the Gaussian-kernel svgd and asvgd configs of argv[1] for 20 steps from
+# one fixed start, and saves the final particles to argv[2]
+_FINAL_PARTICLES = """
+import json, sys
+import numpy as np
+from steinflow import parse_config, samplers
+finals = {}
+for sampler in ("svgd", "asvgd"):
+    cfg = parse_config(json.dumps({**json.loads(sys.argv[1]), "sampler": sampler}))
+    mean, _, chol = cfg.initial_distribution(2)
+    x0 = mean + np.random.default_rng(5).standard_normal((cfg.n_particles, 2)) @ chol.T
+    finals[sampler] = samplers.run(cfg.build_sampler_config(), x0, cfg.n_steps).x
+np.savez(sys.argv[2], **finals)
+"""
+
+
+def test_blas_thread_count_moves_the_particles_by_rounding_only(tmp_path):
+    # one BLAS thread against two: the products split their work by thread,
+    # so the last bits may differ, but never by more than rounding
+    config = json.dumps({"target": "gauss-correlated", "kernel": "gaussian", "n_particles": 600,
+                         "n_steps": 20, "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]]})
+    finals = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        _run_child(_FINAL_PARTICLES, config, str(path),
+                   env_update={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        finals.append(np.load(path))
+    for sampler in ("svgd", "asvgd"):
+        one, two = finals[0][sampler], finals[1][sampler]
+        assert np.all(np.isfinite(one))
+        assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(one), sampler
+
+
+# runs the bilinear-large benchmark config (N = 50 000, A = I, beta = 0.9) for
+# 60 steps and prints the minor page faults per step from iteration 10 to 60
+_BILINEAR_FAULTS = """
+import json, resource
+import numpy as np
+from steinflow import parse_config, samplers
+cfg = parse_config(json.dumps({
+    "sampler": "asvgd", "target": "gauss-correlated", "kernel": "bilinear",
+    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": "constant", "beta": 0.9, "eps": 0.1,
+    "n_particles": 50000, "n_steps": 60, "tau": 0.01,
+    "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]]}))
+mean, _, chol = cfg.initial_distribution(2)
+x0 = mean + np.random.default_rng(0).standard_normal((cfg.n_particles, 2)) @ chol.T
+faults = {}
+
+def record(ens):
+    if ens.iteration in (10, 60):
+        faults[ens.iteration] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+samplers.run(cfg.build_sampler_config(), x0, cfg.n_steps, recorder=record)
+print((faults[60] - faults[10]) / 50)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count")
+def test_bilinear_steps_do_not_fault_their_heap():
+    # a step that frees and reallocates its N-row arrays faults their pages
+    # in again: about 200 faults per step at this size
+    per_step = float(_run_child(_BILINEAR_FAULTS, env_update={"OPENBLAS_NUM_THREADS": "1",
+                                                               "OMP_NUM_THREADS": "1"}))
+    assert per_step <= 20, per_step

@@ -64,7 +64,9 @@ class TestEnsemble:
     def test_initialize(self):
         ens = ParticleEnsemble.initialize(np.ones((4, 2)))
         assert np.all(ens.y == 0.0)
-        assert "v" not in {f.name for f in fields(ParticleEnsemble)}  # V is a per-step local, not state
+        names = {f.name for f in fields(ParticleEnsemble)}
+        assert "v" not in names  # V is a per-step local, not state
+        assert not {"f", "grad_f"} & names  # MALA's target values live in the run's workspace
         assert np.all(ens.restart_count == 1)
         assert ens.iteration == 0
         assert np.isnan(ens.grad_stat)  # no accelerated step has run
@@ -99,6 +101,15 @@ class TestEnsemble:
     def test_sampler_config_rejects_unknown_kernel(self):
         with pytest.raises(TypeError, match="unsupported kernel"):
             SamplerConfig(kernel=SimpleNamespace(sigma2=1.0), target=QuarticTarget(), tau=0.1)
+
+    @pytest.mark.parametrize("damping", [0.9, None, SimpleNamespace(beta=0.9)], ids=["float", "none", "no-method"])
+    def test_asvgd_config_rejects_a_damping_without_factor(self, damping):
+        with pytest.raises(TypeError, match="unsupported damping"):
+            SamplerConfig(kernel=GaussianKernel(1.0), target=QuarticTarget(), tau=0.1, damping=damping)
+        # the other samplers never read the damping
+        for algorithm in ("svgd", "mala"):
+            SamplerConfig(kernel=GaussianKernel(1.0), target=QuarticTarget(), tau=0.1, damping=damping,
+                          algorithm=algorithm)
 
     @pytest.mark.parametrize("algorithm", ["asvgd", "svgd"])
     def test_kernel_sampler_rejects_no_kernel(self, algorithm):
@@ -348,11 +359,19 @@ class TestRestartLogic:
                             damping=damping)
         ens = random_ensemble(rng, 257, 2)
         step_norms = rng.uniform(0.0, 0.2, size=ens.n)
-        alpha, counts = samplers._damping(ens, cfg, step_norms, grad_stat)
+        alpha, counts = damping.factor(ens, step_norms, grad_stat)
         expected_alpha, expected_counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
         assert_bits_equal(alpha[:, 0], expected_alpha)
         assert np.array_equal(counts, expected_counts)
         assert asvgd_step(ens, cfg).iteration == ens.iteration + 1
+
+    @pytest.mark.parametrize("grad_stat", [0.5, -0.5])
+    def test_constant_damping_is_beta_with_no_restart(self, grad_stat):
+        rng = np.random.default_rng(12)
+        ens = random_ensemble(rng, 9, 2)
+        before = ens.restart_count.copy()
+        alpha, counts = ConstantDamping(0.9).factor(ens, rng.uniform(0.0, 0.2, size=ens.n), grad_stat)
+        assert alpha == 0.9 and np.array_equal(counts, before)
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), BilinearKernel(np.eye(2))], ids=["gaussian", "bilinear"])
     def test_gradient_restart_resets_all(self, kernel):
@@ -550,7 +569,7 @@ class CountingTarget:
 
 
 class TestMalaTargetValues:
-    """MALA carries f and grad_f of its positions into the next step."""
+    """MALA leaves f and grad_f of its positions in the run's workspace for the next step."""
 
     @pytest.mark.parametrize("target", [GaussianTarget(b=[0.5, -0.2], q=[[1.0, 0.3], [0.3, 0.5]]),
                                         QuarticTarget(), DoubleBananasTarget()],
@@ -559,34 +578,64 @@ class TestMalaTargetValues:
         cfg = SimpleNamespace(tau=0.08, target=target)
         rng = np.random.default_rng(17)
         ens = langevin_ensemble(rng.standard_normal((300, 2)))
-        assert ens.f is None and ens.grad_f is None
+        work = {}
         for _ in range(6):
-            ens = mala_step(ens, cfg, rng)
-            assert_bits_equal(ens.f, target.potential_all(ens.x))
-            assert_bits_equal(ens.grad_f, target.grad_all(ens.x))
-            carried = mala_step(ens, cfg, copy.deepcopy(rng))
-            fresh = mala_step(replace(ens, f=None, grad_f=None), cfg, copy.deepcopy(rng))
-            for field in ("x", "f", "grad_f", "prev_step_norms"):
-                assert_bits_equal(getattr(carried, field), getattr(fresh, field))
+            ens = mala_step(ens, cfg, rng, work)
+            x, f, g = work["mala"]
+            assert x is ens.x and g.flags.f_contiguous
+            assert_bits_equal(f, target.potential_all(ens.x))
+            assert_bits_equal(g, target.grad_all(ens.x))
+            kept = copy.deepcopy(work["mala"])
+            carried_work = dict(work)
+            carried = mala_step(ens, cfg, copy.deepcopy(rng), carried_work)
+            fresh_work = {}
+            fresh = mala_step(ens, cfg, copy.deepcopy(rng), fresh_work)
+            for name in ("x", "prev_step_norms"):
+                assert_bits_equal(getattr(carried, name), getattr(fresh, name))
+            for got, expected in zip(carried_work["mala"][1:], fresh_work["mala"][1:]):
+                assert_bits_equal(got, expected)
+            # the step put a new entry and wrote no array of the old one
+            assert work["mala"][0] is x
+            for got, expected in zip(work["mala"], kept):
+                assert_bits_equal(got, expected)
+
+    def test_run_evaluates_the_target_once_per_step(self):
+        target = CountingTarget(DoubleBananasTarget())
+        cfg = SimpleNamespace(tau=0.05, target=target, algorithm="mala", seed=3)
+        run(cfg, np.random.default_rng(18).standard_normal((50, 2)), 20)
+        assert target.calls == {"potential_all": 21, "grad_all": 21}
 
     def test_one_evaluation_per_step_after_the_first(self):
         target = CountingTarget(DoubleBananasTarget())
         cfg = SimpleNamespace(tau=0.05, target=target)
         rng = np.random.default_rng(18)
         ens = langevin_ensemble(rng.standard_normal((50, 2)))
-        ens = mala_step(ens, cfg, rng)
+        work = {}
+        ens = mala_step(ens, cfg, rng, work)
         assert target.calls == {"potential_all": 2, "grad_all": 2}
         for k in range(1, 5):
-            ens = mala_step(ens, cfg, rng)
+            ens = mala_step(ens, cfg, rng, work)
             assert target.calls == {"potential_all": 2 + k, "grad_all": 2 + k}
 
-    @pytest.mark.parametrize("step", [ula_step, uld_step])
-    def test_other_steps_leave_the_values_unset(self, step):
-        cfg = SimpleNamespace(tau=0.05, target=QuarticTarget())
+    def test_values_of_other_positions_are_not_read(self):
+        target = CountingTarget(QuarticTarget())
+        cfg = SimpleNamespace(tau=0.05, target=target)
         rng = np.random.default_rng(19)
-        ens = mala_step(langevin_ensemble(rng.standard_normal((10, 2))), cfg, rng)
-        out = step(ens, cfg, rng)
-        assert out.f is None and out.grad_f is None
+        work = {}
+        ens = mala_step(langevin_ensemble(rng.standard_normal((10, 2))), cfg, rng, work)
+
+        def evaluations(step, current, work):
+            before = target.calls["grad_all"]
+            out = step(current, cfg, rng, work)
+            return target.calls["grad_all"] - before, out
+
+        # equal positions in another array
+        assert evaluations(mala_step, replace(ens, x=ens.x.copy()), work)[0] == 2
+        # a direct call without a workspace
+        assert evaluations(mala_step, ens, None)[0] == 2
+        # a step of another sampler in between
+        _, moved = evaluations(ula_step, ens, work)
+        assert evaluations(mala_step, moved, work)[0] == 2
 
 
 class TestBilinearStepInPlace:
@@ -744,9 +793,8 @@ class TestColumnMajorLayout:
         x0 = np.ascontiguousarray(rng.standard_normal((40, 2)))
         ens = run(self._cfg(algorithm, kernel, gaussian_target(rng, 2)),
                   x0.tolist() if start == "nested-list" else x0, 3)
-        assert ens.iteration == 3 and (ens.grad_f is not None) == (algorithm == "mala")
-        arrays = [ens.x, ens.y] + ([ens.grad_f] if algorithm == "mala" else [])
-        assert all(arr.flags.f_contiguous for arr in arrays)
+        assert ens.iteration == 3
+        assert ens.x.flags.f_contiguous and ens.y.flags.f_contiguous
 
     @pytest.mark.parametrize("algorithm, kernel", LAYOUT_CASES)
     def test_target_layout_moves_no_bit(self, algorithm, kernel):
