@@ -15,6 +15,15 @@ A kernel is anything with the two step methods the samplers call:
   statistic read V = N (K + eps I)^-1 Y, which stays inside the call;
 * ``plain_step(x, g, tau)`` returns the positions after one plain kernel-transport step.
 
+A kernel whose force is affine in the particles may also have
+``frame_terms(w, v, pp, ptg, eps, tau, n)``, the coefficient form of
+``accelerated_terms``: the bilinear kernel's U = [X L | 1] is an affine image
+of the positions, so with X = P W and Y = P V in the frame P = [X0 | 1] of a
+run's start, its force is P times a (d+1) x d matrix and the step's thin
+products reduce to (d+1) x (d+1) ones through P^T P.  ``samplers.run`` keeps
+a constant-damped run in that frame (see ``samplers``); the Gaussian kernel
+has no such form.
+
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
 matrix, and every Gaussian step reads that triangle alone, with scipy's LAPACK
 and BLAS wrappers, the package's only use of scipy, which loads with the first
@@ -28,7 +37,8 @@ and solves only the (d+1) x d capacitance system, ``capacitance_solve``.
 run (see ``samplers``).  The bilinear step keeps its one N-row scratch array
 there, the factor U, whose constant column is written once, when the array
 is allocated; its force is the one product U S, whose fresh output the new
-ensemble keeps.  At N = 50 000 a fresh N-row temporary on every step lands
+ensemble keeps.  A run in the affine frame holds the frame P there instead
+of U, and ``frame_terms`` reads no N-row array at all.  At N = 50 000 a fresh N-row temporary on every step lands
 at the top of the heap, which glibc trims and faults in again on the next
 step; with the workspace the kernel allocates only the force, which the new
 ensemble keeps.  The Gaussian step leaves its N x N buffer out of the
@@ -205,18 +215,42 @@ class BilinearKernel:
         U lives in ``work`` (see ``low_rank_factor``); the force is a fresh
         array, which the step keeps as the new momentum.
         """
+        u = self.low_rank_factor(x, work)
+        s, grad_stat = self._force_coefficients(_column_gram(u), u.T @ y, u.T @ g, eps, tau, x.shape[0])
+        return _matmul_f(u, s), grad_stat
+
+    def frame_terms(self, w, v, pp, ptg, eps, tau, n):
+        """``accelerated_terms`` in coefficients: the force F = P (W_hat S) as W_hat S, and the restart statistic.
+
+        The positions and momenta are X = P W and Y = P V in the frame
+        P = [X0 | 1] of N rows, with the (d+1) x d coefficients W and V;
+        ``pp`` is P^T P and ``ptg`` is P^T grad_f(X).  Then U = [X L | 1] is
+        P W_hat with W_hat = [W L | e_(d+1)], so the step's three thin
+        products are U^T U = W_hat^T (P^T P) W_hat, U^T Y = W_hat^T (P^T P) V
+        and U^T grad_f = W_hat^T ptg, and the force U S is P (W_hat S): no
+        N-row array is read or written.  Needs eps > 0, as ``accelerated_terms``.
+        """
+        d = self.dim
+        w_hat = np.zeros((d + 1, d + 1))
+        w_hat[:, :d] = w @ self.chol_a
+        w_hat[-1, -1] = 1.0
+        pp_w = pp @ w_hat
+        utu = w_hat.T @ pp_w
+        utu = 0.5 * (utu + utu.T)  # U^T U is symmetric; the product is so only to rounding
+        s, grad_stat = self._force_coefficients(utu, pp_w.T @ v, w_hat.T @ ptg, eps, tau, n)
+        return w_hat @ s, grad_stat
+
+    def _force_coefficients(self, utu, uty, utg, eps, tau, n):
+        """S with force U S, and the restart statistic, from U^T U, U^T Y and U^T grad_f (see ``accelerated_terms``)."""
         if eps == 0:
             raise ValueError("asvgd with the bilinear kernel needs eps > 0: "
                              "its Gram matrix has rank at most d + 1")
-        n = x.shape[0]
-        u = self.low_rank_factor(x, work)
-        c = capacitance_solve(u, eps, y)
-        utg = u.T @ g
+        c = _capacitance(utu, uty, eps)
         grad_stat = -float(np.vdot(c, utg) - n * np.vdot(c[:-1], self.chol_a.T)) / n
         sqrt_tau = np.sqrt(tau)
         s = utg * (-sqrt_tau / n)
         s[:-1] += (sqrt_tau * (1.0 + np.linalg.norm(c) ** 2)) * self.chol_a.T
-        return _matmul_f(u, s), grad_stat
+        return s, grad_stat
 
     def plain_step(self, x, g, tau):
         """X + (tau/N) (N X A - K grad_f(X)) on the rank-(d+1) factor.
@@ -341,13 +375,18 @@ def capacitance_solve(u, eps, y):
     naming the condition number of eps I + U^T U when it is at least
     1 / machine epsilon, where the solve has no correct digit left.
     """
-    cap = eps * np.eye(u.shape[1]) + _column_gram(u)
+    return _capacitance(_column_gram(u), u.T @ y, eps)
+
+
+def _capacitance(utu, uty, eps):
+    """(eps I + U^T U)^-1 U^T y from U^T U and U^T y, with ``capacitance_solve``'s conditioning check."""
+    cap = eps * np.eye(utu.shape[0]) + utu
     sv = np.abs(np.linalg.eigvalsh(cap))  # cap is symmetric: its singular values are the |eigenvalues|
     if not sv.max() * np.finfo(float).eps < sv.min():
         with np.errstate(divide="ignore"):
             raise np.linalg.LinAlgError("capacitance matrix eps I + U^T U ill-conditioned "
                                         f"(condition number {sv.max() / sv.min():.3e})")
-    return np.linalg.solve(cap, u.T @ y)
+    return np.linalg.solve(cap, uty)
 
 
 def _column_gram(u):

@@ -25,6 +25,29 @@ damping they run with; see ``kernels`` for how each kernel computes its terms.
 kernel samplers, and a damping without ``factor`` for ``asvgd``; the Langevin
 samplers never read the kernel and take ``kernel=None``.
 
+The affine frame.  With a kernel that has ``frame_terms`` (the bilinear one)
+and a damping whose ``uniform`` is true (``ConstantDamping``: one scalar
+alpha for every particle), the step is affine in the particles, so a run that
+starts at rest keeps X = P W and Y = P V in the frame P = [X0 | 1] of its
+start, with (d+1) x d coefficients W and V, for any target: grad_f enters only
+through P^T grad_f.  ``asvgd_step`` then steps in the frame that the run's
+workspace holds (P, P^T P, formed once, W, V and the last grad_f):
+X = P W, grad_f(X), P^T grad_f, the step lengths sqrt(tau) |Y_i| from the
+last momenta, ``frame_terms``, and Y = P V, about half the N-row passes of
+the particle step, and the ensemble it returns is a full one, with fresh X,
+Y and step lengths.  The frame serves only the ensemble it made last, or a new one
+from an ensemble at rest (Y = 0); anything else, a ``RestartNesterov`` run
+(whose speed restart gives each particle its own alpha) and every step
+called without a workspace take the particle path above, with unchanged
+bits.  The two paths agree to rounding, about 1e-15 normwise, not bit for
+bit: a constant-damped bilinear run and a loop of direct ``asvgd_step`` calls
+from its start no longer give the same bits.  A consequence for users: with
+the bilinear kernel and one damping factor the particles stay an affine image
+of their start, so such a run can match a Gaussian target's mean and
+covariance, and on any other target it settles where E[grad_f(X)] = 0 and
+E[grad_f(X) X^T] = I, which need not give even the covariance (on
+``quartic`` the variances settle near 0.59 against 0.676; see README).
+
 All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
 returns the next ``ParticleEnsemble``, with its positions checked finite, its
 step lengths recorded and its iteration advanced by one.  The kernel samplers
@@ -38,12 +61,13 @@ over it.
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
 every step.  It holds the accelerated step's N-row scratch arrays (the
 kernel's, see ``kernels``, and alpha Y under "alpha_y"), so a large run does
-not allocate, fault in and free them on every step, and, under "mala", f and
-grad_f at the positions MALA returned, so MALA evaluates the target once per
-step (see ``mala_step``).  The workspace belongs to one run, never to the
-ensemble, the kernel or the module, because a sweep runs its jobs on threads;
-no scratch array of it ends up in an ensemble, which a recorder may keep.  A
-step called without it gets a fresh one, with the same bits.
+not allocate, fault in and free them on every step, the affine frame under
+"frame", and, under "mala", f and grad_f at the positions MALA returned, so
+MALA evaluates the target once per step (see ``mala_step``).  The workspace
+belongs to one run, never to the ensemble, the kernel or the module, because
+a sweep runs its jobs on threads; no scratch or frame array of it ends up in
+an ensemble, which a recorder may keep.  A step called without it gets a
+fresh one, with the same bits as a particle step inside ``run``.
 
 Every N x d array of a run is column-major (Fortran order), so each
 coordinate is one contiguous length-N vector: ``ParticleEnsemble.initialize``
@@ -59,10 +83,11 @@ the same particles whatever layout a target returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .kernels import workspace_array
+from .kernels import _column_gram, _matmul_f, workspace_array
 
 __all__ = [
     "ParticleEnsemble",
@@ -134,6 +159,8 @@ class RestartNesterov:
     use_speed: bool = True
     use_gradient: bool = True
     r: float = 3.0
+    # the speed restart and the counters an ensemble brings give each particle its own alpha
+    uniform: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.r >= 3.0:
@@ -168,6 +195,8 @@ class ConstantDamping:
     """
 
     beta: float
+    # ``factor`` returns one scalar alpha for every particle, whatever the ensemble
+    uniform: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
@@ -233,13 +262,109 @@ def _moved(ens, x_new, what="positions", **fields):
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
 
+@dataclass
+class _AffineFrame:
+    """X = P W and Y = P V in the frame P = [X0 | 1] of a run's start, with P^T P formed once.
+
+    ``x`` and ``y`` are the arrays of the last ensemble the frame stepped to,
+    so a step can tell that its ensemble is the frame's own; ``p_max`` is
+    max |P|, which bounds the entries of a product P B by (d + 1) p_max max |B|.
+    ``grad`` holds grad_f of the last step until the next step has its own
+    (see ``_frame_step``).
+    """
+
+    p: np.ndarray
+    pp: np.ndarray
+    p_max: float
+    w: np.ndarray
+    v: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    grad: np.ndarray = None
+
+    @classmethod
+    def start(cls, ens):
+        """The frame of an ensemble at rest: W = [I; 0] and V = 0."""
+        n, d = ens.x.shape
+        p = np.empty((n, d + 1), order="F")
+        p[:, :d] = ens.x
+        p[:, -1] = 1.0
+        w = np.zeros((d + 1, d))
+        w[:d] = np.eye(d)
+        return cls(p=p, pp=_column_gram(p), p_max=float(np.abs(p).max()), w=w, v=np.zeros((d + 1, d)),
+                   x=ens.x, y=ens.y)
+
+    def product(self, coef, iteration, what):
+        """P coef, checked finite as ``_check_finite`` would, reading it only when coef could overflow it."""
+        _check_finite(coef, iteration, what)
+        out = _matmul_f(self.p, coef)
+        if not np.abs(coef).max() * self.p_max * self.p.shape[1] < 0.5 * np.finfo(float).max:
+            _check_finite(out, iteration, what)
+        return out
+
+
+def _affine_frame(ens, cfg, work):
+    """The frame that the step from ``ens`` can take, or None for the particle path.
+
+    It needs the run's workspace, a kernel with ``frame_terms`` and a damping
+    with one alpha for every particle; then the workspace's frame serves an
+    ensemble that is its own, and a new one starts from an ensemble at rest.
+    """
+    if (work is None or not getattr(cfg.damping, "uniform", False)
+            or not callable(getattr(cfg.kernel, "frame_terms", None))):
+        return None
+    frame = work.get("frame")
+    if frame is not None and ens.x is frame.x and ens.y is frame.y:
+        return frame
+    if np.any(ens.y):
+        return None
+    frame = work["frame"] = _AffineFrame.start(ens)
+    return frame
+
+
+def _frame_step(ens, cfg, frame):
+    """``asvgd_step`` in the frame: X, Y and the force are thin products of P with (d+1) x d coefficients."""
+    iteration = ens.iteration + 1
+    sqrt_tau = np.sqrt(cfg.tau)
+    w = frame.w + sqrt_tau * frame.v
+    # When a step frees its N-row arrays decides whether the next one reuses
+    # that heap or glibc trims the top of the heap and faults it in again,
+    # 150-330 pages a step at N = 50 000 (fresh processes running the
+    # benchmark's config, 200 steps each).  grad_f lives until Y is allocated
+    # (freed before, every run faulted), and the frame keeps it until the next
+    # step has its own (no run of 96 faulted; freed at the end of its own step,
+    # 7 of 56 did; kept past the next step's Y, every run did).
+    x = frame.product(w, iteration, "positions")
+    g = frame.grad = _grad(cfg, x)
+    # |X' - X| = sqrt(tau) |Y| row by row
+    step_norms = np.einsum("ij,ij->i", ens.y, ens.y)
+    np.sqrt(step_norms, out=step_norms)
+    step_norms *= sqrt_tau
+    force, grad_stat = cfg.kernel.frame_terms(w, frame.v, frame.pp, frame.p.T @ g, cfg.eps, cfg.tau, ens.n)
+    alpha, counts = cfg.damping.factor(ens, step_norms, grad_stat)
+    v = force
+    v += alpha * frame.v
+    y = frame.product(v, iteration, "momentum update")
+    frame.w, frame.v, frame.x, frame.y = w, v, x, y
+    return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
+                   restart_count=counts, grad_stat=grad_stat)
+
+
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
     """One accelerated transport step (position, damping, momentum).
 
     The kernel force comes from ``cfg.kernel.accelerated_terms``, which
     keeps its scratch arrays in ``work``; the bilinear kernel requires eps > 0
-    and raises ValueError otherwise.
+    and raises ValueError otherwise.  With a workspace, a kernel with
+    ``frame_terms`` and a ``uniform`` damping, the step runs in the affine
+    frame that ``work`` holds, or starts one from an ensemble at rest (see the
+    module docstring); its result agrees with the particle step's to about
+    1e-15, not bit for bit.  Without a workspace the step is always the
+    particle step.
     """
+    frame = _affine_frame(ens, cfg, work)
+    if frame is not None:
+        return _frame_step(ens, cfg, frame)
     work = {} if work is None else work
     # X + sqrt(tau) Y in the one array the new ensemble keeps
     x_new = np.multiply(ens.y, np.sqrt(cfg.tau))

@@ -92,3 +92,44 @@ def test_bilinear_steps_do_not_fault_their_heap():
     per_step = float(_run_child(_BILINEAR_FAULTS, env_update={"OPENBLAS_NUM_THREADS": "1",
                                                                "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step
+
+
+# runs the bilinear-large benchmark config through experiment.run_experiment,
+# with its metric records and .npy snapshots every 10 steps, into argv[1], and
+# prints the minor page faults per step from iteration 10 to 60, read around
+# the module's asvgd_step as a tracer would
+_BILINEAR_EXPERIMENT_FAULTS = """
+import json, resource, sys
+from steinflow import experiment, parse_config, samplers
+cfg = parse_config(json.dumps({
+    "sampler": "asvgd", "target": "gauss-correlated", "kernel": "bilinear",
+    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": "constant", "beta": 0.9, "eps": 0.1,
+    "n_particles": 50000, "n_steps": 60, "tau": 0.01, "record_every": 10,
+    "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]], "output_dir": sys.argv[1]}))
+faults = {}
+step = samplers.asvgd_step
+
+def counted(ens, cfg, rng=None, work=None):
+    new = step(ens, cfg, rng, work)
+    if new.iteration in (10, 60):
+        faults[new.iteration] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return new
+
+samplers.asvgd_step = counted
+experiment.run_experiment(cfg)
+print((faults[60] - faults[10]) / 50)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count")
+def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path):
+    # the whole run as the benchmark times it, records included: when a step
+    # frees its N-row arrays decides whether glibc trims the top of its heap
+    # and faults it in again on the next step.  The frame step reads 0.06
+    # here, and the particle step read 2.0; the particle step with its step
+    # lengths summed without einsum read 163.5, a frame step that frees
+    # grad_f before it allocates Y 325.5, and one that keeps grad_f until
+    # after the next step's Y 112.8
+    per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"),
+                                env_update={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
+    assert per_step <= 20, per_step

@@ -25,7 +25,7 @@ from steinflow.samplers import (
     ula_step,
     uld_step,
 )
-from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget
+from steinflow.targets import CustomTarget, DoubleBananasTarget, GaussianTarget, QuarticTarget, builtin
 from reference_impls import (
     dense_asvgd_step_gaussian,
     loop_double_sum_stat,
@@ -733,8 +733,8 @@ class TestBilinearWorkspace:
         assert max(peaks) <= 4.5, peaks
 
     def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        cfg = self._cfg(rng, 2, RestartNesterov())
+        # a restart-damped run keeps its scratch arrays in the workspace, a
+        # constant-damped one its frame, whose x and y are the last ensemble's own
         workspaces = []
         original = samplers.asvgd_step
 
@@ -743,14 +743,24 @@ class TestBilinearWorkspace:
             return original(ens, cfg, rng, work)
 
         monkeypatch.setattr(samplers, "asvgd_step", keep_workspace)
-        kept = []
-        run(cfg, rng.standard_normal((300, 2)), 10, recorder=lambda ens: kept.append((ens, copy.deepcopy(ens))))
-        assert len(kept) == 11 and workspaces[0]
-        scratch = list(workspaces[0].values())
-        for ens, snapshot in kept:
-            for name in ("x", "y", "prev_step_norms"):
-                assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
-                assert not any(np.shares_memory(getattr(ens, name), buf) for buf in scratch)
+        for damping in (RestartNesterov(), ConstantDamping(0.9)):
+            rng = np.random.default_rng(42)
+            cfg = self._cfg(rng, 2, damping)
+            workspaces.clear()
+            kept = []
+            run(cfg, rng.standard_normal((300, 2)), 10,
+                recorder=lambda ens: kept.append((ens, copy.deepcopy(ens))))
+            assert len(kept) == 11 and workspaces[0]
+            scratch = [buf for buf in workspaces[0].values() if isinstance(buf, np.ndarray)]
+            frame = workspaces[0].get("frame")
+            assert (frame is not None) == damping.uniform
+            if frame is not None:
+                assert frame.x is kept[-1][0].x and frame.y is kept[-1][0].y
+                scratch += [frame.p, frame.pp, frame.w, frame.v, frame.grad]
+            for ens, snapshot in kept:
+                for name in ("x", "y", "prev_step_norms"):
+                    assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
+                    assert not any(np.shares_memory(getattr(ens, name), buf) for buf in scratch)
 
     def test_a_direct_step_matches_the_step_inside_run(self):
         rng = np.random.default_rng(43)
@@ -763,6 +773,121 @@ class TestBilinearWorkspace:
                 assert_bits_equal(getattr(direct, name), getattr(after, name))
             assert np.array_equal(direct.restart_count, after.restart_count)
             assert_bits_equal(np.asarray(direct.grad_stat), np.asarray(after.grad_stat))
+
+
+def log_cosh_target():
+    """A non-Gaussian CustomTarget: f(x) = sum(log cosh x) + 0.1 |x|^2, evaluated row by row."""
+    return CustomTarget(lambda p: float(np.sum(np.log(np.cosh(p))) + 0.1 * p @ p),
+                        lambda p: np.tanh(p) + 0.2 * p, dim=2)
+
+
+class TestAffineFrame:
+    """A constant-damped bilinear run steps in the frame [X0 | 1] of its start; a direct step takes the particle path.
+
+    The frame forms X, Y and the force as products of P = [X0 | 1] with
+    (d+1) x d coefficients, so it agrees with the particle path to rounding,
+    not bit for bit.  The tolerances are normwise: X against |X| at that
+    step, and the momenta and step lengths against their largest norm so far,
+    since both fall towards 0 as a run converges while their rounding stays
+    at the scale of the terms they are summed from.
+    """
+
+    @staticmethod
+    def _runs(target, n, tau, n_steps, seed, beta=0.9):
+        """A constant-damped bilinear ``run`` and a loop of direct ``asvgd_step`` calls from one start.
+
+        Each is the list of its ensembles, up to and with the step that failed;
+        the failure, if any, is the run's cause and the direct step's error.
+        """
+        rng = np.random.default_rng(seed)
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=target, tau=tau, eps=0.1,
+                            damping=ConstantDamping(beta))
+        x0 = rng.standard_normal((n, 2))
+        framed, particle, failures = [], [ParticleEnsemble.initialize(x0)], [None, None]
+        work = {}
+        original = samplers.asvgd_step
+
+        def keep_workspace(ens, cfg, rng, work_):
+            work.update(run_work=work_)
+            return original(ens, cfg, rng, work_)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers, "asvgd_step", keep_workspace)
+            try:
+                run(cfg, x0, n_steps, recorder=framed.append)
+            except RuntimeError as exc:
+                failures[0] = (framed[-1].iteration + 1, exc.__cause__)
+        for _ in range(n_steps):
+            try:
+                particle.append(asvgd_step(particle[-1], cfg))
+            except Exception as exc:
+                failures[1] = (particle[-1].iteration + 1, exc)
+                break
+        frame = work["run_work"].get("frame")
+        assert frame is not None and frame.x is framed[-1].x
+        return framed, particle, failures
+
+    @pytest.mark.parametrize("n", [60, 2000])
+    @pytest.mark.parametrize("name, tau, n_steps", [
+        ("gauss-correlated", 0.01, 200), ("quartic", 0.01, 200), ("gauss-aniso", 0.001, 100),
+        ("double-bananas", 0.001, 100), ("custom", 0.01, 40)])
+    def test_run_matches_the_particle_steps(self, name, tau, n_steps, n):
+        target = log_cosh_target() if name == "custom" else builtin(name)
+        framed, particle, failures = self._runs(target, n, tau, n_steps, seed=n + len(name))
+        assert failures == [None, None] and len(framed) == len(particle) == n_steps + 1
+        y_scale = s_scale = 0.0
+        for k, (got, ref) in enumerate(zip(framed, particle)):
+            assert got.iteration == ref.iteration == k
+            y_scale = max(y_scale, np.linalg.norm(ref.y))
+            s_scale = max(s_scale, np.linalg.norm(ref.prev_step_norms))
+            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), k
+            assert np.linalg.norm(got.y - ref.y) <= 1e-12 * y_scale, k
+            assert np.linalg.norm(got.prev_step_norms - ref.prev_step_norms) <= 1e-12 * s_scale, k
+            assert np.array_equal(got.restart_count, ref.restart_count)
+            assert got.x.flags.f_contiguous and got.y.flags.f_contiguous
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["gauss-aniso", "double-bananas"])
+    def test_diverging_runs_fail_where_the_particle_steps_fail(self, name, seed):
+        # eps = 0.1, tau = 0.02, N = 60, 12 steps, beta = 0.8: the capacitance
+        # matrix loses every digit within a dozen steps on these two targets
+        framed, particle, failures = self._runs(builtin(name), 60, 0.02, 12, seed, beta=0.8)
+        (got_at, got), (ref_at, ref) = failures
+        assert got_at == ref_at and type(got) is type(ref)
+        assert str(got).split(" (")[0] == str(ref).split(" (")[0]
+        assert len(framed) == len(particle) == got_at
+        for got_ens, ref_ens in zip(framed, particle):
+            assert np.linalg.norm(got_ens.x - ref_ens.x) <= 1e-9 * np.linalg.norm(ref_ens.x)
+
+    def test_a_direct_step_takes_the_particle_path(self):
+        # without a workspace, and with one but on an ensemble in motion that is not
+        # the frame's own, a step is today's particle step, bit for bit
+        rng = np.random.default_rng(44)
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=gaussian_target(rng, 2),
+                            tau=0.01, eps=0.1, damping=ConstantDamping(0.9))
+        ens = random_ensemble(rng, 300, 2)
+        expected = unfused_bilinear_step(ens, cfg)
+        work = {}
+        for got in (asvgd_step(ens, cfg), asvgd_step(ens, cfg, None, work)):
+            for name in ("x", "y", "prev_step_norms"):
+                assert_bits_equal(getattr(got, name), getattr(expected, name))
+        assert "frame" not in work
+
+    def test_a_new_ensemble_at_rest_starts_a_new_frame(self):
+        rng = np.random.default_rng(45)
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=gaussian_target(rng, 2),
+                            tau=0.01, eps=0.1, damping=ConstantDamping(0.9))
+        work = {}
+        first = asvgd_step(ParticleEnsemble.initialize(rng.standard_normal((50, 2))), cfg, None, work)
+        frame = work["frame"]
+        again = asvgd_step(first, cfg, None, work)
+        assert work["frame"] is frame and frame.x is again.x
+        rest = ParticleEnsemble.initialize(rng.standard_normal((50, 2)))
+        moved = asvgd_step(rest, cfg, None, work)
+        assert work["frame"] is not frame and work["frame"].x is moved.x
+        # the first step from rest moves no particle, in either path
+        assert_bits_equal(moved.x, rest.x)
+        assert_bits_equal(moved.prev_step_norms, np.zeros(50))
 
 
 class FortranGradTarget(CustomTarget):
@@ -869,11 +994,15 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             SamplerConfig(kernel=GaussianKernel(0.5), target=QuarticTarget(), tau=0.1, algorithm="bogus")
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_run_calls_the_module_step_function(self, algorithm, monkeypatch):
-        # a tracer times a sampler by replacing its step function on the module
+    @pytest.mark.parametrize("algorithm, bilinear", [(a, False) for a in ALGORITHMS] + [("asvgd", True)],
+                             ids=list(ALGORITHMS) + ["asvgd-bilinear-constant"])
+    def test_run_calls_the_module_step_function(self, algorithm, bilinear, monkeypatch):
+        # a tracer times a sampler by replacing its step function on the module;
+        # a constant-damped bilinear run steps in its frame, inside asvgd_step too
         rng = np.random.default_rng(15)
         cfg = self._cfg(algorithm, rng)
+        if bilinear:
+            cfg = replace(cfg, kernel=BilinearKernel(random_spd(rng, 2)), damping=ConstantDamping(0.9))
         name = f"{algorithm}_step"
         original = getattr(samplers, name)
         calls, workspaces = [], []
@@ -888,6 +1017,7 @@ class TestRun:
         assert calls == [0, 1, 2] and final.iteration == 3
         # one workspace for the whole run, handed through ``step``
         assert all(work is workspaces[0] for work in workspaces)
+        assert ("frame" in workspaces[0]) == bilinear
 
     def test_step_error_carries_iteration(self):
         exploding = CustomTarget(lambda x: 0.0, lambda x: np.full_like(x, np.nan), dim=2)
