@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 92 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 93 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -16,9 +16,11 @@ and has no accelerated spectrum), and two two-value ``steinflow sweep
 --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
-then one ``asvgd`` run with the bilinear kernel and constant damping on
-``gauss-correlated`` at N = 5000, so the capacitance solve also runs at a size
-where BLAS may block its products differently; then one ``svgd`` run with
+then two ``asvgd`` runs with the bilinear kernel on ``gauss-correlated`` at
+N = 5000, so both bilinear paths also run at a size where BLAS may block
+their products differently: constant damping, which steps in the affine
+frame of the run's start, and restart damping, which takes the particle step
+with its N-row products on every step; then one ``svgd`` run with
 the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram matrix
 spans several distance blocks and whose symmetric product K [X | grad_f | 1]
 BLAS blocks too; last, one ``ula`` run on ``double-bananas`` with record_every 1,
@@ -47,8 +49,10 @@ NaN against a number deviates by inf), followed for a CSV file by
 ``  (column)``, the first column that deviates by R.  When R is inf and a
 finite deviation is not 0, the line goes on with ``  finite F``, F the
 largest finite deviation, which the inf would hide, followed for a CSV file
-by its column.  A file with no numbers to compare gives ``differs  path``,
-and one that DIR lacks ``missing  path``.  So one command measures how far
+by its column.  A ``.json`` file gives ``differs  path  (keys: K, ...)``,
+the dotted keys whose values differ or that only one side has, and another
+file with no numbers to compare ``differs  path``; one that DIR lacks gives
+``missing  path``.  So one command measures how far
 a change of arithmetic moved each output:
 
     python3 scripts/output_digest.py --src OLD/src --keep /tmp/old > old.txt
@@ -98,9 +102,10 @@ def _calls():
     yield ("sweep-tau-mala-double-bananas-n300",
            {"sampler": "mala", "target": "double-bananas", "n_particles": 300},
            ["sweep", "--param", "tau", "--values", "0.01,0.02"])
-    yield ("asvgd-bilinear-gauss-correlated-constant-n5000",
-           {"kernel": "bilinear", "target": "gauss-correlated", "damping": "constant", "n_particles": 5000},
-           ["run"])
+    for damping in ("constant", "restart"):
+        yield (f"asvgd-bilinear-gauss-correlated-{damping}-n5000",
+               {"kernel": "bilinear", "target": "gauss-correlated", "damping": damping, "n_particles": 5000},
+               ["run"])
     yield ("svgd-gaussian-gauss-correlated-n600",
            {"sampler": "svgd", "target": "gauss-correlated", "n_particles": 600}, ["run"])
     yield ("ula-double-bananas-every-record",
@@ -150,12 +155,27 @@ def _max_rel_devs(a, b):
     return float(dev.max(initial=0.0)), float(dev[np.isfinite(dev)].max(initial=0.0))
 
 
+def _json_keys(a, b, prefix=""):
+    """The sorted dotted keys under which the JSON objects a and b differ, or that only one of them has."""
+    keys = []
+    for key in sorted(a.keys() | b.keys()):
+        name, x, y = prefix + key, a.get(key), b.get(key)
+        if isinstance(x, dict) and isinstance(y, dict):
+            keys += _json_keys(x, y, name + ".")
+        elif key not in a or key not in b or json.dumps(x) != json.dumps(y):  # dumps: a NaN equals a NaN
+            keys.append(name)
+    return keys
+
+
 def _deviation(out, old):
     """The stderr line for output file ``out`` against ``old``, or None if their bytes are equal."""
     if not old.is_file():
         return f"missing  {out.as_posix()}"
     if old.read_bytes() == out.read_bytes():
         return None
+    if out.suffix == ".json":
+        keys = _json_keys(*(json.loads(path.read_text(encoding="utf-8")) for path in (out, old)))
+        return f"differs  {out.as_posix()}" + (f"  (keys: {', '.join(keys)})" if keys else "")
     new_numbers, old_numbers = _numbers(out), _numbers(old)
     if not new_numbers or not old_numbers:
         return f"differs  {out.as_posix()}"

@@ -41,7 +41,6 @@ class ExperimentConfig:
     beta: float = 0.9
     use_speed_restart: bool = True
     use_gradient_restart: bool = True
-    restart_offset: float = 3.0
     init_mean: list | None = None
     init_cov: list | None = None
     record_every: int = 10
@@ -88,14 +87,7 @@ class ExperimentConfig:
                 return ConstantDamping(self.beta)
             except ValueError as exc:
                 raise ConfigError(f"beta: {exc}") from exc
-        try:
-            return RestartNesterov(
-                use_speed=self.use_speed_restart,
-                use_gradient=self.use_gradient_restart,
-                r=self.restart_offset,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"restart_offset: {exc}") from exc
+        return RestartNesterov(use_speed=self.use_speed_restart, use_gradient=self.use_gradient_restart)
 
     def build_sampler_config(self) -> SamplerConfig:
         """The run's ``SamplerConfig``; a Langevin sampler gets no kernel, so it never loads scipy."""
@@ -230,7 +222,6 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(cfg.n_steps >= 0, "n_steps must be a nonnegative integer")
     _require(cfg.record_every >= 1, "record_every must be a positive integer")
     _require(0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
-    _require(cfg.restart_offset >= 3.0, "restart_offset must be a number >= 3")
     _require(cfg.kl_method in ("auto", "knn"), "kl_method must be auto or knn")
 
     # construction of the derived objects performs matrix-level validation

@@ -31,7 +31,7 @@ and BLAS wrappers, the package's only use of scipy, which loads with the first
 K through the factor, and the plain step multiplies by K with one symmetric
 BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
 (K + eps I) is invertible only for eps > 0; that kernel forms neither K nor V,
-and solves only the (d+1) x d capacitance system, ``capacitance_solve``.
+and solves only the (d+1) x d capacitance system, ``_capacitance``.
 
 ``work`` is the run's workspace, a dict that ``samplers.run`` makes once per
 run (see ``samplers``).  The bilinear step keeps its one N-row scratch array
@@ -77,7 +77,6 @@ __all__ = [
     "GramMatrix",
     "gram",
     "nearest_sq_dists",
-    "capacitance_solve",
 ]
 
 
@@ -203,7 +202,7 @@ class BilinearKernel:
     def accelerated_terms(self, x, y, g, eps, tau, work=None):
         """Kernel force push - (sqrt(tau) / N) K grad_f(X) and restart statistic of the accelerated step at X.
 
-        Both read V only through U^T V = N C, C from ``capacitance_solve``: the
+        Both read V only through U^T V = N C, C from ``_capacitance``: the
         push is sqrt(tau) (1 + |C|^2) X A, and with grad2_k(x, y) = A x and
         X A = U[:, :d] L^T the statistic is -(1/N^2) [tr(V^T K G) - N tr(V^T X A)]
         = -(1/N) [<C, U^T G> - N <C[:d], L^T>].  As K G = U (U^T G), the force
@@ -368,18 +367,13 @@ def nearest_sq_dists(x):
     return out
 
 
-def capacitance_solve(u, eps, y):
-    """C = (eps I + U^T U)^-1 U^T y, the (d+1) x (d+1) capacitance solve on the N-row factor U.
+def _capacitance(utu, uty, eps):
+    """C = (eps I + U^T U)^-1 U^T y from U^T U and U^T y, the (d+1) x (d+1) capacitance solve on the factor U.
 
     N (U U^T + eps I)^-1 y = (N / eps) (y - U C) by Woodbury.  Raises LinAlgError
     naming the condition number of eps I + U^T U when it is at least
     1 / machine epsilon, where the solve has no correct digit left.
     """
-    return _capacitance(_column_gram(u), u.T @ y, eps)
-
-
-def _capacitance(utu, uty, eps):
-    """(eps I + U^T U)^-1 U^T y from U^T U and U^T y, with ``capacitance_solve``'s conditioning check."""
     cap = eps * np.eye(utu.shape[0]) + utu
     sv = np.abs(np.linalg.eigvalsh(cap))  # cap is symmetric: its singular values are the |eigenvalues|
     if not sv.max() * np.finfo(float).eps < sv.min():

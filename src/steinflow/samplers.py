@@ -151,23 +151,19 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class RestartNesterov:
-    """Counter-based damping (count - 1) / (count + r - 1) with optional restarts; r >= 3.
+    """Counter-based damping (count - 1) / (count + 2) with optional restarts.
 
-    A smaller r can make the denominator 0: at a counter of 1 when r = 0.
+    The counter schedule of Nesterov's method, the r = 3 member of the
+    (k - 1) / (k + r - 1) family of Su, Boyd and Candes (2016).
     """
 
     use_speed: bool = True
     use_gradient: bool = True
-    r: float = 3.0
     # the speed restart and the counters an ensemble brings give each particle its own alpha
     uniform: ClassVar[bool] = False
 
-    def __post_init__(self):
-        if not self.r >= 3.0:
-            raise ValueError(f"r must be a number >= 3, got {self.r}")
-
     def factor(self, ens, step_norms, grad_stat):
-        """alpha = (c - 1) / (c + r - 1) as an N x 1 column, and the counters c after this step's restarts.
+        """alpha = (c - 1) / (c + 2) as an N x 1 column, and the counters c after this step's restarts.
 
         A step shorter than the last restarts that particle's counter, and a
         negative ``grad_stat`` every counter.
@@ -177,12 +173,8 @@ class RestartNesterov:
             counts[step_norms < ens.prev_step_norms] = 1
         if self.use_gradient and grad_stat < 0.0:
             counts[:] = 1
-        # (counts - 1.0) / (counts + r - 1.0) in two N-float arrays; the float r
-        # keeps the denominator float when r is an integer
         alpha = counts - 1.0
-        denominator = counts + float(self.r)
-        denominator -= 1.0
-        alpha /= denominator
+        alpha /= counts + 2.0
         return alpha[:, None], counts
 
 

@@ -244,7 +244,8 @@ def reference_damping(ens, cfg, step_norms, gradient_restart):
         counts += 1
     if cfg.damping.use_gradient and gradient_restart:
         counts[:] = 1
-    return (counts - 1.0) / (counts + cfg.damping.r - 1.0), counts
+    r = 3.0  # Nesterov's member of the (c - 1) / (c + r - 1) family
+    return (counts - 1.0) / (counts + r - 1.0), counts
 
 
 def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:

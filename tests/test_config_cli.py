@@ -127,12 +127,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="config integer of 5001 digits is too long"):
             parse_config(text)
 
-    def test_restart_offset_below_three(self):
-        with pytest.raises(ConfigError, match="restart_offset must be a number >= 3"):
-            parse_config('{"target": "quartic", "restart_offset": 0}')
-        # an ExperimentConfig built without parse_config reaches the damping's own check
-        with pytest.raises(ConfigError, match="restart_offset: r must be a number >= 3, got -1"):
-            ExperimentConfig(target="quartic", restart_offset=-1).build_damping()
+    def test_restart_damping_is_built_from_its_two_flags(self):
+        # the counter schedule (c - 1) / (c + 2) has no setting of its own
+        assert {f.name for f in fields(RestartNesterov)} == {"use_speed", "use_gradient"}
+        cfg = parse_config('{"target": "quartic", "use_speed_restart": false}')
+        assert cfg.build_damping() == RestartNesterov(use_speed=False, use_gradient=True)
 
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
@@ -161,8 +160,7 @@ class TestParseConfig:
         assert parse_config('{"target": "quartic", "n_particles": 2}').n_particles == 2
 
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys):
-        for key in ("tau", "eps", "sigma2", "n_particles", "n_steps", "record_every", "seed", "beta",
-                    "restart_offset"):
+        for key in ("tau", "eps", "sigma2", "n_particles", "n_steps", "record_every", "seed", "beta"):
             for value in (True, False):
                 with pytest.raises(ConfigError, match=key):
                     parse_config(json.dumps({"target": "quartic", key: value}))

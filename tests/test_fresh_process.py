@@ -61,15 +61,16 @@ def test_blas_thread_count_moves_the_particles_by_rounding_only(tmp_path):
         assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(one), sampler
 
 
-# runs the bilinear-large benchmark config (N = 50 000, A = I, beta = 0.9) for
-# 60 steps and prints the minor page faults per step from iteration 10 to 60
+# runs the bilinear-large benchmark config (N = 50 000, A = I, beta = 0.9) with
+# the damping argv[1] for 60 steps and prints the minor page faults per step
+# from iteration 10 to 60
 _BILINEAR_FAULTS = """
-import json, resource
+import json, resource, sys
 import numpy as np
 from steinflow import parse_config, samplers
 cfg = parse_config(json.dumps({
     "sampler": "asvgd", "target": "gauss-correlated", "kernel": "bilinear",
-    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": "constant", "beta": 0.9, "eps": 0.1,
+    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": sys.argv[1], "beta": 0.9, "eps": 0.1,
     "n_particles": 50000, "n_steps": 60, "tau": 0.01,
     "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]]}))
 mean, _, chol = cfg.initial_distribution(2)
@@ -85,25 +86,30 @@ print((faults[60] - faults[10]) / 50)
 """
 
 
+# constant damping takes the affine frame, restart damping the particle step
+_DAMPINGS = pytest.mark.parametrize("damping", ["constant", "restart"])
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count")
-def test_bilinear_steps_do_not_fault_their_heap():
+@_DAMPINGS
+def test_bilinear_steps_do_not_fault_their_heap(damping):
     # a step that frees and reallocates its N-row arrays faults their pages
     # in again: about 200 faults per step at this size
-    per_step = float(_run_child(_BILINEAR_FAULTS, env_update={"OPENBLAS_NUM_THREADS": "1",
-                                                               "OMP_NUM_THREADS": "1"}))
+    per_step = float(_run_child(_BILINEAR_FAULTS, damping, env_update={"OPENBLAS_NUM_THREADS": "1",
+                                                                        "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step
 
 
-# runs the bilinear-large benchmark config through experiment.run_experiment,
-# with its metric records and .npy snapshots every 10 steps, into argv[1], and
-# prints the minor page faults per step from iteration 10 to 60, read around
-# the module's asvgd_step as a tracer would
+# runs the bilinear-large benchmark config with the damping argv[2] through
+# experiment.run_experiment, with its metric records and .npy snapshots every
+# 10 steps, into argv[1], and prints the minor page faults per step from
+# iteration 10 to 60, read around the module's asvgd_step as a tracer would
 _BILINEAR_EXPERIMENT_FAULTS = """
 import json, resource, sys
 from steinflow import experiment, parse_config, samplers
 cfg = parse_config(json.dumps({
     "sampler": "asvgd", "target": "gauss-correlated", "kernel": "bilinear",
-    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": "constant", "beta": 0.9, "eps": 0.1,
+    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": sys.argv[2], "beta": 0.9, "eps": 0.1,
     "n_particles": 50000, "n_steps": 60, "tau": 0.01, "record_every": 10,
     "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]], "output_dir": sys.argv[1]}))
 faults = {}
@@ -122,14 +128,17 @@ print((faults[60] - faults[10]) / 50)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count")
-def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path):
+@_DAMPINGS
+def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path, damping):
     # the whole run as the benchmark times it, records included: when a step
     # frees its N-row arrays decides whether glibc trims the top of its heap
-    # and faults it in again on the next step.  The frame step reads 0.06
-    # here, and the particle step read 2.0; the particle step with its step
-    # lengths summed without einsum read 163.5, a frame step that frees
-    # grad_f before it allocates Y 325.5, and one that keeps grad_f until
-    # after the next step's Y 112.8
-    per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"),
+    # and faults it in again on the next step.  The frame step (constant)
+    # reads 0.0-0.06 here and the particle step (restart) 0.0; a frame step
+    # that frees grad_f before it allocates Y read 325.5, and one that keeps
+    # grad_f until after the next step's Y 112.8.  The particle step with
+    # its step lengths summed without einsum read 163.5 when the constant
+    # config took it, but reads 1.96 on the restart config, so this test
+    # does not catch that variant
+    per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"), damping,
                                 env_update={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step

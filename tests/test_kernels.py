@@ -7,7 +7,8 @@ from steinflow import kernels
 from steinflow.kernels import (
     BilinearKernel,
     GaussianKernel,
-    capacitance_solve,
+    _capacitance,
+    _column_gram,
     gram,
     nearest_sq_dists,
 )
@@ -304,9 +305,10 @@ class TestRegularizedInverse:
     def test_identity_gram_eps_one(self):
         # U = I: C = (I + I)^-1 y
         y = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(capacitance_solve(np.eye(4), 1.0, y), 0.5 * y, rtol=1e-14)
+        u = np.eye(4)
+        assert np.allclose(_capacitance(_column_gram(u), u.T @ y, 1.0), 0.5 * y, rtol=1e-14)
 
-    def test_capacitance_solve_matches_dense(self):
+    def test_capacitance_matches_dense(self):
         # (eps I + U^T U)^-1 U^T = U^T (U U^T + eps I)^-1, and U U^T is the Gram matrix
         rng = np.random.default_rng(21)
         kernel = BilinearKernel(random_spd(rng, 2))
@@ -314,7 +316,7 @@ class TestRegularizedInverse:
         y = rng.standard_normal((5, 2))
         u = kernel.low_rank_factor(x)
         dense = u.T @ np.linalg.solve(loop_gram(kernel, x) + 0.1 * np.eye(5), y)
-        assert np.allclose(capacitance_solve(u, 0.1, y), dense, rtol=1e-8)
+        assert np.allclose(_capacitance(_column_gram(u), u.T @ y, 0.1), dense, rtol=1e-8)
 
     @pytest.mark.parametrize("n", [60, 5000, 50_000])
     def test_column_gram_matches_a_long_double_product(self, n):
@@ -326,11 +328,12 @@ class TestRegularizedInverse:
         err = np.linalg.norm((kernels._column_gram(u) - exact).astype(float))
         assert err <= 1e-15 * np.linalg.norm(exact.astype(float))
 
-    def test_capacitance_solve_rejects_an_ill_conditioned_capacitance_matrix(self):
+    def test_capacitance_rejects_an_ill_conditioned_capacitance_matrix(self):
         # eps I + U^T U has the eigenvalues eps and about 5e19: a condition number past 1 / 2^-52
         u = np.column_stack([np.full(50, 1e9), np.ones(50)])
+        y = np.ones((50, 2))
         with pytest.raises(np.linalg.LinAlgError, match="capacitance matrix") as info:
-            capacitance_solve(u, 0.1, np.ones((50, 2)))
+            _capacitance(_column_gram(u), u.T @ y, 0.1)
         cond = float(re.search(r"condition number (\S+)\)", str(info.value)).group(1))
         assert cond >= 1.0 / np.finfo(float).eps
 
@@ -342,7 +345,7 @@ class TestRegularizedInverse:
         y = rng.standard_normal((12, 3))
         eps = 0.05
         u = kernel.low_rank_factor(x)
-        v = (12.0 / eps) * (y - u @ capacitance_solve(u, eps, y))
+        v = (12.0 / eps) * (y - u @ _capacitance(_column_gram(u), u.T @ y, eps))
         resid = (loop_gram(kernel, x) + eps * np.eye(12)) @ v / 12.0 - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 

@@ -1,6 +1,7 @@
 """scripts/output_digest.py: two runs write identical outputs, and ``--against`` says how far and in which column a file moved."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -44,7 +45,7 @@ def test_a_second_run_reproduces_every_output(tmp_path):
     names = {line.split("  ", 1)[1].split("/")[0] if "  error: " not in line else line.split("  ", 1)[0]
              for line in lines}
     calls = _call_names()
-    assert len(calls) == 92 and names == set(calls)
+    assert len(calls) == 93 and names == set(calls)
 
 
 def test_the_thread_setting_names_its_source():
@@ -72,3 +73,10 @@ def test_a_deviation_names_its_column(tmp_path):
     assert deviation(new, old) == f"max-rel-dev 0.5  {new.as_posix()}"  # an array has no column to name
     np.save(new, np.array([np.nan, 1.0, 0.5]))
     assert deviation(new, old) == f"max-rel-dev inf  {new.as_posix()}  finite 0.5"
+    # a JSON file names the dotted keys whose values differ or that one side lacks; a NaN equals a NaN
+    old, new = old.with_suffix(".json"), new.with_suffix(".json")
+    old.write_text(json.dumps({"config": {"beta": 0.9, "seed": 0, "tau": 0.1, "x": float("nan")},
+                               "content_hash": "a"}), encoding="utf-8")
+    new.write_text(json.dumps({"config": {"seed": 0, "tau": 0.2, "x": float("nan")}, "content_hash": "b",
+                               "wall_s": 1.0}), encoding="utf-8")
+    assert deviation(new, old) == f"differs  {new.as_posix()}  (keys: config.beta, config.tau, content_hash, wall_s)"

@@ -83,11 +83,17 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ConstantDamping(-0.1)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0, 2.999, float("nan")])
-    def test_restart_offset_below_three_rejected(self, r):
-        # r = 0 makes the damping 0/0 at a counter of 1
-        with pytest.raises(ValueError, match="r must be a number >= 3"):
-            RestartNesterov(r=r)
+    @pytest.mark.parametrize("count, restarted, alpha",
+                             [(1, False, 0.25), (3, False, 0.5), (7, False, 0.7), (7, True, 0.0)])
+    def test_restart_damping_is_the_counter_schedule(self, count, restarted, alpha):
+        # a counter k becomes c = k + 1, or 1 on a restart, and alpha = (c - 1) / (c + 2), the
+        # r = 3 member of the (c - 1) / (c + r - 1) family: a float, and 0 on a restart
+        ens = ParticleEnsemble.initialize(np.zeros((1, 2)))
+        ens.restart_count = np.array([count])
+        ens.prev_step_norms = np.array([1.0])
+        got, counts = RestartNesterov().factor(ens, np.array([0.5 if restarted else 2.0]), 0.5)
+        assert got.dtype == float and got.shape == (1, 1) and got[0, 0] == alpha
+        assert counts[0] == (1 if restarted else count + 1)
 
     def test_sampler_config_validation(self):
         t = QuarticTarget()
@@ -347,13 +353,13 @@ class TestRestartLogic:
         assert np.array_equal(out.restart_count, [2, 3, 6])
 
     @pytest.mark.parametrize("damping", [
-        RestartNesterov(r=4),
-        parse_config('{"target": "quartic", "restart_offset": 4}').build_damping(),
-        RestartNesterov(use_speed=False, r=3.7),
-    ], ids=["python-int", "json-int", "float"])
+        RestartNesterov(),
+        parse_config('{"target": "quartic"}').build_damping(),
+        RestartNesterov(use_speed=False),
+    ], ids=["default", "config", "no-speed"])
     @pytest.mark.parametrize("grad_stat", [0.5, -0.5])
     def test_damping_matches_the_reference_bit_for_bit(self, damping, grad_stat):
-        # an integer r (a JSON integer is kept as one) must give a float damping, not an integer array
+        # the integer counters give a float damping, not an integer array
         rng = np.random.default_rng(11)
         cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=gaussian_target(rng, 2), tau=0.01, eps=0.1,
                             damping=damping)
