@@ -91,8 +91,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + MetricRecord.csv_header(dim) + "\n")
 
         def record(ens):
-            if ens.iteration not in record_iters:
-                return
             mean_speed = float(ens.prev_step_norms.mean())
             row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat)
             metrics.write(row.csv_row() + "\n")
@@ -100,7 +98,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             _write_snapshot(snapdir, ens.iteration, ens.x)
             snapshots.append(ens.x[:MAX_PATHS].copy() if snapshots else ens.x.copy())
 
-        final = samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng)
+        final = samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng, record_iters=record_iters)
 
     if dim == 2:
         snapshots[-1] = final.x  # the record of iteration n_steps, with all its rows

@@ -30,23 +30,38 @@ and a damping whose ``uniform`` is true (``ConstantDamping``: one scalar
 alpha for every particle), the step is affine in the particles, so a run that
 starts at rest keeps X = P W and Y = P V in the frame P = [X0 | 1] of its
 start, with (d+1) x d coefficients W and V, for any target: grad_f enters only
-through P^T grad_f.  ``asvgd_step`` then steps in the frame that the run's
-workspace holds (P, P^T P, formed once, W, V and the last grad_f):
-X = P W, grad_f(X), P^T grad_f, the step lengths sqrt(tau) |Y_i| from the
-last momenta, ``frame_terms``, and Y = P V, about half the N-row passes of
-the particle step, and the ensemble it returns is a full one, with fresh X,
-Y and step lengths.  The frame serves only the ensemble it made last, or a new one
-from an ensemble at rest (Y = 0); anything else, a ``RestartNesterov`` run
-(whose speed restart gives each particle its own alpha) and every step
-called without a workspace take the particle path above, with unchanged
-bits.  The two paths agree to rounding, about 1e-15 normwise, not bit for
-bit: a constant-damped bilinear run and a loop of direct ``asvgd_step`` calls
-from its start no longer give the same bits.  A consequence for users: with
-the bilinear kernel and one damping factor the particles stay an affine image
-of their start, so such a run can match a Gaussian target's mean and
-covariance, and on any other target it settles where E[grad_f(X)] = 0 and
-E[grad_f(X) X^T] = I, which need not give even the covariance (on
-``quartic`` the variances settle near 0.59 against 0.676; see README).
+through P^T grad_f.  The run's workspace holds the frame (P, P^T P, formed
+once, W, V, the V before the last step and the last grad_f), and a step in it
+is ``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f,
+``frame_terms`` and V <- W_hat S + alpha V, then ``_AffineFrame.ensemble``,
+which forms the full ensemble: X = P W, Y = P V and the step lengths
+sqrt(tau) |P V_prev| row by row.  Which runs do N-row work on every step:
+
+* on a target with ``frame_gradient`` (a ``GaussianTarget``, whose gradient
+  is affine), P^T grad_f comes from P^T P and W alone, so ``advance`` reads
+  no N-row array and costs O(d^3) whatever N is.  ``run`` steps such a run
+  itself, not through ``step``: it forms the ensemble only at the iterations
+  its recorder reads (``record_iters``) and at the last one, so a run that
+  records every 10th iteration makes its N-row passes at those alone;
+* on any other target ``advance`` forms X = P W and P^T grad_f(X), and
+  ``asvgd_step`` forms the ensemble on every step: about half the N-row
+  passes of the particle step;
+* a ``RestartNesterov`` run (whose speed restart gives each particle its own
+  alpha), every step called without a workspace, and one from an ensemble
+  that is neither at rest nor the frame's own take the particle path above,
+  with all its N-row passes and unchanged bits.
+
+The frame serves only the ensemble it made last, or a new one from an
+ensemble at rest (Y = 0).  The frame and the particle path agree to
+rounding, about 1e-15 normwise, not bit for bit: a constant-damped bilinear
+run and a loop of direct ``asvgd_step`` calls from its start no longer give
+the same bits.  A run on the coefficient path gives the same bits whichever
+iterations it records.  A consequence for users: with the bilinear kernel
+and one damping factor the particles stay an affine image of their start, so
+such a run can match a Gaussian target's mean and covariance, and on any
+other target it settles where E[grad_f(X)] = 0 and E[grad_f(X) X^T] = I,
+which need not give even the covariance (on ``quartic`` the variances settle
+near 0.59 against 0.676; see README).
 
 All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
 returns the next ``ParticleEnsemble``, with its positions checked finite, its
@@ -56,7 +71,7 @@ Langevin samplers keep their state in the same ensemble: ULD's momentum lives
 in Y.  MALA returns no acceptance flags, since a rejected particle keeps its
 row bit for bit: the accepted rows are ``np.any(new.x != ens.x, axis=1)``.
 ``step`` picks the function by ``cfg.algorithm``, and ``run`` is the one loop
-over it.
+over it, which steps a Gaussian target's frame itself (see above).
 
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
 every step.  It holds the accelerated step's N-row scratch arrays (the
@@ -187,7 +202,8 @@ class ConstantDamping:
     """
 
     beta: float
-    # ``factor`` returns one scalar alpha for every particle, whatever the ensemble
+    # ``factor`` returns one scalar alpha for every particle, reading neither the
+    # ensemble's rows nor the step lengths, which the affine frame passes as None
     uniform: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -258,11 +274,13 @@ def _moved(ens, x_new, what="positions", **fields):
 class _AffineFrame:
     """X = P W and Y = P V in the frame P = [X0 | 1] of a run's start, with P^T P formed once.
 
-    ``x`` and ``y`` are the arrays of the last ensemble the frame stepped to,
-    so a step can tell that its ensemble is the frame's own; ``p_max`` is
-    max |P|, which bounds the entries of a product P B by (d + 1) p_max max |B|.
-    ``grad`` holds grad_f of the last step until the next step has its own
-    (see ``_frame_step``).
+    ``w`` and ``v`` are the coefficients after the frame's last step and
+    ``v_prev`` the momenta's before it, whose rows P v_prev give that step's
+    lengths.  ``x`` and ``y`` are the arrays of the last ensemble the frame
+    made (see ``ensemble``), so a step can tell that its ensemble is the
+    frame's own; ``p_max`` is max |P|, which bounds the entries of a product
+    P B by (d + 1) p_max max |B|.  ``grad`` holds grad_f of the last step
+    until the next step has its own (see ``advance``).
     """
 
     p: np.ndarray
@@ -272,6 +290,7 @@ class _AffineFrame:
     v: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    v_prev: np.ndarray = None
     grad: np.ndarray = None
 
     @classmethod
@@ -286,13 +305,80 @@ class _AffineFrame:
         return cls(p=p, pp=_column_gram(p), p_max=float(np.abs(p).max()), w=w, v=np.zeros((d + 1, d)),
                    x=ens.x, y=ens.y)
 
+    def _bounded(self, coef):
+        """Whether no entry of P coef can overflow."""
+        return np.abs(coef).max() * self.p_max * self.p.shape[1] < 0.5 * np.finfo(float).max
+
+    def check(self, coef, iteration, what):
+        """Raise as ``_check_finite`` on P coef would, forming P coef only when coef could overflow it."""
+        _check_finite(coef, iteration, what)
+        if not self._bounded(coef):
+            _check_finite(_matmul_f(self.p, coef), iteration, what)
+
     def product(self, coef, iteration, what):
         """P coef, checked finite as ``_check_finite`` would, reading it only when coef could overflow it."""
         _check_finite(coef, iteration, what)
         out = _matmul_f(self.p, coef)
-        if not np.abs(coef).max() * self.p_max * self.p.shape[1] < 0.5 * np.finfo(float).max:
+        if not self._bounded(coef):
             _check_finite(out, iteration, what)
         return out
+
+    def advance(self, ens, cfg, iteration):
+        """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + alpha V.
+
+        Returns X = P W if the step formed it, else None, the restart
+        statistic and the counters.  grad_f enters only through P^T grad_f:
+        from the target's ``frame_gradient`` when it has one (a Gaussian
+        target), which reads only P^T P, so the step touches no N-row array
+        and X is formed only if W could overflow it; otherwise as
+        P^T grad_f(P W).  W and V are checked finite, as the particle step
+        checks X and Y.  ``ens`` is the last ensemble the frame made, or the
+        one it started from; the damping is ``uniform`` (see
+        ``ConstantDamping``) and reads none of its rows.
+        """
+        w = self.w + np.sqrt(cfg.tau) * self.v
+        frame_gradient = getattr(cfg.target, "frame_gradient", None)
+        if frame_gradient is None:
+            # When a step frees its N-row arrays decides whether the next one reuses
+            # that heap or glibc trims the top of the heap and faults it in again,
+            # 150-330 pages a step at N = 50 000 (fresh processes running the
+            # benchmark's config, 200 steps each).  grad_f lives until Y is allocated
+            # (freed before, every run faulted), and the frame keeps it until the next
+            # step has its own (no run of 96 faulted; freed at the end of its own step,
+            # 7 of 56 did; kept past the next step's Y, every run did).
+            x = self.product(w, iteration, "positions")
+            g = self.grad = _grad(cfg, x)
+            ptg = self.p.T @ g
+        else:
+            x = None
+            self.check(w, iteration, "positions")
+            ptg = frame_gradient(self.pp, w)
+        force, grad_stat = cfg.kernel.frame_terms(w, self.v, self.pp, ptg, cfg.eps, cfg.tau, self.p.shape[0])
+        alpha, counts = cfg.damping.factor(ens, None, grad_stat)
+        v = force
+        v += alpha * self.v
+        self.check(v, iteration, "momentum update")
+        self.w, self.v, self.v_prev = w, v, self.v
+        return x, grad_stat, counts
+
+    def ensemble(self, ens, iteration, x, grad_stat, counts, tau):
+        """The full ensemble after the frame's last step, at iteration ``iteration``.
+
+        ``ens`` is the last ensemble the frame made, or the one it started
+        from, and ``x`` is P W if ``advance`` formed it.  The step lengths are
+        |X' - X| = sqrt(tau) |P v_prev| row by row, with P v_prev the very
+        array ``ens.y`` when ``ens`` is the step's own start.
+        """
+        if x is None:
+            x = self.product(self.w, iteration, "positions")
+        y_prev = ens.y if ens.iteration == iteration - 1 else _matmul_f(self.p, self.v_prev)
+        step_norms = np.einsum("ij,ij->i", y_prev, y_prev)
+        np.sqrt(step_norms, out=step_norms)
+        step_norms *= np.sqrt(tau)
+        y = self.product(self.v, iteration, "momentum update")
+        self.x, self.y = x, y
+        return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
+                       restart_count=counts, grad_stat=grad_stat)
 
 
 def _affine_frame(ens, cfg, work):
@@ -314,34 +400,6 @@ def _affine_frame(ens, cfg, work):
     return frame
 
 
-def _frame_step(ens, cfg, frame):
-    """``asvgd_step`` in the frame: X, Y and the force are thin products of P with (d+1) x d coefficients."""
-    iteration = ens.iteration + 1
-    sqrt_tau = np.sqrt(cfg.tau)
-    w = frame.w + sqrt_tau * frame.v
-    # When a step frees its N-row arrays decides whether the next one reuses
-    # that heap or glibc trims the top of the heap and faults it in again,
-    # 150-330 pages a step at N = 50 000 (fresh processes running the
-    # benchmark's config, 200 steps each).  grad_f lives until Y is allocated
-    # (freed before, every run faulted), and the frame keeps it until the next
-    # step has its own (no run of 96 faulted; freed at the end of its own step,
-    # 7 of 56 did; kept past the next step's Y, every run did).
-    x = frame.product(w, iteration, "positions")
-    g = frame.grad = _grad(cfg, x)
-    # |X' - X| = sqrt(tau) |Y| row by row
-    step_norms = np.einsum("ij,ij->i", ens.y, ens.y)
-    np.sqrt(step_norms, out=step_norms)
-    step_norms *= sqrt_tau
-    force, grad_stat = cfg.kernel.frame_terms(w, frame.v, frame.pp, frame.p.T @ g, cfg.eps, cfg.tau, ens.n)
-    alpha, counts = cfg.damping.factor(ens, step_norms, grad_stat)
-    v = force
-    v += alpha * frame.v
-    y = frame.product(v, iteration, "momentum update")
-    frame.w, frame.v, frame.x, frame.y = w, v, x, y
-    return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
-                   restart_count=counts, grad_stat=grad_stat)
-
-
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
     """One accelerated transport step (position, damping, momentum).
 
@@ -356,7 +414,8 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -
     """
     frame = _affine_frame(ens, cfg, work)
     if frame is not None:
-        return _frame_step(ens, cfg, frame)
+        iteration = ens.iteration + 1
+        return frame.ensemble(ens, iteration, *frame.advance(ens, cfg, iteration), cfg.tau)
     work = {} if work is None else work
     # X + sqrt(tau) Y in the one array the new ensemble keeps
     x_new = np.multiply(ens.y, np.sqrt(cfg.tau))
@@ -440,26 +499,44 @@ def step(ens: ParticleEnsemble, cfg: SamplerConfig, rng, work=None) -> ParticleE
     return steps[cfg.algorithm](ens, cfg, rng, work)
 
 
-def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None) -> ParticleEnsemble:
+def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None, record_iters=None) -> ParticleEnsemble:
     """Take ``n_steps`` steps of the configured sampler from x0; returns the final ensemble.
 
-    The recorder hook, if given, is called as recorder(ens) once for the
-    initial state and once after every step; it must not mutate the ensemble.
-    The Langevin noise comes from ``rng``, a generator seeded with cfg.seed
-    unless the caller passes its own, so identical configurations produce
-    identical trajectories.  One workspace serves every step of the run (see
-    the module docstring).
+    The recorder hook, if given, is called as recorder(ens) at every
+    iteration in ``record_iters`` (by default every iteration: once for the
+    initial state and once after every step); it must not mutate the
+    ensemble.  The final ensemble is a full one whether or not ``n_steps`` is
+    among them.  The Langevin noise comes from ``rng``, a generator seeded
+    with cfg.seed unless the caller passes its own, so identical
+    configurations produce identical trajectories.  One workspace serves every
+    step of the run (see the module docstring).
+
+    A constant-damped bilinear ``asvgd`` run on a target with
+    ``frame_gradient`` steps its affine frame here, not through ``step``:
+    between the iterations that are recorded, and before the last, it
+    advances the (d+1) x d coefficients alone, and it forms X, Y and the step
+    lengths only at those iterations.
     """
     ens = ParticleEnsemble.initialize(x0)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     work = {}
-    if recorder is not None:
+    recorded = None if record_iters is None else frozenset(record_iters)
+    frame = None
+    if cfg.algorithm == "asvgd" and callable(getattr(cfg.target, "frame_gradient", None)):
+        frame = _affine_frame(ens, cfg, work)
+    if recorder is not None and (recorded is None or 0 in recorded):
         recorder(ens)
-    for _ in range(n_steps):
+    for iteration in range(1, n_steps + 1):
+        record = recorder is not None and (recorded is None or iteration in recorded)
         try:
-            ens = step(ens, cfg, rng, work)
+            if frame is None:
+                ens = step(ens, cfg, rng, work)
+            else:
+                stepped = frame.advance(ens, cfg, iteration)
+                if record or iteration == n_steps:
+                    ens = frame.ensemble(ens, iteration, *stepped, cfg.tau)
         except Exception as exc:
-            raise RuntimeError(f"{cfg.algorithm} failed at iteration {ens.iteration + 1}: {exc}") from exc
-        if recorder is not None:
+            raise RuntimeError(f"{cfg.algorithm} failed at iteration {iteration}: {exc}") from exc
+        if record:
             recorder(ens)
     return ens

@@ -6,7 +6,9 @@ and (N, d).  The samplers pass column-major rows, and the built-in targets
 return column-major gradients (see ``samplers``).  Every built-in target
 also has ``log_normalizer`` = log of the integral of exp(-f) over R^d, in
 closed form.  The knn KL metric needs it and rejects a target without it,
-such as a ``CustomTarget``.
+such as a ``CustomTarget``.  A ``GaussianTarget`` alone also has
+``frame_gradient(pp, w)``, its projected gradient in the samplers' affine
+frame, with which a constant-damped bilinear run steps without an N-row array.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ class GaussianTarget:
     def grad_all(self, x):
         # R Q^-1, written (Q^-T R^T)^T so that it comes out column-major
         return (self.q_inv.T @ (np.asarray(x, dtype=float) - self.b).T).T
+
+    def frame_gradient(self, pp, w):
+        """P^T grad_f(P W) from pp = P^T P alone, for a frame P whose last column is 1.
+
+        grad_f(X) = (X - 1 b^T) Q^-1 is affine in X, so
+        P^T grad_f(P W) = (P^T P W - P^T 1 b^T) Q^-1, and P^T 1 is the last
+        column of P^T P: the samplers' affine frame steps without an N-row array.
+        """
+        return (pp @ w - np.outer(pp[:, -1], self.b)) @ self.q_inv
 
 
 class QuarticTarget:

@@ -86,7 +86,9 @@ print((faults[60] - faults[10]) / 50)
 """
 
 
-# constant damping takes the affine frame, restart damping the particle step
+# constant damping steps the affine frame in coefficients, here forming the
+# ensemble at every iteration, which the recorder reads; restart damping
+# takes the particle step
 _DAMPINGS = pytest.mark.parametrize("damping", ["constant", "restart"])
 
 
@@ -100,45 +102,54 @@ def test_bilinear_steps_do_not_fault_their_heap(damping):
     assert per_step <= 20, per_step
 
 
-# runs the bilinear-large benchmark config with the damping argv[2] through
-# experiment.run_experiment, with its metric records and .npy snapshots every
-# 10 steps, into argv[1], and prints the minor page faults per step from
-# iteration 10 to 60, read around the module's asvgd_step as a tracer would
+# runs the bilinear-large benchmark config on the target argv[2] with the
+# damping argv[3] and the step size argv[4] through experiment.run_experiment, with its metric records
+# and .npy snapshots every 10 steps, into argv[1], and prints the minor page
+# faults per step from iteration 10 to 60, read where the recorder is called
+# at those records, before it runs
 _BILINEAR_EXPERIMENT_FAULTS = """
 import json, resource, sys
 from steinflow import experiment, parse_config, samplers
 cfg = parse_config(json.dumps({
-    "sampler": "asvgd", "target": "gauss-correlated", "kernel": "bilinear",
-    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": sys.argv[2], "beta": 0.9, "eps": 0.1,
-    "n_particles": 50000, "n_steps": 60, "tau": 0.01, "record_every": 10,
+    "sampler": "asvgd", "target": sys.argv[2], "kernel": "bilinear",
+    "a_matrix": [[1.0, 0.0], [0.0, 1.0]], "damping": sys.argv[3], "beta": 0.9, "eps": 0.1,
+    "n_particles": 50000, "n_steps": 60, "tau": float(sys.argv[4]), "record_every": 10,
     "init_mean": [1.0, 1.0], "init_cov": [[3.0, 2.0], [2.0, 3.0]], "output_dir": sys.argv[1]}))
 faults = {}
-step = samplers.asvgd_step
+run = samplers.run
 
-def counted(ens, cfg, rng=None, work=None):
-    new = step(ens, cfg, rng, work)
-    if new.iteration in (10, 60):
-        faults[new.iteration] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    return new
+def counted_run(cfg, x0, n_steps, recorder=None, rng=None, record_iters=None):
+    def counted(ens):
+        if ens.iteration in (10, 60):
+            faults[ens.iteration] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        recorder(ens)
+    return run(cfg, x0, n_steps, recorder=counted, rng=rng, record_iters=record_iters)
 
-samplers.asvgd_step = counted
+samplers.run = counted_run
 experiment.run_experiment(cfg)
 print((faults[60] - faults[10]) / 50)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count")
-@_DAMPINGS
-def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path, damping):
+# quartic leaves the floating-point range within 5 steps at tau = 0.01 from this start
+@pytest.mark.parametrize("target, damping, tau", [
+    pytest.param("gauss-correlated", "constant", 0.01, id="constant"),
+    pytest.param("gauss-correlated", "restart", 0.01, id="restart"),
+    pytest.param("quartic", "constant", 0.001, id="quartic-constant")])
+def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path, target, damping, tau):
     # the whole run as the benchmark times it, records included: when a step
     # frees its N-row arrays decides whether glibc trims the top of its heap
-    # and faults it in again on the next step.  The frame step (constant)
-    # reads 0.0-0.06 here and the particle step (restart) 0.0; a frame step
-    # that frees grad_f before it allocates Y read 325.5, and one that keeps
-    # grad_f until after the next step's Y 112.8.  The particle step with
-    # its step lengths summed without einsum read 163.5 when the constant
-    # config took it, but reads 1.96 on the restart config, so this test
-    # does not catch that variant
-    per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"), damping,
+    # and faults it in again on the next step.  Constant damping on the
+    # Gaussian target steps in coefficients and forms N-row arrays only at
+    # the records (1.32 faults per step in 8 of 8 runs), on quartic it takes
+    # the frame's N-row step (2.0), and restart damping the particle step
+    # (0.0).  A frame step that frees grad_f before it allocates Y read 325.5,
+    # and one that keeps grad_f until after the next step's Y 112.8, when the
+    # Gaussian config took the frame's N-row step.  The particle step with its
+    # step lengths summed without einsum read 163.5 when the constant config
+    # took it, but reads 1.96 on the restart config, so this test does not
+    # catch that variant
+    per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"), target, damping, str(tau),
                                 env_update={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step

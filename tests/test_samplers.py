@@ -557,6 +557,19 @@ def assert_bits_equal(a, b):
     assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def frames_started(monkeypatch):
+    """The list of the affine frames that runs start from now on, in order."""
+    frames = []
+    start = samplers._AffineFrame.start
+
+    def keep(ens):
+        frames.append(start(ens))
+        return frames[-1]
+
+    monkeypatch.setattr(samplers._AffineFrame, "start", staticmethod(keep))
+    return frames
+
+
 class CountingTarget:
     """A target that counts its batched evaluations."""
 
@@ -740,7 +753,8 @@ class TestBilinearWorkspace:
 
     def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
         # a restart-damped run keeps its scratch arrays in the workspace, a
-        # constant-damped one its frame, whose x and y are the last ensemble's own
+        # constant-damped one its frame, whose x and y are the last ensemble's
+        # own; on the Gaussian target the frame steps without asvgd_step
         workspaces = []
         original = samplers.asvgd_step
 
@@ -749,20 +763,27 @@ class TestBilinearWorkspace:
             return original(ens, cfg, rng, work)
 
         monkeypatch.setattr(samplers, "asvgd_step", keep_workspace)
-        for damping in (RestartNesterov(), ConstantDamping(0.9)):
+        frames = frames_started(monkeypatch)
+        for damping, target in ((RestartNesterov(), None), (ConstantDamping(0.9), None),
+                                (ConstantDamping(0.9), QuarticTarget())):
             rng = np.random.default_rng(42)
             cfg = self._cfg(rng, 2, damping)
+            cfg = cfg if target is None else replace(cfg, target=target)
             workspaces.clear()
+            frames.clear()
             kept = []
             run(cfg, rng.standard_normal((300, 2)), 10,
                 recorder=lambda ens: kept.append((ens, copy.deepcopy(ens))))
-            assert len(kept) == 11 and workspaces[0]
-            scratch = [buf for buf in workspaces[0].values() if isinstance(buf, np.ndarray)]
-            frame = workspaces[0].get("frame")
-            assert (frame is not None) == damping.uniform
-            if frame is not None:
+            assert len(kept) == 11
+            assert len(workspaces) == (0 if damping.uniform and target is None else 10)
+            assert len(frames) == damping.uniform
+            scratch = [buf for work in workspaces[:1] for buf in work.values() if isinstance(buf, np.ndarray)]
+            assert scratch or damping.uniform
+            for frame in frames:
                 assert frame.x is kept[-1][0].x and frame.y is kept[-1][0].y
-                scratch += [frame.p, frame.pp, frame.w, frame.v, frame.grad]
+                assert (frame.grad is None) == (target is None)
+                scratch += [a for a in (frame.p, frame.pp, frame.w, frame.v, frame.v_prev, frame.grad)
+                            if a is not None]
             for ens, snapshot in kept:
                 for name in ("x", "y", "prev_step_norms"):
                     assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
@@ -792,46 +813,55 @@ class TestAffineFrame:
 
     The frame forms X, Y and the force as products of P = [X0 | 1] with
     (d+1) x d coefficients, so it agrees with the particle path to rounding,
-    not bit for bit.  The tolerances are normwise: X against |X| at that
-    step, and the momenta and step lengths against their largest norm so far,
-    since both fall towards 0 as a run converges while their rounding stays
-    at the scale of the terms they are summed from.
+    not bit for bit.  On a Gaussian target it steps the coefficients alone
+    between the records, so the runs that record every 10th iteration check
+    that path.  The tolerances are normwise: X against |X| at that step, and
+    the momenta and step lengths against their largest norm so far, since
+    both fall towards 0 as a run converges while their rounding stays at the
+    scale of the terms they are summed from.
     """
 
     @staticmethod
-    def _runs(target, n, tau, n_steps, seed, beta=0.9):
-        """A constant-damped bilinear ``run`` and a loop of direct ``asvgd_step`` calls from one start.
+    def _runs(target, n, tau, n_steps, seed, beta=0.9, every=1):
+        """A constant-damped bilinear ``run``, recording every ``every``-th iteration, and a loop of direct ``asvgd_step`` calls from one start.
 
-        Each is the list of its ensembles, up to and with the step that failed;
-        the failure, if any, is the run's cause and the direct step's error.
+        Each is the list of its ensembles, the direct loop's up to and with
+        the step that failed; the failure, if any, is the run's cause and the
+        direct step's error.
         """
         rng = np.random.default_rng(seed)
         cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=target, tau=tau, eps=0.1,
                             damping=ConstantDamping(beta))
         x0 = rng.standard_normal((n, 2))
         framed, particle, failures = [], [ParticleEnsemble.initialize(x0)], [None, None]
-        work = {}
-        original = samplers.asvgd_step
-
-        def keep_workspace(ens, cfg, rng, work_):
-            work.update(run_work=work_)
-            return original(ens, cfg, rng, work_)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samplers, "asvgd_step", keep_workspace)
+            frames = frames_started(mp)
             try:
-                run(cfg, x0, n_steps, recorder=framed.append)
+                run(cfg, x0, n_steps, recorder=framed.append, record_iters=range(0, n_steps + 1, every))
             except RuntimeError as exc:
-                failures[0] = (framed[-1].iteration + 1, exc.__cause__)
+                failures[0] = (int(re.search(r"iteration (\d+):", str(exc)).group(1)), exc.__cause__)
         for _ in range(n_steps):
             try:
                 particle.append(asvgd_step(particle[-1], cfg))
             except Exception as exc:
                 failures[1] = (particle[-1].iteration + 1, exc)
                 break
-        frame = work["run_work"].get("frame")
-        assert frame is not None and frame.x is framed[-1].x
+        assert len(frames) == 1 and frames[0].x is framed[-1].x
         return framed, particle, failures
+
+    @staticmethod
+    def _assert_close(framed, particle):
+        """Each recorded ensemble against the direct steps' ensemble of its iteration, to the class's tolerances."""
+        for got in framed:
+            k = got.iteration
+            ref = particle[k]
+            y_scale = max(np.linalg.norm(e.y) for e in particle[: k + 1])
+            s_scale = max(np.linalg.norm(e.prev_step_norms) for e in particle[: k + 1])
+            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), k
+            assert np.linalg.norm(got.y - ref.y) <= 1e-12 * y_scale, k
+            assert np.linalg.norm(got.prev_step_norms - ref.prev_step_norms) <= 1e-12 * s_scale, k
+            assert np.array_equal(got.restart_count, ref.restart_count)
+            assert got.x.flags.f_contiguous and got.y.flags.f_contiguous
 
     @pytest.mark.parametrize("n", [60, 2000])
     @pytest.mark.parametrize("name, tau, n_steps", [
@@ -841,29 +871,81 @@ class TestAffineFrame:
         target = log_cosh_target() if name == "custom" else builtin(name)
         framed, particle, failures = self._runs(target, n, tau, n_steps, seed=n + len(name))
         assert failures == [None, None] and len(framed) == len(particle) == n_steps + 1
-        y_scale = s_scale = 0.0
-        for k, (got, ref) in enumerate(zip(framed, particle)):
-            assert got.iteration == ref.iteration == k
-            y_scale = max(y_scale, np.linalg.norm(ref.y))
-            s_scale = max(s_scale, np.linalg.norm(ref.prev_step_norms))
-            assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), k
-            assert np.linalg.norm(got.y - ref.y) <= 1e-12 * y_scale, k
-            assert np.linalg.norm(got.prev_step_norms - ref.prev_step_norms) <= 1e-12 * s_scale, k
-            assert np.array_equal(got.restart_count, ref.restart_count)
-            assert got.x.flags.f_contiguous and got.y.flags.f_contiguous
+        assert [e.iteration for e in framed] == list(range(n_steps + 1))
+        self._assert_close(framed, particle)
+
+    @pytest.mark.parametrize("n", [60, 2000])
+    @pytest.mark.parametrize("name, tau, n_steps", [("gauss-correlated", 0.01, 200), ("gauss-aniso", 0.001, 100)])
+    def test_sparse_records_match_the_particle_steps(self, name, tau, n_steps, n):
+        # between records the run steps the coefficients alone, and forms X,
+        # Y and the step lengths from P v_prev at the records
+        framed, particle, failures = self._runs(builtin(name), n, tau, n_steps, seed=n + len(name), every=10)
+        assert failures == [None, None]
+        assert [e.iteration for e in framed] == list(range(0, n_steps + 1, 10))
+        self._assert_close(framed, particle)
+
+    def _assert_fails_alike(self, name, seed, every):
+        """The run fails at the direct steps' iteration, with their error, and records what they made before."""
+        framed, particle, failures = self._runs(builtin(name), 60, 0.02, 12, seed, beta=0.8, every=every)
+        (got_at, got), (ref_at, ref) = failures
+        assert got_at == ref_at and type(got) is type(ref)
+        assert str(got).split(" (")[0] == str(ref).split(" (")[0]
+        assert [e.iteration for e in framed] == list(range(0, got_at, every))
+        assert len(particle) == got_at
+        for got_ens in framed:
+            ref_ens = particle[got_ens.iteration]
+            assert np.linalg.norm(got_ens.x - ref_ens.x) <= 1e-9 * np.linalg.norm(ref_ens.x)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["gauss-aniso", "double-bananas"])
     def test_diverging_runs_fail_where_the_particle_steps_fail(self, name, seed):
         # eps = 0.1, tau = 0.02, N = 60, 12 steps, beta = 0.8: the capacitance
         # matrix loses every digit within a dozen steps on these two targets
-        framed, particle, failures = self._runs(builtin(name), 60, 0.02, 12, seed, beta=0.8)
-        (got_at, got), (ref_at, ref) = failures
-        assert got_at == ref_at and type(got) is type(ref)
-        assert str(got).split(" (")[0] == str(ref).split(" (")[0]
-        assert len(framed) == len(particle) == got_at
-        for got_ens, ref_ens in zip(framed, particle):
-            assert np.linalg.norm(got_ens.x - ref_ens.x) <= 1e-9 * np.linalg.norm(ref_ens.x)
+        self._assert_fails_alike(name, seed, every=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_diverging_sparse_runs_fail_where_the_particle_steps_fail(self, seed):
+        # the same gauss-aniso runs, recorded every 10th iteration: the
+        # coefficient steps check W and V as the particle steps check X and Y
+        self._assert_fails_alike("gauss-aniso", seed, every=10)
+
+    def test_coefficient_steps_check_positions_and_momenta(self):
+        # a coefficient step forms no X or Y, yet fails as the particle step
+        # would on them: on non-finite W, on a finite W whose product with P
+        # overflows (1e308 times entries of P above 1), and on non-finite V
+        class NanGradient(GaussianTarget):
+            def frame_gradient(self, pp, w):
+                return np.full_like(w, np.nan)
+
+        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=NanGradient(np.zeros(2), np.eye(2)),
+                            tau=0.01, eps=0.1, damping=ConstantDamping(0.9))
+        ens = ParticleEnsemble.initialize(np.random.default_rng(47).standard_normal((50, 2)) * 3.0)
+        with np.errstate(all="ignore"):  # P W overflows on the way, as X + sqrt(tau) Y would
+            for bad in (np.nan, 1e308):
+                frame = samplers._AffineFrame.start(ens)
+                frame.w[0, 0] = bad
+                with pytest.raises(FloatingPointError, match=r"^non-finite positions at iteration 1$"):
+                    frame.advance(ens, cfg, 1)
+            with pytest.raises(FloatingPointError, match=r"^non-finite momentum update at iteration 1$"):
+                samplers._AffineFrame.start(ens).advance(ens, cfg, 1)
+
+    @pytest.mark.parametrize("name", ["gauss-correlated", "gauss-aniso"])
+    def test_replicated_particles_move_as_one(self, name):
+        # each particle taken three times, with eps three times as large, gives
+        # the same capacitance solution, force coefficients and restart
+        # statistic, so the particles move as the copies of one run
+        rng = np.random.default_rng(46)
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=builtin(name), tau=0.001, eps=0.1,
+                            damping=ConstantDamping(0.9))
+        x0 = rng.standard_normal((60, 2))
+        once, thrice = [], []
+        records = range(0, 201, 10)
+        run(cfg, x0, 200, recorder=once.append, record_iters=records)
+        run(replace(cfg, eps=3 * cfg.eps), np.tile(x0, (3, 1)), 200, recorder=thrice.append, record_iters=records)
+        assert [e.iteration for e in thrice] == [e.iteration for e in once] == list(records)
+        for one, three in zip(once, thrice):
+            tiled = np.tile(one.x, (3, 1))
+            assert np.linalg.norm(three.x - tiled) <= 1e-13 * np.linalg.norm(tiled), one.iteration
 
     def test_a_direct_step_takes_the_particle_path(self):
         # without a workspace, and with one but on an ensemble in motion that is not
@@ -977,14 +1059,28 @@ class TestRun:
             assert np.array_equal(a, b)
 
     def test_recorder_contract(self):
+        # the Gaussian kernel takes the particle step; the constant-damped
+        # bilinear run on a Gaussian target steps its frame's coefficients
+        # between records, and forms the same ensembles whichever it records
         rng = np.random.default_rng(11)
-        cfg = self._cfg("asvgd", rng)
+        gaussian = self._cfg("asvgd", rng)
+        bilinear = replace(gaussian, kernel=BilinearKernel(random_spd(rng, 2)), damping=ConstantDamping(0.9))
         x0 = rng.standard_normal((4, 2))
-        seen = []
-        final = run(cfg, x0, 5, recorder=lambda ens: seen.append((ens.iteration, ens.x.shape)))
-        assert [s[0] for s in seen] == list(range(6))
-        assert all(s[1] == (4, 2) for s in seen)
-        assert final.iteration == 5
+        for cfg in (gaussian, bilinear):
+            every, sparse = [], []
+            final = run(cfg, x0, 5, recorder=every.append)
+            assert [ens.iteration for ens in every] == list(range(6))
+            assert all(ens.x.shape == (4, 2) for ens in every)
+            assert final.iteration == 5 and every[-1] is final
+            sparse_final = run(cfg, x0, 5, recorder=sparse.append, record_iters={0, 2, 3})
+            assert [ens.iteration for ens in sparse] == [0, 2, 3]
+            for got, ref in zip(sparse, every[:1] + every[2:4]):
+                assert_bits_equal(got.x, ref.x)
+            # n_steps is not recorded, yet the final ensemble is a full one
+            for name in ("x", "y", "prev_step_norms"):
+                assert_bits_equal(getattr(sparse_final, name), getattr(final, name))
+            assert sparse_final.iteration == 5 and sparse_final.grad_stat == final.grad_stat
+            assert_bits_equal(run(cfg, x0, 5).x, final.x)
 
     @pytest.mark.parametrize("algorithm", ["ula", "mala", "uld"])
     def test_langevin_run_takes_no_kernel(self, algorithm):
@@ -1004,11 +1100,13 @@ class TestRun:
                              ids=list(ALGORITHMS) + ["asvgd-bilinear-constant"])
     def test_run_calls_the_module_step_function(self, algorithm, bilinear, monkeypatch):
         # a tracer times a sampler by replacing its step function on the module;
-        # a constant-damped bilinear run steps in its frame, inside asvgd_step too
+        # a constant-damped bilinear run on a target without ``frame_gradient``
+        # steps in its frame, inside asvgd_step too
         rng = np.random.default_rng(15)
         cfg = self._cfg(algorithm, rng)
         if bilinear:
-            cfg = replace(cfg, kernel=BilinearKernel(random_spd(rng, 2)), damping=ConstantDamping(0.9))
+            cfg = replace(cfg, kernel=BilinearKernel(random_spd(rng, 2)), damping=ConstantDamping(0.9),
+                          target=QuarticTarget())
         name = f"{algorithm}_step"
         original = getattr(samplers, name)
         calls, workspaces = [], []
@@ -1024,6 +1122,18 @@ class TestRun:
         # one workspace for the whole run, handed through ``step``
         assert all(work is workspaces[0] for work in workspaces)
         assert ("frame" in workspaces[0]) == bilinear
+
+    def test_a_gaussian_frame_run_calls_no_step_function(self, monkeypatch):
+        # on a Gaussian target the constant-damped bilinear run steps the
+        # coefficients itself, and asvgd_step never runs
+        rng = np.random.default_rng(15)
+        cfg = replace(self._cfg("asvgd", rng), kernel=BilinearKernel(random_spd(rng, 2)),
+                      damping=ConstantDamping(0.9))
+        calls = []
+        monkeypatch.setattr(samplers, "asvgd_step", lambda *args: calls.append(args))
+        frames = frames_started(monkeypatch)
+        assert run(cfg, rng.standard_normal((5, 2)), 3).iteration == 3
+        assert calls == [] and len(frames) == 1
 
     def test_step_error_carries_iteration(self):
         exploding = CustomTarget(lambda x: 0.0, lambda x: np.full_like(x, np.nan), dim=2)

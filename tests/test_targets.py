@@ -158,6 +158,18 @@ class TestGradients:
             gx, gy = t.grad_all(np.stack([x, y]))
             assert (gx - gy) @ (x - y) >= 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_frame_gradient_is_the_projected_gradient(self, d):
+        # P^T grad_f(P W) from P^T P alone, for P = [X0 | 1]
+        rng = np.random.default_rng(9 + d)
+        t = GaussianTarget(b=rng.standard_normal(d), q=random_spd(rng, d))
+        p = np.hstack([rng.standard_normal((500, d)), np.ones((500, 1))])
+        w = rng.standard_normal((d + 1, d))
+        expected = p.T @ t.grad_all(p @ w)
+        got = t.frame_gradient(p.T @ p, w)
+        assert got.shape == (d + 1, d)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
 
 class TestBuiltins:
     def test_names(self):
