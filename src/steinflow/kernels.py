@@ -20,15 +20,16 @@ A kernel whose force is affine in the particles may also have
 ``accelerated_terms``: the bilinear kernel's U = [X L | 1] is an affine image
 of the positions, so with X = P W and Y = P V in the frame P = [X0 | 1] of a
 run's start, its force is P times a (d+1) x d matrix and the step's thin
-products reduce to (d+1) x (d+1) ones through P^T P.  ``samplers.run`` keeps
-a constant-damped run in that frame (see ``samplers``); the Gaussian kernel
-has no such form.  The frame's only N-row work is then the target's
-P^T grad_f(P W), and forming X, Y and the step lengths.  On a Gaussian
-target P^T grad_f comes from P^T P too (``GaussianTarget.frame_gradient``),
-so a constant-damped bilinear run does O(d^3) work per step, whatever N is,
-and N-row work only at the iterations it records; on any other target it
-makes N-row passes on every step, as does a restart-damped run, which takes
-the particle step with U.
+products reduce to (d+1) x (d+1) ones through P^T P.  ``samplers.run`` steps
+every constant-damped run in that frame (see ``samplers``); the Gaussian
+kernel has no such form.  Between the iterations a run records, the frame's
+only N-row work is then the target's P^T grad_f(P W), and X, Y and the step
+lengths are formed only at the records.  On a Gaussian target P^T grad_f
+comes from P^T P too (``GaussianTarget.frame_gradient``), so a
+constant-damped bilinear run does O(d^3) work per step between records,
+whatever N is; on any other target it forms X = P W and grad_f(X) on every
+step.  A restart-damped run, and every direct ``asvgd_step`` call, takes the
+particle step with U.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
 matrix, and every Gaussian step reads that triangle alone, with scipy's LAPACK
@@ -43,11 +44,10 @@ and solves only the (d+1) x d capacitance system, ``_capacitance``.
 run (see ``samplers``).  The bilinear step keeps its one N-row scratch array
 there, the factor U, whose constant column is written once, when the array
 is allocated; its force is the one product U S, whose fresh output the new
-ensemble keeps.  A run in the affine frame holds the frame P there instead
-of U, and ``frame_terms`` reads no N-row array at all.  At N = 50 000 a
-fresh N-row temporary on every step lands
-at the top of the heap, which glibc trims and faults in again on the next
-step; with the workspace the kernel allocates only the force, which the new
+ensemble keeps.  A run in the affine frame keeps its frame P outside the
+workspace and allocates no U; ``frame_terms`` reads no N-row array at all.
+At N = 50 000 a fresh N-row temporary on every step lands at the top of the
+heap, which glibc trims and faults in again on the next step; with the workspace the kernel allocates only the force, which the new
 ensemble keeps.  The Gaussian step leaves its N x N buffer out of the
 workspace: keeping that buffer across steps raised the minor page faults of
 a 60-step N = 1000 run from 33-39 to 272-279 per step (fresh process, one

@@ -30,38 +30,35 @@ and a damping whose ``uniform`` is true (``ConstantDamping``: one scalar
 alpha for every particle), the step is affine in the particles, so a run that
 starts at rest keeps X = P W and Y = P V in the frame P = [X0 | 1] of its
 start, with (d+1) x d coefficients W and V, for any target: grad_f enters only
-through P^T grad_f.  The run's workspace holds the frame (P, P^T P, formed
-once, W, V, the V before the last step and the last grad_f), and a step in it
-is ``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f,
-``frame_terms`` and V <- W_hat S + alpha V, then ``_AffineFrame.ensemble``,
-which forms the full ensemble: X = P W, Y = P V and the step lengths
-sqrt(tau) |P V_prev| row by row.  Which runs do N-row work on every step:
+through P^T grad_f.  ``run`` steps every such ``asvgd`` run in that frame
+itself, not through ``step``.  The frame (P, P^T P, formed once, W, V, the V
+before the last step and the last grad_f) belongs to the run, and a step in
+it is ``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f,
+``frame_terms`` and V <- W_hat S + alpha V.  Only at the iterations the
+recorder reads (``record_iters``) and at the last one does
+``_AffineFrame.ensemble`` form the full ensemble: X = P W, Y = P V and the
+step lengths sqrt(tau) |P V_prev| row by row.  The N-row work of a step
+between records:
 
 * on a target with ``frame_gradient`` (a ``GaussianTarget``, whose gradient
   is affine), P^T grad_f comes from P^T P and W alone, so ``advance`` reads
-  no N-row array and costs O(d^3) whatever N is.  ``run`` steps such a run
-  itself, not through ``step``: it forms the ensemble only at the iterations
-  its recorder reads (``record_iters``) and at the last one, so a run that
-  records every 10th iteration makes its N-row passes at those alone;
-* on any other target ``advance`` forms X = P W and P^T grad_f(X), and
-  ``asvgd_step`` forms the ensemble on every step: about half the N-row
-  passes of the particle step;
+  no N-row array and costs O(d^3) whatever N is;
+* on any other target ``advance`` forms X = P W, grad_f(X) and
+  P^T grad_f(X), and no Y or step lengths;
 * a ``RestartNesterov`` run (whose speed restart gives each particle its own
-  alpha), every step called without a workspace, and one from an ensemble
-  that is neither at rest nor the frame's own take the particle path above,
-  with all its N-row passes and unchanged bits.
+  alpha) takes the particle path above, with all its N-row passes.
 
-The frame serves only the ensemble it made last, or a new one from an
-ensemble at rest (Y = 0).  The frame and the particle path agree to
-rounding, about 1e-15 normwise, not bit for bit: a constant-damped bilinear
-run and a loop of direct ``asvgd_step`` calls from its start no longer give
-the same bits.  A run on the coefficient path gives the same bits whichever
-iterations it records.  A consequence for users: with the bilinear kernel
-and one damping factor the particles stay an affine image of their start, so
-such a run can match a Gaussian target's mean and covariance, and on any
-other target it settles where E[grad_f(X)] = 0 and E[grad_f(X) X^T] = I,
-which need not give even the covariance (on ``quartic`` the variances settle
-near 0.59 against 0.676; see README).
+``asvgd_step`` knows no frame: a direct call is the particle step, with or
+without a workspace.  The frame and the particle path agree to rounding,
+about 1e-15 normwise, not bit for bit: a constant-damped bilinear run and a
+loop of direct ``asvgd_step`` calls from its start do not give the same
+bits.  A frame run gives the same bits whichever iterations it records.  A
+consequence for users: with the bilinear kernel and one damping factor the
+particles stay an affine image of their start, so such a run can match a
+Gaussian target's mean and covariance, and on any other target it settles
+where E[grad_f(X)] = 0 and E[grad_f(X) X^T] = I, which need not give even the
+covariance (on ``quartic`` the variances settle near 0.59 against 0.676; see
+README).
 
 All five samplers share one contract: ``name_step(ens, cfg, rng, work)``
 returns the next ``ParticleEnsemble``, with its positions checked finite, its
@@ -71,16 +68,16 @@ Langevin samplers keep their state in the same ensemble: ULD's momentum lives
 in Y.  MALA returns no acceptance flags, since a rejected particle keeps its
 row bit for bit: the accepted rows are ``np.any(new.x != ens.x, axis=1)``.
 ``step`` picks the function by ``cfg.algorithm``, and ``run`` is the one loop
-over it, which steps a Gaussian target's frame itself (see above).
+over it, which steps a frame run itself (see above).
 
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
 every step.  It holds the accelerated step's N-row scratch arrays (the
 kernel's, see ``kernels``, and alpha Y under "alpha_y"), so a large run does
-not allocate, fault in and free them on every step, the affine frame under
-"frame", and, under "mala", f and grad_f at the positions MALA returned, so
-MALA evaluates the target once per step (see ``mala_step``).  The workspace
-belongs to one run, never to the ensemble, the kernel or the module, because
-a sweep runs its jobs on threads; no scratch or frame array of it ends up in
+not allocate, fault in and free them on every step, and, under "mala", f
+and grad_f at the positions MALA returned, so MALA evaluates the target once
+per step (see ``mala_step``).  The workspace belongs to one run, never to the
+ensemble, the kernel or the module, because a sweep runs its jobs on
+threads; no scratch array of it, and no array of a run's frame, ends up in
 an ensemble, which a recorder may keep.  A step called without it gets a
 fresh one, with the same bits as a particle step inside ``run``.
 
@@ -276,9 +273,7 @@ class _AffineFrame:
 
     ``w`` and ``v`` are the coefficients after the frame's last step and
     ``v_prev`` the momenta's before it, whose rows P v_prev give that step's
-    lengths.  ``x`` and ``y`` are the arrays of the last ensemble the frame
-    made (see ``ensemble``), so a step can tell that its ensemble is the
-    frame's own; ``p_max`` is max |P|, which bounds the entries of a product
+    lengths.  ``p_max`` is max |P|, which bounds the entries of a product
     P B by (d + 1) p_max max |B|.  ``grad`` holds grad_f of the last step
     until the next step has its own (see ``advance``).
     """
@@ -288,8 +283,6 @@ class _AffineFrame:
     p_max: float
     w: np.ndarray
     v: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
     v_prev: np.ndarray = None
     grad: np.ndarray = None
 
@@ -302,12 +295,11 @@ class _AffineFrame:
         p[:, -1] = 1.0
         w = np.zeros((d + 1, d))
         w[:d] = np.eye(d)
-        return cls(p=p, pp=_column_gram(p), p_max=float(np.abs(p).max()), w=w, v=np.zeros((d + 1, d)),
-                   x=ens.x, y=ens.y)
+        return cls(p=p, pp=_column_gram(p), p_max=float(np.abs(p).max()), w=w, v=np.zeros((d + 1, d)))
 
     def _bounded(self, coef):
-        """Whether no entry of P coef can overflow."""
-        return np.abs(coef).max() * self.p_max * self.p.shape[1] < 0.5 * np.finfo(float).max
+        """Whether no entry of P coef can overflow; the bound is divided, so it cannot overflow itself."""
+        return np.abs(coef).max() < 0.5 * np.finfo(float).max / (self.p_max * self.p.shape[1])
 
     def check(self, coef, iteration, what):
         """Raise as ``_check_finite`` on P coef would, forming P coef only when coef could overflow it."""
@@ -332,20 +324,22 @@ class _AffineFrame:
         target), which reads only P^T P, so the step touches no N-row array
         and X is formed only if W could overflow it; otherwise as
         P^T grad_f(P W).  W and V are checked finite, as the particle step
-        checks X and Y.  ``ens`` is the last ensemble the frame made, or the
-        one it started from; the damping is ``uniform`` (see
+        checks X and Y.  ``ens`` is the last ensemble ``ensemble`` made, or
+        the one the frame started from; the damping is ``uniform`` (see
         ``ConstantDamping``) and reads none of its rows.
         """
         w = self.w + np.sqrt(cfg.tau) * self.v
         frame_gradient = getattr(cfg.target, "frame_gradient", None)
         if frame_gradient is None:
             # When a step frees its N-row arrays decides whether the next one reuses
-            # that heap or glibc trims the top of the heap and faults it in again,
-            # 150-330 pages a step at N = 50 000 (fresh processes running the
-            # benchmark's config, 200 steps each).  grad_f lives until Y is allocated
-            # (freed before, every run faulted), and the frame keeps it until the next
-            # step has its own (no run of 96 faulted; freed at the end of its own step,
-            # 7 of 56 did; kept past the next step's Y, every run did).
+            # that heap or glibc trims the top of the heap and faults it in again.
+            # Between records a step allocates X and grad_f, and no Y.  The frame
+            # keeps grad_f, and ``run`` the returned X, until the next step has its
+            # own: 1.3-5.2 minor faults per step in 8 of 8 fresh ``run_experiment``
+            # runs on quartic (N = 50 000, tau = 0.001, a record every 10, steps
+            # 10-60) and 1.4-7.2 in 4 of 4 over steps 10-200.  Freeing grad_f at the
+            # end of its own step, or X before the next step, read 22-23 in 1 of 6
+            # runs each over steps 10-60.
             x = self.product(w, iteration, "positions")
             g = self.grad = _grad(cfg, x)
             ptg = self.p.T @ g
@@ -364,7 +358,7 @@ class _AffineFrame:
     def ensemble(self, ens, iteration, x, grad_stat, counts, tau):
         """The full ensemble after the frame's last step, at iteration ``iteration``.
 
-        ``ens`` is the last ensemble the frame made, or the one it started
+        ``ens`` is the last ensemble it made, or the one the frame started
         from, and ``x`` is P W if ``advance`` formed it.  The step lengths are
         |X' - X| = sqrt(tau) |P v_prev| row by row, with P v_prev the very
         array ``ens.y`` when ``ens`` is the step's own start.
@@ -376,28 +370,20 @@ class _AffineFrame:
         np.sqrt(step_norms, out=step_norms)
         step_norms *= np.sqrt(tau)
         y = self.product(self.v, iteration, "momentum update")
-        self.x, self.y = x, y
         return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
                        restart_count=counts, grad_stat=grad_stat)
 
 
-def _affine_frame(ens, cfg, work):
-    """The frame that the step from ``ens`` can take, or None for the particle path.
+def _affine_frame(ens, cfg):
+    """The frame that a run of ``cfg`` from ``ens`` steps in, or None for the particle path.
 
-    It needs the run's workspace, a kernel with ``frame_terms`` and a damping
-    with one alpha for every particle; then the workspace's frame serves an
-    ensemble that is its own, and a new one starts from an ensemble at rest.
+    It needs ``asvgd`` with a kernel that has ``frame_terms`` and a damping
+    with one alpha for every particle; every run starts at rest, as a frame must.
     """
-    if (work is None or not getattr(cfg.damping, "uniform", False)
+    if (cfg.algorithm != "asvgd" or not getattr(cfg.damping, "uniform", False)
             or not callable(getattr(cfg.kernel, "frame_terms", None))):
         return None
-    frame = work.get("frame")
-    if frame is not None and ens.x is frame.x and ens.y is frame.y:
-        return frame
-    if np.any(ens.y):
-        return None
-    frame = work["frame"] = _AffineFrame.start(ens)
-    return frame
+    return _AffineFrame.start(ens)
 
 
 def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -> ParticleEnsemble:
@@ -405,17 +391,11 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -
 
     The kernel force comes from ``cfg.kernel.accelerated_terms``, which
     keeps its scratch arrays in ``work``; the bilinear kernel requires eps > 0
-    and raises ValueError otherwise.  With a workspace, a kernel with
-    ``frame_terms`` and a ``uniform`` damping, the step runs in the affine
-    frame that ``work`` holds, or starts one from an ensemble at rest (see the
-    module docstring); its result agrees with the particle step's to about
-    1e-15, not bit for bit.  Without a workspace the step is always the
-    particle step.
+    and raises ValueError otherwise.  This is always the particle step, with
+    the same bits with or without a workspace.  A constant-damped bilinear
+    ``run`` never calls it: it steps its affine frame (see the module
+    docstring), which agrees with these steps to about 1e-15, not bit for bit.
     """
-    frame = _affine_frame(ens, cfg, work)
-    if frame is not None:
-        iteration = ens.iteration + 1
-        return frame.ensemble(ens, iteration, *frame.advance(ens, cfg, iteration), cfg.tau)
     work = {} if work is None else work
     # X + sqrt(tau) Y in the one array the new ensemble keeps
     x_new = np.multiply(ens.y, np.sqrt(cfg.tau))
@@ -511,19 +491,16 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None, record_iters=N
     configurations produce identical trajectories.  One workspace serves every
     step of the run (see the module docstring).
 
-    A constant-damped bilinear ``asvgd`` run on a target with
-    ``frame_gradient`` steps its affine frame here, not through ``step``:
-    between the iterations that are recorded, and before the last, it
-    advances the (d+1) x d coefficients alone, and it forms X, Y and the step
-    lengths only at those iterations.
+    A constant-damped bilinear ``asvgd`` run steps its affine frame here, not
+    through ``step``, on any target: it advances the (d+1) x d coefficients
+    on every step, and forms X, Y and the step lengths only at the recorded
+    iterations and at the last one.
     """
     ens = ParticleEnsemble.initialize(x0)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     work = {}
     recorded = None if record_iters is None else frozenset(record_iters)
-    frame = None
-    if cfg.algorithm == "asvgd" and callable(getattr(cfg.target, "frame_gradient", None)):
-        frame = _affine_frame(ens, cfg, work)
+    frame = _affine_frame(ens, cfg)
     if recorder is not None and (recorded is None or 0 in recorded):
         recorder(ens)
     for iteration in range(1, n_steps + 1):

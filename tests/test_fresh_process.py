@@ -140,16 +140,16 @@ print((faults[60] - faults[10]) / 50)
 def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path, target, damping, tau):
     # the whole run as the benchmark times it, records included: when a step
     # frees its N-row arrays decides whether glibc trims the top of its heap
-    # and faults it in again on the next step.  Constant damping on the
-    # Gaussian target steps in coefficients and forms N-row arrays only at
-    # the records (1.32 faults per step in 8 of 8 runs), on quartic it takes
-    # the frame's N-row step (2.0), and restart damping the particle step
-    # (0.0).  A frame step that frees grad_f before it allocates Y read 325.5,
-    # and one that keeps grad_f until after the next step's Y 112.8, when the
-    # Gaussian config took the frame's N-row step.  The particle step with its
-    # step lengths summed without einsum read 163.5 when the constant config
-    # took it, but reads 1.96 on the restart config, so this test does not
-    # catch that variant
+    # and faults it in again on the next step.  Constant damping steps the
+    # affine frame and forms X, Y and the step lengths only at the records:
+    # on the Gaussian target it forms no N-row array between them (1.32
+    # faults per step in 8 of 8 runs), on quartic X and grad_f on every step
+    # (1.32 in 3 of 3 runs; 1.32-5.24 in 8 others).  Restart damping takes
+    # the particle step (0.0).  A quartic frame step that frees grad_f at the
+    # end of its own step read 23.48 in 1 of 6 runs.  The particle step with
+    # its step lengths summed without einsum read 163.5 when the constant
+    # config took it, but reads 1.96 on the restart config, so this test does
+    # not catch that variant
     per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"), target, damping, str(tau),
                                 env_update={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step
