@@ -90,8 +90,9 @@ def kl_estimate(x, target, method="gaussian-fit") -> float:
     """Sample estimate of the KL of the particle distribution from the target.
 
     "gaussian-fit" fits moments and evaluates the closed-form Gaussian KL
-    (Gaussian targets only).  "knn" is the Kozachenko-Leonenko
-    1-nearest-neighbour estimate
+    (Gaussian targets only), dropping ``gaussian_fit_kl``'s degeneracy flag: a
+    caller that needs the flag calls ``gaussian_fit_kl``.  "knn" is the
+    Kozachenko-Leonenko 1-nearest-neighbour estimate
 
         mean f(x_i) + log Z - H_{N-1} - log c_d - (d/2) mean log r_i^2,
 

@@ -112,7 +112,9 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     Writes spectral_report.json with the convergence rate constant, the optimal
     damping and step size, and the closed-form spectrum of the accelerated
     linearization (when A and Q commute), plus rate_table.csv sweeping either
-    the kernel scale or the damping.
+    the kernel scale or the damping.  Every value is computed before the output
+    directory is made, so an invalid sweep (a negative damping, a nonpositive
+    kernel scale) raises ValueError and writes no file.
     """
     scfg = cfg.build_sampler_config()
     target = scfg.target
@@ -129,9 +131,6 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         raise ConfigError("alpha sweep requires b = 0 and commuting A, Q")
     if param == "a" and target.dim != 1:
         raise ConfigError("the kernel-scale sweep is one-dimensional")
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     gamma, lower = gaussian_flow.gamma_rate(a, b, q)
     alpha_star = spectral.optimal_damping(a)
     report = {
@@ -147,10 +146,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         a_s, h_s = spectral.optimal_a_svgd(float(b[0]), float(q[0, 0]), mode="scalar-1d")
         report["optimal_a_1d"] = a_s
         report["optimal_step_1d"] = h_s
-
     report["accelerated"] = spectral.asvgd_linearized_spectrum(a, q, alpha_star) if commuting else None
-    (outdir / "spectral_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                                 encoding="utf-8")
 
     if sweep_values is None:
         if param == "alpha":
@@ -160,12 +156,16 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     rows = []
     for val in sweep_values:
         if param == "alpha":
-            eigs = spectral.asvgd_closed_form_eigs(a, q, float(val))
-            mags = np.abs(eigs)
-            rows.append((float(val), float(eigs.real.min()), float(mags.max() / mags.min())))
+            spectrum = spectral.asvgd_linearized_spectrum(a, q, float(val))
+            rows.append((float(val), spectrum["spectral_abscissa"], spectrum["condition_number"]))
         else:
             lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
             rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
+
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "spectral_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                                 encoding="utf-8")
     np.savetxt(outdir / "rate_table.csv", np.reshape(rows, (-1, 3)), fmt="%.17g", delimiter=",",
                header=f"{param},spectral_abscissa,condition_number", comments="")
     return outdir

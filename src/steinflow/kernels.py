@@ -40,15 +40,16 @@ BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
 (K + eps I) is invertible only for eps > 0; that kernel forms neither K nor V,
 and solves only the (d+1) x d capacitance system, ``_capacitance``.
 
-``work`` is the run's workspace, a dict that ``samplers.run`` makes once per
-run (see ``samplers``).  The bilinear step keeps its one N-row scratch array
-there, the factor U, whose constant column is written once, when the array
-is allocated; its force is the one product U S, whose fresh output the new
-ensemble keeps.  A run in the affine frame keeps its frame P outside the
-workspace and allocates no U; ``frame_terms`` reads no N-row array at all.
-At N = 50 000 a fresh N-row temporary on every step lands at the top of the
-heap, which glibc trims and faults in again on the next step; with the workspace the kernel allocates only the force, which the new
-ensemble keeps.  The Gaussian step leaves its N x N buffer out of the
+``work`` is the run's workspace, a dict of scratch arrays by key and shape
+that ``samplers.run`` makes once per run (see ``samplers``).  The bilinear
+step keeps its one N-row scratch array there, the factor U, all of whose
+columns it writes on every call; its force is the one product U S, whose
+fresh output the new ensemble keeps.  A run in the affine frame keeps its
+frame P outside the workspace and allocates no U; ``frame_terms`` reads no
+N-row array at all.  At N = 50 000 a fresh N-row temporary on every step
+lands at the top of the heap, which glibc trims and faults in again on the
+next step; with the workspace the kernel allocates only the force, which the
+new ensemble keeps.  The Gaussian step leaves its N x N buffer out of the
 workspace: keeping that buffer across steps raised the minor page faults of
 a 60-step N = 1000 run from 33-39 to 272-279 per step (fresh process, one
 BLAS thread).
@@ -196,13 +197,11 @@ class BilinearKernel:
         """U with U U^T = K, the Gram matrix of the rows of x: columns [X L | 1] where A = L L^T.
 
         U is column-major, like every N-row array of a run.  With a ``work``
-        dict, U is the array kept there under "u": its constant column is
-        written when that array is allocated, and X L on every call.
+        dict, U is the array kept there under "u", overwritten whole.
         """
         x = np.asarray(x, dtype=float)
-        u, fresh = workspace_array({} if work is None else work, "u", (x.shape[0], self.dim + 1))
-        if fresh:
-            u[:, -1] = 1.0
+        u = workspace_array({} if work is None else work, "u", (x.shape[0], self.dim + 1))
+        u[:, -1] = 1.0
         np.matmul(self.chol_a.T, x.T, out=u.T[:-1])  # X L as (L^T X^T)^T, written into U's first columns
         return u
 
@@ -270,15 +269,15 @@ class BilinearKernel:
 
 
 def workspace_array(work, key, shape):
-    """The column-major float array that the workspace ``work`` keeps under ``key``, and whether this call allocated it.
+    """The column-major float array that the workspace ``work`` keeps under ``key``.
 
-    A new array replaces one that is absent or of another shape.
+    A new, uninitialized array replaces one that is absent or of another
+    shape; either way the caller writes every entry it reads.
     """
     buf = work.get(key)
-    if buf is not None and buf.shape == shape:
-        return buf, False
-    buf = work[key] = np.empty(shape, order="F")
-    return buf, True
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape, order="F")
+    return buf
 
 
 def _matmul_f(x, a):

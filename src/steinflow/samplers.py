@@ -152,14 +152,6 @@ class ParticleEnsemble:
             iteration=0,
         )
 
-    @property
-    def n(self):
-        return self.x.shape[0]
-
-    @property
-    def dim(self):
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True)
 class RestartNesterov:
@@ -406,7 +398,7 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -
                                                     cfg.eps, cfg.tau, work)
     alpha, counts = cfg.damping.factor(ens, moved.prev_step_norms, grad_stat)
     # F + alpha Y in the force array, which the new ensemble keeps as its momentum
-    alpha_y, _ = workspace_array(work, "alpha_y", ens.y.shape)
+    alpha_y = workspace_array(work, "alpha_y", ens.y.shape)
     y_new = force
     y_new += np.multiply(ens.y, alpha, out=alpha_y)
 

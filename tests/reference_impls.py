@@ -50,7 +50,8 @@ def point_potential(target, x) -> float:
         r = x - target.b
         return 0.5 * float(r @ target.q_inv @ r)
     if isinstance(target, QuarticTarget):
-        return 0.25 * float((x**4).sum())
+        s = x * x  # x^4 as the target forms it, (x x)(x x)
+        return 0.25 * float((s * s).sum())
     if isinstance(target, DoubleBananasTarget):
         def warp(x1, x2):
             return (target.a - x1) ** 2 / target.c1 + target.c2 * (x2 - x1**2) ** 2
@@ -230,7 +231,7 @@ def loop_svgd_direction_gaussian(kernel, x, target):
 
 def reference_damping(ens, cfg, step_norms, gradient_restart):
     """Per-particle damping and counters, one particle at a time."""
-    n = ens.n
+    n = ens.x.shape[0]
     counts = ens.restart_count.copy()
     if isinstance(cfg.damping, ConstantDamping):
         return np.full(n, cfg.damping.beta), counts
@@ -254,7 +255,7 @@ def reference_asvgd_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     Mirrors the production update exactly (same sqrt(tau) scaling, same restart
     logic) but goes through dense solves and elementwise kernel evaluations.
     """
-    n, d = ens.n, ens.dim
+    n, d = ens.x.shape
     st = np.sqrt(cfg.tau)
     x_new = ens.x + st * ens.y
     k = loop_gram(cfg.kernel, x_new)
@@ -320,7 +321,7 @@ def unfused_bilinear_step(ens: ParticleEnsemble, cfg) -> ParticleEnsemble:
     The step lengths come from ``np.linalg.norm``, the counters are copied and
     the momentum is F + alpha Y, F the kernel force.
     """
-    n = ens.n
+    n = ens.x.shape[0]
     if cfg.algorithm == "svgd":
         g = cfg.target.grad_all(ens.x)
         u = np.asfortranarray(np.hstack([(cfg.kernel.chol_a.T @ ens.x.T).T, np.ones((n, 1))]))
@@ -347,7 +348,7 @@ def dense_asvgd_step_gaussian(ens: ParticleEnsemble, cfg, include_interaction=Tr
     ``include_interaction=False`` W is N K alone: the step keeps only the drive
     and repulsion, which is the plain SVGD direction applied to the momentum.
     """
-    n = ens.n
+    n = ens.x.shape[0]
     st = np.sqrt(cfg.tau)
     sigma2 = cfg.kernel.sigma2
     x_new = ens.x + st * ens.y

@@ -461,17 +461,19 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="bilinear"):
             analyze_spectrum(cfg)
 
-    @pytest.mark.parametrize("sweep_param, target_mean, message", [
-        ("a", [0.0, 0.0], "one-dimensional"),
-        ("alpha", [0.5, 0.0], "alpha sweep requires b = 0"),
-    ])
-    def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, message):
+    @pytest.mark.parametrize("sweep_param, target_mean, sweep_values, error, message", [
+        ("a", [0.0, 0.0], None, ConfigError, "one-dimensional"),
+        ("alpha", [0.5, 0.0], None, ConfigError, "alpha sweep requires b = 0"),
+        ("alpha", [0.0, 0.0], [-1.0, 1.0], ValueError, "alpha must be nonnegative"),
+    ], ids=["a-target_mean0-one-dimensional", "alpha-target_mean1-alpha sweep requires b = 0",
+            "alpha-target_mean2-alpha must be nonnegative"])
+    def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, sweep_values, error, message):
         cfg = parse_config(json.dumps({
             "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 0.25]],
             "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
         }))
-        with pytest.raises(ConfigError, match=message):
-            analyze_spectrum(cfg, sweep_param=sweep_param)
+        with pytest.raises(error, match=message):
+            analyze_spectrum(cfg, sweep_param=sweep_param, sweep_values=sweep_values)
         assert not (tmp_path / "an").exists()
 
 

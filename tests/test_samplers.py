@@ -364,7 +364,7 @@ class TestRestartLogic:
         cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=gaussian_target(rng, 2), tau=0.01, eps=0.1,
                             damping=damping)
         ens = random_ensemble(rng, 257, 2)
-        step_norms = rng.uniform(0.0, 0.2, size=ens.n)
+        step_norms = rng.uniform(0.0, 0.2, size=ens.x.shape[0])
         alpha, counts = damping.factor(ens, step_norms, grad_stat)
         expected_alpha, expected_counts = reference_damping(ens, cfg, step_norms, grad_stat < 0.0)
         assert_bits_equal(alpha[:, 0], expected_alpha)
@@ -376,7 +376,7 @@ class TestRestartLogic:
         rng = np.random.default_rng(12)
         ens = random_ensemble(rng, 9, 2)
         before = ens.restart_count.copy()
-        alpha, counts = ConstantDamping(0.9).factor(ens, rng.uniform(0.0, 0.2, size=ens.n), grad_stat)
+        alpha, counts = ConstantDamping(0.9).factor(ens, rng.uniform(0.0, 0.2, size=ens.x.shape[0]), grad_stat)
         assert alpha == 0.9 and np.array_equal(counts, before)
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), BilinearKernel(np.eye(2))], ids=["gaussian", "bilinear"])
@@ -786,6 +786,18 @@ class TestBilinearWorkspace:
                 for name in ("x", "y", "prev_step_norms"):
                     assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
                     assert not any(np.shares_memory(getattr(ens, name), buf) for buf in scratch)
+
+    def test_low_rank_factor_overwrites_a_kept_u(self):
+        # a workspace "u" of the right shape is reused whatever it holds
+        rng = np.random.default_rng(44)
+        kernel = BilinearKernel(random_spd(rng, 2))
+        x = np.asfortranarray(rng.standard_normal((300, 2)))
+        fresh = kernel.low_rank_factor(x, {}).copy()
+        work = {"u": np.full((300, 3), np.nan, order="F")}
+        u = kernel.low_rank_factor(x, work)
+        assert u is work["u"]
+        assert np.array_equal(u[:, -1], np.ones(300))
+        assert_bits_equal(u, fresh)
 
     def test_a_direct_step_matches_the_step_inside_run(self):
         rng = np.random.default_rng(43)

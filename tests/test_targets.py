@@ -131,6 +131,14 @@ class TestGradients:
         out = one_point(QuarticTarget().grad_all, [1.0, -1.0])
         assert np.array_equal(out, np.array([1.0, -1.0]))
 
+    def test_quartic_products_match_the_powers(self):
+        # the target forms x^3 and x^4 as products, which round differently from ``**``
+        t = QuarticTarget()
+        scale = np.logspace(-3.0, 3.0, 5000)[:, None]
+        x = np.asfortranarray(np.random.default_rng(31).standard_normal((5000, 2)) * scale)
+        assert np.allclose(t.grad_all(x), x**3, rtol=1e-15, atol=0.0)
+        assert np.allclose(t.potential_all(x), 0.25 * (x**4).sum(axis=1), rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("name", ["gauss-correlated", "gauss-aniso", "quartic", "double-bananas"])
     def test_gradient_matches_finite_differences(self, name):
         t = builtin(name)
