@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 93 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 95 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -7,12 +7,14 @@ built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
 1-nearest-neighbour KL estimate, on the two Gaussian targets (the only CLI
 runs that take a Gaussian target's log-normalizer), then ``mala`` with a
 bilinear ``a_matrix`` that is not positive definite (a Langevin run builds
-no kernel, and must still reject it), then four ``steinflow analyze`` calls
+no kernel, and must still reject it), then six ``steinflow analyze`` calls
 with the bilinear kernel (the 2-D commuting ``gauss-correlated``, once with
 the default sampler and once with ``mala``; a centred 1-D ``gaussian``
 target, which sweeps the damping and adds the optimal 1-D kernel scale to the
 accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale
-and has no accelerated spectrum), and two two-value ``steinflow sweep
+and has no accelerated spectrum; ``gauss-correlated`` with ``--sweep-values
+0.5,1,2``, which sweeps the listed dampings, and with ``--sweep-values NaN``,
+which fails with an ``error:`` line), and two two-value ``steinflow sweep
 --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
@@ -100,6 +102,9 @@ def _calls():
         yield (f"analyze-bilinear-gaussian-1d-{name}",
                {"kernel": "bilinear", "target": "gaussian", "target_mean": [mean], "target_q": [[2.0]]},
                ["analyze"])
+    for name, values in (("", "0.5,1,2"), ("-nan", "NaN")):
+        yield (f"analyze-bilinear-gauss-correlated-sweep-values{name}",
+               {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze", "--sweep-values", values])
     yield ("sweep-tau-gauss-correlated", {"target": "gauss-correlated"},
            ["sweep", "--param", "tau", "--values", "0.05,0.1"])
     yield ("sweep-tau-mala-double-bananas-n300",

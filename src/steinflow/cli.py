@@ -6,16 +6,16 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, decode_int, load_json, parse_config
+from .config import ConfigError, decode_float, decode_int, load_json, parse_config
 from .experiment import analyze_spectrum, run_experiment, run_sweep
 
 __all__ = ["main"]
 
 
 def _json_or_text(text):
-    """A command-line value: ``text`` parsed as JSON if it parses, else the text itself."""
+    """A command-line value: ``text`` decoded as config JSON if it parses, else the text itself."""
     try:
-        return json.loads(text, parse_int=decode_int)
+        return json.loads(text, parse_constant=decode_float, parse_float=decode_float, parse_int=decode_int)
     except json.JSONDecodeError:
         return text
 

@@ -156,7 +156,7 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _finite_float(token):
+def decode_float(token):
     """The float of a JSON number or constant token; a ConfigError if it is not finite."""
     if not math.isfinite(value := float(token)):
         raise ConfigError(f"config value {token} is not a finite number")
@@ -175,7 +175,7 @@ def decode_int(token):
 def load_json(text):
     """The JSON value of ``text``, with every non-finite number and overlong integer a ConfigError."""
     try:
-        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float, parse_int=decode_int)
+        return json.loads(text, parse_constant=decode_float, parse_float=decode_float, parse_int=decode_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -82,8 +83,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    # The plot needs every row of the first and last ensembles (they set its
-    # limits) and only the drawn paths of the records in between.
+    # A 2-D run's plot needs every row of the first and last ensembles (they
+    # set its limits) and only the drawn paths of the records in between.
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
 
@@ -96,12 +97,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             metrics.write(row.csv_row() + "\n")
             metrics.flush()  # a run that fails later keeps every row recorded so far
             _write_snapshot(snapdir, ens.iteration, ens.x)
-            snapshots.append(ens.x[:MAX_PATHS].copy() if snapshots else ens.x.copy())
+            if dim == 2:
+                last = ens.iteration == cfg.n_steps  # the last record's array is never stepped again
+                snapshots.append(ens.x if last else ens.x[:MAX_PATHS if snapshots else None].copy())
 
-        final = samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng, record_iters=record_iters)
+        samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng, record_iters=record_iters)
 
     if dim == 2:
-        snapshots[-1] = final.x  # the record of iteration n_steps, with all its rows
         render_trajectory_svg(outdir / "trajectory.svg", snapshots, target=scfg.target)
     return outdir
 
@@ -113,8 +115,8 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     damping and step size, and the closed-form spectrum of the accelerated
     linearization (when A and Q commute), plus rate_table.csv sweeping either
     the kernel scale or the damping.  Every value is computed before the output
-    directory is made, so an invalid sweep (a negative damping, a nonpositive
-    kernel scale) raises ValueError and writes no file.
+    directory is made, so an invalid sweep (a value that is not a finite number,
+    out of range, or whose row is not finite) raises ValueError and writes no file.
     """
     scfg = cfg.build_sampler_config()
     target = scfg.target
@@ -155,12 +157,20 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
             sweep_values = np.geomspace(1e-2, 1e2, 61)
     rows = []
     for val in sweep_values:
-        if param == "alpha":
-            spectrum = spectral.asvgd_linearized_spectrum(a, q, float(val))
-            rows.append((float(val), spectrum["spectral_abscissa"], spectrum["condition_number"]))
-        else:
-            lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
-            rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):  # the range checks reject NaN and inf
+            raise ValueError(f"{param} sweep value {val!r} is not a number")
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if param == "alpha":
+                    spectrum = spectral.asvgd_linearized_spectrum(a, q, float(val))
+                    rows.append((float(val), spectrum["spectral_abscissa"], spectrum["condition_number"]))
+                else:
+                    lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
+                    rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
+        except (OverflowError, FloatingPointError):  # Python's float(val) and alpha**2 raise OverflowError
+            rows.append((np.nan,))
+        if not np.isfinite(rows[-1]).all():
+            raise ValueError(f"{param} sweep value {val!r} gives a rate-table row that is not finite")
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -3,12 +3,12 @@
 For a normal target N(b, Q) and the bilinear kernel x^T A y + 1, both the plain
 and the momentum-accelerated particle flows keep normal distributions normal,
 so they reduce to ordinary differential equations for (mu, Sigma) and, in the
-accelerated case, the dual variables (nu, S).  This module implements those
-right-hand sides, the closed-form covariance of the commuting case, the
-Gaussian KL divergence, a fixed-step RK4 integrator and the rate constant of
-the plain flow.  The particle samplers are checked against these flows; the
-checks of the flows themselves (the metric pullback of the KL gradient and the
-Hamiltonian) are test oracles in ``tests/reference_impls.py``.
+accelerated case, whose state extends the plain one, the dual variables (nu, S).
+This module implements those right-hand sides, the closed-form covariance of
+the commuting case, the Gaussian KL divergence, a fixed-step RK4 integrator and
+the rate constant of the plain flow.  The particle samplers are checked against
+these flows; the checks of the flows themselves (the metric pullback of the KL
+gradient and the Hamiltonian) are test oracles in ``tests/reference_impls.py``.
 """
 
 from __future__ import annotations
@@ -84,33 +84,24 @@ class GaussianState:
 
 
 @dataclass
-class AcceleratedGaussianState:
+class AcceleratedGaussianState(GaussianState):
     """Normal state (mu, Sigma) with cotangent momenta (nu, S); flows start from nu = S = 0."""
 
-    mu: np.ndarray
-    sigma: np.ndarray
     nu: np.ndarray = None
     s: np.ndarray = None
 
     def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.sigma, _ = spd_cholesky(self.sigma, "sigma")
-        d = self.mu.size
+        super().__post_init__()
+        d = self.dim
         self.nu = np.zeros(d) if self.nu is None else np.atleast_1d(np.asarray(self.nu, dtype=float))
         self.s = np.zeros((d, d)) if self.s is None else _sym(np.atleast_2d(np.asarray(self.s, dtype=float)))
 
-    @property
-    def dim(self):
-        return self.mu.size
-
     def flatten(self):
-        return np.concatenate([self.mu, self.sigma.ravel(), self.nu, self.s.ravel()])
+        return np.concatenate([super().flatten(), self.nu, self.s.ravel()])
 
     @classmethod
     def from_flat(cls, vec, d):
-        obj = cls.__new__(cls)
-        obj.mu = vec[:d].copy()
-        obj.sigma = _sym(vec[d : d + d * d].reshape(d, d))
+        obj = super().from_flat(vec[: d + d * d], d)
         obj.nu = vec[d + d * d : 2 * d + d * d].copy()
         obj.s = _sym(vec[2 * d + d * d :].reshape(d, d))
         return obj
@@ -169,8 +160,8 @@ def asvgd_gaussian_rhs(state: AcceleratedGaussianState, a, b, q, alpha):
     metric/Hamiltonian-consistent vector fields (their raw forms differ from
     these only by an antisymmetric part, which cannot move a symmetric matrix).
     """
-    if alpha < 0:
-        raise ValueError(f"damping must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"damping must be nonnegative and finite, got {alpha}")
     mu, sigma, nu, s = state.mu, state.sigma, state.nu, state.s
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

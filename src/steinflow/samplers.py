@@ -300,12 +300,9 @@ class _AffineFrame:
             _check_finite(_matmul_f(self.p, coef), iteration, what)
 
     def product(self, coef, iteration, what):
-        """P coef, checked finite as ``_check_finite`` would, reading it only when coef could overflow it."""
-        _check_finite(coef, iteration, what)
-        out = _matmul_f(self.p, coef)
-        if not self._bounded(coef):
-            _check_finite(out, iteration, what)
-        return out
+        """P coef after ``check``, which forms it a second time only when coef could overflow it."""
+        self.check(coef, iteration, what)
+        return _matmul_f(self.p, coef)
 
     def advance(self, ens, cfg, iteration):
         """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + alpha V.

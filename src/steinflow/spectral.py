@@ -64,8 +64,8 @@ def eigs_1d(a, q, b):
     lambda_pm = [(2AQ + Ab^2 + 1) +- sqrt((2AQ + Ab^2 + 1)^2 - 8AQ)] / (2Q);
     real and positive for all A, Q > 0.
     """
-    if a <= 0 or q <= 0:
-        raise ValueError("a and q must be positive")
+    if not (0.0 < a < np.inf and 0.0 < q < np.inf):
+        raise ValueError(f"a and q must be finite and positive, got a = {a}, q = {q}")
     s = 2.0 * a * q + a * b * b + 1.0
     rad = s * s - 8.0 * a * q
     root = np.sqrt(max(rad, 0.0))
@@ -82,8 +82,8 @@ def optimal_a_svgd(b, q, mode):
     if mode == "scalar-1d":
         q = float(np.asarray(q).reshape(()))
         b = float(np.asarray(b).reshape(()))
-        if q <= 0:
-            raise ValueError("q must be positive")
+        if not 0.0 < q < np.inf:
+            raise ValueError(f"q must be finite and positive, got {q}")
         a = 1.0 / (2.0 * q + b * b)
         return a, q
     if mode == "commuting":
@@ -141,8 +141,8 @@ def asvgd_linearized_spectrum(a, q, alpha) -> dict:
     spectral abscissa, the condition number, the optimal step and the
     contraction factor.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     eigs = asvgd_closed_form_eigs(a, q, alpha)
@@ -173,8 +173,8 @@ def asvgd_rates(q, theta):
     (kappa_tilde + 1), h* = 2 / (sqrt(max mu) + sqrt(2 theta)).  rho is strictly
     below (sqrt(kappa(Q)) - 1) / (sqrt(kappa(Q)) + 1) whenever kappa(Q) > 1.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     q = np.atleast_2d(np.asarray(q, dtype=float))
     q_vals = np.linalg.eigvalsh(q)
     kappa_q = float(q_vals.max() / q_vals.min())

@@ -465,8 +465,14 @@ class TestAnalyze:
         ("a", [0.0, 0.0], None, ConfigError, "one-dimensional"),
         ("alpha", [0.5, 0.0], None, ConfigError, "alpha sweep requires b = 0"),
         ("alpha", [0.0, 0.0], [-1.0, 1.0], ValueError, "alpha must be nonnegative"),
+        ("alpha", [0.0, 0.0], [1.0, float("nan")], ValueError, "^alpha must be nonnegative and finite, got nan$"),
+        ("alpha", [0.0, 0.0], [float("inf")], ValueError, "^alpha must be nonnegative and finite, got inf$"),
+        ("alpha", [0.0, 0.0], [True], ValueError, "^alpha sweep value True is not a number$"),
+        ("alpha", [0.0, 0.0], [1e200], ValueError, r"^alpha sweep value 1e\+200 gives a rate-table row that is not finite$"),
+        ("alpha", [0.0, 0.0], [10**400], ValueError, "^alpha sweep value 10{400} gives a rate-table row that is not finite$"),
     ], ids=["a-target_mean0-one-dimensional", "alpha-target_mean1-alpha sweep requires b = 0",
-            "alpha-target_mean2-alpha must be nonnegative"])
+            "alpha-target_mean2-alpha must be nonnegative", "alpha-nan", "alpha-inf", "alpha-true", "alpha-1e200",
+            "alpha-int-too-large-for-a-float"])
     def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, sweep_values, error, message):
         cfg = parse_config(json.dumps({
             "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 0.25]],
@@ -474,6 +480,17 @@ class TestAnalyze:
         }))
         with pytest.raises(error, match=message):
             analyze_spectrum(cfg, sweep_param=sweep_param, sweep_values=sweep_values)
+        assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "^a and q must be finite and positive, got a = nan, q = 0.5$"),
+        (1e200, r"^a sweep value 1e\+200 gives a rate-table row that is not finite$"),  # its eigenvalues overflow
+    ], ids=["nan", "1e200"])
+    def test_invalid_kernel_scale_writes_no_file(self, tmp_path, value, message):
+        cfg = parse_config(json.dumps({"target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]],
+                                       "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
+        with pytest.raises(ValueError, match=message):
+            analyze_spectrum(cfg, sweep_param="a", sweep_values=[1.0, value])
         assert not (tmp_path / "an").exists()
 
 
@@ -517,13 +534,21 @@ class TestSweepAndCli:
         assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
         assert not (tmp_path / "out").exists()
 
+    def test_cli_rejects_a_non_finite_sweep_value(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "gaussian", "target_mean": [0], "target_q": [[2]],
+                                    "kernel": "bilinear", "output_dir": str(tmp_path / "out")}))
+        assert main(["analyze", str(path), "--sweep-values", "NaN"]) == 1
+        assert capsys.readouterr().err == "error: config value NaN is not a finite number\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_sweep_rejects_fewer_than_one_worker(self, tmp_path, capsys, workers):
-        # checked before the jobs are parsed: the swept Infinity would fail parse_config
+        # checked before the jobs are parsed: the swept tau -1 would fail parse_config
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"target": "gauss-correlated", "n_particles": 8, "n_steps": 1,
                                     "output_dir": str(tmp_path / "out")}))
-        argv = ["sweep", str(path), "--param", "tau", "--values", "0.1,Infinity", "--workers", str(workers)]
+        argv = ["sweep", str(path), "--param", "tau", "--values", "0.1,-1", "--workers", str(workers)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: a sweep needs at least 1 worker, got {workers}\n"
         assert not (tmp_path / "out").exists()

@@ -107,8 +107,9 @@ class TestAsvgdRhs:
 
     def test_negative_damping_rejected(self):
         state = AcceleratedGaussianState(np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError):
-            asvgd_gaussian_rhs(state, np.eye(1), np.zeros(1), np.eye(1), alpha=-0.1)
+        for alpha in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^damping must be nonnegative and finite"):
+                asvgd_gaussian_rhs(state, np.eye(1), np.zeros(1), np.eye(1), alpha=alpha)
 
 
 class TestMetricInverse:
@@ -180,6 +181,7 @@ SPD_INPUTS = {
     "BilinearKernel": BilinearKernel,
     "GaussianTarget": lambda m: GaussianTarget(np.zeros(2), m),
     "GaussianState": lambda m: GaussianState(np.zeros(2), m),
+    "AcceleratedGaussianState": lambda m: AcceleratedGaussianState(np.zeros(2), m),
     "kl_gaussians": lambda m: kl_gaussians(np.zeros(2), m, np.zeros(2), np.eye(2)),
     "initial_distribution": lambda m: ExperimentConfig(target="quartic", init_cov=m.tolist()).initial_distribution(2),
 }

@@ -949,6 +949,18 @@ class TestAffineFrame:
             with pytest.raises(FloatingPointError, match=r"^non-finite momentum update at iteration 1$"):
                 samplers._AffineFrame.start(ens).advance(ens, cfg, 1)
 
+    def test_coefficient_product_checks_its_overflow(self):
+        # on a target with no frame_gradient the step forms X = P W itself: a
+        # finite W whose product with P overflows fails as X would
+        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=builtin("quartic"), tau=0.01, eps=0.1,
+                            damping=ConstantDamping(0.9))
+        ens = ParticleEnsemble.initialize(np.random.default_rng(47).standard_normal((50, 2)) * 3.0)
+        frame = samplers._AffineFrame.start(ens)
+        frame.w[0, 0] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                      match=r"^non-finite positions at iteration 1$"):
+            frame.advance(ens, cfg, 1)
+
     def test_the_overflow_bound_does_not_overflow(self):
         # max |coef| is compared with the largest float divided by max |P| (d + 1),
         # so coefficients near the top of the range overflow no intermediate

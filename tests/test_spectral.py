@@ -83,6 +83,10 @@ class TestEigs1d:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             eigs_1d(0.0, 1.0, 0.0)
+        for bad in (np.nan, np.inf):
+            for a, q in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError, match="^a and q must be finite and positive"):
+                    eigs_1d(a, q, 0.0)
 
 
 class TestOptimalA:
@@ -120,6 +124,17 @@ class TestOptimalA:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             optimal_a_svgd(0.0, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: optimal_a_svgd(0.0, v, mode="scalar-1d"), "q must be finite and positive"),
+    (lambda v: asvgd_linearized_spectrum(np.eye(2), np.eye(2), v), "alpha must be nonnegative and finite"),
+    (lambda v: asvgd_rates(np.eye(2), theta=v), "theta must be finite and positive"),
+], ids=["optimal_a_svgd", "asvgd_linearized_spectrum", "asvgd_rates"])
+def test_range_checks_reject_non_finite_values(call, message, value):
+    with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+        call(value)
 
 
 class TestAcceleratedSpectrum:
