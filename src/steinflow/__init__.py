@@ -2,7 +2,7 @@
 and the analytic Gaussian-dynamics layer that validates them."""
 
 from .config import ExperimentConfig, parse_config
-from .diagnostics import MetricRecord, empirical_moments, kl_estimate
+from .diagnostics import empirical_moments, kl_estimate
 from .experiment import analyze_spectrum, run_experiment, run_sweep
 from .gaussian_flow import (
     AcceleratedGaussianState,

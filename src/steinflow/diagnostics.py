@@ -1,4 +1,4 @@
-"""Run-time metrics: empirical moments, KL estimates, per-iteration records.
+"""Run-time metrics: empirical moments, KL estimates, and the per-iteration rows of metrics.csv.
 
 Every metric takes the whole particle set: the nearest-neighbour estimate
 reads the particles' distances to each other, and the target only through
@@ -8,7 +8,6 @@ reads the particles' distances to each other, and the target only through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,8 @@ from .gaussian_flow import _kl_gaussians_factored, spd_cholesky
 from .targets import GaussianTarget
 
 __all__ = [
-    "MetricRecord",
+    "csv_header",
+    "csv_row",
     "empirical_moments",
     "kl_estimate",
     "gaussian_fit_kl",
@@ -27,33 +27,23 @@ __all__ = [
 CSV_SCHEMA_VERSION = "steinflow-metrics-v1"
 
 
-@dataclass
-class MetricRecord:
-    """One row of run-time diagnostics."""
+def csv_header(d):
+    """The column names of a metrics row of a d-dimensional run, comma-separated."""
+    cols = ["iteration", "kl_estimate"]
+    cols += [f"mean_{i}" for i in range(d)]
+    cols += [f"cov_{i}_{j}" for i in range(d) for j in range(d)]
+    cols += ["grad_restart_stat", "mean_speed", "kl_degenerate"]
+    return ",".join(cols)
 
-    iteration: int
-    kl_estimate: float
-    mean: np.ndarray
-    cov: np.ndarray
-    grad_restart_stat: float
-    mean_speed: float
-    kl_degenerate: bool = False
 
-    @staticmethod
-    def csv_header(d):
-        cols = ["iteration", "kl_estimate"]
-        cols += [f"mean_{i}" for i in range(d)]
-        cols += [f"cov_{i}_{j}" for i in range(d) for j in range(d)]
-        cols += ["grad_restart_stat", "mean_speed", "kl_degenerate"]
-        return ",".join(cols)
-
-    def csv_row(self):
-        vals = [f"{self.iteration}", f"{self.kl_estimate:.17g}"]
-        vals += [f"{v:.17g}" for v in self.mean]
-        vals += [f"{v:.17g}" for v in self.cov.ravel()]
-        vals += [f"{self.grad_restart_stat:.17g}", f"{self.mean_speed:.17g}"]
-        vals += ["1" if self.kl_degenerate else "0"]
-        return ",".join(vals)
+def csv_row(*, iteration, kl_estimate, mean, cov, grad_restart_stat, mean_speed, kl_degenerate=False):
+    """One metrics row in the columns of ``csv_header``, every float written exactly (%.17g)."""
+    vals = [f"{iteration}", f"{kl_estimate:.17g}"]
+    vals += [f"{v:.17g}" for v in mean]
+    vals += [f"{v:.17g}" for v in cov.ravel()]
+    vals += [f"{grad_restart_stat:.17g}", f"{mean_speed:.17g}"]
+    vals += ["1" if kl_degenerate else "0"]
+    return ",".join(vals)
 
 
 def empirical_moments(x):

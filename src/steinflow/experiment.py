@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gaussian_flow, samplers, spectral
 from .config import ConfigError, ExperimentConfig, parse_config
-from .diagnostics import CSV_SCHEMA_VERSION, MetricRecord, empirical_moments, gaussian_fit_kl, kl_estimate
+from .diagnostics import CSV_SCHEMA_VERSION, csv_header, csv_row, empirical_moments, gaussian_fit_kl, kl_estimate
 from .svg import MAX_PATHS, render_trajectory_svg
 from .targets import GaussianTarget
 
@@ -51,15 +51,8 @@ def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
             raise FloatingPointError(f"non-finite KL estimate {kl}")
     except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
         raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
-    return MetricRecord(
-        iteration=iteration,
-        kl_estimate=kl,
-        mean=mean,
-        cov=cov,
-        grad_restart_stat=grad_stat,
-        mean_speed=mean_speed,
-        kl_degenerate=degenerate,
-    )
+    return csv_row(iteration=iteration, kl_estimate=kl, mean=mean, cov=cov, grad_restart_stat=grad_stat,
+                   mean_speed=mean_speed, kl_degenerate=degenerate)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -89,12 +82,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
 
     with open(outdir / "metrics.csv", "w", encoding="utf-8") as metrics:
-        metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + MetricRecord.csv_header(dim) + "\n")
+        metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + csv_header(dim) + "\n")
 
         def record(ens):
             mean_speed = float(ens.prev_step_norms.mean())
             row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat)
-            metrics.write(row.csv_row() + "\n")
+            metrics.write(row + "\n")
             metrics.flush()  # a run that fails later keeps every row recorded so far
             _write_snapshot(snapdir, ens.iteration, ens.x)
             if dim == 2:
@@ -118,8 +111,7 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
     directory is made, so an invalid sweep (a value that is not a finite number,
     out of range, or whose row is not finite) raises ValueError and writes no file.
     """
-    scfg = cfg.build_sampler_config()
-    target = scfg.target
+    target = cfg.build_target()
     if not isinstance(target, GaussianTarget):
         raise ConfigError("spectral analysis requires a Gaussian target")
     if cfg.kernel != "bilinear":

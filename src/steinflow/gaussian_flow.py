@@ -217,9 +217,12 @@ def integrate_rk4(rhs, state0, t_end, dt, damping=None):
     schedule is given.  Sigma (and S) are re-symmetrized after every stage; the
     integration aborts with the timestamp if Sigma loses positive definiteness
     or any state entry becomes non-finite.  Returns the list of (t, state).
+    ``dt`` must be positive and finite and ``t_end`` nonnegative and finite.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     d = state0.dim
     cls = type(state0)
 

@@ -246,6 +246,12 @@ def _check_finite(arr, iteration, what):
         raise FloatingPointError(f"non-finite {what} at iteration {iteration}")
 
 
+def _row_norms(a):
+    """The Euclidean length of every row of ``a``, as a fresh length-N array."""
+    norms = np.einsum("ij,ij->i", a, a)
+    return np.sqrt(norms, out=norms)
+
+
 def _moved(ens, x_new, what="positions", **fields):
     """``ens`` one iteration on at positions ``x_new``, with their step lengths.
 
@@ -253,9 +259,7 @@ def _moved(ens, x_new, what="positions", **fields):
     diverging run stops at the step where it first left the floating-point range.
     """
     _check_finite(x_new, ens.iteration + 1, what)
-    dx = x_new - ens.x
-    step_norms = np.einsum("ij,ij->i", dx, dx)
-    np.sqrt(step_norms, out=step_norms)
+    step_norms = _row_norms(x_new - ens.x)
     return replace(ens, x=x_new, prev_step_norms=step_norms, iteration=ens.iteration + 1, **fields)
 
 
@@ -294,15 +298,13 @@ class _AffineFrame:
         return np.abs(coef).max() < 0.5 * np.finfo(float).max / (self.p_max * self.p.shape[1])
 
     def check(self, coef, iteration, what):
-        """Raise as ``_check_finite`` on P coef would, forming P coef only when coef could overflow it."""
+        """Raise as ``_check_finite`` on P coef would, forming P coef only when coef could overflow it.
+
+        ``advance`` checks every W and V here, so a record forms P W and P V unchecked.
+        """
         _check_finite(coef, iteration, what)
         if not self._bounded(coef):
             _check_finite(_matmul_f(self.p, coef), iteration, what)
-
-    def product(self, coef, iteration, what):
-        """P coef after ``check``, which forms it a second time only when coef could overflow it."""
-        self.check(coef, iteration, what)
-        return _matmul_f(self.p, coef)
 
     def advance(self, ens, cfg, iteration):
         """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + alpha V.
@@ -318,6 +320,7 @@ class _AffineFrame:
         ``ConstantDamping``) and reads none of its rows.
         """
         w = self.w + np.sqrt(cfg.tau) * self.v
+        self.check(w, iteration, "positions")
         frame_gradient = getattr(cfg.target, "frame_gradient", None)
         if frame_gradient is None:
             # When a step frees its N-row arrays decides whether the next one reuses
@@ -329,12 +332,11 @@ class _AffineFrame:
             # 10-60) and 1.4-7.2 in 4 of 4 over steps 10-200.  Freeing grad_f at the
             # end of its own step, or X before the next step, read 22-23 in 1 of 6
             # runs each over steps 10-60.
-            x = self.product(w, iteration, "positions")
+            x = _matmul_f(self.p, w)
             g = self.grad = _grad(cfg, x)
             ptg = self.p.T @ g
         else:
             x = None
-            self.check(w, iteration, "positions")
             ptg = frame_gradient(self.pp, w)
         force, grad_stat = cfg.kernel.frame_terms(w, self.v, self.pp, ptg, cfg.eps, cfg.tau, self.p.shape[0])
         alpha, counts = cfg.damping.factor(ens, None, grad_stat)
@@ -348,17 +350,17 @@ class _AffineFrame:
         """The full ensemble after the frame's last step, at iteration ``iteration``.
 
         ``ens`` is the last ensemble it made, or the one the frame started
-        from, and ``x`` is P W if ``advance`` formed it.  The step lengths are
-        |X' - X| = sqrt(tau) |P v_prev| row by row, with P v_prev the very
-        array ``ens.y`` when ``ens`` is the step's own start.
+        from, and ``x`` is P W if ``advance`` formed it.  X and Y come from
+        the W and V that the step has checked, so nothing here checks them.
+        The step lengths are |X' - X| = sqrt(tau) |P v_prev| row by row, with
+        P v_prev the very array ``ens.y`` when ``ens`` is the step's own start.
         """
         if x is None:
-            x = self.product(self.w, iteration, "positions")
+            x = _matmul_f(self.p, self.w)
         y_prev = ens.y if ens.iteration == iteration - 1 else _matmul_f(self.p, self.v_prev)
-        step_norms = np.einsum("ij,ij->i", y_prev, y_prev)
-        np.sqrt(step_norms, out=step_norms)
+        step_norms = _row_norms(y_prev)
         step_norms *= np.sqrt(tau)
-        y = self.product(self.v, iteration, "momentum update")
+        y = _matmul_f(self.p, self.v)
         return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
                        restart_count=counts, grad_stat=grad_stat)
 

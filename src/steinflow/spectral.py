@@ -61,15 +61,16 @@ def svgd_linearized_matrix(a, b, q):
 def eigs_1d(a, q, b):
     """Both eigenvalues of the one-dimensional linearized system matrix.
 
-    lambda_pm = [(2AQ + Ab^2 + 1) +- sqrt((2AQ + Ab^2 + 1)^2 - 8AQ)] / (2Q);
-    real and positive for all A, Q > 0.
+    lambda_pm = [s +- sqrt(s^2 - 8AQ)] / (2Q) with s = 2AQ + Ab^2 + 1; real and
+    positive for all A, Q > 0.  They multiply to 2A/Q, so the small one is
+    formed as 4A / (s + sqrt(s^2 - 8AQ)), which does not cancel when 8AQ << s^2.
     """
     if not (0.0 < a < np.inf and 0.0 < q < np.inf):
         raise ValueError(f"a and q must be finite and positive, got a = {a}, q = {q}")
     s = 2.0 * a * q + a * b * b + 1.0
     rad = s * s - 8.0 * a * q
     root = np.sqrt(max(rad, 0.0))
-    return (s - root) / (2.0 * q), (s + root) / (2.0 * q)
+    return 4.0 * a / (s + root), (s + root) / (2.0 * q)
 
 
 def optimal_a_svgd(b, q, mode):
@@ -127,11 +128,18 @@ def _mode_stiffness(a, q):
 
 
 def asvgd_closed_form_eigs(a, q, alpha):
-    """Closed-form spectrum: alpha/2 +- sqrt(alpha^2 - 4 mu_ij)/2 over all d^2 modes."""
+    """Closed-form spectrum: alpha/2 +- sqrt(alpha^2 - 4 mu_ij)/2 over all d^2 modes.
+
+    A real pair multiplies to mu_ij, so its small root is mu_ij / large, where
+    alpha - large would cancel; a complex pair keeps alpha - large.
+    """
     mu = _mode_stiffness(a, q).ravel()
-    disc = np.asarray(alpha**2 - 4.0 * mu, dtype=complex)
-    root = np.sqrt(disc)
-    return np.concatenate([0.5 * (alpha - root), 0.5 * (alpha + root)])
+    disc = alpha**2 - 4.0 * mu
+    large = 0.5 * (alpha + np.sqrt(np.asarray(disc, dtype=complex)))
+    small = alpha - large
+    real = disc >= 0.0
+    small[real] = mu[real] / large.real[real]
+    return np.concatenate([small, large])
 
 
 def asvgd_linearized_spectrum(a, q, alpha) -> dict:

@@ -12,7 +12,7 @@ import pytest
 from steinflow import experiment, kernels, samplers, spectral
 from steinflow.cli import main
 from steinflow.config import ConfigError, ExperimentConfig, parse_config
-from steinflow.diagnostics import MetricRecord
+from steinflow.diagnostics import csv_header
 from steinflow.experiment import analyze_spectrum, manifest_hash, run_experiment, run_sweep
 from steinflow.kernels import BilinearKernel, GaussianKernel
 from steinflow.samplers import ConstantDamping, RestartNesterov
@@ -126,6 +126,13 @@ class TestParseConfig:
         text = f'{{"target": "quartic", "{key}": {f"[0, {value}]" if key == "init_mean" else value}}}'
         with pytest.raises(ConfigError, match="config integer of 5001 digits is too long"):
             parse_config(text)
+
+    def test_builders_name_the_key_they_reject(self):
+        # parse_config rejects both values first; the builders check objects made directly too
+        with pytest.raises(ConfigError, match="^sigma2: "):
+            ExperimentConfig(target="quartic", sigma2=-1.0).build_kernel(2)
+        with pytest.raises(ConfigError, match="^beta: "):
+            ExperimentConfig(target="quartic", damping="constant", beta=1.5).build_damping()
 
     def test_restart_damping_is_built_from_its_two_flags(self):
         # the counter schedule (c - 1) / (c + 2) has no setting of its own
@@ -263,7 +270,7 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             run_experiment(cfg)
         lines = (tmp_path / "out" / "metrics.csv").read_text().strip().split("\n")
-        assert lines[:2] == ["# steinflow-metrics-v1", MetricRecord.csv_header(2)]
+        assert lines[:2] == ["# steinflow-metrics-v1", csv_header(2)]
         assert [line.split(",")[0] for line in lines[2:]] == ["0", "3", "6", "9"]
         snapdir = tmp_path / "out" / "snapshots"
         assert sorted(p.name for p in snapdir.iterdir()) == [f"particles_{it}.npy" for it in (0, 3, 6, 9)]
@@ -461,6 +468,29 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="bilinear"):
             analyze_spectrum(cfg)
 
+    def test_target_is_checked_before_kernel(self, tmp_path):
+        cfg = make_cfg(tmp_path, target="quartic")
+        with pytest.raises(ConfigError, match="^spectral analysis requires a Gaussian target$"):
+            analyze_spectrum(cfg)
+
+    def test_builds_the_kernel_once(self, tmp_path, monkeypatch):
+        calls = []
+        build_kernel = ExperimentConfig.build_kernel
+
+        def counted(cfg, dim):
+            calls.append(dim)
+            return build_kernel(cfg, dim)
+        cfg = make_cfg(tmp_path, kernel="bilinear")
+        monkeypatch.setattr(ExperimentConfig, "build_kernel", counted)
+        analyze_spectrum(cfg)
+        assert calls == [2]
+
+    def test_unknown_sweep_parameter(self, tmp_path):
+        cfg = make_cfg(tmp_path, kernel="bilinear")
+        with pytest.raises(ConfigError, match=r"^unknown sweep parameter 'bogus' \(valid: a, alpha\)$"):
+            analyze_spectrum(cfg, sweep_param="bogus")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sweep_param, target_mean, sweep_values, error, message", [
         ("a", [0.0, 0.0], None, ConfigError, "one-dimensional"),
         ("alpha", [0.5, 0.0], None, ConfigError, "alpha sweep requires b = 0"),
@@ -608,6 +638,20 @@ class TestSweepAndCli:
         assert code == 0
         manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
+
+    def test_cli_override_without_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "quartic", "output_dir": str(tmp_path / "out")}))
+        assert main(["run", str(path), "--override", "tau"]) == 1
+        assert capsys.readouterr().err == "error: override 'tau' is not of the form key=value\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_sweep_over_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "quartic", "output_dir": str(tmp_path / "sw")}))
+        assert main(["sweep", str(path), "--param", "bogus", "--values", "1,2"]) == 1
+        assert capsys.readouterr().err == "error: unknown sweep key 'bogus'\n"
+        assert not list(tmp_path.rglob("sweep_*"))
 
     def test_cli_override_on_non_object_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

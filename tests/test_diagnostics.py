@@ -7,7 +7,8 @@ from scipy.special import digamma, gammaln
 
 from steinflow.diagnostics import (
     CSV_SCHEMA_VERSION,
-    MetricRecord,
+    csv_header,
+    csv_row,
     empirical_moments,
     gaussian_fit_kl,
     kl_estimate,
@@ -52,6 +53,10 @@ class TestEmpiricalMoments:
 
 
 class TestGaussianFitKl:
+    def test_needs_a_gaussian_target(self):
+        with pytest.raises(TypeError, match="^gaussian-fit KL needs a Gaussian target$"):
+            gaussian_fit_kl(np.zeros(2), np.eye(2), QuarticTarget())
+
     def test_matched_moments_give_zero(self):
         # particles constructed to have exactly the target moments
         target = GaussianTarget(b=np.zeros(1), q=np.eye(1))
@@ -234,19 +239,19 @@ class TestKlEstimate:
 
 class TestMetricRecord:
     def test_csv_header_golden(self):
-        assert MetricRecord.csv_header(2) == (
+        assert csv_header(2) == (
             "iteration,kl_estimate,mean_0,mean_1,"
             "cov_0_0,cov_0_1,cov_1_0,cov_1_1,grad_restart_stat,mean_speed,kl_degenerate"
         )
 
     def test_csv_row_round_trip(self):
-        rec = MetricRecord(iteration=3, kl_estimate=0.25, mean=np.array([1.0, 2.0]),
-                           cov=np.eye(2), grad_restart_stat=-0.5, mean_speed=0.01)
-        fields = rec.csv_row().split(",")
+        row = csv_row(iteration=3, kl_estimate=0.25, mean=np.array([1.0, 2.0]),
+                      cov=np.eye(2), grad_restart_stat=-0.5, mean_speed=0.01)
+        fields = row.split(",")
         assert fields[0] == "3"
         assert float(fields[1]) == 0.25
         assert fields[-1] == "0"
-        assert len(fields) == len(MetricRecord.csv_header(2).split(","))
+        assert len(fields) == len(csv_header(2).split(","))
 
     def test_schema_version_string(self):
         assert CSV_SCHEMA_VERSION == "steinflow-metrics-v1"

@@ -263,6 +263,24 @@ class TestIntegrator:
         with pytest.raises(FloatingPointError, match="non-finite"):
             integrate_rk4(nan_rhs, GaussianState(np.zeros(1), np.eye(1)), 1.0, 0.1)
 
+    @pytest.mark.parametrize("t_end, dt, message", [
+        (1.0, np.inf, "^dt must be positive and finite, got inf$"),
+        (1.0, np.nan, "^dt must be positive and finite, got nan$"),
+        (1.0, 0.0, "^dt must be positive and finite, got 0.0$"),
+        (-1.0, 0.1, "^t_end must be nonnegative and finite, got -1.0$"),
+        (np.inf, 0.1, "^t_end must be nonnegative and finite, got inf$"),
+        (np.nan, 0.1, "^t_end must be nonnegative and finite, got nan$"),
+    ], ids=["dt-inf", "dt-nan", "dt-zero", "t_end-negative", "t_end-inf", "t_end-nan"])
+    def test_rejects_an_unusable_step_or_end(self, t_end, dt, message):
+        def rhs(state):
+            raise AssertionError("no step may run")
+        with pytest.raises(ValueError, match=message):
+            integrate_rk4(rhs, GaussianState(np.zeros(1), np.eye(1)), t_end, dt)
+
+    def test_zero_end_time_returns_the_start_alone(self):
+        state0 = GaussianState(np.zeros(1), np.eye(1))
+        assert integrate_rk4(lambda s: (np.zeros(1), np.zeros((1, 1))), state0, 0.0, 0.1) == [(0.0, state0)]
+
     def test_kl_monotone_along_plain_flow(self):
         rng = np.random.default_rng(9)
         a, q = random_spd(rng, 2, 0.3, 1.0), random_spd(rng, 2, 0.8, 1.5)

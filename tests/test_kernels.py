@@ -159,6 +159,11 @@ class TestGram:
         assert kernel.low_rank_factor(x).shape == (10, 3)
         assert np.linalg.matrix_rank(loop_gram(kernel, x), tol=1e-9) <= 3
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((0, 2))], ids=["1-d", "no-rows"])
+    def test_rejects_a_non_point_array(self, x):
+        with pytest.raises(ValueError, match="^expected an N x d point array with N >= 1"):
+            gram(GaussianKernel(1.0), x)
+
     def test_bilinear_kernel_has_no_dense_gram(self):
         with pytest.raises(TypeError, match="low_rank_factor"):
             gram(BilinearKernel(np.eye(2)), np.eye(2))

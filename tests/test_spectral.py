@@ -80,6 +80,12 @@ class TestEigs1d:
         lo, hi = eigs_1d(1.0, 1.0, 1.0)
         assert 0.0 < lo <= hi
 
+    def test_small_root_does_not_cancel(self):
+        # the roots multiply to 2a/q, so at a << 1 the small one is 2a (q = 1/2)
+        lo, hi = eigs_1d(1e-17, 0.5, 0.0)
+        assert lo == 2e-17
+        assert hi == 2.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             eigs_1d(0.0, 1.0, 0.0)
@@ -175,6 +181,17 @@ class TestAcceleratedSpectrum:
         alpha = np.sqrt(8.0 * theta)
         eigs = asvgd_closed_form_eigs(a, np.eye(2), alpha)
         assert np.allclose(eigs, np.sqrt(2.0 * theta), atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e8, 1e9])
+    def test_overdamped_small_root_does_not_cancel(self, alpha):
+        # A = 1/2, Q = 1: mu = 1, so the roots are large = (alpha + sqrt(alpha^2 - 4)) / 2
+        # and 1 / large, which is 1 / alpha to a relative 1 / alpha^2
+        rep = asvgd_linearized_spectrum(np.array([[0.5]]), np.array([[1.0]]), alpha)
+        large = 0.5 * (alpha + np.sqrt(alpha * alpha - 4.0))
+        assert rep["spectral_abscissa"] == pytest.approx(1.0 / large, rel=1e-14)
+        assert rep["condition_number"] == pytest.approx(large * large, rel=1e-14)
+        if alpha >= 1e8:
+            assert rep["spectral_abscissa"] == pytest.approx(1.0 / alpha, rel=1e-14)
 
     def test_non_commuting_rejected(self):
         a = np.array([[1.0, 0.4], [0.4, 2.0]])
