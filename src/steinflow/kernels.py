@@ -33,10 +33,12 @@ particle step with U.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
 matrix, and every Gaussian step reads that triangle alone, with scipy's LAPACK
-and BLAS wrappers, the package's only use of scipy, which loads with the first
-``GaussianKernel``: the accelerated step factors it in place and multiplies by
+and BLAS wrappers: the accelerated step factors it in place and multiplies by
 K through the factor, and the plain step multiplies by K with one symmetric
-BLAS product.  The bilinear Gram matrix has rank at most d + 1, so
+BLAS product.  Those wrappers are the package's only use of scipy.  The first
+``GaussianKernel`` loads just their two extension modules (``_lapack_blas``),
+not ``scipy.linalg``, whose import also loads ``numpy.f2py`` and
+``numpy.testing``.  The bilinear Gram matrix has rank at most d + 1, so
 (K + eps I) is invertible only for eps > 0; that kernel forms neither K nor V,
 and solves only the (d+1) x d capacitance system, ``_capacitance``.
 
@@ -73,7 +75,13 @@ distances of both particles of every pair.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -97,8 +105,8 @@ class GaussianKernel:
     def __post_init__(self):
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be a positive real, got {self.sigma2}")
-        # the dense solve needs scipy: a run loads it here, in set-up, not in its first step
-        import scipy.linalg  # noqa: F401
+        # the dense solve's wrappers load here, in a run's set-up, not in its first step
+        _lapack_blas()
 
     def accelerated_terms(self, x, y, g, eps, tau, work=None):
         """Kernel force push - (sqrt(tau) / N) K grad_f(X) and restart statistic of the accelerated step at X.
@@ -125,14 +133,11 @@ class GaussianKernel:
         through the factor, K B = L (L^T B) - eps B, with two BLAS ``dtrmm``.
         The step's peak is about 1.15 N x N doubles at d = 2.
         """
-        from scipy.linalg import blas, lapack  # loaded with the kernel, in __post_init__
-
+        lapack, blas = _lapack_blas()
         n, d = x.shape
         buf = gram(self, x).k
         buf.flat[:: n + 1] += eps
         l, info = lapack.dpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"dpotrf rejected its argument {-info}")
         if info > 0:
             k_eps = gram(self, x).k  # the failed factorization overwrote the triangle it read
             k_eps.flat[:: n + 1] += eps
@@ -175,11 +180,47 @@ class GaussianKernel:
         which is the lower triangle of the buffer's Fortran-order transpose, as
         in ``accelerated_terms``; the product comes back column-major.
         """
-        from scipy.linalg import blas  # loaded with the kernel, in __post_init__
-
+        blas = _lapack_blas()[1]
         n, d = x.shape
         p = blas.dsymm(1.0, gram(self, x).k.T, np.hstack([x, g, np.ones((n, 1))]), lower=1)
         return x + (tau / n) * ((p[:, -1:] * x - p[:, :d]) / self.sigma2 - p[:, d:-1])
+
+
+_LAPACK_BLAS_LOCK = threading.Lock()
+
+
+def _lapack_blas():
+    """(``scipy.linalg._flapack``, ``scipy.linalg._fblas``): scipy's LAPACK and BLAS wrappers, without ``scipy.linalg``.
+
+    These are the callables that ``scipy.linalg.lapack`` and ``.blas``
+    re-export.  Modules already in ``sys.modules`` are reused; otherwise the
+    two extension files load from scipy's ``linalg`` directory without
+    running any scipy ``__init__.py``, and the interpreter itself registers
+    them in ``sys.modules``, where a later ``import scipy.linalg`` finds
+    them.  The lock makes concurrent first calls load them once.
+    """
+    with _LAPACK_BLAS_LOCK:
+        return _load_lapack_blas()
+
+
+@functools.cache
+def _load_lapack_blas():
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    if scipy is None:
+        raise ImportError("the Gaussian kernel needs scipy, which is not installed", name="scipy")
+    linalg_dir = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    return tuple(sys.modules.get(name) or _load_extension(linalg_dir, name)
+                 for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"))
+
+
+def _load_extension(directory, name):
+    """The extension module ``name`` loaded from its file in ``directory``; ImportError if there is none."""
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no extension module file for {name} in {directory}", name=name, path=directory)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class BilinearKernel:

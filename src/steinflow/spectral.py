@@ -131,13 +131,22 @@ def asvgd_closed_form_eigs(a, q, alpha):
     """Closed-form spectrum: alpha/2 +- sqrt(alpha^2 - 4 mu_ij)/2 over all d^2 modes.
 
     A real pair multiplies to mu_ij, so its small root is mu_ij / large, where
-    alpha - large would cancel; a complex pair keeps alpha - large.
+    alpha - large would cancel; a complex pair, and a double root alpha/2,
+    keep alpha - large.
     """
     mu = _mode_stiffness(a, q).ravel()
     disc = alpha**2 - 4.0 * mu
+    # At a double root alpha^2 = 4 mu_ij exactly, but both sides carry rounding:
+    # alpha^2 about three half-ulp errors (alpha's own square root, as at the
+    # critical damping sqrt(8 lambda_min), then the square) and 4 mu_ij about four
+    # (a ratio, two products, a sum), a few eps alpha^2 in all, whose square root
+    # would split the pair by about sqrt(eps) alpha.  So a discriminant within
+    # 8 eps alpha^2 counts as 0, with room to spare; that moves each root by at
+    # most sqrt(8 eps) alpha / 2, the size of the split it removes.
+    disc[np.abs(disc) <= 8.0 * np.finfo(float).eps * alpha**2] = 0.0
     large = 0.5 * (alpha + np.sqrt(np.asarray(disc, dtype=complex)))
     small = alpha - large
-    real = disc >= 0.0
+    real = disc > 0.0
     small[real] = mu[real] / large.real[real]
     return np.concatenate([small, large])
 

@@ -49,8 +49,22 @@ for name in ("mala", "bilinear"):
     check(f"run_experiment of the {name} config")
 steinflow.analyze_spectrum(parsed["analyze"])
 check("analyze_spectrum")
-steinflow.parse_config(json.dumps({**base, "kernel": "gaussian"}))
-assert "scipy.linalg" in sys.modules, "a Gaussian-kernel config should load scipy while it is parsed"
+
+def check_wrappers_only(where):
+    # a Gaussian kernel loads scipy's LAPACK and BLAS wrapper modules alone:
+    # importing scipy.linalg would pull in scipy._lib._array_api, numpy.f2py and numpy.testing
+    for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"):
+        assert name in sys.modules, f"{name} is not loaded after {where}"
+    for name in ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma"):
+        assert name not in sys.modules, f"{name} is loaded after {where}"
+
+gaussian = {**base, "kernel": "gaussian"}
+steinflow.parse_config(json.dumps(gaussian))
+check_wrappers_only("parse_config of a Gaussian-kernel config")
+for sampler in ("asvgd", "svgd"):
+    cfg = {**gaussian, "sampler": sampler, "output_dir": str(out / f"gaussian-{sampler}")}
+    steinflow.run_experiment(steinflow.parse_config(json.dumps(cfg)))
+    check_wrappers_only(f"run_experiment of the Gaussian {sampler} config")
 """
 
 

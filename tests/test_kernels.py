@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -416,3 +418,41 @@ class TestRegularizedInverse:
         poisoned = step()
         for got, expected in zip(poisoned, clean):
             assert np.array_equal(got, expected)
+
+
+class TestLapackBlasWrappers:
+    def test_scipy_linalgs_own_modules(self):
+        # reference_impls has imported scipy.linalg in this process
+        import scipy.linalg
+
+        lapack, blas = kernels._lapack_blas()
+        assert lapack is sys.modules["scipy.linalg._flapack"]
+        assert blas is sys.modules["scipy.linalg._fblas"]
+        assert lapack.dpotrf is scipy.linalg.lapack.dpotrf
+        assert blas.dsymm is scipy.linalg.blas.dsymm
+
+    def test_missing_file_names_the_directory(self, tmp_path):
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            kernels._load_extension(str(tmp_path), "scipy.linalg._flapack")
+
+    def test_concurrent_first_calls_load_once(self):
+        kernels._load_lapack_blas.cache_clear()
+        barrier = threading.Barrier(8)
+        results = []
+
+        def load():
+            barrier.wait(timeout=10)
+            results.append(kernels._lapack_blas())
+
+        threads = [threading.Thread(target=load) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(r is results[0] for r in results)

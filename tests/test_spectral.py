@@ -175,6 +175,13 @@ class TestAcceleratedSpectrum:
         rep = asvgd_linearized_spectrum(np.array([[0.5]]), np.array([[1.7]]), 2.0)
         assert np.allclose(rep["eigenvalues"], [1.0, 0.0], atol=1e-12)  # [real, imag] pairs
 
+    def test_critical_damping_gives_an_exact_double_root(self):
+        # centred 1-D, A = 1: mu = 2 and alpha* = sqrt(8), where alpha*^2 - 4 mu rounds to one ulp of 8
+        rep = asvgd_linearized_spectrum(np.array([[1.0]]), np.array([[1.0]]), optimal_damping(np.array([[1.0]])))
+        assert rep["eigenvalues"] == [[np.sqrt(2.0), 0.0], [np.sqrt(2.0), 0.0]]
+        assert rep["condition_number"] == 1.0
+        assert rep["contraction"] == 0.0
+
     def test_isotropic_critical_modes(self):
         theta = 0.7
         a = theta * np.eye(2)
