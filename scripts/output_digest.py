@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 96 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 97 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -30,12 +30,14 @@ forming X and grad_f on every step too), and restart damping, which takes
 the particle step with its N-row products on every step; then one ``svgd``
 run with the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram
 matrix spans several distance blocks and whose symmetric product K [X | grad_f | 1]
-BLAS blocks too; last, one ``ula`` run on ``double-bananas`` with record_every 1,
+BLAS blocks too; then one ``ula`` run on ``double-bananas`` with record_every 1,
 whose ``knn`` KL reading overflows at iteration 5, so the run fails there on
-a non-finite metric.  Every config has 12 steps, eps = 0.1 and, unless it
-sets its own, record_every 3 and N = 60 particles, and every call runs
-inside a temporary directory.  The
-script prints first the BLAS thread setting, ``blas-threads  T  (SOURCE)``:
+a non-finite metric; last, one constant-damped bilinear ``asvgd`` run on
+``quartic`` with record_every 1, whose frame forms the ensemble after every
+step and so takes each step's lengths from the last record's momenta.
+Every config has 12 steps, eps = 0.1 and, unless it sets its own,
+record_every 3 and N = 60 particles, and every call runs inside a temporary
+directory.  The script prints first the BLAS thread setting, ``blas-threads  T  (SOURCE)``:
 the value of ``OPENBLAS_NUM_THREADS``, else of ``OMP_NUM_THREADS``, else the
 core count, as OpenBLAS picks it, since another thread count may move the
 last bits.  Then it prints one ``sha256  path`` line per output file and one
@@ -123,6 +125,8 @@ def _calls():
            {"sampler": "svgd", "target": "gauss-correlated", "n_particles": 600}, ["run"])
     yield ("ula-double-bananas-every-record",
            {"sampler": "ula", "target": "double-bananas", "record_every": 1}, ["run"])
+    yield ("asvgd-bilinear-quartic-constant-every-record",
+           {"kernel": "bilinear", "target": "quartic", "damping": "constant", "record_every": 1}, ["run"])
 
 
 def _blas_threads(environ):

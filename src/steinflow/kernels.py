@@ -17,19 +17,11 @@ A kernel is anything with the two step methods the samplers call:
 
 A kernel whose force is affine in the particles may also have
 ``frame_terms(w, v, pp, ptg, eps, tau, n)``, the coefficient form of
-``accelerated_terms``: the bilinear kernel's U = [X L | 1] is an affine image
-of the positions, so with X = P W and Y = P V in the frame P = [X0 | 1] of a
-run's start, its force is P times a (d+1) x d matrix and the step's thin
-products reduce to (d+1) x (d+1) ones through P^T P.  ``samplers.run`` steps
-every constant-damped run in that frame (see ``samplers``); the Gaussian
-kernel has no such form.  Between the iterations a run records, the frame's
-only N-row work is then the target's P^T grad_f(P W), and X, Y and the step
-lengths are formed only at the records.  On a Gaussian target P^T grad_f
-comes from P^T P too (``GaussianTarget.frame_gradient``), so a
-constant-damped bilinear run does O(d^3) work per step between records,
-whatever N is; on any other target it forms X = P W and grad_f(X) on every
-step.  A restart-damped run, and every direct ``asvgd_step`` call, takes the
-particle step with U.
+``accelerated_terms``: with X = P W and Y = P V in an N-row frame P, it
+takes P^T P and P^T grad_f and returns the force's coefficients and the
+restart statistic, so it reads no N-row array.  The bilinear kernel has it,
+as its U = [X L | 1] is an affine image of the positions; the Gaussian
+kernel does not.  ``samplers`` says which runs step in that frame.
 
 ``gram`` writes the diagonal and upper triangle of the dense Gaussian Gram
 matrix, and every Gaussian step reads that triangle alone, with scipy's LAPACK
@@ -195,9 +187,8 @@ def _lapack_blas():
     These are the callables that ``scipy.linalg.lapack`` and ``.blas``
     re-export.  Modules already in ``sys.modules`` are reused; otherwise the
     two extension files load from scipy's ``linalg`` directory without
-    running any scipy ``__init__.py``, and the interpreter itself registers
-    them in ``sys.modules``, where a later ``import scipy.linalg`` finds
-    them.  The lock makes concurrent first calls load them once.
+    running any scipy ``__init__.py`` (see ``_load_extension``).  The lock
+    makes concurrent first calls load them once.
     """
     with _LAPACK_BLAS_LOCK:
         return _load_lapack_blas()
@@ -214,12 +205,21 @@ def _load_lapack_blas():
 
 
 def _load_extension(directory, name):
-    """The extension module ``name`` loaded from its file in ``directory``; ImportError if there is none."""
+    """The extension module ``name`` loaded from its file in ``directory``; ImportError if there is none.
+
+    Loading a single-phase extension module registers it in ``sys.modules``.
+    A later ``import scipy.linalg`` would find it there and leave the package
+    attribute (``scipy.linalg._flapack``) unbound, so the entry this load made
+    is removed: that import then loads the module again, with the same
+    functions.
+    """
     spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
     if spec is None:
         raise ImportError(f"no extension module file for {name} in {directory}", name=name, path=directory)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
     return module
 
 

@@ -26,18 +26,18 @@ kernel samplers, and a damping without ``factor`` for ``asvgd``; the Langevin
 samplers never read the kernel and take ``kernel=None``.
 
 The affine frame.  With a kernel that has ``frame_terms`` (the bilinear one)
-and a damping whose ``uniform`` is true (``ConstantDamping``: one scalar
-alpha for every particle), the step is affine in the particles, so a run that
-starts at rest keeps X = P W and Y = P V in the frame P = [X0 | 1] of its
-start, with (d+1) x d coefficients W and V, for any target: grad_f enters only
-through P^T grad_f.  ``run`` steps every such ``asvgd`` run in that frame
-itself, not through ``step``.  The frame (P, P^T P, formed once, W, V, the V
-before the last step and the last grad_f) belongs to the run, and a step in
-it is ``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f,
-``frame_terms`` and V <- W_hat S + alpha V.  Only at the iterations the
-recorder reads (``record_iters``) and at the last one does
-``_AffineFrame.ensemble`` form the full ensemble: X = P W, Y = P V and the
-step lengths sqrt(tau) |P V_prev| row by row.  The N-row work of a step
+and a ``ConstantDamping`` (one scalar beta for every particle), the step is
+affine in the particles, so a run that starts at rest keeps X = P W and
+Y = P V in the frame P = [X0 | 1] of its start, with (d+1) x d coefficients
+W and V, for any target: grad_f enters only through P^T grad_f.  ``run``
+steps every such ``asvgd`` run in that frame itself, not through ``step``.
+The frame (P, P^T P, formed once, W, V, the V before the last step and the
+last grad_f) belongs to the run, and a step in it is
+``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f, ``frame_terms``
+and V <- W_hat S + beta V.  Only at the iterations the recorder reads
+(``record_iters``) and at the last one does ``_AffineFrame.ensemble`` form
+the full ensemble: X = P W, Y = P V and the step lengths sqrt(tau) |P V_prev|
+row by row; its restart counters stay the start's.  The N-row work of a step
 between records:
 
 * on a target with ``frame_gradient`` (a ``GaussianTarget``, whose gradient
@@ -95,7 +95,6 @@ the same particles whatever layout a target returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -163,8 +162,6 @@ class RestartNesterov:
 
     use_speed: bool = True
     use_gradient: bool = True
-    # the speed restart and the counters an ensemble brings give each particle its own alpha
-    uniform: ClassVar[bool] = False
 
     def factor(self, ens, step_norms, grad_stat):
         """alpha = (c - 1) / (c + 2) as an N x 1 column, and the counters c after this step's restarts.
@@ -191,9 +188,6 @@ class ConstantDamping:
     """
 
     beta: float
-    # ``factor`` returns one scalar alpha for every particle, reading neither the
-    # ensemble's rows nor the step lengths, which the affine frame passes as None
-    uniform: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
@@ -306,18 +300,16 @@ class _AffineFrame:
         if not self._bounded(coef):
             _check_finite(_matmul_f(self.p, coef), iteration, what)
 
-    def advance(self, ens, cfg, iteration):
-        """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + alpha V.
+    def advance(self, cfg, iteration):
+        """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + beta V.
 
-        Returns X = P W if the step formed it, else None, the restart
-        statistic and the counters.  grad_f enters only through P^T grad_f:
-        from the target's ``frame_gradient`` when it has one (a Gaussian
-        target), which reads only P^T P, so the step touches no N-row array
-        and X is formed only if W could overflow it; otherwise as
+        Returns X = P W if the step formed it, else None, and the restart
+        statistic; beta is ``cfg.damping.beta``.  grad_f enters only through
+        P^T grad_f: from the target's ``frame_gradient`` when it has one (a
+        Gaussian target), which reads only P^T P, so the step touches no
+        N-row array and X is formed only if W could overflow it; otherwise as
         P^T grad_f(P W).  W and V are checked finite, as the particle step
-        checks X and Y.  ``ens`` is the last ensemble ``ensemble`` made, or
-        the one the frame started from; the damping is ``uniform`` (see
-        ``ConstantDamping``) and reads none of its rows.
+        checks X and Y.
         """
         w = self.w + np.sqrt(cfg.tau) * self.v
         self.check(w, iteration, "positions")
@@ -339,14 +331,13 @@ class _AffineFrame:
             x = None
             ptg = frame_gradient(self.pp, w)
         force, grad_stat = cfg.kernel.frame_terms(w, self.v, self.pp, ptg, cfg.eps, cfg.tau, self.p.shape[0])
-        alpha, counts = cfg.damping.factor(ens, None, grad_stat)
         v = force
-        v += alpha * self.v
+        v += cfg.damping.beta * self.v
         self.check(v, iteration, "momentum update")
         self.w, self.v, self.v_prev = w, v, self.v
-        return x, grad_stat, counts
+        return x, grad_stat
 
-    def ensemble(self, ens, iteration, x, grad_stat, counts, tau):
+    def ensemble(self, ens, iteration, x, grad_stat, tau):
         """The full ensemble after the frame's last step, at iteration ``iteration``.
 
         ``ens`` is the last ensemble it made, or the one the frame started
@@ -361,17 +352,16 @@ class _AffineFrame:
         step_norms = _row_norms(y_prev)
         step_norms *= np.sqrt(tau)
         y = _matmul_f(self.p, self.v)
-        return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration,
-                       restart_count=counts, grad_stat=grad_stat)
+        return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration, grad_stat=grad_stat)
 
 
 def _affine_frame(ens, cfg):
     """The frame that a run of ``cfg`` from ``ens`` steps in, or None for the particle path.
 
-    It needs ``asvgd`` with a kernel that has ``frame_terms`` and a damping
-    with one alpha for every particle; every run starts at rest, as a frame must.
+    It needs ``asvgd`` with a kernel that has ``frame_terms`` and a
+    ``ConstantDamping``; every run starts at rest, as a frame must.
     """
-    if (cfg.algorithm != "asvgd" or not getattr(cfg.damping, "uniform", False)
+    if (cfg.algorithm != "asvgd" or not isinstance(cfg.damping, ConstantDamping)
             or not callable(getattr(cfg.kernel, "frame_terms", None))):
         return None
     return _AffineFrame.start(ens)
@@ -500,7 +490,7 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None, record_iters=N
             if frame is None:
                 ens = step(ens, cfg, rng, work)
             else:
-                stepped = frame.advance(ens, cfg, iteration)
+                stepped = frame.advance(cfg, iteration)
                 if record or iteration == n_steps:
                     ens = frame.ensemble(ens, iteration, *stepped, cfg.tau)
         except Exception as exc:

@@ -2,7 +2,7 @@ import copy
 import re
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -753,7 +753,16 @@ class TestBilinearWorkspace:
 
     def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
         # a restart-damped run keeps its scratch arrays in the workspace; a
-        # constant-damped one steps its frame without asvgd_step, on any target
+        # constant-damped one steps its frame without asvgd_step, on any target;
+        # a damping with a scalar ``factor`` that is no ConstantDamping takes
+        # the particle path
+        @dataclass(frozen=True)
+        class ScalarDamping:
+            beta: float
+
+            def factor(self, ens, step_norms, grad_stat):
+                return self.beta, ens.restart_count
+
         workspaces = []
         original = samplers.asvgd_step
 
@@ -764,7 +773,8 @@ class TestBilinearWorkspace:
         monkeypatch.setattr(samplers, "asvgd_step", keep_workspace)
         frames = frames_started(monkeypatch)
         for damping, target in ((RestartNesterov(), None), (ConstantDamping(0.9), None),
-                                (ConstantDamping(0.9), QuarticTarget())):
+                                (ConstantDamping(0.9), QuarticTarget()), (ScalarDamping(0.9), None)):
+            framed = isinstance(damping, ConstantDamping)
             rng = np.random.default_rng(42)
             cfg = self._cfg(rng, 2, damping)
             cfg = cfg if target is None else replace(cfg, target=target)
@@ -774,10 +784,10 @@ class TestBilinearWorkspace:
             run(cfg, rng.standard_normal((300, 2)), 10,
                 recorder=lambda ens: kept.append((ens, copy.deepcopy(ens))))
             assert len(kept) == 11
-            assert len(workspaces) == (0 if damping.uniform else 10)
-            assert len(frames) == damping.uniform
+            assert len(workspaces) == (0 if framed else 10)
+            assert len(frames) == framed
             scratch = [buf for work in workspaces[:1] for buf in work.values() if isinstance(buf, np.ndarray)]
-            assert scratch or damping.uniform
+            assert scratch or framed
             for frame in frames:
                 assert (frame.grad is None) == (target is None)
                 scratch += [a for a in (frame.p, frame.pp, frame.w, frame.v, frame.v_prev, frame.grad)
@@ -945,9 +955,9 @@ class TestAffineFrame:
                 frame = samplers._AffineFrame.start(ens)
                 frame.w[0, 0] = bad
                 with pytest.raises(FloatingPointError, match=r"^non-finite positions at iteration 1$"):
-                    frame.advance(ens, cfg, 1)
+                    frame.advance(cfg, 1)
             with pytest.raises(FloatingPointError, match=r"^non-finite momentum update at iteration 1$"):
-                samplers._AffineFrame.start(ens).advance(ens, cfg, 1)
+                samplers._AffineFrame.start(ens).advance(cfg, 1)
 
     def test_coefficient_product_checks_its_overflow(self):
         # on a target with no frame_gradient the step forms X = P W itself: a
@@ -959,7 +969,7 @@ class TestAffineFrame:
         frame.w[0, 0] = 1e308
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                       match=r"^non-finite positions at iteration 1$"):
-            frame.advance(ens, cfg, 1)
+            frame.advance(cfg, 1)
 
     def test_the_overflow_bound_does_not_overflow(self):
         # max |coef| is compared with the largest float divided by max |P| (d + 1),
@@ -970,6 +980,24 @@ class TestAffineFrame:
             assert frame._bounded(coef)
             coef[1, 0] = 1e307
             assert not frame._bounded(coef)
+
+    @pytest.mark.parametrize("name", ["gauss-correlated", "quartic"])
+    def test_a_frame_run_steps_on_beta_alone(self, name, monkeypatch):
+        # the frame never calls the damping's factor, and a constant damping
+        # restarts nothing, so every record keeps the start's counters
+        def fail(self, ens, step_norms, grad_stat):
+            raise AssertionError("ConstantDamping.factor called")
+
+        monkeypatch.setattr(ConstantDamping, "factor", fail)
+        frames = frames_started(monkeypatch)
+        rng = np.random.default_rng(48)
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=builtin(name), tau=0.01, eps=0.1,
+                            damping=ConstantDamping(0.9))
+        kept = []
+        run(cfg, rng.standard_normal((100, 2)), 20, recorder=kept.append)
+        assert len(kept) == 21 and len(frames) == 1
+        for ens in kept:
+            assert_bits_equal(ens.restart_count, np.ones(100, dtype=np.int64))
 
     @pytest.mark.parametrize("name", ["gauss-correlated", "gauss-aniso"])
     def test_replicated_particles_move_as_one(self, name):
