@@ -39,8 +39,6 @@ class ExperimentConfig:
     seed: int = 0
     damping: str = "restart"
     beta: float = 0.9
-    use_speed_restart: bool = True
-    use_gradient_restart: bool = True
     init_mean: list | None = None
     init_cov: list | None = None
     record_every: int = 10
@@ -87,7 +85,7 @@ class ExperimentConfig:
                 return ConstantDamping(self.beta)
             except ValueError as exc:
                 raise ConfigError(f"beta: {exc}") from exc
-        return RestartNesterov(use_speed=self.use_speed_restart, use_gradient=self.use_gradient_restart)
+        return RestartNesterov()
 
     def build_sampler_config(self) -> SamplerConfig:
         """The run's ``SamplerConfig``; a Langevin sampler gets no kernel, so it never loads scipy."""
@@ -132,7 +130,6 @@ _JSON_TYPES = {
     "str": ("a string", (str,)),
     "int": ("an integer", (int,)),
     "float": ("a number", (int, float)),
-    "bool": ("true or false", (bool,)),
     "list | None": ("a list or null", (list, type(None))),
 }
 

@@ -3,7 +3,7 @@ transport, and the Langevin baselines (ULA, MALA, ULD), plus restart logic.
 
 State layout for the kernel samplers: positions X, particle momenta Y (the
 discrete velocities) and per-particle restart counters driving the damping
-schedule alpha_i = (count_i - 1) / (count_i + r - 1).  The density-space
+schedule alpha_i = (count_i - 1) / (count_i + 2).  The density-space
 momenta V are not state: each accelerated step derives them from Y.
 
 One accelerated step runs
@@ -154,14 +154,11 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class RestartNesterov:
-    """Counter-based damping (count - 1) / (count + 2) with optional restarts.
+    """Counter-based damping (count - 1) / (count + 2) with speed and gradient restarts.
 
     The counter schedule of Nesterov's method, the r = 3 member of the
     (k - 1) / (k + r - 1) family of Su, Boyd and Candes (2016).
     """
-
-    use_speed: bool = True
-    use_gradient: bool = True
 
     def factor(self, ens, step_norms, grad_stat):
         """alpha = (c - 1) / (c + 2) as an N x 1 column, and the counters c after this step's restarts.
@@ -170,9 +167,8 @@ class RestartNesterov:
         negative ``grad_stat`` every counter.
         """
         counts = ens.restart_count + 1
-        if self.use_speed:
-            counts[step_norms < ens.prev_step_norms] = 1
-        if self.use_gradient and grad_stat < 0.0:
+        counts[step_norms < ens.prev_step_norms] = 1
+        if grad_stat < 0.0:
             counts[:] = 1
         alpha = counts - 1.0
         alpha /= counts + 2.0

@@ -235,15 +235,12 @@ def reference_damping(ens, cfg, step_norms, gradient_restart):
     counts = ens.restart_count.copy()
     if isinstance(cfg.damping, ConstantDamping):
         return np.full(n, cfg.damping.beta), counts
-    if cfg.damping.use_speed:
-        for i in range(n):
-            if step_norms[i] < ens.prev_step_norms[i]:
-                counts[i] = 1
-            else:
-                counts[i] += 1
-    else:
-        counts += 1
-    if cfg.damping.use_gradient and gradient_restart:
+    for i in range(n):
+        if step_norms[i] < ens.prev_step_norms[i]:
+            counts[i] = 1
+        else:
+            counts[i] += 1
+    if gradient_restart:
         counts[:] = 1
     r = 3.0  # Nesterov's member of the (c - 1) / (c + r - 1) family
     return (counts - 1.0) / (counts + r - 1.0), counts

@@ -32,7 +32,6 @@ class TestParseConfig:
         assert cfg.n_steps == 1000
         assert cfg.tau == cfg.eps == cfg.sigma2 == 0.1
         assert isinstance(cfg.build_damping(), RestartNesterov)
-        assert cfg.build_damping().use_speed and cfg.build_damping().use_gradient
         assert cfg.record_every == 10
 
     def test_missing_target(self):
@@ -134,11 +133,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^beta: "):
             ExperimentConfig(target="quartic", damping="constant", beta=1.5).build_damping()
 
-    def test_restart_damping_is_built_from_its_two_flags(self):
-        # the counter schedule (c - 1) / (c + 2) has no setting of its own
-        assert {f.name for f in fields(RestartNesterov)} == {"use_speed", "use_gradient"}
-        cfg = parse_config('{"target": "quartic", "use_speed_restart": false}')
-        assert cfg.build_damping() == RestartNesterov(use_speed=False, use_gradient=True)
+    def test_restart_damping_has_no_setting(self):
+        # the counter schedule (c - 1) / (c + 2) always runs both restarts
+        assert not fields(RestartNesterov)
+        assert parse_config('{"target": "quartic"}').build_damping() == RestartNesterov()
 
     def test_bad_init_cov(self):
         with pytest.raises(ConfigError, match="init_cov"):
@@ -178,11 +176,13 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: n_particles must be an integer, got true")
 
     @pytest.mark.parametrize("key, value, expected", [
-        ("use_speed_restart", "false", 'true or false, got "false"'),
-        ("use_gradient_restart", "false", 'true or false, got "false"'),
-        ("use_gradient_restart", 0, "true or false, got 0"),
         ("sampler", 1, "a string, got 1"),
         ("output_dir", 7, "a string, got 7"),
+        ("kernel", True, "a string, got true"),  # no key takes a JSON boolean
+        ("damping", False, "a string, got false"),
+        ("init_cov", False, "a list or null, got false"),
+        ("seed", 2.0, "an integer, got 2.0"),
+        ("n_steps", 1.5, "an integer, got 1.5"),
         ("init_mean", 0.0, "a list or null, got 0.0"),
         ("target_q", {"q": 1}, 'a list or null, got {"q": 1}'),
         ("tau", 10**400, "a number, got an integer too large for a float"),

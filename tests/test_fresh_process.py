@@ -1,4 +1,5 @@
-"""Properties of a run that only a fresh interpreter shows: its BLAS thread count and its page faults.
+"""Properties of a run that only a fresh interpreter shows: its BLAS thread
+count, its page faults and the command line's module entry point.
 
 Each run is a child process that imports the package from this checkout's
 ``src``; the child's environment is a copy, so no test changes ``os.environ``.
@@ -18,14 +19,32 @@ import steinflow
 SRC = str(Path(steinflow.__file__).resolve().parents[1])
 
 
-def _run_child(script, *args, env_update=()):
+def _python(*args, env_update=()):
+    """The finished child ``python args``, its output captured as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(env_update)
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def _run_child(script, *args, env_update=()):
+    proc = _python("-c", script, *args, env_update=env_update)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_module_entry_point_exits_with_the_cli_status(tmp_path):
+    out = tmp_path / "out"
+    good, old = tmp_path / "good.json", tmp_path / "old.json"
+    good.write_text(json.dumps({"target": "quartic", "n_particles": 4, "n_steps": 1, "output_dir": str(out)}))
+    old.write_text(json.dumps({"target": "quartic", "use_speed_restart": False}))
+    proc = _python("-m", "steinflow.cli", "run", str(good))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote ")
+    # restart damping has no switch, so a config that sets one names an unknown key
+    proc = _python("-m", "steinflow.cli", "run", str(old))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unknown config key(s): use_speed_restart")
 
 
 # runs the Gaussian-kernel svgd and asvgd configs of argv[1] for 20 steps from

@@ -319,24 +319,23 @@ class TestThinProductsAgainstDenseInteraction:
 
 class TestRestartLogic:
     def test_speed_restart_resets_and_increments(self):
+        # grad_stat = 0 is no gradient restart, so only the speed restart resets a counter
         rng = np.random.default_rng(7)
-        target = gaussian_target(rng, 2)
-        cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=target, tau=0.01, eps=0.1,
-                            damping=RestartNesterov(use_speed=True, use_gradient=False))
         ens = random_ensemble(rng, 5, 2)
-        step = np.linalg.norm(np.sqrt(cfg.tau) * ens.y, axis=1)
+        step = np.linalg.norm(0.1 * ens.y, axis=1)
         ens.prev_step_norms = step + np.array([1.0, -0.5, 1.0, -0.5, 1.0]) * 0.5 * step
         counts_before = ens.restart_count.copy()
-        out = asvgd_step(ens, cfg)
+        _, counts = RestartNesterov().factor(ens, step, 0.0)
         slower = step < ens.prev_step_norms
-        assert np.array_equal(out.restart_count[slower], np.ones(slower.sum(), dtype=int))
-        assert np.array_equal(out.restart_count[~slower], counts_before[~slower] + 1)
+        assert np.array_equal(counts[slower], np.ones(slower.sum(), dtype=int))
+        assert np.array_equal(counts[~slower], counts_before[~slower] + 1)
 
     def test_first_step_increments(self):
+        # from rest: no step is shorter than the last (0), and the statistic is 0
         rng = np.random.default_rng(8)
         target = gaussian_target(rng, 2)
         cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=target, tau=0.01, eps=0.1,
-                            damping=RestartNesterov(use_speed=True, use_gradient=False))
+                            damping=RestartNesterov())
         out = asvgd_step(ParticleEnsemble.initialize(rng.standard_normal((4, 2))), cfg)
         assert np.all(out.restart_count == 2)
 
@@ -344,19 +343,19 @@ class TestRestartLogic:
         rng = np.random.default_rng(9)
         target = gaussian_target(rng, 2)
         cfg = SamplerConfig(kernel=GaussianKernel(1.0), target=target, tau=0.01, eps=0.1,
-                            damping=RestartNesterov(use_speed=False, use_gradient=False))
+                            damping=RestartNesterov())
         ens = random_ensemble(rng, 3, 2, momentum=False)
         ens.restart_count = np.array([1, 2, 5])
         ens.y = np.zeros((3, 2))
         out = asvgd_step(ens, cfg)
+        # from rest no restart fires (each step length 0 equals the last, and the statistic is 0):
         # counts increment to (2, 3, 6); alpha = (c-1)/(c+2) applied to the old (zero) momentum
         assert np.array_equal(out.restart_count, [2, 3, 6])
 
     @pytest.mark.parametrize("damping", [
         RestartNesterov(),
         parse_config('{"target": "quartic"}').build_damping(),
-        RestartNesterov(use_speed=False),
-    ], ids=["default", "config", "no-speed"])
+    ], ids=["default", "config"])
     @pytest.mark.parametrize("grad_stat", [0.5, -0.5])
     def test_damping_matches_the_reference_bit_for_bit(self, damping, grad_stat):
         # the integer counters give a float damping, not an integer array
@@ -381,23 +380,18 @@ class TestRestartLogic:
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), BilinearKernel(np.eye(2))], ids=["gaussian", "bilinear"])
     def test_gradient_restart_resets_all(self, kernel):
-        # a momentum field pointing against the descent direction rises in energy
+        # a momentum field pointing against the descent direction rises in energy;
+        # the start's last step lengths are 0, so no speed restart fires
         rng = np.random.default_rng(10)
         target = GaussianTarget(b=np.zeros(2), q=np.eye(2))
         x0 = rng.standard_normal((6, 2)) + np.array([3.0, 0.0])
         ens = ParticleEnsemble.initialize(x0)
         ens.restart_count = np.full(6, 4)
         ens.y = 0.5 * target.grad_all(x0)  # uphill
-        cfg = SamplerConfig(kernel=kernel, target=target, tau=0.01, eps=0.01,
-                            damping=RestartNesterov(use_speed=False, use_gradient=True))
+        cfg = SamplerConfig(kernel=kernel, target=target, tau=0.01, eps=0.01, damping=RestartNesterov())
         out = asvgd_step(ens, cfg)
         assert np.all(out.restart_count == 1)
         assert out.grad_stat < 0.0
-        cfg_no = SamplerConfig(kernel=kernel, target=target, tau=0.01, eps=0.01,
-                               damping=RestartNesterov(use_speed=False, use_gradient=False))
-        out_no = asvgd_step(ens, cfg_no)
-        assert np.all(out_no.restart_count == 5)
-        assert out_no.grad_stat == out.grad_stat  # computed whether or not it may restart
 
 
 class TestGradientRestartStat:
