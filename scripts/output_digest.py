@@ -25,16 +25,16 @@ N = 5000, so both bilinear paths also run at a size where BLAS may block
 their products differently: constant damping, which steps the coefficients
 of the affine frame of the run's start and forms the ensemble only at its
 records (every 3rd iteration and the last), as every constant-damped
-bilinear ``asvgd`` run of the grid does at N = 60 (on a non-Gaussian target
-forming X and grad_f on every step too), and restart damping, which takes
-the particle step with its N-row products on every step; then one ``svgd``
+bilinear ``asvgd`` run of the grid on a Gaussian target does at N = 60 (on a
+non-Gaussian target such a run takes the particle step), and restart
+damping, which takes the particle step with its N-row products on every
+step; then one ``svgd``
 run with the Gaussian kernel on ``gauss-correlated`` at N = 600, whose Gram
 matrix spans several distance blocks and whose symmetric product K [X | grad_f | 1]
 BLAS blocks too; then one ``ula`` run on ``double-bananas`` with record_every 1,
 whose ``knn`` KL reading overflows at iteration 5, so the run fails there on
 a non-finite metric; last, one constant-damped bilinear ``asvgd`` run on
-``quartic`` with record_every 1, whose frame forms the ensemble after every
-step and so takes each step's lengths from the last record's momenta.
+``quartic`` with record_every 1, which takes the particle step.
 Every config has 12 steps, eps = 0.1 and, unless it sets its own,
 record_every 3 and N = 60 particles, and every call runs inside a temporary
 directory.  The script prints first the BLAS thread setting, ``blas-threads  T  (SOURCE)``:

@@ -25,38 +25,33 @@ damping they run with; see ``kernels`` for how each kernel computes its terms.
 kernel samplers, and a damping without ``factor`` for ``asvgd``; the Langevin
 samplers never read the kernel and take ``kernel=None``.
 
-The affine frame.  With a kernel that has ``frame_terms`` (the bilinear one)
-and a ``ConstantDamping`` (one scalar beta for every particle), the step is
-affine in the particles, so a run that starts at rest keeps X = P W and
+The affine frame.  With a kernel that has ``frame_terms`` (the bilinear one),
+a ``ConstantDamping`` (one scalar beta for every particle) and a target with
+``frame_gradient`` (a ``GaussianTarget``, whose gradient is affine), the step
+is affine in the particles, so a run that starts at rest keeps X = P W and
 Y = P V in the frame P = [X0 | 1] of its start, with (d+1) x d coefficients
-W and V, for any target: grad_f enters only through P^T grad_f.  ``run``
-steps every such ``asvgd`` run in that frame itself, not through ``step``.
-The frame (P, P^T P, formed once, W, V, the V before the last step and the
-last grad_f) belongs to the run, and a step in it is
-``_AffineFrame.advance``, W <- W + sqrt(tau) V, P^T grad_f, ``frame_terms``
-and V <- W_hat S + beta V.  Only at the iterations the recorder reads
-(``record_iters``) and at the last one does ``_AffineFrame.ensemble`` form
-the full ensemble: X = P W, Y = P V and the step lengths sqrt(tau) |P V_prev|
-row by row; its restart counters stay the start's.  The N-row work of a step
-between records:
-
-* on a target with ``frame_gradient`` (a ``GaussianTarget``, whose gradient
-  is affine), P^T grad_f comes from P^T P and W alone, so ``advance`` reads
-  no N-row array and costs O(d^3) whatever N is;
-* on any other target ``advance`` forms X = P W, grad_f(X) and
-  P^T grad_f(X), and no Y or step lengths;
-* a ``RestartNesterov`` run (whose speed restart gives each particle its own
-  alpha) takes the particle path above, with all its N-row passes.
+W and V, and P^T grad_f comes from P^T P and W alone.  ``run`` steps every
+such ``asvgd`` run in that frame itself, not through ``step``.  The frame
+(P, P^T P, formed once, W, V and the V before the last step) belongs to the
+run, and a step in it is ``_AffineFrame.advance``, W <- W + sqrt(tau) V,
+P^T grad_f, ``frame_terms`` and V <- W_hat S + beta V: it reads no N-row
+array and costs O(d^3) whatever N is.  Only at the iterations the recorder
+reads (``record_iters``) and at the last one does ``_AffineFrame.ensemble``
+form the full ensemble: X = P W, Y = P V and the step lengths
+sqrt(tau) |P V_prev| row by row; its restart counters stay the start's.
+Every other ``asvgd`` run, a constant-damped bilinear one on any other
+target or a ``RestartNesterov`` one (whose speed restart gives each particle
+its own alpha), takes the particle step above, with all its N-row passes.
 
 ``asvgd_step`` knows no frame: a direct call is the particle step, with or
 without a workspace.  The frame and the particle path agree to rounding,
-about 1e-15 normwise, not bit for bit: a constant-damped bilinear run and a
-loop of direct ``asvgd_step`` calls from its start do not give the same
-bits.  A frame run gives the same bits whichever iterations it records.  A
-consequence for users: with the bilinear kernel and one damping factor the
-particles stay an affine image of their start, so such a run can match a
-Gaussian target's mean and covariance, and on any other target it settles
-where E[grad_f(X)] = 0 and E[grad_f(X) X^T] = I, which need not give even the
+about 1e-15 normwise, not bit for bit: a frame run and a loop of direct
+``asvgd_step`` calls from its start do not give the same bits.  A frame run
+gives the same bits whichever iterations it records.  A consequence for
+users: with the bilinear kernel and one damping factor the particles stay an
+affine image of their start, so such a run can match a Gaussian target's
+mean and covariance, and on any other target it settles where
+E[grad_f(X)] = 0 and E[grad_f(X) X^T] = I, which need not give even the
 covariance (on ``quartic`` the variances settle near 0.59 against 0.676; see
 README).
 
@@ -73,7 +68,8 @@ over it, which steps a frame run itself (see above).
 ``work`` is the run's workspace: a dict that ``run`` makes once and hands to
 every step.  It holds the accelerated step's N-row scratch arrays (the
 kernel's, see ``kernels``, and alpha Y under "alpha_y"), so a large run does
-not allocate, fault in and free them on every step, and, under "mala", f
+not allocate, fault in and free them on every step, the last grad_f of an
+accelerated step under "grad" (see ``asvgd_step``), and, under "mala", f
 and grad_f at the positions MALA returned, so MALA evaluates the target once
 per step (see ``mala_step``).  The workspace belongs to one run, never to the
 ensemble, the kernel or the module, because a sweep runs its jobs on
@@ -260,8 +256,7 @@ class _AffineFrame:
     ``w`` and ``v`` are the coefficients after the frame's last step and
     ``v_prev`` the momenta's before it, whose rows P v_prev give that step's
     lengths.  ``p_max`` is max |P|, which bounds the entries of a product
-    P B by (d + 1) p_max max |B|.  ``grad`` holds grad_f of the last step
-    until the next step has its own (see ``advance``).
+    P B by (d + 1) p_max max |B|.
     """
 
     p: np.ndarray
@@ -270,7 +265,6 @@ class _AffineFrame:
     w: np.ndarray
     v: np.ndarray
     v_prev: np.ndarray = None
-    grad: np.ndarray = None
 
     @classmethod
     def start(cls, ens):
@@ -299,53 +293,31 @@ class _AffineFrame:
     def advance(self, cfg, iteration):
         """One accelerated step in coefficients: W <- W + sqrt(tau) V, then V <- W_hat S + beta V.
 
-        Returns X = P W if the step formed it, else None, and the restart
-        statistic; beta is ``cfg.damping.beta``.  grad_f enters only through
-        P^T grad_f: from the target's ``frame_gradient`` when it has one (a
-        Gaussian target), which reads only P^T P, so the step touches no
-        N-row array and X is formed only if W could overflow it; otherwise as
-        P^T grad_f(P W).  W and V are checked finite, as the particle step
-        checks X and Y.
+        Returns the restart statistic; beta is ``cfg.damping.beta``.  grad_f
+        enters only through P^T grad_f, from the target's ``frame_gradient``,
+        which reads only P^T P, so the step touches no N-row array.  W and V
+        are checked finite, as the particle step checks X and Y.
         """
         w = self.w + np.sqrt(cfg.tau) * self.v
         self.check(w, iteration, "positions")
-        frame_gradient = getattr(cfg.target, "frame_gradient", None)
-        if frame_gradient is None:
-            # When a step frees its N-row arrays decides whether the next one reuses
-            # that heap or glibc trims the top of the heap and faults it in again.
-            # Between records a step allocates X and grad_f, and no Y.  The frame
-            # keeps grad_f, and ``run`` the returned X, until the next step has its
-            # own: 1.3-5.2 minor faults per step in 8 of 8 fresh ``run_experiment``
-            # runs on quartic (N = 50 000, tau = 0.001, a record every 10, steps
-            # 10-60) and 1.4-7.2 in 4 of 4 over steps 10-200.  Freeing grad_f at the
-            # end of its own step, or X before the next step, read 22-23 in 1 of 6
-            # runs each over steps 10-60.
-            x = _matmul_f(self.p, w)
-            g = self.grad = _grad(cfg, x)
-            ptg = self.p.T @ g
-        else:
-            x = None
-            ptg = frame_gradient(self.pp, w)
+        ptg = cfg.target.frame_gradient(self.pp, w)
         force, grad_stat = cfg.kernel.frame_terms(w, self.v, self.pp, ptg, cfg.eps, cfg.tau, self.p.shape[0])
         v = force
         v += cfg.damping.beta * self.v
         self.check(v, iteration, "momentum update")
         self.w, self.v, self.v_prev = w, v, self.v
-        return x, grad_stat
+        return grad_stat
 
-    def ensemble(self, ens, iteration, x, grad_stat, tau):
+    def ensemble(self, ens, iteration, grad_stat, tau):
         """The full ensemble after the frame's last step, at iteration ``iteration``.
 
         ``ens`` is the last ensemble it made, or the one the frame started
-        from, and ``x`` is P W if ``advance`` formed it.  X and Y come from
-        the W and V that the step has checked, so nothing here checks them.
-        The step lengths are |X' - X| = sqrt(tau) |P v_prev| row by row, with
-        P v_prev the very array ``ens.y`` when ``ens`` is the step's own start.
+        from.  X and Y come from the W and V that the step has checked, so
+        nothing here checks them.  The step lengths are
+        |X' - X| = sqrt(tau) |P v_prev| row by row.
         """
-        if x is None:
-            x = _matmul_f(self.p, self.w)
-        y_prev = ens.y if ens.iteration == iteration - 1 else _matmul_f(self.p, self.v_prev)
-        step_norms = _row_norms(y_prev)
+        x = _matmul_f(self.p, self.w)
+        step_norms = _row_norms(_matmul_f(self.p, self.v_prev))
         step_norms *= np.sqrt(tau)
         y = _matmul_f(self.p, self.v)
         return replace(ens, x=x, y=y, prev_step_norms=step_norms, iteration=iteration, grad_stat=grad_stat)
@@ -354,11 +326,13 @@ class _AffineFrame:
 def _affine_frame(ens, cfg):
     """The frame that a run of ``cfg`` from ``ens`` steps in, or None for the particle path.
 
-    It needs ``asvgd`` with a kernel that has ``frame_terms`` and a
-    ``ConstantDamping``; every run starts at rest, as a frame must.
+    It needs ``asvgd`` with a kernel that has ``frame_terms``, a
+    ``ConstantDamping`` and a target that has ``frame_gradient``; every run
+    starts at rest, as a frame must.
     """
     if (cfg.algorithm != "asvgd" or not isinstance(cfg.damping, ConstantDamping)
-            or not callable(getattr(cfg.kernel, "frame_terms", None))):
+            or not callable(getattr(cfg.kernel, "frame_terms", None))
+            or not callable(getattr(cfg.target, "frame_gradient", None))):
         return None
     return _AffineFrame.start(ens)
 
@@ -370,17 +344,21 @@ def asvgd_step(ens: ParticleEnsemble, cfg: SamplerConfig, rng=None, work=None) -
     keeps its scratch arrays in ``work``; the bilinear kernel requires eps > 0
     and raises ValueError otherwise.  This is always the particle step, with
     the same bits with or without a workspace.  A constant-damped bilinear
-    ``run`` never calls it: it steps its affine frame (see the module
-    docstring), which agrees with these steps to about 1e-15, not bit for bit.
+    ``run`` on a Gaussian target never calls it: it steps its affine frame
+    (see the module docstring), which agrees with these steps to about
+    1e-15, not bit for bit.
     """
     work = {} if work is None else work
     # X + sqrt(tau) Y in the one array the new ensemble keeps
     x_new = np.multiply(ens.y, np.sqrt(cfg.tau))
     x_new += ens.x
     moved = _moved(ens, x_new)
-    # grad_f(X) is freed when the kernel returns
-    force, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, _grad(cfg, moved.x),
-                                                    cfg.eps, cfg.tau, work)
+    # The workspace keeps grad_f(X) until the next step has its own, so glibc does not
+    # trim the top of the heap and fault it in again on the next step: freed when the
+    # kernel returns, grad_f read 57.4 minor faults per step on the constant-damped
+    # quartic run of tests/test_fresh_process.py (N = 50 000), kept 1.96
+    g = work["grad"] = _grad(cfg, moved.x)
+    force, grad_stat = cfg.kernel.accelerated_terms(moved.x, ens.y, g, cfg.eps, cfg.tau, work)
     alpha, counts = cfg.damping.factor(ens, moved.prev_step_norms, grad_stat)
     # F + alpha Y in the force array, which the new ensemble keeps as its momentum
     alpha_y = workspace_array(work, "alpha_y", ens.y.shape)
@@ -468,10 +446,10 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None, record_iters=N
     configurations produce identical trajectories.  One workspace serves every
     step of the run (see the module docstring).
 
-    A constant-damped bilinear ``asvgd`` run steps its affine frame here, not
-    through ``step``, on any target: it advances the (d+1) x d coefficients
-    on every step, and forms X, Y and the step lengths only at the recorded
-    iterations and at the last one.
+    A constant-damped bilinear ``asvgd`` run on a Gaussian target steps its
+    affine frame here, not through ``step``: it advances the (d+1) x d
+    coefficients on every step, and forms X, Y and the step lengths only at
+    the recorded iterations and at the last one.
     """
     ens = ParticleEnsemble.initialize(x0)
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
@@ -486,9 +464,9 @@ def run(cfg: SamplerConfig, x0, n_steps, recorder=None, rng=None, record_iters=N
             if frame is None:
                 ens = step(ens, cfg, rng, work)
             else:
-                stepped = frame.advance(cfg, iteration)
+                grad_stat = frame.advance(cfg, iteration)
                 if record or iteration == n_steps:
-                    ens = frame.ensemble(ens, iteration, *stepped, cfg.tau)
+                    ens = frame.ensemble(ens, iteration, grad_stat, cfg.tau)
         except Exception as exc:
             raise RuntimeError(f"{cfg.algorithm} failed at iteration {iteration}: {exc}") from exc
         if record:

@@ -8,7 +8,8 @@ also has ``log_normalizer`` = log of the integral of exp(-f) over R^d, in
 closed form.  The knn KL metric needs it and rejects a target without it,
 such as a ``CustomTarget``.  A ``GaussianTarget`` alone also has
 ``frame_gradient(pp, w)``, its projected gradient in the samplers' affine
-frame, with which a constant-damped bilinear run steps without an N-row array.
+frame; a constant-damped bilinear run steps in that frame, without an N-row
+array, only on a target that has it.
 """
 
 from __future__ import annotations

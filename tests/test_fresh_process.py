@@ -105,9 +105,9 @@ print((faults[60] - faults[10]) / 50)
 """
 
 
-# constant damping steps the affine frame in coefficients, here forming the
-# ensemble at every iteration, which the recorder reads; restart damping
-# takes the particle step
+# constant damping on this Gaussian target steps the affine frame in
+# coefficients, here forming the ensemble at every iteration, which the
+# recorder reads; restart damping takes the particle step
 _DAMPINGS = pytest.mark.parametrize("damping", ["constant", "restart"])
 
 
@@ -159,16 +159,16 @@ print((faults[60] - faults[10]) / 50)
 def test_bilinear_experiment_steps_do_not_fault_their_heap(tmp_path, target, damping, tau):
     # the whole run as the benchmark times it, records included: when a step
     # frees its N-row arrays decides whether glibc trims the top of its heap
-    # and faults it in again on the next step.  Constant damping steps the
-    # affine frame and forms X, Y and the step lengths only at the records:
-    # on the Gaussian target it forms no N-row array between them (1.32
-    # faults per step in 8 of 8 runs), on quartic X and grad_f on every step
-    # (1.32 in 3 of 3 runs; 1.32-5.24 in 8 others).  Restart damping takes
-    # the particle step (0.0).  A quartic frame step that frees grad_f at the
-    # end of its own step read 23.48 in 1 of 6 runs.  The particle step with
-    # its step lengths summed without einsum read 163.5 when the constant
-    # config took it, but reads 1.96 on the restart config, so this test does
-    # not catch that variant
+    # and faults it in again on the next step.  Constant damping on the
+    # Gaussian target steps the affine frame and forms no N-row array between
+    # the records (1.28 faults per step in 3 of 3 runs).  Restart damping, and
+    # constant damping on quartic, take the particle step (0.0 and 1.96 in 3
+    # of 3 runs each), and the quartic case guards its workspace's kept
+    # grad_f: a particle step that frees grad_f when the kernel returns read
+    # 57.44 there in 2 of 2 runs.  The particle step with its step lengths
+    # summed without einsum read 163.5 on the constant Gaussian config when
+    # it took that step, but reads 1.96 on the restart config, so this test
+    # does not catch that variant
     per_step = float(_run_child(_BILINEAR_EXPERIMENT_FAULTS, str(tmp_path / "out"), target, damping, str(tau),
                                 env_update={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}))
     assert per_step <= 20, per_step

@@ -747,9 +747,9 @@ class TestBilinearWorkspace:
 
     def test_no_workspace_array_reaches_an_ensemble(self, monkeypatch):
         # a restart-damped run keeps its scratch arrays in the workspace; a
-        # constant-damped one steps its frame without asvgd_step, on any target;
-        # a damping with a scalar ``factor`` that is no ConstantDamping takes
-        # the particle path
+        # constant-damped one steps its frame without asvgd_step on a Gaussian
+        # target and takes the particle path on any other; so does a damping
+        # with a scalar ``factor`` that is no ConstantDamping
         @dataclass(frozen=True)
         class ScalarDamping:
             beta: float
@@ -768,7 +768,7 @@ class TestBilinearWorkspace:
         frames = frames_started(monkeypatch)
         for damping, target in ((RestartNesterov(), None), (ConstantDamping(0.9), None),
                                 (ConstantDamping(0.9), QuarticTarget()), (ScalarDamping(0.9), None)):
-            framed = isinstance(damping, ConstantDamping)
+            framed = isinstance(damping, ConstantDamping) and target is None
             rng = np.random.default_rng(42)
             cfg = self._cfg(rng, 2, damping)
             cfg = cfg if target is None else replace(cfg, target=target)
@@ -783,9 +783,7 @@ class TestBilinearWorkspace:
             scratch = [buf for work in workspaces[:1] for buf in work.values() if isinstance(buf, np.ndarray)]
             assert scratch or framed
             for frame in frames:
-                assert (frame.grad is None) == (target is None)
-                scratch += [a for a in (frame.p, frame.pp, frame.w, frame.v, frame.v_prev, frame.grad)
-                            if a is not None]
+                scratch += [frame.p, frame.pp, frame.w, frame.v, frame.v_prev]
             for ens, snapshot in kept:
                 for name in ("x", "y", "prev_step_norms"):
                     assert_bits_equal(getattr(ens, name), getattr(snapshot, name))
@@ -827,23 +825,29 @@ def frame_target(name):
     return log_cosh_target() if name == "custom" else builtin(name)
 
 
-# (target, tau, steps) of the frame runs checked against direct particle
-# steps; tau = 0.01 diverges on gauss-aniso and double-bananas
+def has_frame(target):
+    """Whether a constant-damped bilinear run on ``target`` steps in its affine frame."""
+    return callable(getattr(target, "frame_gradient", None))
+
+
+# (target, tau, steps) of the constant-damped bilinear runs checked against
+# direct particle steps; tau = 0.01 diverges on gauss-aniso and double-bananas
 FRAME_RUNS = [("gauss-correlated", 0.01, 200), ("quartic", 0.01, 200), ("gauss-aniso", 0.001, 100),
               ("double-bananas", 0.001, 100), ("custom", 0.01, 40)]
 
 
 class TestAffineFrame:
-    """A constant-damped bilinear run steps in the frame [X0 | 1] of its start; a direct step takes the particle path.
+    """A constant-damped bilinear run steps in the frame [X0 | 1] of its start on a Gaussian target, else the particle path.
 
     The frame forms X, Y and the force as products of P = [X0 | 1] with
     (d+1) x d coefficients, so it agrees with the particle path to rounding,
-    not bit for bit.  On a Gaussian target it steps the coefficients alone
-    between the records, so the runs that record every 10th iteration check
-    that path.  The tolerances are normwise: X against |X| at that step, and
-    the momenta and step lengths against their largest norm so far, since
-    both fall towards 0 as a run converges while their rounding stays at the
-    scale of the terms they are summed from.
+    not bit for bit.  It steps the coefficients alone between the records,
+    so the runs that record every 10th iteration check that path.  The
+    tolerances are normwise: X against |X| at that step, and the momenta and
+    step lengths against their largest norm so far, since both fall towards
+    0 as a run converges while their rounding stays at the scale of the
+    terms they are summed from.  On a target without ``frame_gradient`` the
+    run takes the particle steps themselves, so it matches them bit for bit.
     """
 
     @staticmethod
@@ -852,17 +856,18 @@ class TestAffineFrame:
 
         Each is the list of its ensembles, the direct loop's up to and with
         the step that failed; the failure, if any, is the run's cause and the
-        direct step's error.
+        direct step's error.  The run starts one frame if the target has
+        ``frame_gradient``, and none otherwise.
         """
         rng = np.random.default_rng(seed)
         cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=target, tau=tau, eps=0.1,
                             damping=ConstantDamping(beta))
         x0 = rng.standard_normal((n, 2))
-        framed, particle, failures = [], [ParticleEnsemble.initialize(x0)], [None, None]
+        recorded, particle, failures = [], [ParticleEnsemble.initialize(x0)], [None, None]
         with pytest.MonkeyPatch.context() as mp:
             frames = frames_started(mp)
             try:
-                run(cfg, x0, n_steps, recorder=framed.append, record_iters=range(0, n_steps + 1, every))
+                run(cfg, x0, n_steps, recorder=recorded.append, record_iters=range(0, n_steps + 1, every))
             except RuntimeError as exc:
                 failures[0] = (int(re.search(r"iteration (\d+):", str(exc)).group(1)), exc.__cause__)
         for _ in range(n_steps):
@@ -871,51 +876,62 @@ class TestAffineFrame:
             except Exception as exc:
                 failures[1] = (particle[-1].iteration + 1, exc)
                 break
-        assert len(frames) == 1
-        return framed, particle, failures
+        assert len(frames) == has_frame(target)
+        return recorded, particle, failures
 
     @staticmethod
-    def _assert_close(framed, particle):
-        """Each recorded ensemble against the direct steps' ensemble of its iteration, to the class's tolerances."""
-        for got in framed:
+    def _assert_matches(recorded, particle, target):
+        """Each recorded ensemble against the direct steps' ensemble of its iteration.
+
+        A frame run's to the class's tolerances, any other run's bit for bit.
+        """
+        for got in recorded:
             k = got.iteration
             ref = particle[k]
+            assert np.array_equal(got.restart_count, ref.restart_count)
+            assert got.x.flags.f_contiguous and got.y.flags.f_contiguous
+            if not has_frame(target):
+                for name in ("x", "y", "prev_step_norms"):
+                    assert_bits_equal(getattr(got, name), getattr(ref, name))
+                continue
             y_scale = max(np.linalg.norm(e.y) for e in particle[: k + 1])
             s_scale = max(np.linalg.norm(e.prev_step_norms) for e in particle[: k + 1])
             assert np.linalg.norm(got.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), k
             assert np.linalg.norm(got.y - ref.y) <= 1e-12 * y_scale, k
             assert np.linalg.norm(got.prev_step_norms - ref.prev_step_norms) <= 1e-12 * s_scale, k
-            assert np.array_equal(got.restart_count, ref.restart_count)
-            assert got.x.flags.f_contiguous and got.y.flags.f_contiguous
 
     @pytest.mark.parametrize("n", [60, 2000])
     @pytest.mark.parametrize("name, tau, n_steps", FRAME_RUNS)
     def test_run_matches_the_particle_steps(self, name, tau, n_steps, n):
-        framed, particle, failures = self._runs(frame_target(name), n, tau, n_steps, seed=n + len(name))
-        assert failures == [None, None] and len(framed) == len(particle) == n_steps + 1
-        assert [e.iteration for e in framed] == list(range(n_steps + 1))
-        self._assert_close(framed, particle)
+        target = frame_target(name)
+        recorded, particle, failures = self._runs(target, n, tau, n_steps, seed=n + len(name))
+        assert failures == [None, None] and len(recorded) == len(particle) == n_steps + 1
+        assert [e.iteration for e in recorded] == list(range(n_steps + 1))
+        self._assert_matches(recorded, particle, target)
 
     @pytest.mark.parametrize("n", [60, 2000])
     @pytest.mark.parametrize("name, tau, n_steps", FRAME_RUNS)
     def test_sparse_records_match_the_particle_steps(self, name, tau, n_steps, n):
-        # between records the run steps the coefficients (on a non-Gaussian
-        # target with X and grad_f), and forms X, Y and the step lengths from
-        # P v_prev at the records
-        framed, particle, failures = self._runs(frame_target(name), n, tau, n_steps, seed=n + len(name), every=10)
+        # between records a frame run steps the coefficients alone, and forms
+        # X, Y and the step lengths from P v_prev at the records
+        target = frame_target(name)
+        recorded, particle, failures = self._runs(target, n, tau, n_steps, seed=n + len(name), every=10)
         assert failures == [None, None]
-        assert [e.iteration for e in framed] == list(range(0, n_steps + 1, 10))
-        self._assert_close(framed, particle)
+        assert [e.iteration for e in recorded] == list(range(0, n_steps + 1, 10))
+        self._assert_matches(recorded, particle, target)
 
     def _assert_fails_alike(self, name, seed, every):
         """The run fails at the direct steps' iteration, with their error, and records what they made before."""
-        framed, particle, failures = self._runs(builtin(name), 60, 0.02, 12, seed, beta=0.8, every=every)
+        target = builtin(name)
+        recorded, particle, failures = self._runs(target, 60, 0.02, 12, seed, beta=0.8, every=every)
         (got_at, got), (ref_at, ref) = failures
         assert got_at == ref_at and type(got) is type(ref)
         assert str(got).split(" (")[0] == str(ref).split(" (")[0]
-        assert [e.iteration for e in framed] == list(range(0, got_at, every))
+        assert [e.iteration for e in recorded] == list(range(0, got_at, every))
         assert len(particle) == got_at
-        for got_ens in framed:
+        if not has_frame(target):
+            return self._assert_matches(recorded, particle, target)
+        for got_ens in recorded:
             ref_ens = particle[got_ens.iteration]
             assert np.linalg.norm(got_ens.x - ref_ens.x) <= 1e-9 * np.linalg.norm(ref_ens.x)
 
@@ -929,8 +945,8 @@ class TestAffineFrame:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["gauss-aniso", "double-bananas"])
     def test_diverging_sparse_runs_fail_where_the_particle_steps_fail(self, name, seed):
-        # the same runs, recorded every 10th iteration: the coefficient steps
-        # check W and V as the particle steps check X and Y
+        # the same runs, recorded every 10th iteration: on gauss-aniso the
+        # coefficient steps check W and V as the particle steps check X and Y
         self._assert_fails_alike(name, seed, every=10)
 
     def test_coefficient_steps_check_positions_and_momenta(self):
@@ -953,18 +969,6 @@ class TestAffineFrame:
             with pytest.raises(FloatingPointError, match=r"^non-finite momentum update at iteration 1$"):
                 samplers._AffineFrame.start(ens).advance(cfg, 1)
 
-    def test_coefficient_product_checks_its_overflow(self):
-        # on a target with no frame_gradient the step forms X = P W itself: a
-        # finite W whose product with P overflows fails as X would
-        cfg = SamplerConfig(kernel=BilinearKernel(np.eye(2)), target=builtin("quartic"), tau=0.01, eps=0.1,
-                            damping=ConstantDamping(0.9))
-        ens = ParticleEnsemble.initialize(np.random.default_rng(47).standard_normal((50, 2)) * 3.0)
-        frame = samplers._AffineFrame.start(ens)
-        frame.w[0, 0] = 1e308
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
-                                                      match=r"^non-finite positions at iteration 1$"):
-            frame.advance(cfg, 1)
-
     def test_the_overflow_bound_does_not_overflow(self):
         # max |coef| is compared with the largest float divided by max |P| (d + 1),
         # so coefficients near the top of the range overflow no intermediate
@@ -975,17 +979,19 @@ class TestAffineFrame:
             coef[1, 0] = 1e307
             assert not frame._bounded(coef)
 
-    @pytest.mark.parametrize("name", ["gauss-correlated", "quartic"])
-    def test_a_frame_run_steps_on_beta_alone(self, name, monkeypatch):
+    @pytest.mark.parametrize("name, tau", [pytest.param(name, tau, id=name) for name, tau, _ in FRAME_RUNS
+                                           if name.startswith("gauss")])
+    def test_a_frame_run_steps_on_beta_alone(self, name, tau, monkeypatch):
         # the frame never calls the damping's factor, and a constant damping
-        # restarts nothing, so every record keeps the start's counters
+        # restarts nothing, so every record keeps the start's counters; on a
+        # centred target and on one whose mean enters P^T grad_f through P^T 1
         def fail(self, ens, step_norms, grad_stat):
             raise AssertionError("ConstantDamping.factor called")
 
         monkeypatch.setattr(ConstantDamping, "factor", fail)
         frames = frames_started(monkeypatch)
         rng = np.random.default_rng(48)
-        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=builtin(name), tau=0.01, eps=0.1,
+        cfg = SamplerConfig(kernel=BilinearKernel(random_spd(rng, 2)), target=builtin(name), tau=tau, eps=0.1,
                             damping=ConstantDamping(0.9))
         kept = []
         run(cfg, rng.standard_normal((100, 2)), 20, recorder=kept.append)
@@ -1164,19 +1170,39 @@ class TestRun:
         # one workspace for the whole run, handed through ``step``
         assert all(work is workspaces[0] for work in workspaces)
 
-    @pytest.mark.parametrize("name", ["gauss-correlated", "quartic"])
-    def test_a_frame_run_calls_no_step_function(self, name, monkeypatch):
-        # on any target the constant-damped bilinear run steps its frame
-        # itself, and no step function runs
+    def _constant_bilinear_cfg(self, name):
         rng = np.random.default_rng(15)
         cfg = replace(self._cfg("asvgd", rng), kernel=BilinearKernel(random_spd(rng, 2)),
                       damping=ConstantDamping(0.9), target=builtin(name))
+        return cfg, rng.standard_normal((5, 2))
+
+    @pytest.mark.parametrize("name", ["gauss-correlated", "gauss-aniso"])
+    def test_a_frame_run_calls_no_step_function(self, name, monkeypatch):
+        # on a Gaussian target, centred or not, the constant-damped bilinear
+        # run steps its frame itself, and no step function runs
+        cfg, x0 = self._constant_bilinear_cfg(name)
         calls = []
         for algorithm in ALGORITHMS:
             monkeypatch.setattr(samplers, f"{algorithm}_step", lambda *args: calls.append(args))
         frames = frames_started(monkeypatch)
-        assert run(cfg, rng.standard_normal((5, 2)), 3).iteration == 3
+        assert run(cfg, x0, 3).iteration == 3
         assert calls == [] and len(frames) == 1
+
+    def test_a_constant_quartic_run_calls_asvgd_step_once_per_step(self, monkeypatch):
+        # quartic has no frame_gradient, so its constant-damped bilinear run
+        # starts no frame and takes the particle step
+        cfg, x0 = self._constant_bilinear_cfg("quartic")
+        original = samplers.asvgd_step
+        calls = []
+
+        def counting(ens, cfg, rng, work):
+            calls.append(ens.iteration)
+            return original(ens, cfg, rng, work)
+
+        monkeypatch.setattr(samplers, "asvgd_step", counting)
+        frames = frames_started(monkeypatch)
+        assert run(cfg, x0, 3).iteration == 3
+        assert calls == [0, 1, 2] and frames == []
 
     def test_step_error_carries_iteration(self):
         exploding = CustomTarget(lambda x: 0.0, lambda x: np.full_like(x, np.nan), dim=2)
