@@ -41,24 +41,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="steinflow",
                                      description="particle sampling experiments and spectral analysis")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("config")
+    shared.add_argument("--override", action="append", metavar="KEY=VAL",
+                        help="override a config key (value parsed as JSON)")
 
-    p_run = sub.add_parser("run", help="run one experiment from a JSON config")
-    p_run.add_argument("config")
-    p_run.add_argument("--override", action="append", metavar="KEY=VAL",
-                       help="override a config key (value parsed as JSON)")
+    sub.add_parser("run", parents=[shared], help="run one experiment from a JSON config")
 
-    p_analyze = sub.add_parser("analyze", help="emit a spectral report for a Gaussian target")
-    p_analyze.add_argument("config")
-    p_analyze.add_argument("--override", action="append", metavar="KEY=VAL")
+    p_analyze = sub.add_parser("analyze", parents=[shared], help="emit a spectral report for a Gaussian target")
     p_analyze.add_argument("--sweep-param", choices=("a", "alpha"), default=None)
     p_analyze.add_argument("--sweep-values", default=None,
                            help="comma-separated values for the rate table")
 
-    p_sweep = sub.add_parser("sweep", help="fan out runs over a parameter grid")
-    p_sweep.add_argument("config")
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="fan out runs over a parameter grid")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--override", action="append", metavar="KEY=VAL")
     p_sweep.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)

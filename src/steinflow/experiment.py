@@ -38,21 +38,21 @@ def _write_snapshot(snapdir: Path, iteration: int, x: np.ndarray):
     np.save(snapdir / f"particles_{iteration}.npy", np.ascontiguousarray(x), allow_pickle=False)
 
 
-def _metric_for(cfg, scfg, iteration, x, mean_speed, grad_stat):
-    method = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "knn"
+def _metric_for(scfg, route, ens):
+    """The metrics row of ``ens``: its moments and its KL by ``route``, "gaussian-fit" or "knn"."""
     degenerate = False
     try:
-        mean, cov = empirical_moments(x)
-        if method == "gaussian-fit":
+        mean, cov = empirical_moments(ens.x)
+        if route == "gaussian-fit":
             kl, degenerate = gaussian_fit_kl(mean, cov, scfg.target)
         else:
-            kl = kl_estimate(x, scfg.target, method="knn")
+            kl = kl_estimate(ens.x, scfg.target, method="knn")
         if not np.isfinite(kl):
             raise FloatingPointError(f"non-finite KL estimate {kl}")
     except (ValueError, FloatingPointError) as exc:  # np.linalg.LinAlgError is a ValueError
-        raise RuntimeError(f"{cfg.sampler}: {method} KL metric failed at iteration {iteration}: {exc}") from exc
-    return csv_row(iteration=iteration, kl_estimate=kl, mean=mean, cov=cov, grad_restart_stat=grad_stat,
-                   mean_speed=mean_speed, kl_degenerate=degenerate)
+        raise RuntimeError(f"{scfg.algorithm}: {route} KL metric failed at iteration {ens.iteration}: {exc}") from exc
+    return csv_row(iteration=ens.iteration, kl_estimate=kl, mean=mean, cov=cov, grad_restart_stat=ens.grad_stat,
+                   mean_speed=float(ens.prev_step_norms.mean()), kl_degenerate=degenerate)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -80,14 +80,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     # set its limits) and only the drawn paths of the records in between.
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
+    route = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "knn"
 
     with open(outdir / "metrics.csv", "w", encoding="utf-8") as metrics:
         metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + csv_header(dim) + "\n")
 
         def record(ens):
-            mean_speed = float(ens.prev_step_norms.mean())
-            row = _metric_for(cfg, scfg, ens.iteration, ens.x, mean_speed, ens.grad_stat)
-            metrics.write(row + "\n")
+            metrics.write(_metric_for(scfg, route, ens) + "\n")
             metrics.flush()  # a run that fails later keeps every row recorded so far
             _write_snapshot(snapdir, ens.iteration, ens.x)
             if dim == 2:

@@ -316,9 +316,11 @@ class TestRunExperiment:
         cfg = make_cfg(tmp_path, target="quartic")
         x = np.random.default_rng(0).standard_normal((20, 2))
         x[5] = x[0]
+        ens = samplers.ParticleEnsemble.initialize(x)
+        ens.iteration = 4
         message = "asvgd: knn KL metric failed at iteration 4: two particles coincide"
         with pytest.raises(RuntimeError, match=message):
-            experiment._metric_for(cfg, cfg.build_sampler_config(), 4, x, 0.0, float("nan"))
+            experiment._metric_for(cfg.build_sampler_config(), "knn", ens)
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         # one relative output_dir, run from two directories, so the manifests may be compared too

@@ -19,6 +19,7 @@ from reference_impls import (
     hamiltonian,
     kinetic_energy,
     kl_gradient,
+    particle_hamiltonian_flow,
     random_spd,
     stein_gaussian_metric_inverse,
 )
@@ -110,6 +111,21 @@ class TestAsvgdRhs:
         for alpha in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="^damping must be nonnegative and finite"):
                 asvgd_gaussian_rhs(state, np.eye(1), np.zeros(1), np.eye(1), alpha=alpha)
+
+    def test_is_the_particle_hamiltonian_flow(self):
+        # criterion 1's start; the bilinear kernel's Gaussian closure is exact at any N
+        n, dt, times = 500, 2e-3, (0.5, 1.0, 2.0, 3.0)
+        a, b, q = np.eye(2), np.zeros(2), np.linalg.inv([[3.0, -2.0], [-2.0, 3.0]])
+        rng = np.random.default_rng(42)
+        x0 = np.array([1.0, 1.0]) + rng.standard_normal((n, 2)) @ np.linalg.cholesky([[3.0, 2.0], [2.0, 3.0]]).T
+        particles = particle_hamiltonian_flow(x0, a, GaussianTarget(b, q), 1.0, times, dt)
+        traj = integrate_rk4(lambda s, al: asvgd_gaussian_rhs(s, a, b, q, al),
+                             AcceleratedGaussianState(x0.mean(axis=0), np.cov(x0.T, bias=True)),
+                             t_end=times[-1], dt=dt, damping=constant_damping(1.0))
+        for t, x in zip(times, particles):
+            sigma = traj[round(t / dt)][1].sigma
+            gap = np.linalg.norm(np.cov(x.T, bias=True) - sigma) / np.linalg.norm(sigma)
+            assert gap <= 1e-10, (t, gap)
 
 
 class TestMetricInverse:
