@@ -1,4 +1,4 @@
-"""Digest of every file a fixed set of 97 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 98 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
@@ -7,7 +7,7 @@ built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
 1-nearest-neighbour KL estimate, on the two Gaussian targets (the only CLI
 runs that take a Gaussian target's log-normalizer), then ``mala`` with a
 bilinear ``a_matrix`` that is not positive definite (a Langevin run builds
-no kernel, and must still reject it), then seven ``steinflow analyze`` calls
+no kernel, and must still reject it), then eight ``steinflow analyze`` calls
 with the bilinear kernel (the 2-D commuting ``gauss-correlated``, once with
 the default sampler and once with ``mala``; a centred 1-D ``gaussian``
 target, which sweeps the damping and adds the optimal 1-D kernel scale to the
@@ -16,7 +16,8 @@ and has no accelerated spectrum; ``gauss-correlated`` with ``--sweep-values
 0.5,1,2``, which sweeps the listed dampings, and with ``--sweep-values NaN``,
 which fails with an ``error:`` line; the centred 1-D target with
 ``--sweep-values 1e6,1e8,1e9``, dampings so large that the small root of
-each mode must not be formed as a difference), and two two-value
+each mode must not be formed as a difference; ``gauss-aniso``, off-centre
+and 2-D, which admits neither sweep and fails with an ``error:`` line), and two two-value
 ``steinflow sweep --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
@@ -112,6 +113,7 @@ def _calls():
     yield ("analyze-bilinear-gaussian-1d-centred-sweep-values-large",
            {"kernel": "bilinear", "target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]]},
            ["analyze", "--sweep-values", "1e6,1e8,1e9"])
+    yield "analyze-bilinear-gauss-aniso", {"kernel": "bilinear", "target": "gauss-aniso"}, ["analyze"]
     yield ("sweep-tau-gauss-correlated", {"target": "gauss-correlated"},
            ["sweep", "--param", "tau", "--values", "0.05,0.1"])
     yield ("sweep-tau-mala-double-bananas-n300",

@@ -49,7 +49,6 @@ def main(argv=None) -> int:
     sub.add_parser("run", parents=[shared], help="run one experiment from a JSON config")
 
     p_analyze = sub.add_parser("analyze", parents=[shared], help="emit a spectral report for a Gaussian target")
-    p_analyze.add_argument("--sweep-param", choices=("a", "alpha"), default=None)
     p_analyze.add_argument("--sweep-values", default=None,
                            help="comma-separated values for the rate table")
 
@@ -66,7 +65,7 @@ def main(argv=None) -> int:
             print(f"wrote {outdir}")
         elif args.command == "analyze":
             values = _parse_values(args.sweep_values) if args.sweep_values else None
-            outdir = analyze_spectrum(cfg, sweep_param=args.sweep_param, sweep_values=values)
+            outdir = analyze_spectrum(cfg, sweep_values=values)
             print(f"wrote {outdir}")
         else:
             outdirs = run_sweep(cfg, args.param, _parse_values(args.values),

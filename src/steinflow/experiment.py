@@ -96,19 +96,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         samplers.run(scfg, x0, cfg.n_steps, recorder=record, rng=rng, record_iters=record_iters)
 
     if dim == 2:
-        render_trajectory_svg(outdir / "trajectory.svg", snapshots, target=scfg.target)
+        render_trajectory_svg(outdir / "trajectory.svg", snapshots, scfg.target)
     return outdir
 
 
-def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None) -> Path:
+def analyze_spectrum(cfg: ExperimentConfig, sweep_values=None) -> Path:
     """Spectral report for the linearized dynamics of a Gaussian target.
 
     Writes spectral_report.json with the convergence rate constant, the optimal
     damping and step size, and the closed-form spectrum of the accelerated
-    linearization (when A and Q commute), plus rate_table.csv sweeping either
-    the kernel scale or the damping.  Every value is computed before the output
-    directory is made, so an invalid sweep (a value that is not a finite number,
-    out of range, or whose row is not finite) raises ValueError and writes no file.
+    linearization (when A and Q commute), plus rate_table.csv sweeping the
+    damping when b = 0 and A, Q commute, else the kernel scale of a 1-D target
+    (any other target raises ConfigError).  Every value is computed before the
+    output directory is made, so an invalid sweep (a value that is not a finite
+    number, out of range, or whose row is not finite) raises ValueError and writes no file.
     """
     target = cfg.build_target()
     if not isinstance(target, GaussianTarget):
@@ -117,13 +118,10 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_param=None, sweep_values=None)
         raise ConfigError("spectral analysis requires the bilinear kernel (set kernel='bilinear')")
     a, b, q = cfg.build_kernel(target.dim).a, target.b, target.q
     commuting = np.allclose(b, 0.0) and spectral.commutes(a, q)
-    param = sweep_param or ("alpha" if commuting else "a")
-    if param not in ("a", "alpha"):
-        raise ConfigError(f"unknown sweep parameter {param!r} (valid: a, alpha)")
-    if param == "alpha" and not commuting:
-        raise ConfigError("alpha sweep requires b = 0 and commuting A, Q")
-    if param == "a" and target.dim != 1:
-        raise ConfigError("the kernel-scale sweep is one-dimensional")
+    param = "alpha" if commuting else "a"
+    if not commuting and target.dim != 1:
+        raise ConfigError("the rate table sweeps the damping, which needs b = 0 and commuting A, Q, "
+                          "or the kernel scale, which needs a one-dimensional target")
     gamma, lower = gaussian_flow.gamma_rate(a, b, q)
     alpha_star = spectral.optimal_damping(a)
     report = {

@@ -84,7 +84,7 @@ def _elements(templates, values):
     return "\n".join(templates) % tuple(values.ravel().tolist())
 
 
-def render_trajectory_svg(path, snapshots, target=None):
+def render_trajectory_svg(path, snapshots, target):
     """Particle trajectories over the target's level lines, on a 640 x 640 canvas.
 
     Initial particles are drawn as blue circles, final ones as red squares,
@@ -110,20 +110,19 @@ def render_trajectory_svg(path, snapshots, target=None):
         return out
 
     parts = []
-    if target is not None and target.dim == 2:
-        xs = np.linspace(xlim[0], xlim[1], 60)
-        ys = np.linspace(ylim[0], ylim[1], 60)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        # grid[i, j] = f(xs[i], ys[j])
-        grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
-        levels = np.sort(_quantiles(grid, _LEVEL_QUANTILES))
-        # the distinct levels in order, as np.unique gives them: a NaN level crosses no edge
-        levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
-        segs = np.concatenate([marching_squares(grid, xs, ys, level) for level in levels])
-        if len(segs):
-            line = ('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="black" '
-                    'stroke-width="0.6" stroke-opacity="0.6"/>')
-            parts.append(_elements([line] * len(segs), to_canvas(segs)))
+    xs = np.linspace(xlim[0], xlim[1], 60)
+    ys = np.linspace(ylim[0], ylim[1], 60)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    # grid[i, j] = f(xs[i], ys[j])
+    grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
+    levels = np.sort(_quantiles(grid, _LEVEL_QUANTILES))
+    # the distinct levels in order, as np.unique gives them: a NaN level crosses no edge
+    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
+    segs = np.concatenate([marching_squares(grid, xs, ys, level) for level in levels])
+    if len(segs):
+        line = ('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="black" '
+                'stroke-width="0.6" stroke-opacity="0.6"/>')
+        parts.append(_elements([line] * len(segs), to_canvas(segs)))
 
     shown = min(first.shape[0], MAX_PATHS)
     # paths[i, s] = particle i in snapshot s

@@ -108,7 +108,7 @@ class DoubleBananasTarget:
 
     f(x) = -log(exp(-F(x)) + exp(-F(Rx))) with the Rosenbrock-type warp
     F(x) = (a - x1)^2 / c1 + c2 (x2 - x1^2)^2 and the reflection R = diag(1, -1).
-    The defaults a=1, c1=0.5, c2=5 place both modes inside [-2, 2]^2.
+    Its shape a=1, c1=0.5, c2=5 places both modes inside [-2, 2]^2.
 
     Each warp integrates to pi sqrt(c1 / c2), whatever ``a`` is (a Gaussian in
     x1 times a Gaussian in x2 - x1^2), so the log-normalizer is
@@ -116,15 +116,8 @@ class DoubleBananasTarget:
     """
 
     dim = 2
-
-    def __init__(self, a=1.0, c1=0.5, c2=5.0):
-        self.a = float(a)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-
-    @property
-    def log_normalizer(self):
-        return math.log(2.0 * math.pi * math.sqrt(self.c1 / self.c2))
+    a, c1, c2 = 1.0, 0.5, 5.0
+    log_normalizer = math.log(2.0 * math.pi * math.sqrt(c1 / c2))
 
     def _warp(self, x1, x2):
         return (self.a - x1) ** 2 / self.c1 + self.c2 * (x2 - x1**2) ** 2

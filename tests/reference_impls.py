@@ -491,7 +491,7 @@ class _LoopSvgCanvas:
         )
 
 
-def loop_trajectory_svg(snapshots, target=None, max_paths=100):
+def loop_trajectory_svg(snapshots, target, max_paths=100):
     """Text of ``svg.render_trajectory_svg``'s plot, one point and one element at a time.
 
     The original renderer, with ``loop_marching_squares`` for the level lines.
@@ -505,15 +505,14 @@ def loop_trajectory_svg(snapshots, target=None, max_paths=100):
     ylim = (lo[1] - pad[1], hi[1] + pad[1])
     canvas = _LoopSvgCanvas(640, 640, xlim, ylim)
 
-    if target is not None and target.dim == 2:
-        xs = np.linspace(xlim[0], xlim[1], 60)
-        ys = np.linspace(ylim[0], ylim[1], 60)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
-        levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
-        for level in np.unique(levels):
-            for (x0, y0), (x1, y1) in loop_marching_squares(grid, xs, ys, level):
-                canvas.polyline([x0, x1], [y0, y1], color="black", width=0.6, opacity=0.6)
+    xs = np.linspace(xlim[0], xlim[1], 60)
+    ys = np.linspace(ylim[0], ylim[1], 60)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    grid = target.potential_all(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(gx.shape)
+    levels = np.quantile(grid, [0.05, 0.15, 0.3, 0.5, 0.7, 0.85])
+    for level in np.unique(levels):
+        for (x0, y0), (x1, y1) in loop_marching_squares(grid, xs, ys, level):
+            canvas.polyline([x0, x1], [y0, y1], color="black", width=0.6, opacity=0.6)
 
     shown = range(min(first.shape[0], max_paths))
     for idx in shown:

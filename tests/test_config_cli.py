@@ -442,7 +442,7 @@ class TestAnalyze:
             "kernel": "bilinear", "a_matrix": [[1.0]],
             "output_dir": str(tmp_path / "sweep1d"),
         }))
-        outdir = analyze_spectrum(cfg, sweep_param="a")
+        outdir = analyze_spectrum(cfg)
         rows = np.loadtxt(outdir / "rate_table.csv", delimiter=",", skiprows=1)
         kappas = rows[:, 2]
         j = int(np.argmin(kappas))
@@ -487,31 +487,24 @@ class TestAnalyze:
         analyze_spectrum(cfg)
         assert calls == [2]
 
-    def test_unknown_sweep_parameter(self, tmp_path):
-        cfg = make_cfg(tmp_path, kernel="bilinear")
-        with pytest.raises(ConfigError, match=r"^unknown sweep parameter 'bogus' \(valid: a, alpha\)$"):
-            analyze_spectrum(cfg, sweep_param="bogus")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("sweep_param, target_mean, sweep_values, error, message", [
-        ("a", [0.0, 0.0], None, ConfigError, "one-dimensional"),
-        ("alpha", [0.5, 0.0], None, ConfigError, "alpha sweep requires b = 0"),
-        ("alpha", [0.0, 0.0], [-1.0, 1.0], ValueError, "alpha must be nonnegative"),
-        ("alpha", [0.0, 0.0], [1.0, float("nan")], ValueError, "^alpha must be nonnegative and finite, got nan$"),
-        ("alpha", [0.0, 0.0], [float("inf")], ValueError, "^alpha must be nonnegative and finite, got inf$"),
-        ("alpha", [0.0, 0.0], [True], ValueError, "^alpha sweep value True is not a number$"),
-        ("alpha", [0.0, 0.0], [1e200], ValueError, r"^alpha sweep value 1e\+200 gives a rate-table row that is not finite$"),
-        ("alpha", [0.0, 0.0], [10**400], ValueError, "^alpha sweep value 10{400} gives a rate-table row that is not finite$"),
-    ], ids=["a-target_mean0-one-dimensional", "alpha-target_mean1-alpha sweep requires b = 0",
-            "alpha-target_mean2-alpha must be nonnegative", "alpha-nan", "alpha-inf", "alpha-true", "alpha-1e200",
-            "alpha-int-too-large-for-a-float"])
-    def test_invalid_sweep_writes_no_file(self, tmp_path, sweep_param, target_mean, sweep_values, error, message):
+    @pytest.mark.parametrize("target_mean, sweep_values, error, message", [
+        ([0.5, 0.0], None, ConfigError, "^the rate table sweeps the damping, which needs b = 0 and commuting A, Q, "
+                                        "or the kernel scale, which needs a one-dimensional target$"),
+        ([0.0, 0.0], [-1.0, 1.0], ValueError, "alpha must be nonnegative"),
+        ([0.0, 0.0], [1.0, float("nan")], ValueError, "^alpha must be nonnegative and finite, got nan$"),
+        ([0.0, 0.0], [float("inf")], ValueError, "^alpha must be nonnegative and finite, got inf$"),
+        ([0.0, 0.0], [True], ValueError, "^alpha sweep value True is not a number$"),
+        ([0.0, 0.0], [1e200], ValueError, r"^alpha sweep value 1e\+200 gives a rate-table row that is not finite$"),
+        ([0.0, 0.0], [10**400], ValueError, "^alpha sweep value 10{400} gives a rate-table row that is not finite$"),
+    ], ids=["neither-sweep-applies", "alpha-target_mean2-alpha must be nonnegative", "alpha-nan", "alpha-inf",
+            "alpha-true", "alpha-1e200", "alpha-int-too-large-for-a-float"])
+    def test_invalid_sweep_writes_no_file(self, tmp_path, target_mean, sweep_values, error, message):
         cfg = parse_config(json.dumps({
             "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 0.25]],
             "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
         }))
         with pytest.raises(error, match=message):
-            analyze_spectrum(cfg, sweep_param=sweep_param, sweep_values=sweep_values)
+            analyze_spectrum(cfg, sweep_values=sweep_values)
         assert not (tmp_path / "an").exists()
 
     @pytest.mark.parametrize("value, message", [
@@ -519,11 +512,27 @@ class TestAnalyze:
         (1e200, r"^a sweep value 1e\+200 gives a rate-table row that is not finite$"),  # its eigenvalues overflow
     ], ids=["nan", "1e200"])
     def test_invalid_kernel_scale_writes_no_file(self, tmp_path, value, message):
-        cfg = parse_config(json.dumps({"target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]],
+        cfg = parse_config(json.dumps({"target": "gaussian", "target_mean": [0.5], "target_q": [[2.0]],
                                        "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
         with pytest.raises(ValueError, match=message):
-            analyze_spectrum(cfg, sweep_param="a", sweep_values=[1.0, value])
+            analyze_spectrum(cfg, sweep_values=[1.0, value])
         assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("raw, header", [
+        ({"target": "gauss-correlated"}, "alpha"),
+        ({"target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]]}, "alpha"),
+        ({"target": "gaussian", "target_mean": [0.5], "target_q": [[2.0]]}, "a"),
+        ({"target": "gauss-aniso"}, None),
+    ], ids=["gauss-correlated", "centred-1d", "off-centre-1d", "gauss-aniso"])
+    def test_rate_table_sweeps_what_the_target_admits(self, tmp_path, raw, header):
+        cfg = parse_config(json.dumps({**raw, "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
+        if header is None:
+            with pytest.raises(ConfigError, match="^the rate table sweeps the damping, which needs b = 0"):
+                analyze_spectrum(cfg)
+            assert not (tmp_path / "an").exists()
+        else:
+            first = (analyze_spectrum(cfg) / "rate_table.csv").read_text().split("\n")[0]
+            assert first == f"{header},spectral_abscissa,condition_number"
 
 
 class TestSweepAndCli:
@@ -741,3 +750,15 @@ def test_readme_config_table_lists_every_key():
     listed = [key for row in table for key in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert len(listed) == len(set(listed))
     assert set(listed) == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "sweep"])
+def test_readme_synopsis_lists_every_flag(command, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme[readme.index("## Command line"):].split("```")[1]
+    synopsis = [line for line in block.split("\n") if line.startswith(f"steinflow {command} ")]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    parsed = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert len(synopsis) == 1
+    assert set(re.findall(r"--[a-z][\w-]*", synopsis[0])) == parsed

@@ -1,5 +1,6 @@
 """Properties of a run that only a fresh interpreter shows: its BLAS thread
-count, its page faults and the command line's module entry point.
+count, its page faults, the command line's module entry point and the
+README's library quick start, run as written.
 
 Each run is a child process that imports the package from this checkout's
 ``src``; the child's environment is a copy, so no test changes ``os.environ``.
@@ -45,6 +46,14 @@ def test_module_entry_point_exits_with_the_cli_status(tmp_path):
     proc = _python("-m", "steinflow.cli", "run", str(old))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: unknown config key(s): use_speed_restart")
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    script = readme[readme.index("## Library quick start"):].split("```python\n")[1].split("```")[0]
+    out = _run_child(script, env_update={"OPENBLAS_NUM_THREADS": "1"})
+    first_kl, last_kl = map(float, out.split()[-2:])  # it prints the step, the mean, the first and last KL
+    assert last_kl < first_kl
 
 
 # runs the Gaussian-kernel svgd and asvgd configs of argv[1] for 20 steps from

@@ -195,12 +195,6 @@ class TestTrajectorySvg:
         text = self.assert_matches_loop_renderer(snaps, builtin("gauss-aniso"), tmp_path)
         assert text.count("<rect x=") == 17
 
-    def test_no_target(self, tmp_path):
-        rng = np.random.default_rng(23)
-        snaps = [rng.standard_normal((40, 2)) for _ in range(3)]
-        text = self.assert_matches_loop_renderer(snaps, None, tmp_path)
-        assert 'stroke="black"' not in text
-
     def test_constant_potential_draws_no_level_line(self, tmp_path):
         flat = CustomTarget(lambda x: 1.0, lambda x: np.zeros_like(x), dim=2)
         rng = np.random.default_rng(24)

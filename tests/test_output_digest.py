@@ -45,7 +45,7 @@ def test_a_second_run_reproduces_every_output(tmp_path):
     names = {line.split("  ", 1)[1].split("/")[0] if "  error: " not in line else line.split("  ", 1)[0]
              for line in lines}
     calls = _call_names()
-    assert len(calls) == 97 and names == set(calls)
+    assert len(calls) == 98 and names == set(calls)
 
 
 def test_the_thread_setting_names_its_source():
