@@ -1,23 +1,20 @@
-"""Digest of every file a fixed set of 98 steinflow CLI calls writes.
+"""Digest of every file a fixed set of 95 steinflow CLI calls writes.
 
     python3 scripts/output_digest.py [--src DIR] [--keep DIR] [--against DIR] > digest.txt
 
 The calls are ``steinflow run`` on the grid 5 samplers x 2 kernels x 4
-built-in targets x 2 dampings, then ``mala`` with ``kl_method: "knn"``, the
-1-nearest-neighbour KL estimate, on the two Gaussian targets (the only CLI
-runs that take a Gaussian target's log-normalizer), then ``mala`` with a
-bilinear ``a_matrix`` that is not positive definite (a Langevin run builds
-no kernel, and must still reject it), then eight ``steinflow analyze`` calls
-with the bilinear kernel (the 2-D commuting ``gauss-correlated``, once with
-the default sampler and once with ``mala``; a centred 1-D ``gaussian``
-target, which sweeps the damping and adds the optimal 1-D kernel scale to the
-accelerated spectrum; an off-centre 1-D one, which sweeps the kernel scale
-and has no accelerated spectrum; ``gauss-correlated`` with ``--sweep-values
-0.5,1,2``, which sweeps the listed dampings, and with ``--sweep-values NaN``,
-which fails with an ``error:`` line; the centred 1-D target with
-``--sweep-values 1e6,1e8,1e9``, dampings so large that the small root of
-each mode must not be formed as a difference; ``gauss-aniso``, off-centre
-and 2-D, which admits neither sweep and fails with an ``error:`` line), and two two-value
+built-in targets x 2 dampings, then ``mala`` with a bilinear ``a_matrix``
+that is not positive definite (a Langevin run builds no kernel, and must
+still reject it), then seven ``steinflow analyze`` calls with the bilinear
+kernel (the 2-D commuting ``gauss-correlated``, once with the default
+sampler and once with ``mala``; a centred 1-D ``gaussian`` target, which
+sweeps the damping and adds the optimal 1-D kernel scale to the accelerated
+spectrum; an off-centre 1-D one, which sweeps the kernel scale and has no
+accelerated spectrum; ``gauss-aniso``, off-centre and 2-D, which admits
+neither sweep and fails with an ``error:`` line; ``gauss-correlated`` with
+``a_matrix`` 1e200 I, whose norms would overflow the commutation check, and
+with 5e306 I, whose damping grid reaches an alpha whose square overflows, so
+it fails with an ``error:`` line), and two two-value
 ``steinflow sweep --param tau`` calls: one of the default sampler, and one of ``mala`` on
 ``double-bananas`` at N = 300, which draws only the first 100 paths of
 truncated snapshots and finds nearest neighbours over two distance blocks;
@@ -96,8 +93,6 @@ def _calls():
     for sampler, kernel, target, damping in itertools.product(SAMPLERS, KERNELS, TARGETS, DAMPINGS):
         yield (f"{sampler}-{kernel}-{target}-{damping}",
                {"sampler": sampler, "kernel": kernel, "target": target, "damping": damping}, ["run"])
-    for target in TARGETS[:2]:
-        yield f"mala-knn-{target}", {"sampler": "mala", "target": target, "kl_method": "knn"}, ["run"]
     yield ("mala-bilinear-not-pd-quartic",
            {"sampler": "mala", "kernel": "bilinear", "a_matrix": [[1, 0], [0, -1]], "target": "quartic"}, ["run"])
     yield "analyze-bilinear-gauss-correlated", {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze"]
@@ -107,13 +102,11 @@ def _calls():
         yield (f"analyze-bilinear-gaussian-1d-{name}",
                {"kernel": "bilinear", "target": "gaussian", "target_mean": [mean], "target_q": [[2.0]]},
                ["analyze"])
-    for name, values in (("", "0.5,1,2"), ("-nan", "NaN")):
-        yield (f"analyze-bilinear-gauss-correlated-sweep-values{name}",
-               {"kernel": "bilinear", "target": "gauss-correlated"}, ["analyze", "--sweep-values", values])
-    yield ("analyze-bilinear-gaussian-1d-centred-sweep-values-large",
-           {"kernel": "bilinear", "target": "gaussian", "target_mean": [0.0], "target_q": [[2.0]]},
-           ["analyze", "--sweep-values", "1e6,1e8,1e9"])
     yield "analyze-bilinear-gauss-aniso", {"kernel": "bilinear", "target": "gauss-aniso"}, ["analyze"]
+    for scale in ("1e200", "5e306"):
+        yield (f"analyze-bilinear-gauss-correlated-a{scale}",
+               {"kernel": "bilinear", "target": "gauss-correlated", "a_matrix": [[float(scale), 0], [0, float(scale)]]},
+               ["analyze"])
     yield ("sweep-tau-gauss-correlated", {"target": "gauss-correlated"},
            ["sweep", "--param", "tau", "--values", "0.05,0.1"])
     yield ("sweep-tau-mala-double-bananas-n300",

@@ -33,10 +33,6 @@ def _load_config(path, overrides):
     return parse_config(json.dumps(raw))
 
 
-def _parse_values(text):
-    return [_json_or_text(token) for token in text.split(",")]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="steinflow",
                                      description="particle sampling experiments and spectral analysis")
@@ -47,10 +43,7 @@ def main(argv=None) -> int:
                         help="override a config key (value parsed as JSON)")
 
     sub.add_parser("run", parents=[shared], help="run one experiment from a JSON config")
-
-    p_analyze = sub.add_parser("analyze", parents=[shared], help="emit a spectral report for a Gaussian target")
-    p_analyze.add_argument("--sweep-values", default=None,
-                           help="comma-separated values for the rate table")
+    sub.add_parser("analyze", parents=[shared], help="emit a spectral report for a Gaussian target")
 
     p_sweep = sub.add_parser("sweep", parents=[shared], help="fan out runs over a parameter grid")
     p_sweep.add_argument("--param", required=True)
@@ -64,12 +57,11 @@ def main(argv=None) -> int:
             outdir = run_experiment(cfg)
             print(f"wrote {outdir}")
         elif args.command == "analyze":
-            values = _parse_values(args.sweep_values) if args.sweep_values else None
-            outdir = analyze_spectrum(cfg, sweep_values=values)
+            outdir = analyze_spectrum(cfg)
             print(f"wrote {outdir}")
         else:
-            outdirs = run_sweep(cfg, args.param, _parse_values(args.values),
-                                max_workers=args.workers)
+            values = [_json_or_text(token) for token in args.values.split(",")]
+            outdirs = run_sweep(cfg, args.param, values, max_workers=args.workers)
             for outdir in outdirs:
                 print(f"wrote {outdir}")
     except (ConfigError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:

@@ -219,7 +219,8 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(cfg.n_steps >= 0, "n_steps must be a nonnegative integer")
     _require(cfg.record_every >= 1, "record_every must be a positive integer")
     _require(0.0 <= cfg.beta < 1.0, "beta must lie in [0, 1)")
-    _require(cfg.kl_method in ("auto", "knn"), "kl_method must be auto or knn")
+    _require(cfg.kl_method == "auto", "kl_method must be auto: the KL metric follows the target (the Gaussian-fit "
+                                      "KL on a Gaussian target, else the 1-nearest-neighbour estimate)")
 
     # construction of the derived objects performs matrix-level validation
     sampler_cfg = cfg.build_sampler_config()

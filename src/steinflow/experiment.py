@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -80,7 +79,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     # set its limits) and only the drawn paths of the records in between.
     snapshots = []
     record_iters = set(range(0, cfg.n_steps + 1, cfg.record_every)) | {cfg.n_steps}
-    route = "gaussian-fit" if cfg.kl_method == "auto" and isinstance(scfg.target, GaussianTarget) else "knn"
+    route = "gaussian-fit" if isinstance(scfg.target, GaussianTarget) else "knn"
 
     with open(outdir / "metrics.csv", "w", encoding="utf-8") as metrics:
         metrics.write(f"# {CSV_SCHEMA_VERSION}\n" + csv_header(dim) + "\n")
@@ -100,16 +99,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
-def analyze_spectrum(cfg: ExperimentConfig, sweep_values=None) -> Path:
+def analyze_spectrum(cfg: ExperimentConfig) -> Path:
     """Spectral report for the linearized dynamics of a Gaussian target.
 
     Writes spectral_report.json with the convergence rate constant, the optimal
     damping and step size, and the closed-form spectrum of the accelerated
     linearization (when A and Q commute), plus rate_table.csv sweeping the
-    damping when b = 0 and A, Q commute, else the kernel scale of a 1-D target
-    (any other target raises ConfigError).  Every value is computed before the
-    output directory is made, so an invalid sweep (a value that is not a finite
-    number, out of range, or whose row is not finite) raises ValueError and writes no file.
+    damping over 61 log-spaced values from 0.1 to 3 times the optimal one when
+    b = 0 and A, Q commute, else the kernel scale of a 1-D target over 61
+    log-spaced values from 1e-2 to 1e2 (any other target raises ConfigError).
+    Every value is computed before the output directory is made, so a sweep
+    value whose row is not finite raises ValueError and writes no file.
     """
     target = cfg.build_target()
     if not isinstance(target, GaussianTarget):
@@ -139,24 +139,21 @@ def analyze_spectrum(cfg: ExperimentConfig, sweep_values=None) -> Path:
         report["optimal_step_1d"] = h_s
     report["accelerated"] = spectral.asvgd_linearized_spectrum(a, q, alpha_star) if commuting else None
 
-    if sweep_values is None:
-        if param == "alpha":
-            sweep_values = np.geomspace(0.1 * alpha_star, 3.0 * alpha_star, 61)
-        else:
-            sweep_values = np.geomspace(1e-2, 1e2, 61)
+    if param == "alpha":
+        sweep_values = np.geomspace(0.1 * alpha_star, 3.0 * alpha_star, 61)
+    else:
+        sweep_values = np.geomspace(1e-2, 1e2, 61)
     rows = []
-    for val in sweep_values:
-        if isinstance(val, bool) or not isinstance(val, numbers.Real):  # the range checks reject NaN and inf
-            raise ValueError(f"{param} sweep value {val!r} is not a number")
+    for val in sweep_values.tolist():
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 if param == "alpha":
-                    spectrum = spectral.asvgd_linearized_spectrum(a, q, float(val))
-                    rows.append((float(val), spectrum["spectral_abscissa"], spectrum["condition_number"]))
+                    spectrum = spectral.asvgd_linearized_spectrum(a, q, val)
+                    rows.append((val, spectrum["spectral_abscissa"], spectrum["condition_number"]))
                 else:
-                    lam_lo, lam_hi = spectral.eigs_1d(float(val), float(q[0, 0]), float(b[0]))
-                    rows.append((float(val), float(lam_lo), float(lam_hi / lam_lo)))
-        except (OverflowError, FloatingPointError):  # Python's float(val) and alpha**2 raise OverflowError
+                    lam_lo, lam_hi = spectral.eigs_1d(val, float(q[0, 0]), float(b[0]))
+                    rows.append((val, float(lam_lo), float(lam_hi / lam_lo)))
+        except (OverflowError, FloatingPointError):  # alpha**2 raises OverflowError
             rows.append((np.nan,))
         if not np.isfinite(rows[-1]).all():
             raise ValueError(f"{param} sweep value {val!r} gives a rate-table row that is not finite")

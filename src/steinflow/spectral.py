@@ -28,9 +28,14 @@ def sym_kron_sum(m, n):
 
 
 def commutes(a, b):
-    """Whether |AB - BA| <= 1e-10 |A| |B| in the Frobenius norm (the scale floored at 1e-300)."""
-    scale = max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300)
-    return np.linalg.norm(a @ b - b @ a) <= 1e-10 * scale
+    """Whether |AB - BA| <= 1e-10 |A| |B| in the Frobenius norm.
+
+    Each matrix is first divided by the power of two of its largest entry,
+    which changes no bit of the verdict but keeps the norms and products from
+    overflowing (inf <= inf would say yes) or underflowing.
+    """
+    a, b = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (np.asarray(a, float), np.asarray(b, float)))
+    return np.linalg.norm(a @ b - b @ a) <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(b))
 
 
 def svgd_linearized_matrix(a, b, q):

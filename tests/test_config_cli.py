@@ -111,12 +111,14 @@ class TestParseConfig:
             parse_config(json.dumps({"target": "gauss-correlated", key: False}))
 
     @pytest.mark.parametrize("target", ["gauss-aniso", "double-bananas"])
-    def test_kl_method_gaussian_fit_and_kde_rejected(self, target):
-        # auto already takes the Gaussian fit on a Gaussian target, and knn replaced the kde estimate
-        for method in ("gaussian-fit", "kde"):
-            with pytest.raises(ConfigError, match="kl_method must be auto or knn"):
+    def test_kl_method_other_than_auto_rejected(self, target):
+        # the target picks the metric: the Gaussian fit on a Gaussian target, else knn
+        for method in ("knn", "gaussian-fit", "kde"):
+            with pytest.raises(ConfigError, match=r"^kl_method must be auto: the KL metric follows the target \(the "
+                                                  r"Gaussian-fit KL on a Gaussian target, else the 1-nearest-"
+                                                  r"neighbour estimate\)$"):
                 parse_config(json.dumps({"target": target, "kl_method": method}))
-        assert parse_config(json.dumps({"target": target, "kl_method": "knn"})).kl_method == "knn"
+        assert parse_config(json.dumps({"target": target, "kl_method": "auto"})).kl_method == "auto"
 
     @pytest.mark.parametrize("key", ["seed", "tau", "init_mean"])
     def test_overlong_integer_is_a_config_error(self, key):
@@ -487,36 +489,30 @@ class TestAnalyze:
         analyze_spectrum(cfg)
         assert calls == [2]
 
-    @pytest.mark.parametrize("target_mean, sweep_values, error, message", [
-        ([0.5, 0.0], None, ConfigError, "^the rate table sweeps the damping, which needs b = 0 and commuting A, Q, "
-                                        "or the kernel scale, which needs a one-dimensional target$"),
-        ([0.0, 0.0], [-1.0, 1.0], ValueError, "alpha must be nonnegative"),
-        ([0.0, 0.0], [1.0, float("nan")], ValueError, "^alpha must be nonnegative and finite, got nan$"),
-        ([0.0, 0.0], [float("inf")], ValueError, "^alpha must be nonnegative and finite, got inf$"),
-        ([0.0, 0.0], [True], ValueError, "^alpha sweep value True is not a number$"),
-        ([0.0, 0.0], [1e200], ValueError, r"^alpha sweep value 1e\+200 gives a rate-table row that is not finite$"),
-        ([0.0, 0.0], [10**400], ValueError, "^alpha sweep value 10{400} gives a rate-table row that is not finite$"),
-    ], ids=["neither-sweep-applies", "alpha-target_mean2-alpha must be nonnegative", "alpha-nan", "alpha-inf",
-            "alpha-true", "alpha-1e200", "alpha-int-too-large-for-a-float"])
-    def test_invalid_sweep_writes_no_file(self, tmp_path, target_mean, sweep_values, error, message):
-        cfg = parse_config(json.dumps({
-            "target": "gaussian", "target_mean": target_mean, "target_q": [[1.0, 0.0], [0.0, 0.25]],
-            "kernel": "bilinear", "output_dir": str(tmp_path / "an"),
-        }))
-        with pytest.raises(error, match=message):
-            analyze_spectrum(cfg, sweep_values=sweep_values)
+    @pytest.mark.parametrize("raw, message", [
+        ({"target": "gaussian", "target_mean": [0.5, 0.0], "target_q": [[1.0, 0.0], [0.0, 0.25]]},
+         "^the rate table sweeps the damping, which needs b = 0 and commuting A, Q, "
+         "or the kernel scale, which needs a one-dimensional target$"),
+        # alpha* = sqrt(8 * 5e306) = 6.3e153, and the grid's alpha**2 overflows from 1.35e154 on
+        ({"target": "gauss-correlated", "a_matrix": [[5e306, 0.0], [0.0, 5e306]]},
+         r"^alpha sweep value 1\.35\d*e\+154 gives a rate-table row that is not finite$"),
+    ], ids=["neither-sweep-applies", "alpha-row-overflows"])
+    def test_invalid_sweep_writes_no_file(self, tmp_path, raw, message):
+        cfg = parse_config(json.dumps({**raw, "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
+        with pytest.raises((ConfigError, ValueError), match=message):
+            analyze_spectrum(cfg)
         assert not (tmp_path / "an").exists()
 
-    @pytest.mark.parametrize("value, message", [
-        (float("nan"), "^a and q must be finite and positive, got a = nan, q = 0.5$"),
-        (1e200, r"^a sweep value 1e\+200 gives a rate-table row that is not finite$"),  # its eigenvalues overflow
-    ], ids=["nan", "1e200"])
-    def test_invalid_kernel_scale_writes_no_file(self, tmp_path, value, message):
-        cfg = parse_config(json.dumps({"target": "gaussian", "target_mean": [0.5], "target_q": [[2.0]],
-                                       "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
-        with pytest.raises(ValueError, match=message):
-            analyze_spectrum(cfg, sweep_values=[1.0, value])
-        assert not (tmp_path / "an").exists()
+    @pytest.mark.filterwarnings("error")
+    def test_huge_commuting_kernel_writes_its_report(self, tmp_path):
+        # |A| |Q| overflowed in spectral.commutes, which then checked inf <= inf
+        cfg = parse_config(json.dumps({"target": "gauss-correlated", "kernel": "bilinear",
+                                       "a_matrix": [[1e200, 0.0], [0.0, 1e200]], "output_dir": str(tmp_path / "an")}))
+        outdir = analyze_spectrum(cfg)
+        report = json.loads((outdir / "spectral_report.json").read_text())
+        assert report["alpha_star"] == pytest.approx(np.sqrt(8e200), rel=1e-15)
+        assert report["accelerated"] is not None
+        assert np.isfinite(np.loadtxt(outdir / "rate_table.csv", delimiter=",", skiprows=1)).all()
 
     @pytest.mark.parametrize("raw, header", [
         ({"target": "gauss-correlated"}, "alpha"),
@@ -573,14 +569,6 @@ class TestSweepAndCli:
         assert capsys.readouterr().err == "error: config value NaN is not a finite number\n"
         assert main(["sweep", str(path), "--param", "tau", "--values", "0.1,Infinity"]) == 1
         assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_cli_rejects_a_non_finite_sweep_value(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"target": "gaussian", "target_mean": [0], "target_q": [[2]],
-                                    "kernel": "bilinear", "output_dir": str(tmp_path / "out")}))
-        assert main(["analyze", str(path), "--sweep-values", "NaN"]) == 1
-        assert capsys.readouterr().err == "error: config value NaN is not a finite number\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [0, -2])

@@ -69,11 +69,11 @@ class TestRateTable:
     def test_bytes_equal_per_value_fstrings(self, tmp_path):
         cfg = parse_config(json.dumps({"target": "gauss-correlated", "kernel": "bilinear",
                                        "output_dir": str(tmp_path / "an")}))
-        alphas = [0.1, 1.0 / 3.0, 2.0, 1e3]
-        outdir = experiment.analyze_spectrum(cfg, sweep_values=alphas)
+        outdir = experiment.analyze_spectrum(cfg)
         a, q = cfg.build_kernel(2).a, cfg.build_target().q
+        alpha_star = spectral.optimal_damping(a)
         rows = []
-        for alpha in alphas:
+        for alpha in np.geomspace(0.1 * alpha_star, 3.0 * alpha_star, 61).tolist():
             eigs = spectral.asvgd_closed_form_eigs(a, q, alpha)
             mags = np.abs(eigs)
             rows.append((alpha, eigs.real.min(), mags.max() / mags.min()))

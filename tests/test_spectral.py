@@ -28,6 +28,16 @@ def random_commuting_pair(rng, d, lo=0.2, hi=2.0):
     return a, q
 
 
+class TestCommutes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_verdict_does_not_depend_on_the_scale(self, scale):
+        # at 1e200 |A| |Q| overflowed, and inf <= inf said that any pair commutes
+        q = np.array([[0.6, 0.4], [0.4, 0.6]])  # gauss-correlated's
+        assert not spectral.commutes(np.diag([1.0, 3.0]) * scale, q)
+        assert spectral.commutes(np.eye(2) * scale, q)
+
+
 class TestSvgdLinearizedMatrix:
     def test_scalar_block_form(self):
         a, q, b = 0.7, 1.3, 0.4
