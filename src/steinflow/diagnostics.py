@@ -47,13 +47,18 @@ def csv_row(*, iteration, kl_estimate, mean, cov, grad_restart_stat, mean_speed,
 
 
 def empirical_moments(x):
-    """Sample mean and unbiased (divisor N - 1) sample covariance, symmetrized."""
+    """Mean and covariance (divisor N), symmetrized, of the particles' empirical measure.
+
+    These are the moments of the Gaussian fit to the particle set itself, as in
+    the moment flow; an i.i.d. sample's N - 1 correction has no meaning for
+    deterministic particles.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
-        raise ValueError("covariance needs at least two particles")
+        raise ValueError("a Gaussian fit needs at least two particles: one has a zero covariance")
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
+    cov = centered.T @ centered / x.shape[0]
     return mean, 0.5 * (cov + cov.T)
 
 

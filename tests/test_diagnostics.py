@@ -29,7 +29,7 @@ class TestEmpiricalMoments:
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         mean, cov = empirical_moments(x)
         assert np.array_equal(mean, [0.0, 0.0])
-        assert np.array_equal(cov, np.diag([2.0, 0.0]))  # divisor N - 1 = 1
+        assert np.array_equal(cov, np.diag([1.0, 0.0]))  # divisor N = 2
 
     def test_knn_coinciding_particles_in_different_distance_blocks(self):
         x = np.random.default_rng(10).standard_normal((500, 2))
@@ -66,6 +66,19 @@ class TestGaussianFitKl:
         val, flag = gaussian_fit_kl(*empirical_moments(scaled), target)
         assert val == pytest.approx(0.0, abs=1e-12)
         assert not flag
+
+    def test_divisor_n_target_moments_give_zero(self):
+        # rescaled so that the mean and the divisor-N covariance are exactly (b, Q);
+        # a divisor of N - 1 would read (d/2)(c - 1 - ln c) = 2.0e-4 with c = N/(N - 1)
+        target = GaussianTarget(b=np.array([0.5, -1.0]), q=builtin("gauss-correlated").q)
+        z = np.random.default_rng(3).standard_normal((50, 2))
+        z -= z.mean(axis=0)
+        z = np.linalg.solve(np.linalg.cholesky(z.T @ z / len(z)), z.T).T  # divisor-N covariance I
+        x = target.b + z @ np.linalg.cholesky(target.q).T
+        val, flag = gaussian_fit_kl(*empirical_moments(x), target)
+        assert val == pytest.approx(0.0, abs=1e-12)
+        assert not flag
+        assert kl_estimate(x, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_large_sample_matches_analytic(self):
         rng = np.random.default_rng(1)
