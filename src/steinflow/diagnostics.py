@@ -47,12 +47,7 @@ def csv_row(*, iteration, kl_estimate, mean, cov, grad_restart_stat, mean_speed,
 
 
 def empirical_moments(x):
-    """Mean and covariance (divisor N), symmetrized, of the particles' empirical measure.
-
-    These are the moments of the Gaussian fit to the particle set itself, as in
-    the moment flow; an i.i.d. sample's N - 1 correction has no meaning for
-    deterministic particles.
-    """
+    """Mean and covariance (divisor N: no i.i.d. correction), symmetrized, of the particles' empirical measure."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
         raise ValueError("a Gaussian fit needs at least two particles: one has a zero covariance")

@@ -30,9 +30,8 @@ def sym_kron_sum(m, n):
 def commutes(a, b):
     """Whether |AB - BA| <= 1e-10 |A| |B| in the Frobenius norm.
 
-    Each matrix is first divided by the power of two of its largest entry,
-    which changes no bit of the verdict but keeps the norms and products from
-    overflowing (inf <= inf would say yes) or underflowing.
+    Each matrix is first divided by the power of two of its largest entry:
+    the verdict keeps its bits, and no norm overflows to inf <= inf.
     """
     a, b = (np.ldexp(m, -np.frexp(np.abs(m).max())[1]) for m in (np.asarray(a, float), np.asarray(b, float)))
     return np.linalg.norm(a @ b - b @ a) <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(b))

@@ -489,17 +489,17 @@ class TestAnalyze:
         analyze_spectrum(cfg)
         assert calls == [2]
 
-    @pytest.mark.parametrize("raw, message", [
-        ({"target": "gaussian", "target_mean": [0.5, 0.0], "target_q": [[1.0, 0.0], [0.0, 0.25]]},
+    @pytest.mark.parametrize("raw, error, message", [
+        ({"target": "gaussian", "target_mean": [0.5, 0.0], "target_q": [[1.0, 0.0], [0.0, 0.25]]}, ConfigError,
          "^the rate table sweeps the damping, which needs b = 0 and commuting A, Q, "
          "or the kernel scale, which needs a one-dimensional target$"),
         # alpha* = sqrt(8 * 5e306) = 6.3e153, and the grid's alpha**2 overflows from 1.35e154 on
-        ({"target": "gauss-correlated", "a_matrix": [[5e306, 0.0], [0.0, 5e306]]},
+        ({"target": "gauss-correlated", "a_matrix": [[5e306, 0.0], [0.0, 5e306]]}, ValueError,
          r"^alpha sweep value 1\.35\d*e\+154 gives a rate-table row that is not finite$"),
     ], ids=["neither-sweep-applies", "alpha-row-overflows"])
-    def test_invalid_sweep_writes_no_file(self, tmp_path, raw, message):
+    def test_invalid_sweep_writes_no_file(self, tmp_path, raw, error, message):
         cfg = parse_config(json.dumps({**raw, "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
-        with pytest.raises((ConfigError, ValueError), match=message):
+        with pytest.raises(error, match=message):
             analyze_spectrum(cfg)
         assert not (tmp_path / "an").exists()
 
