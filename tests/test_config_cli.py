@@ -110,7 +110,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"unknown config key\\(s\\): {key}"):
             parse_config(json.dumps({"target": "gauss-correlated", key: False}))
 
-    @pytest.mark.parametrize("target", ["gauss-aniso", "double-bananas"])
+    @pytest.mark.parametrize("target", ["gauss-correlated", "gauss-aniso", "double-bananas"])
     def test_kl_method_other_than_auto_rejected(self, target):
         # the target picks the metric: the Gaussian fit on a Gaussian target, else knn
         for method in ("knn", "gaussian-fit", "kde"):
@@ -496,7 +496,10 @@ class TestAnalyze:
         # alpha* = sqrt(8 * 5e306) = 6.3e153, and the grid's alpha**2 overflows from 1.35e154 on
         ({"target": "gauss-correlated", "a_matrix": [[5e306, 0.0], [0.0, 5e306]]}, ValueError,
          r"^alpha sweep value 1\.35\d*e\+154 gives a rate-table row that is not finite$"),
-    ], ids=["neither-sweep-applies", "alpha-row-overflows"])
+        # an off-centre 1-D target sweeps the kernel scale: 2 a Q overflows at the first value
+        ({"target": "gaussian", "target_mean": [0.5], "target_q": [[1e307]]}, ValueError,
+         r"^a sweep value 0\.01 gives a rate-table row that is not finite$"),
+    ], ids=["neither-sweep-applies", "alpha-row-overflows", "a-row-overflows"])
     def test_invalid_sweep_writes_no_file(self, tmp_path, raw, error, message):
         cfg = parse_config(json.dumps({**raw, "kernel": "bilinear", "output_dir": str(tmp_path / "an")}))
         with pytest.raises(error, match=message):
@@ -569,6 +572,17 @@ class TestSweepAndCli:
         assert capsys.readouterr().err == "error: config value NaN is not a finite number\n"
         assert main(["sweep", str(path), "--param", "tau", "--values", "0.1,Infinity"]) == 1
         assert capsys.readouterr().err == "error: config value Infinity is not a finite number\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_has_no_sweep_values_flag(self, tmp_path, capsys):
+        # the rate table's grid follows the target
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "gauss-correlated", "kernel": "bilinear",
+                                    "output_dir": str(tmp_path / "out")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), "--sweep-values", "1.0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep-values 1.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [0, -2])

@@ -37,6 +37,14 @@ class TestCommutes:
         assert not spectral.commutes(np.diag([1.0, 3.0]) * scale, q)
         assert spectral.commutes(np.eye(2) * scale, q)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_products_of_two_scaled_matrices(self, scale):
+        # at 1e-170 AB - BA underflowed to 0, and 0 <= 0 said that any pair commutes
+        q = np.array([[0.6, 0.4], [0.4, 0.6]]) * scale
+        assert not spectral.commutes(np.diag([1.0, 3.0]) * scale, q)
+        assert spectral.commutes(np.eye(2) * scale, q)
+
 
 class TestSvgdLinearizedMatrix:
     def test_scalar_block_form(self):
